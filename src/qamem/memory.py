@@ -30,6 +30,7 @@ from .simulator import (
     apply_circuit,
     basis_state,
     cs_gate,
+    group_sum,
     not_gate,
     nxor_gate,
     roty_gate,
@@ -98,15 +99,13 @@ class MemoryBuild:
 
     def memory_amplitudes(self) -> dict[Pattern, complex]:
         """Amplitudes on the memory register for the utility = |00> component."""
-        n = self.pattern_set.n
-        out = {}
-        for key, amp in self.final_state.amps.items():
-            if self.final_state.section_value(key, "utility") != 0:
-                continue
-            value = self.final_state.section_value(key, "memory")
-            bits = tuple((value >> j) & 1 for j in range(n))
-            out[Pattern(bits)] = amp
-        return out
+        state, n = self.final_state, self.pattern_set.n
+        stored = state.section_values("utility") == 0
+        values = state.section_values("memory")[stored]
+        return {
+            Pattern.from_key(v, n): amp
+            for v, amp in zip(values.tolist(), state.amp_array[stored].tolist())
+        }
 
     def to_json(self) -> str:
         amps = [
@@ -177,9 +176,7 @@ def store_sequential(
     snapshots = []
 
     def run(gates, st):
-        for g in gates:
-            st = apply_circuit(st, Circuit((g,), layout))
-        return st
+        return apply_circuit(st, Circuit(tuple(gates), layout))
 
     for i, pat in enumerate(pattern_set, start=1):
         if i > 1:
@@ -201,13 +198,8 @@ def store_sequential(
             undress.append(xor_gate(preg[j], mem[j]))
         copy_out = [toffoli_gate(preg[j], u2, mem[j]) for j in reversed(range(n))]
 
-        state = run(copy_in, state)
-        state = run(dress, state)
-        state = run([nxor_gate(mem, u1)], state)
-        state = run([cs_gate(p + 1 - i, u1, u2)], state)
-        state = run([nxor_gate(mem, u1)], state)
-        state = run(undress, state)
-        state = run(copy_out, state)
+        split = [nxor_gate(mem, u1), cs_gate(p + 1 - i, u1, u2), nxor_gate(mem, u1)]
+        state = run(copy_in + dress + split + undress + copy_out, state)
         if record_intermediate:
             snapshots.append(state.copy())
 
@@ -219,12 +211,10 @@ def store_sequential(
 def memory_register_amplitudes(state: SparseState) -> dict[Pattern, complex]:
     """Memory-register amplitudes of a sequential-storage state (utility |00>)."""
     n = state.layout.width("memory")
-    out: dict[Pattern, complex] = {}
-    for key, amp in state.amps.items():
-        if state.section_value(key, "utility") != 0:
-            continue
-        value = state.section_value(key, "memory")
-        bits = tuple((value >> j) & 1 for j in range(n))
-        pat = Pattern(bits)
-        out[pat] = out.get(pat, 0.0) + amp
-    return out
+    stored = state.section_values("utility") == 0
+    values, amps = group_sum(
+        state.section_values("memory")[stored], state.amp_array[stored]
+    )
+    return {
+        Pattern.from_key(v, n): amp for v, amp in zip(values.tolist(), amps.tolist())
+    }

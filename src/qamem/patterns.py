@@ -48,9 +48,9 @@ class Pattern:
 
     @classmethod
     def from_string(cls, s: str) -> "Pattern":
-        if not s or any(c not in "01" for c in s):
+        if not s or s.strip("01"):
             raise NonBinaryError(f"invalid pattern string {s!r}")
-        return cls(tuple(int(c) for c in s))
+        return cls(tuple(map(int, s)))
 
     def __str__(self) -> str:
         return "".join(str(b) for b in self.bits)
@@ -61,6 +61,11 @@ class Pattern:
         for j, b in enumerate(self.bits):
             k |= b << j
         return k
+
+    @classmethod
+    def from_key(cls, key: int, n: int) -> "Pattern":
+        """Inverse of :meth:`as_key` for an n-bit pattern."""
+        return cls(tuple((key >> j) & 1 for j in range(n)))
 
     def complement(self) -> "Pattern":
         return Pattern(tuple(1 - b for b in self.bits))
@@ -164,19 +169,20 @@ def read_pattern_file(path) -> PatternSet:
     if not lines:
         raise PatternError(f"{path}: empty pattern file")
     patterns = []
+    seen = set()
     for lineno, line in enumerate(lines, start=1):
         if not line:
             raise PatternError(f"{path}:{lineno}: blank line")
-        if any(c not in "01" for c in line):
+        if line.strip("01"):
             raise NonBinaryError(f"{path}:{lineno}: non-binary character in {line!r}")
         if len(line) != len(lines[0]):
             raise RaggedFileError(
                 f"{path}:{lineno}: length {len(line)} != {len(lines[0])}"
             )
-        pat = Pattern.from_string(line)
-        if pat in patterns:
+        if line in seen:
             raise DuplicatePatternError(f"{path}:{lineno}: duplicate pattern {line}")
-        patterns.append(pat)
+        seen.add(line)
+        patterns.append(Pattern.from_string(line))
     return PatternSet(tuple(patterns))
 
 

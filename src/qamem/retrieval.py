@@ -18,9 +18,13 @@ the input coded as rotations.
 """
 from __future__ import annotations
 
-import json
+import bisect
+import functools
+import itertools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .patterns import Mask, Pattern, PatternSet, hamming, hamming_masked
 from .memory import build_memory_circuit, memory_gate_count
@@ -32,9 +36,11 @@ from .simulator import (
     apply_circuit,
     basis_state,
     flip0_gate,
+    group_sum,
     h_gate,
     not_gate,
     phase0_gate,
+    postselect,
     roty_gate,
     section_marginal,
     xor_gate,
@@ -74,27 +80,6 @@ class RetrievalReport:
     output: Pattern | None
     analytic_p_rec: float
     analytic_dist: dict[Pattern, float]
-
-    def to_json(self, config: RetrievalConfig, seed: int | None = None) -> str:
-        return json.dumps(
-            {
-                "recognized": self.recognized,
-                "attempts": self.attempts,
-                "output": None if self.output is None else str(self.output),
-                "p_rec": self.analytic_p_rec,
-                "distribution": [
-                    {"pattern": str(pat), "prob": prob}
-                    for pat, prob in sorted(
-                        self.analytic_dist.items(), key=lambda kv: str(kv[0])
-                    )
-                ],
-                "mode": config.mode,
-                "b": config.b,
-                "T": config.T,
-                "seed": seed,
-            },
-            indent=2,
-        )
 
 
 def _distances(pattern_set: PatternSet, input_pattern: Pattern, mask: Mask | None):
@@ -253,20 +238,78 @@ def simulate_distribution(
         b=b, T=1, mask=mask, use_input_register=use_input_register
     )
     state = prepare_final_state(pattern_set, input_pattern, config)
-    n = pattern_set.n
-    p_rec = 0.0
-    probs: dict[Pattern, float] = {}
-    for key, amp in state.amps.items():
-        if state.section_value(key, "control") != 0:
-            continue
-        w = abs(amp) ** 2
-        p_rec += w
-        value = state.section_value(key, "memory")
-        pat = Pattern(tuple((value >> j) & 1 for j in range(n)))
-        probs[pat] = probs.get(pat, 0.0) + w
+    recognized = state.section_values("control") == 0
+    weights = np.abs(state.amp_array[recognized]) ** 2
+    values, sums = group_sum(state.section_values("memory")[recognized], weights)
+    p_rec = float(np.sum(weights))
     if p_rec > 0:
-        probs = {pat: w / p_rec for pat, w in probs.items()}
+        sums = sums / p_rec
+    probs = {
+        Pattern.from_key(v, pattern_set.n): w
+        for v, w in zip(values.tolist(), sums.tolist())
+    }
     return Distribution(p_rec=p_rec, probs=probs, Z=pattern_set.p * p_rec)
+
+
+@dataclass(frozen=True)
+class SamplingTable:
+    """What every retrieval attempt on one prepared state draws from.
+
+    ``p_zero`` is the probability of the all-zeros control outcome.
+    ``values`` are the memory-register values of the state post-selected on
+    that outcome, in ascending order, and ``cdf`` their cumulative
+    probabilities, as :func:`~qamem.simulator.measure_section` walks them.
+    """
+
+    p_zero: float
+    values: tuple[int, ...]
+    cdf: tuple[float, ...]
+
+    def sample_memory(self, rng) -> int:
+        """Memory value of one measurement of the post-selected state."""
+        i = bisect.bisect_right(self.cdf, rng.random())
+        return self.values[min(i, len(self.values) - 1)]
+
+
+def prepare_sampling(
+    pattern_set: PatternSet, input_pattern: Pattern, config: RetrievalConfig
+) -> SamplingTable:
+    """Prepare the final state of a retrieval once and tabulate its outcomes.
+
+    The table of the most recent (pattern set, input, b, mask, input
+    register, mode) is kept, so Monte-Carlo loops over one query prepare
+    the state once; ``T`` does not enter the state.
+    """
+    return _sampling_table(
+        pattern_set,
+        input_pattern,
+        config.b,
+        config.mask,
+        config.use_input_register,
+        config.mode,
+    )
+
+
+@functools.lru_cache(maxsize=1)
+def _sampling_table(pattern_set, input_pattern, b, mask, use_input_register, mode):
+    config = RetrievalConfig(
+        b=b, mode=mode, mask=mask, use_input_register=use_input_register
+    )
+    if mode == "amplitude_amplify":
+        p_rec = analytic_distribution(pattern_set, input_pattern, b, mask).p_rec
+        state = amplitude_amplify(
+            pattern_set, input_pattern, b, optimal_iterations(p_rec)
+        ).state
+    else:
+        state = prepare_final_state(pattern_set, input_pattern, config)
+    _, recognized = postselect(state, "control", 0)
+    if recognized is None:  # below postselect's 1e-15 floor: never recognized
+        return SamplingTable(0.0, (), ())
+    p_zero = section_marginal(state, "control")[0]
+    memory = section_marginal(recognized, "memory")
+    return SamplingTable(
+        p_zero, tuple(memory), tuple(itertools.accumulate(memory.values()))
+    )
 
 
 def retrieve(
@@ -277,63 +320,19 @@ def retrieve(
 ) -> RetrievalReport:
     """Run the probabilistic retrieval protocol with threshold T.
 
-    Every attempt re-prepares the full state by re-running the memory
-    operator; since that preparation is deterministic the state is built
-    once and each attempt draws a fresh control measurement from it.
+    Every attempt re-runs the same deterministic preparation, so the final
+    state is prepared once (see :func:`prepare_sampling`) and each attempt
+    draws a fresh control measurement from it: one draw per attempt, then
+    one draw for the memory register of a recognized attempt.  In
+    ``amplitude_amplify`` mode the prepared state is the amplified one.
     """
     analytic = analytic_distribution(
         pattern_set, input_pattern, config.b, config.mask
     )
-    if config.mode == "amplitude_amplify":
-        return _retrieve_amplified(pattern_set, input_pattern, config, rng, analytic)
-
-    state = prepare_final_state(pattern_set, input_pattern, config)
-    control_probs = section_marginal(state, "control")
-    p_zero = control_probs.get(0, 0.0)
+    table = prepare_sampling(pattern_set, input_pattern, config)
     for attempt in range(1, config.T + 1):
-        if rng.random() < p_zero:
-            _, collapsed = _postselect_zero(state)
-            output = _sample_memory(collapsed, pattern_set.n, rng)
-            return RetrievalReport(
-                recognized=True,
-                attempts=attempt,
-                output=output,
-                analytic_p_rec=analytic.p_rec,
-                analytic_dist=analytic.probs,
-            )
-    return RetrievalReport(
-        recognized=False,
-        attempts=config.T,
-        output=None,
-        analytic_p_rec=analytic.p_rec,
-        analytic_dist=analytic.probs,
-    )
-
-
-def _postselect_zero(state: SparseState):
-    from .simulator import postselect
-
-    return postselect(state, "control", 0)
-
-
-def _sample_memory(state: SparseState, n: int, rng) -> Pattern:
-    from .simulator import measure_section
-
-    value, _ = measure_section(state, "memory", rng)
-    return Pattern(tuple((value >> j) & 1 for j in range(n)))
-
-
-def _retrieve_amplified(pattern_set, input_pattern, config, rng, analytic):
-    run = amplitude_amplify(
-        pattern_set, input_pattern, config.b, optimal_iterations(analytic.p_rec)
-    )
-    state = run.state
-    control_probs = section_marginal(state, "control")
-    p_zero = control_probs.get(0, 0.0)
-    for attempt in range(1, config.T + 1):
-        if rng.random() < p_zero:
-            _, collapsed = _postselect_zero(state)
-            output = _sample_memory(collapsed, pattern_set.n, rng)
+        if rng.random() < table.p_zero:
+            output = Pattern.from_key(table.sample_memory(rng), pattern_set.n)
             return RetrievalReport(
                 recognized=True,
                 attempts=attempt,
@@ -403,7 +402,7 @@ def amplitude_amplify(
         state = apply_circuit(state, prep.inverse())
         state = apply_circuit(state, flip_zero)
         state = apply_circuit(state, prep)
-        state = SparseState(layout, {k: -a for k, a in state.amps.items()})
+        state = SparseState.from_arrays(layout, state.key_array, -state.amp_array)
 
     success = section_marginal(state, "control").get(0, 0.0)
     opt = optimal_iterations(p_rec) if p_rec > 0 else 0

@@ -1,9 +1,30 @@
 """Sparse statevector simulator over a laid-out multi-register qubit system.
 
-States are maps from computational basis keys (ints, qubit j at bit
-position j) to complex amplitudes.  The storage and retrieval circuits of
-this package keep at most O(p) nonzero amplitudes, so memory scales with
-the number of stored patterns rather than with 2^N.
+A state holds its nonzero amplitudes as two parallel arrays: the
+computational basis keys (qubit j at bit position j) and their
+``complex128`` amplitudes.  The storage and retrieval circuits of this
+package keep at most O(p) nonzero amplitudes, so memory scales with the
+number of stored patterns rather than with 2^N.
+
+Key width: keys are ``int64`` on layouts of up to 63 qubits, and an object
+array of Python ints on wider layouts, so that no key or mask ever passes
+bit 62 of a fixed-width integer.  Every kernel below is written once in
+whole-array operations and runs unchanged on both key types:
+
+* permutation gates (``NOT``, ``XOR``, ``TOFFOLI``, ``NXOR``) XOR the target
+  bit into the keys whose controls match;
+* diagonal gates (``PHASE0``, ``FLIP0``) multiply the matching amplitudes;
+* mixing gates (``H``, ``CS``, ``ROTY``) emit both target branches of the
+  keys whose controls match, merge equal keys with a sort-and-reduce, and
+  drop amplitudes below :data:`PRUNE_THRESHOLD`.  ``ROTY(0)`` is the
+  identity and returns its input unchanged; it stays in its circuit, so
+  gate counts stay honest.
+
+Marginals, post-selection and grouping read a section's value for all keys
+at once from the layout's precomputed offsets.  ``state.amps`` is a
+read-only ``{key: amplitude}`` mapping with Python ``int`` keys and
+``complex`` values, built on first use; ``SparseState(layout, mapping)``
+builds a state from such a mapping.
 
 Gate set (matching the circuits built in :mod:`qamem.memory` and
 :mod:`qamem.retrieval`):
@@ -22,11 +43,19 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
+import operator
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
+
+import numpy as np
 
 PRUNE_THRESHOLD = 1e-12
 
-_MIXING_KINDS = {"H", "CS", "ROTY"}
+#: widest layout whose keys fit an int64 without touching the sign bit
+INT64_KEY_QUBITS = 63
+
+_PERMUTATION_KINDS = {"NOT", "XOR", "TOFFOLI", "NXOR"}
 _VALID_KINDS = {"NOT", "H", "XOR", "TOFFOLI", "NXOR", "CS", "PHASE0", "ROTY", "FLIP0"}
 
 
@@ -39,6 +68,10 @@ class RegisterLayout:
     """Ordered named sections of a qubit register file."""
 
     sections: tuple[tuple[str, int], ...]
+    # derived: name -> (offset, width), the qubit count and the key dtype
+    spans: dict = field(init=False, repr=False, compare=False)
+    total: int = field(init=False, repr=False, compare=False)
+    key_dtype: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         names = [name for name, _ in self.sections]
@@ -46,31 +79,34 @@ class RegisterLayout:
             raise SimulatorError("duplicate section names")
         if any(w < 0 for _, w in self.sections):
             raise SimulatorError("section widths must be >= 0")
+        spans, off = {}, 0
+        for name, w in self.sections:
+            spans[name] = (off, w)
+            off += w
+        object.__setattr__(self, "spans", spans)
+        object.__setattr__(self, "total", off)
+        object.__setattr__(
+            self, "key_dtype", np.dtype(np.int64 if off <= INT64_KEY_QUBITS else object)
+        )
 
-    @property
-    def total(self) -> int:
-        return sum(w for _, w in self.sections)
+    def _span(self, name: str) -> tuple[int, int]:
+        try:
+            return self.spans[name]
+        except KeyError:
+            raise SimulatorError(f"no section named {name!r}") from None
 
     def offset(self, name: str) -> int:
-        off = 0
-        for sec, w in self.sections:
-            if sec == name:
-                return off
-            off += w
-        raise SimulatorError(f"no section named {name!r}")
+        return self._span(name)[0]
 
     def width(self, name: str) -> int:
-        for sec, w in self.sections:
-            if sec == name:
-                return w
-        raise SimulatorError(f"no section named {name!r}")
+        return self._span(name)[1]
 
     def qubits(self, name: str) -> range:
-        off = self.offset(name)
-        return range(off, off + self.width(name))
+        off, w = self._span(name)
+        return range(off, off + w)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gate:
     kind: str
     targets: tuple[int, ...]
@@ -78,26 +114,50 @@ class Gate:
     param: float | int | None = None
     # per-control required values for NXOR; all-ones when None
     polarity: tuple[int, ...] | None = None
+    # derived: bit masks of the targets and the controls, the control values
+    # that activate the gate, and the highest qubit index
+    tmask: int = field(init=False, repr=False, compare=False)
+    cmask: int = field(init=False, repr=False, compare=False)
+    cwant: int = field(init=False, repr=False, compare=False)
+    top: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in _VALID_KINDS:
             raise SimulatorError(f"unknown gate kind {self.kind!r}")
-        seen = self.targets + self.controls
-        if len(set(seen)) != len(seen):
+        # Python-int masks, also for numpy integer indices, so that no mask
+        # wraps past bit 62
+        tmask = cmask = cwant = 0
+        try:
+            for q in self.targets:
+                tmask |= 1 << operator.index(q)
+            for c in self.controls:
+                cmask |= 1 << operator.index(c)
+        except ValueError:  # negative shift count
+            raise SimulatorError(f"negative qubit index in {self}") from None
+        if (tmask | cmask).bit_count() != len(self.targets) + len(self.controls):
             raise SimulatorError(f"overlapping target/control indices in {self}")
-        if self.kind == "CS" and (self.param is None or abs(self.param) < 1):
+        if self.kind == "CS" and not (
+            isinstance(self.param, numbers.Integral) and abs(self.param) >= 1
+        ):
             raise SimulatorError("CS requires integer parameter i >= 1")
         if self.polarity is not None and len(self.polarity) != len(self.controls):
             raise SimulatorError("polarity length must match controls")
+        if self.polarity is None:
+            cwant = cmask
+        else:
+            for c, v in zip(self.controls, self.polarity):
+                if v:
+                    cwant |= 1 << operator.index(c)
+        object.__setattr__(self, "tmask", tmask)
+        object.__setattr__(self, "cmask", cmask)
+        object.__setattr__(self, "cwant", cwant)
+        object.__setattr__(self, "top", (tmask | cmask).bit_length() - 1)
 
     def inverse(self) -> "Gate":
         if self.kind in ("NOT", "H", "XOR", "TOFFOLI", "NXOR", "FLIP0"):
             return self
-        if self.kind == "CS":
-            # S^i is a real rotation; inverse = negated rotation, flagged
-            # via negative parameter.
-            return replace(self, param=-self.param)
-        if self.kind in ("PHASE0", "ROTY"):
+        # CS^i, PHASE0 and ROTY invert by negating the parameter
+        if self.kind in ("CS", "PHASE0", "ROTY"):
             return replace(self, param=-self.param)
         raise SimulatorError(f"no inverse for {self.kind}")
 
@@ -130,7 +190,7 @@ def nxor_gate(controls, target: int, polarity=None) -> Gate:
 
 
 def cs_gate(i: int, control: int, target: int, inverse: bool = False) -> Gate:
-    g = Gate("CS", (target,), (control,), param=int(i))
+    g = Gate("CS", (target,), (control,), param=i)
     return g.inverse() if inverse else g
 
 
@@ -178,7 +238,7 @@ class Circuit:
     def __post_init__(self):
         n = self.layout.total
         for g in self.gates:
-            if any(q < 0 or q >= n for q in g.targets + g.controls):
+            if g.top >= n:
                 raise SimulatorError(f"gate {g.dump()} out of range for N={n}")
 
     def __len__(self) -> int:
@@ -196,24 +256,92 @@ class Circuit:
         return "".join(g.dump() + "\n" for g in self.gates)
 
 
-@dataclass
+class _Amplitudes(Mapping):
+    """Read-only ``{key: amplitude}`` view of a state; ``len`` is O(1)."""
+
+    __slots__ = ("_state", "_dict")
+
+    def __init__(self, state: "SparseState"):
+        self._state = state
+        self._dict = None
+
+    def _items(self) -> dict:
+        if self._dict is None:
+            s = self._state
+            self._dict = dict(zip(s.key_array.tolist(), s.amp_array.tolist()))
+        return self._dict
+
+    def __len__(self) -> int:
+        return len(self._state.key_array)
+
+    def __getitem__(self, key):
+        return self._items()[key]
+
+    def __iter__(self):
+        return iter(self._items())
+
+    def __repr__(self) -> str:
+        return repr(self._items())
+
+
 class SparseState:
-    layout: RegisterLayout
-    amps: dict[int, complex] = field(default_factory=dict)
+    """Nonzero amplitudes of a state: parallel key and amplitude arrays.
+
+    The arrays are read-only and may be shared between states; every gate
+    returns a new state.
+    """
+
+    __slots__ = ("layout", "key_array", "amp_array", "_amps")
+
+    def __init__(self, layout: RegisterLayout, amps: Mapping | None = None):
+        amps = {} if amps is None else amps
+        self._set(
+            layout,
+            np.array(list(amps.keys()), dtype=layout.key_dtype),
+            np.array(list(amps.values()), dtype=np.complex128),
+        )
+
+    def _set(self, layout, keys, amplitudes) -> None:
+        keys.flags.writeable = False
+        amplitudes.flags.writeable = False
+        self.layout = layout
+        self.key_array = keys
+        self.amp_array = amplitudes
+        self._amps = None
+
+    @classmethod
+    def from_arrays(cls, layout: RegisterLayout, keys, amplitudes) -> "SparseState":
+        """State on distinct keys (of ``layout.key_dtype``) and their amplitudes."""
+        state = cls.__new__(cls)
+        state._set(layout, keys, amplitudes)
+        return state
+
+    @property
+    def amps(self) -> Mapping:
+        if self._amps is None:
+            self._amps = _Amplitudes(self)
+        return self._amps
 
     @property
     def n_qubits(self) -> int:
         return self.layout.total
 
     def norm(self) -> float:
-        return math.sqrt(sum(abs(a) ** 2 for a in self.amps.values()))
+        return float(np.linalg.norm(self.amp_array))
 
     def copy(self) -> "SparseState":
-        return SparseState(self.layout, dict(self.amps))
+        return SparseState.from_arrays(
+            self.layout, self.key_array.copy(), self.amp_array.copy()
+        )
 
     def section_value(self, key: int, name: str) -> int:
-        off = self.layout.offset(name)
-        return (key >> off) & ((1 << self.layout.width(name)) - 1)
+        off, w = self.layout._span(name)
+        return (key >> off) & ((1 << w) - 1)
+
+    def section_values(self, name: str):
+        """Array of one section's value for every key."""
+        off, w = self.layout._span(name)
+        return (self.key_array >> off) & ((1 << w) - 1)
 
 
 def basis_state(layout: RegisterLayout, bits) -> SparseState:
@@ -231,68 +359,82 @@ def basis_state(layout: RegisterLayout, bits) -> SparseState:
     return SparseState(layout, {key: 1.0 + 0.0j})
 
 
-def _controls_active(key: int, gate: Gate) -> bool:
-    if gate.polarity is None:
-        return all((key >> c) & 1 for c in gate.controls)
-    return all((key >> c) & 1 == v for c, v in zip(gate.controls, gate.polarity))
+def group_sum(labels, weights):
+    """Sort labels and sum weights (along their last axis) over equal labels.
+
+    Returns the distinct labels in ascending order and the summed weights;
+    equal labels are summed in their original order.
+    """
+    order = np.argsort(labels, kind="stable")
+    labels, weights = labels[order], weights[..., order]
+    if len(labels) > 1:
+        new = np.empty(len(labels), dtype=bool)
+        new[0] = True
+        np.not_equal(labels[1:], labels[:-1], out=new[1:])
+        if np.count_nonzero(new) < len(new):
+            starts = new.nonzero()[0]
+            labels = labels[starts]
+            weights = np.add.reduceat(weights, starts, axis=-1)
+    return labels, weights
+
+
+def _mix(keys, amps, gate: Gate):
+    """H, CS or ROTY on keys whose controls are all active: both branches of
+    the target, equal keys merged, small amplitudes pruned."""
+    (m00, m01), (m10, m11) = gate_matrix(gate)
+    t = gate.tmask
+    column = ((keys & t) != 0).view(np.uint8)
+    low = keys & ~t
+    branches = amps * np.array(((m00, m01), (m10, m11)))[:, column]
+    # both keys of a pair present: their branches land on the same keys
+    if len(low) > 1:
+        ordered = np.sort(low)
+        if np.count_nonzero(ordered[1:] == ordered[:-1]):
+            low, branches = group_sum(low, branches)
+    keys, amps = np.concatenate((low, low | t)), branches.ravel()
+    keep = np.abs(amps) >= PRUNE_THRESHOLD
+    if np.count_nonzero(keep) < len(keep):
+        keys, amps = keys[keep], amps[keep]
+    return keys, amps
 
 
 def apply(state: SparseState, gate: Gate) -> SparseState:
     """Apply one gate, returning a new pruned state."""
     n = state.n_qubits
-    if any(q < 0 or q >= n for q in gate.targets + gate.controls):
+    if gate.top >= n:
         raise SimulatorError(f"gate {gate.dump()} out of range for N={n}")
+    keys, amps = state.key_array, state.amp_array
+    kind = gate.kind
 
-    amps = state.amps
-    out: dict[int, complex] = {}
+    if kind in _PERMUTATION_KINDS:
+        flipped = keys ^ gate.tmask
+        if gate.cmask:
+            flipped = np.where((keys & gate.cmask) == gate.cwant, flipped, keys)
+        return SparseState.from_arrays(state.layout, flipped, amps)
 
-    if gate.kind in ("NOT", "XOR", "TOFFOLI", "NXOR"):
-        t = gate.targets[0]
-        mask = 1 << t
-        for key, a in amps.items():
-            out[key ^ mask if _controls_active(key, gate) else key] = a
-        return SparseState(state.layout, out)
+    if kind == "FLIP0":
+        zero = (keys & gate.tmask) == 0
+        return SparseState.from_arrays(state.layout, keys, np.where(zero, -amps, amps))
 
-    if gate.kind == "FLIP0":
-        mask = 0
-        for q in gate.targets:
-            mask |= 1 << q
-        for key, a in amps.items():
-            out[key] = -a if (key & mask) == 0 else a
-        return SparseState(state.layout, out)
-
-    if gate.kind == "PHASE0":
-        t = gate.targets[0]
+    if kind == "PHASE0":
+        # controls active and target |0>
+        hit = (keys & (gate.cmask | gate.tmask)) == gate.cwant
         phase = cmath.exp(1j * gate.param)
-        for key, a in amps.items():
-            if _controls_active(key, gate) and not (key >> t) & 1:
-                out[key] = a * phase
-            else:
-                out[key] = a
-        return SparseState(state.layout, out)
+        return SparseState.from_arrays(
+            state.layout, keys, np.where(hit, amps * phase, amps)
+        )
 
-    # mixing gates: H, CS, ROTY
-    (m00, m01), (m10, m11) = gate_matrix(gate)
-    t = gate.targets[0]
-    mask = 1 << t
-    for key, a in amps.items():
-        if not _controls_active(key, gate):
-            out[key] = out.get(key, 0.0) + a
-            continue
-        if (key >> t) & 1:
-            k0, k1 = key ^ mask, key
-            a0, a1 = m01 * a, m11 * a
-        else:
-            k0, k1 = key, key ^ mask
-            a0, a1 = m00 * a, m10 * a
-        if a0:
-            out[k0] = out.get(k0, 0.0) + a0
-        if a1:
-            out[k1] = out.get(k1, 0.0) + a1
-    return SparseState(
-        state.layout,
-        {k: a for k, a in out.items() if abs(a) >= PRUNE_THRESHOLD},
-    )
+    if kind == "ROTY" and gate.param == 0:
+        return state
+    if gate.cmask:
+        active = (keys & gate.cmask) == gate.cwant
+        if np.count_nonzero(active) < len(active):
+            idle = ~active
+            mixed_keys, mixed_amps = _mix(keys[active], amps[active], gate)
+            keys = np.concatenate((keys[idle], mixed_keys))
+            amps = np.concatenate((amps[idle], mixed_amps))
+            return SparseState.from_arrays(state.layout, keys, amps)
+    return SparseState.from_arrays(state.layout, *_mix(keys, amps, gate))
 
 
 def apply_circuit(state: SparseState, circuit: Circuit) -> SparseState:
@@ -307,25 +449,18 @@ def overlap(a: SparseState, b: SparseState) -> complex:
     """Inner product <a|b>."""
     if a.layout != b.layout:
         raise SimulatorError("layout mismatch in overlap")
-    small, large = (a.amps, b.amps) if len(a.amps) <= len(b.amps) else (b.amps, a.amps)
-    total = 0.0 + 0.0j
-    for key, amp in small.items():
-        other = large.get(key)
-        if other is not None:
-            if small is a.amps:
-                total += amp.conjugate() * other
-            else:
-                total += other.conjugate() * amp
-    return total
+    _, ia, ib = np.intersect1d(
+        a.key_array, b.key_array, assume_unique=True, return_indices=True
+    )
+    return complex(np.sum(a.amp_array[ia].conj() * b.amp_array[ib]))
 
 
 def section_marginal(state: SparseState, section: str) -> dict[int, float]:
     """Probability of each observed value of a section, sorted by value."""
-    probs: dict[int, float] = {}
-    for key, a in state.amps.items():
-        v = state.section_value(key, section)
-        probs[v] = probs.get(v, 0.0) + abs(a) ** 2
-    return dict(sorted(probs.items()))
+    values, probs = group_sum(
+        state.section_values(section), np.abs(state.amp_array) ** 2
+    )
+    return dict(zip(values.tolist(), probs.tolist()))
 
 
 def measure_section(state: SparseState, section: str, rng) -> tuple[int, SparseState]:
@@ -356,11 +491,10 @@ def postselect(
         for j, c in enumerate(value):
             v |= int(c) << j
         value = v
-    matching = {
-        k: a for k, a in state.amps.items() if state.section_value(k, section) == value
-    }
-    prob = sum(abs(a) ** 2 for a in matching.values())
+    hit = state.section_values(section) == value
+    amps = state.amp_array[hit]
+    prob = float(np.sum(np.abs(amps) ** 2))
     if prob < 1e-15:
         return 0.0, None
     scale = 1.0 / math.sqrt(prob)
-    return prob, SparseState(state.layout, {k: a * scale for k, a in matching.items()})
+    return prob, SparseState.from_arrays(state.layout, state.key_array[hit], amps * scale)

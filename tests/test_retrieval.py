@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from qamem import retrieval
 from qamem.patterns import Mask, Pattern, PatternSet, hamming
 from qamem.retrieval import (
     RetrievalConfig,
@@ -13,6 +14,7 @@ from qamem.retrieval import (
     complexity_estimate,
     optimal_iterations,
     prepare_final_state,
+    prepare_sampling,
     recognition_lower_bound,
     retrieval_layout,
     retrieval_round_circuit,
@@ -20,6 +22,7 @@ from qamem.retrieval import (
     round_gate_count,
     simulate_distribution,
 )
+from qamem.simulator import measure_section, postselect, section_marginal
 
 
 def P(s):
@@ -282,6 +285,127 @@ class TestRetrieve:
             RetrievalConfig(b=0)
         with pytest.raises(RetrievalError):
             RetrievalConfig(mode="nope")
+
+
+def per_call_retrieve(ps, inp, config, rng):
+    """Reference protocol: prepare the state, measure the control, then the memory."""
+    if config.mode == "amplitude_amplify":
+        p_rec = analytic_distribution(ps, inp, config.b, config.mask).p_rec
+        state = amplitude_amplify(ps, inp, config.b, optimal_iterations(p_rec)).state
+    else:
+        state = prepare_final_state(ps, inp, config)
+    p_zero = section_marginal(state, "control").get(0, 0.0)
+    for attempt in range(1, config.T + 1):
+        if rng.random() < p_zero:
+            _, collapsed = postselect(state, "control", 0)
+            value, _ = measure_section(collapsed, "memory", rng)
+            return True, attempt, Pattern.from_key(value, ps.n)
+    return False, config.T, None
+
+
+class TestPreparedSampling:
+    def test_same_draws_as_per_call_protocol(self):
+        rng = np.random.default_rng(31)
+        checked = 0
+        for _ in range(40):
+            ps = random_set(rng, 5, 6)
+            inp = random_input(rng, ps.n)
+            mode = ("repeat_measure", "amplitude_amplify")[int(rng.integers(2))]
+            mask = None
+            if rng.integers(2):
+                mask = Mask(frozenset(int(j) for j in rng.choice(ps.n, size=ps.n - 1, replace=False)))
+            b = int(rng.integers(1, 4))
+            p_rec = analytic_distribution(ps, inp, b, mask).p_rec
+            if mode == "amplitude_amplify" and p_rec < 0.02:  # keeps iterations <= 5
+                continue
+            config = RetrievalConfig(b=b, T=int(rng.integers(1, 4)), mode=mode, mask=mask)
+            seed = int(rng.integers(2**32))
+            fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(5):
+                report = retrieve(ps, inp, config, fast)
+                got = (report.recognized, report.attempts, report.output)
+                assert got == per_call_retrieve(ps, inp, config, slow)
+                checked += 1
+        assert checked >= 150
+
+    def test_state_prepared_once_per_query(self, monkeypatch):
+        ps, inp = S("0110", "1011"), P("0111")
+        retrieve(S("01", "10"), P("00"), RetrievalConfig(), np.random.default_rng(0))
+        calls = []
+        real = retrieval.prepare_final_state
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(retrieval, "prepare_final_state", counted)
+        rng = np.random.default_rng(1)
+        for T in (1, 3, 1):  # T does not enter the state
+            for _ in range(20):
+                retrieve(ps, inp, RetrievalConfig(b=2, T=T), rng)
+        assert len(calls) == 1
+        for config, x in [
+            (RetrievalConfig(b=3), inp),
+            (RetrievalConfig(b=3), P("0110")),
+            (RetrievalConfig(b=3, mask=Mask.of(0, 1)), P("0110")),
+            (RetrievalConfig(b=3, mask=Mask.of(0, 1), use_input_register=False), P("0110")),
+        ]:
+            retrieve(ps, x, config, rng)
+            retrieve(ps, x, config, rng)
+        assert len(calls) == 5
+        # the mode enters the state: p_rec = 0.064 here, amplified 3 times
+        repeat = prepare_sampling(ps, P("0000"), RetrievalConfig(b=3))
+        amplified = prepare_sampling(
+            ps, P("0000"), RetrievalConfig(b=3, mode="amplitude_amplify")
+        )
+        assert len(calls) == 6
+        assert amplified.p_zero > repeat.p_zero
+
+
+class TestWideLayouts:
+    """Retrieval layouts on both sides of the 63-qubit int64 key limit."""
+
+    @pytest.mark.parametrize(
+        "n, b, use_input_register, width, dtype",
+        [
+            (30, 1, True, 63, np.int64),
+            (30, 2, True, 64, object),
+            (32, 3, True, 69, object),
+            (32, 3, False, 37, np.int64),
+        ],
+    )
+    def test_gate_level_matches_closed_form(self, n, b, use_input_register, width, dtype):
+        rng = np.random.default_rng(1000 + width)
+        ps = PatternSet(
+            tuple(Pattern(tuple(int(v) for v in row)) for row in rng.integers(0, 2, size=(4, n)))
+        )
+        bits = list(ps[0].bits)
+        for j in rng.choice(n, size=3, replace=False):
+            bits[j] ^= 1
+        inp = Pattern(tuple(bits))
+        layout = retrieval_layout(n, b, use_input_register)
+        assert layout.total == width
+        assert layout.key_dtype == np.dtype(dtype)
+
+        ana = analytic_distribution(ps, inp, b)
+        sim = simulate_distribution(ps, inp, b, use_input_register=use_input_register)
+        assert abs(sim.p_rec - ana.p_rec) < 1e-12
+        assert set(sim.probs) == set(ps)
+        for pat in ps:
+            assert abs(sim.probs[pat] - ana.probs[pat]) < 1e-12
+
+        config = RetrievalConfig(b=b, T=4, use_input_register=use_input_register)
+        table = prepare_sampling(ps, inp, config)
+        assert abs(table.p_zero - ana.p_rec) < 1e-12
+        probs = np.diff((0.0,) + table.cdf)
+        want = [ana.probs[Pattern.from_key(v, n)] for v in table.values]
+        assert np.max(np.abs(probs - want)) < 1e-12
+        assert sorted(table.values) == sorted(pat.as_key() for pat in ps)
+        rng = np.random.default_rng(width)
+        for _ in range(20):
+            report = retrieve(ps, inp, config, rng)
+            assert report.output is None or report.output in set(ps)
+            assert report.analytic_p_rec == ana.p_rec
 
 
 class TestAmplification:

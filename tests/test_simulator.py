@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from dense_reference import gate_unitary, random_state, run_dense, to_vector
 from qamem.simulator import (
     Circuit,
+    Gate,
     RegisterLayout,
     SimulatorError,
     SparseState,
@@ -15,6 +17,7 @@ from qamem.simulator import (
     basis_state,
     cs_gate,
     flip0_gate,
+    gate_matrix,
     h_gate,
     measure_section,
     not_gate,
@@ -141,10 +144,22 @@ class TestSingleGates:
     def test_out_of_range(self):
         with pytest.raises(SimulatorError):
             apply(basis_state(flat_layout(1), "0"), not_gate(3))
+        with pytest.raises(SimulatorError):
+            not_gate(-1)
+        with pytest.raises(SimulatorError):
+            toffoli_gate(0, 0, 1)
 
     def test_cs_requires_parameter(self):
         with pytest.raises(SimulatorError):
             cs_gate(0, 0, 1)
+
+    def test_cs_rejects_non_integer_parameter(self):
+        for bad in (1.5, -2.5, 3.0, None):
+            with pytest.raises(SimulatorError):
+                Gate("CS", (1,), (0,), param=bad)
+        with pytest.raises(SimulatorError):
+            cs_gate(1.5, 0, 1)
+        assert cs_gate(np.int64(3), 0, 1).inverse().param == -3
 
 
 class TestNxorTruthTable:
@@ -331,3 +346,122 @@ class TestOverlap:
         rng = np.random.default_rng(3)
         a, b = random_sparse(3, rng), random_sparse(3, rng)
         assert overlap(a, b) == pytest.approx(overlap(b, a).conjugate())
+
+
+def reference_apply(amps: dict, gate: Gate) -> dict:
+    """One gate on a {key: amplitude} dict, key by key, with Python ints."""
+    polarity = gate.polarity or (1,) * len(gate.controls)
+
+    def active(key):
+        return all((key >> c) & 1 == v for c, v in zip(gate.controls, polarity))
+
+    out: dict[int, complex] = {}
+    if gate.kind == "FLIP0":
+        mask = sum(1 << q for q in gate.targets)
+        return {k: -a if k & mask == 0 else a for k, a in amps.items()}
+    (t,) = gate.targets
+    if gate.kind in ("NOT", "XOR", "TOFFOLI", "NXOR"):
+        return {k ^ (1 << t) if active(k) else k: a for k, a in amps.items()}
+    matrix = gate_matrix(gate)
+    for k, a in amps.items():
+        if not active(k):
+            out[k] = out.get(k, 0.0) + a
+            continue
+        bit = (k >> t) & 1
+        for new_bit in (0, 1):
+            new_key = (k & ~(1 << t)) | (new_bit << t)
+            out[new_key] = out.get(new_key, 0.0) + matrix[new_bit][bit] * a
+    return {k: a for k, a in out.items() if abs(a) >= 1e-12}
+
+
+class TestKeyWidth:
+    """Layouts past 63 qubits keep exact Python-int keys."""
+
+    @pytest.mark.parametrize("n, dtype", [(1, np.int64), (63, np.int64), (64, object), (70, object)])
+    def test_key_dtype_follows_layout_width(self, n, dtype):
+        layout = flat_layout(n)
+        assert layout.key_dtype == np.dtype(dtype)
+        top = (1 << n) - 1
+        state = apply(basis_state(layout, [1] * n), not_gate(n - 1))
+        assert state.key_array.dtype == np.dtype(dtype)
+        assert state.amps == {top ^ (1 << (n - 1)): 1.0 + 0.0j}
+
+    def test_numpy_qubit_indices_past_bit_62(self):
+        layout = flat_layout(70)
+        gate = xor_gate(np.int64(66), np.int64(68))
+        state = apply(basis_state(layout, [0] * 66 + [1, 0, 0, 0]), gate)
+        assert state.amps == {(1 << 66) | (1 << 68): 1.0 + 0.0j}
+
+    def test_each_gate_kind_on_70_qubits(self):
+        n = 70
+        layout = flat_layout(n)
+        keys = [
+            (1 << 69) | (1 << 66) | (1 << 64) | 5,
+            (1 << 69) | (1 << 65) | (1 << 63),
+            (1 << 68) | (1 << 66) | (1 << 64) | (1 << 62),
+            3,
+        ]
+        amps = np.array([0.5, -0.5j, 0.5, 0.5 + 0.0j])
+        state = SparseState(layout, dict(zip(keys, amps.tolist())))
+        gates = [
+            not_gate(69),
+            h_gate(66),
+            xor_gate(69, 64),
+            toffoli_gate(69, 66, 63),
+            nxor_gate([69, 65, 0], 64, polarity=(1, 1, 0)),
+            cs_gate(3, 69, 66),
+            cs_gate(2, 64, 1, inverse=True),
+            phase0_gate(0.7, 65),
+            phase0_gate(-0.4, 67, control=66),
+            roty_gate(1.1, 68, control=64),
+            roty_gate(0.0, 68),
+            flip0_gate([69, 68, 1]),
+        ]
+        for gate in gates:
+            got = apply(state, gate)
+            want = reference_apply(dict(state.amps), gate)
+            assert set(got.amps) == set(want), gate.dump()
+            for key, amp in want.items():
+                assert abs(got.amps[key] - amp) < 1e-15, gate.dump()
+            assert all(type(k) is int for k in got.amps)
+            assert all(type(a) is complex for a in got.amps.values())
+            state = got
+        assert abs(state.norm() - 1.0) < 1e-12
+
+    def test_sections_past_bit_63(self):
+        layout = RegisterLayout((("low", 62), ("mid", 4), ("high", 4)))
+        bits = [0] * 62 + [1, 0, 1, 1] + [1, 1, 0, 1]
+        state = basis_state(layout, bits)
+        state = apply(state, h_gate(69))
+        assert section_marginal(state, "mid") == {0b1101: pytest.approx(1.0)}
+        high = section_marginal(state, "high")
+        assert set(high) == {0b0011, 0b1011}
+        prob, cond = postselect(state, "high", 0b1011)
+        assert prob == pytest.approx(0.5)
+        assert set(cond.amps) == {(0b1101 << 62) | (0b1011 << 66)}
+
+
+class TestAmplitudeView:
+    def test_read_only_mapping_of_python_values(self):
+        state = apply(basis_state(flat_layout(3), "010"), h_gate(0))
+        assert isinstance(state.amps, Mapping)
+        assert len(state.amps) == 2
+        assert all(type(k) is int for k in state.amps)
+        assert all(type(a) is complex for a in state.amps.values())
+        with pytest.raises(TypeError):
+            state.amps[0] = 1.0
+        with pytest.raises(ValueError):
+            state.amp_array[0] = 1.0
+
+    def test_matches_key_loop_on_random_circuits(self):
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            state = random_sparse(6, rng, terms=8)
+            amps = dict(state.amps)
+            for _ in range(12):
+                gate = random_gate(6, rng)
+                state = apply(state, gate)
+                amps = reference_apply(amps, gate)
+                assert set(state.amps) == set(amps)
+                for key, amp in amps.items():
+                    assert abs(state.amps[key] - amp) < 1e-14
