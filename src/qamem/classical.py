@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .patterns import PatternSet
+from .seeds import task_rng
 
 
 class ClassicalError(ValueError):
@@ -150,78 +151,28 @@ def capacity_experiment_seeded(
     trials: int,
     corruption: float,
     seed: int,
-    workers: int = 1,
-    sweeps: int = 50,
-) -> CapacityTable:
-    """Capacity experiment with per-trial derived seeds.
-
-    Trial (i_alpha, i_trial) runs on its own generator seeded from the
-    master seed and the flat task index, so results are identical for any
-    worker count and collected in task order.
-    """
-    from concurrent.futures import ThreadPoolExecutor
-
-    from .seeds import task_rng
-
-    if not 0.0 <= corruption < 1.0:
-        raise ClassicalError("corruption must be in [0, 1)")
-    alphas = [float(a) for a in alpha_grid]
-    tasks = []
-    for i, alpha in enumerate(alphas):
-        p = max(1, round(alpha * n))
-        for t in range(trials):
-            tasks.append((p, i * trials + t))
-
-    def run(task):
-        p, index = task
-        return _capacity_trial(n, p, corruption, task_rng(seed, index), sweeps)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, tasks))
-    else:
-        results = [run(task) for task in tasks]
-
-    rows = []
-    for i, alpha in enumerate(alphas):
-        arr = np.array(results[i * trials : (i + 1) * trials])
-        rows.append(
-            CapacityRow(
-                alpha=alpha,
-                p=max(1, round(alpha * n)),
-                trials=trials,
-                mean_overlap=float(arr.mean()),
-                std_overlap=float(arr.std()),
-            )
-        )
-    return CapacityTable(rows=tuple(rows))
-
-
-def capacity_experiment(
-    n: int,
-    alpha_grid,
-    trials: int,
-    corruption: float,
-    rng: np.random.Generator,
     sweeps: int = 50,
 ) -> CapacityTable:
     """Mean retrieval overlap from corrupted inputs at each loading factor.
 
     For every alpha, stores p = round(alpha * n) random patterns, starts the
     dynamics from the first pattern with a fraction of spins flipped, and
-    records the final overlap with that target.
+    records the final overlap with that target.  Trial (i_alpha, i_trial)
+    runs on its own generator seeded from the master seed and the flat task
+    index, so each trial's result depends on that index alone.
     """
     if not 0.0 <= corruption < 1.0:
         raise ClassicalError("corruption must be in [0, 1)")
     rows = []
-    for alpha in alpha_grid:
+    for i, alpha in enumerate(float(a) for a in alpha_grid):
         p = max(1, round(alpha * n))
+        rngs = (task_rng(seed, i * trials + t) for t in range(trials))
         arr = np.array(
-            [_capacity_trial(n, p, corruption, rng, sweeps) for _ in range(trials)]
+            [_capacity_trial(n, p, corruption, rng, sweeps) for rng in rngs]
         )
         rows.append(
             CapacityRow(
-                alpha=float(alpha),
+                alpha=alpha,
                 p=p,
                 trials=trials,
                 mean_overlap=float(arr.mean()),

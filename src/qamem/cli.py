@@ -3,16 +3,16 @@ mean-field and classical-baseline experiments.
 
 Every command that uses randomness takes an explicit 64-bit --seed and is
 byte-deterministic: per-task seeds are derived with a splitmix64 mix (see
-:mod:`.seeds`), so the output is identical across runs and across worker
-counts.  Floats are printed with 17 significant digits in both JSON and
-CSV output.  Exit codes: 0 success, 2 validation error, 3 numeric failure.
+:mod:`.seeds`), so the output is identical across runs.  ``phase`` and
+``classical`` accept ``--workers`` and ignore it: both run in one thread.
+Floats are printed with 17 significant digits in both JSON and CSV output.
+Exit codes: 0 success, 2 validation error, 3 numeric failure.
 """
 from __future__ import annotations
 
 import argparse
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -81,7 +81,7 @@ def parse_grid(spec: str, name: str) -> list[float]:
         if spec.startswith(("lin:", "log:")):
             kind, lo, hi, count = spec.split(":")
             lo, hi, count = float(lo), float(hi), int(count)
-            if count < 2 or not hi > lo:
+            if count < 2 or not hi > lo or not math.isfinite(hi - lo):
                 raise ValueError
             if kind == "log":
                 if lo <= 0:
@@ -89,18 +89,14 @@ def parse_grid(spec: str, name: str) -> list[float]:
                 return list(np.logspace(math.log10(lo), math.log10(hi), count))
             return list(np.linspace(lo, hi, count))
         values = [float(v) for v in spec.split(",") if v]
-        if not values:
+        if not values or not all(map(math.isfinite, values)):
             raise ValueError
         return values
     except ValueError:
         raise PatternError(
             f"bad {name} grid {spec!r}: use lin:LO:HI:COUNT, log:LO:HI:COUNT "
-            "or a comma-separated list"
+            "or a comma-separated list of finite numbers"
         ) from None
-
-
-def _load_patterns(path: str):
-    return read_pattern_file(path)
 
 
 def _parse_input(bits: str, n: int) -> Pattern:
@@ -128,7 +124,7 @@ def _parse_mask(spec: str | None, n: int) -> Mask | None:
 
 
 def cmd_store(args) -> int:
-    pattern_set = _load_patterns(args.patterns)
+    pattern_set = read_pattern_file(args.patterns)
     if args.dry_run:
         count = memory.memory_gate_count(pattern_set.p, pattern_set.n)
         _write_output(f"gates: {count}\n", args.out)
@@ -170,7 +166,7 @@ def _report_doc(report, config, seed):
 
 
 def cmd_retrieve(args) -> int:
-    pattern_set = _load_patterns(args.patterns)
+    pattern_set = read_pattern_file(args.patterns)
     input_pattern = _parse_input(args.input, pattern_set.n)
     mask = _parse_mask(args.mask, pattern_set.n)
     if args.corrupt:
@@ -187,7 +183,7 @@ def cmd_retrieve(args) -> int:
 
 
 def cmd_distribution(args) -> int:
-    pattern_set = _load_patterns(args.patterns)
+    pattern_set = read_pattern_file(args.patterns)
     input_pattern = _parse_input(args.input, pattern_set.n)
     mask = _parse_mask(args.mask, pattern_set.n)
     dist = retrieval.analytic_distribution(
@@ -237,19 +233,9 @@ def cmd_tune(args) -> int:
 def cmd_phase(args) -> int:
     alpha_grid = parse_grid(args.alpha_grid, "alpha")
     jt_grid = parse_grid(args.jt_grid, "Jt")
-    params = [
-        meanfield.MfParams(alpha=a, Jt=j) for a in alpha_grid for j in jt_grid
-    ]
-    if args.workers > 1:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            cells = tuple(pool.map(meanfield.classify_phase, params))
-    else:
-        cells = tuple(meanfield.classify_phase(p) for p in params)
-    diagram = meanfield.PhaseDiagram(
-        tuple(alpha_grid), tuple(jt_grid), cells
-    )
+    diagram = meanfield.scan_phase_diagram(alpha_grid, jt_grid)
     text = diagram.to_csv()
-    jt_near_one = min(jt_grid, key=lambda j: abs(j - 1.0))
+    jt_near_one = min(diagram.Jt_grid, key=lambda j: abs(j - 1.0))
     boundary = diagram.max_retrieval_alpha(Jt=jt_near_one)
     summary = (
         f"max retrieval alpha at Jt={format_float(jt_near_one)}: "
@@ -272,7 +258,6 @@ def cmd_classical(args) -> int:
         trials=args.trials,
         corruption=args.corruption,
         seed=args.seed,
-        workers=args.workers,
     )
     _write_output(table.to_csv(), args.out)
     return EXIT_OK
@@ -281,14 +266,8 @@ def cmd_classical(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
-def _add_common(sub, patterns=False, seed=False):
+def _add_common(sub, patterns=False, seed=False, workers=False):
     sub.add_argument("--out", help="write output to this path instead of stdout")
-    sub.add_argument(
-        "--format",
-        choices=("csv", "json"),
-        default=None,
-        help="output format (each command has a single native format)",
-    )
     if patterns:
         sub.add_argument(
             "--patterns", required=True, help="pattern file, one bit-string per line"
@@ -296,6 +275,13 @@ def _add_common(sub, patterns=False, seed=False):
     if seed:
         sub.add_argument(
             "--seed", type=int, required=True, help="64-bit master seed"
+        )
+    if workers:
+        sub.add_argument(
+            "--workers",
+            type=int,
+            default=1,
+            help="ignored: the scan runs in one thread; output does not depend on it",
         )
 
 
@@ -353,21 +339,19 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_tune)
 
     s = subs.add_parser("phase", help="mean-field phase diagram scan")
-    _add_common(s)
+    _add_common(s, workers=True)
     s.add_argument("--alpha-grid", default="lin:0.02:1.2:60")
     s.add_argument("--jt-grid", default="lin:0.2:12:60")
-    s.add_argument("--workers", type=int, default=1)
     s.set_defaults(func=cmd_phase)
 
     s = subs.add_parser("classical", help="classical Hopfield capacity experiment")
-    _add_common(s, seed=True)
+    _add_common(s, seed=True, workers=True)
     s.add_argument("--n", type=int, default=500)
     s.add_argument("--alpha-grid", default="lin:0.05:0.25:5")
     s.add_argument("--trials", type=int, default=20)
     s.add_argument(
         "--corruption", type=float, default=0.05, help="input corruption rate"
     )
-    s.add_argument("--workers", type=int, default=1)
     s.set_defaults(func=cmd_classical)
 
     return parser

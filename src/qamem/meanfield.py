@@ -51,10 +51,12 @@ class MfParams:
     M_ext: float = 0.0
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise MeanFieldError(f"alpha must be >= 0, got {self.alpha}")
-        if self.Jt <= 0:
-            raise MeanFieldError(f"Jt must be > 0, got {self.Jt}")
+        if not (self.alpha >= 0 and math.isfinite(self.alpha)):
+            raise MeanFieldError(f"alpha must be finite and >= 0, got {self.alpha}")
+        if not (self.Jt > 0 and math.isfinite(self.Jt)):
+            raise MeanFieldError(f"Jt must be finite and > 0, got {self.Jt}")
+        if not math.isfinite(self.g_over_J):
+            raise MeanFieldError(f"g_over_J must be finite, got {self.g_over_J}")
         if not -1.0 <= self.M_ext <= 1.0:
             raise MeanFieldError(f"M_ext must be in [-1, 1], got {self.M_ext}")
 

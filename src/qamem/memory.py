@@ -18,7 +18,6 @@ convention used for the n-controlled NOT of the sequential route.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -106,23 +105,6 @@ class MemoryBuild:
             Pattern.from_key(v, n): amp
             for v, amp in zip(values.tolist(), state.amp_array[stored].tolist())
         }
-
-    def to_json(self) -> str:
-        amps = [
-            {"pattern": str(pat), "re": amp.real, "im": amp.imag}
-            for pat, amp in sorted(
-                self.memory_amplitudes().items(), key=lambda kv: str(kv[0])
-            )
-        ]
-        return json.dumps(
-            {
-                "n": self.pattern_set.n,
-                "p": self.pattern_set.p,
-                "gate_count": self.gate_count,
-                "amplitudes": amps,
-            },
-            indent=2,
-        )
 
 
 def build_memory_operator(pattern_set: PatternSet) -> MemoryBuild:

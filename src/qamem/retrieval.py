@@ -98,8 +98,9 @@ def analytic_distribution(
     if b < 0:
         raise RetrievalError("b must be >= 0")
     n, p = pattern_set.n, pattern_set.p
+    # cos(pi/2) is exactly zero, where math.cos gives 6e-17
     weights = [
-        math.cos(math.pi * d / (2 * n)) ** (2 * b)
+        0.0 if d == n and b > 0 else math.cos(math.pi * d / (2 * n)) ** (2 * b)
         for d in _distances(pattern_set, input_pattern, mask)
     ]
     Z = sum(weights)
@@ -182,19 +183,32 @@ def retrieval_round_circuit(
     return Circuit(tuple(gates), layout)
 
 
-def _embed(circuit: Circuit, layout: RegisterLayout, offset: int) -> Circuit:
-    """Re-index a circuit built on a sub-layout into the full layout."""
-    gates = []
-    for g in circuit.gates:
-        gates.append(
-            Gate(
-                g.kind,
-                tuple(t + offset for t in g.targets),
-                tuple(c + offset for c in g.controls),
-                g.param,
-                g.polarity,
-            )
+def preparation_circuit(
+    pattern_set: PatternSet,
+    input_pattern: Pattern,
+    layout: RegisterLayout,
+    mask: Mask | None = None,
+) -> Circuit:
+    """The memory circuit followed by one retrieval round per control qubit.
+
+    The memory circuit is built on memory + utility and shifted onto the
+    memory offset of ``layout``, where the utility register follows it.
+    """
+    if input_pattern.n != pattern_set.n:
+        raise RetrievalError("input length does not match stored patterns")
+    offset = layout.offset("memory")
+    gates = [
+        Gate(
+            g.kind,
+            tuple(t + offset for t in g.targets),
+            tuple(c + offset for c in g.controls),
+            g.param,
+            g.polarity,
         )
+        for g in build_memory_circuit(pattern_set).gates
+    ]
+    for c in range(layout.width("control")):
+        gates += retrieval_round_circuit(input_pattern, layout, c, mask).gates
     return Circuit(tuple(gates), layout)
 
 
@@ -204,26 +218,13 @@ def prepare_final_state(
     config: RetrievalConfig,
 ) -> SparseState:
     """Memory preparation followed by all b retrieval rounds."""
-    n = pattern_set.n
-    if input_pattern.n != n:
-        raise RetrievalError("input length does not match stored patterns")
-    layout = retrieval_layout(n, config.b, config.use_input_register)
+    layout = retrieval_layout(pattern_set.n, config.b, config.use_input_register)
+    circuit = preparation_circuit(pattern_set, input_pattern, layout, config.mask)
     bits = [0] * layout.total
     if config.use_input_register:
-        for j, bit in enumerate(input_pattern.bits):
-            bits[layout.offset("input") + j] = bit
-    state = basis_state(layout, bits)
-
-    mem_circuit = _embed(
-        build_memory_circuit(pattern_set), layout, layout.offset("memory")
-    )
-    state = apply_circuit(state, mem_circuit)
-    for c in range(config.b):
-        state = apply_circuit(
-            state,
-            retrieval_round_circuit(input_pattern, layout, c, config.mask),
-        )
-    return state
+        start = layout.offset("input")
+        bits[start : start + input_pattern.n] = input_pattern.bits
+    return apply_circuit(basis_state(layout, bits), circuit)
 
 
 def simulate_distribution(
@@ -379,15 +380,9 @@ def amplitude_amplify(
     """
     if iterations < 0:
         raise RetrievalError("iterations must be >= 0")
-    config = RetrievalConfig(b=b, T=1, use_input_register=False)
     layout = retrieval_layout(pattern_set.n, b, use_input_register=False)
-
-    prep = _embed(
-        build_memory_circuit(pattern_set), layout, layout.offset("memory")
-    )
-    for c in range(b):
-        prep = prep + retrieval_round_circuit(input_pattern, layout, c)
-
+    prep = preparation_circuit(pattern_set, input_pattern, layout)
+    unprep = prep.inverse()
     flip_good = Circuit((flip0_gate(layout.qubits("control")),), layout)
     flip_zero = Circuit((flip0_gate(range(layout.total)),), layout)
 
@@ -399,7 +394,7 @@ def amplitude_amplify(
     for _ in range(iterations):
         # Q = -(prep) S0 (prep)^-1 S
         state = apply_circuit(state, flip_good)
-        state = apply_circuit(state, prep.inverse())
+        state = apply_circuit(state, unprep)
         state = apply_circuit(state, flip_zero)
         state = apply_circuit(state, prep)
         state = SparseState.from_arrays(layout, state.key_array, -state.amp_array)

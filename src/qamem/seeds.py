@@ -1,9 +1,9 @@
 """Deterministic per-task seed derivation.
 
-Parallel scans must produce byte-identical output regardless of how tasks
-are scheduled, so every task derives its own RNG seed from the master seed
-and its task index with a splitmix64-style mix.  The derivation is a pure
-function of (master, index); workers never share RNG state.
+Every task of a seeded scan derives its own RNG seed from the master seed
+and its task index with a splitmix64-style mix, so a task's result does not
+depend on the tasks run before it.  The derivation is a pure function of
+(master, index); tasks never share RNG state.
 """
 from __future__ import annotations
 

@@ -101,8 +101,8 @@ def partition_avg(b: float, d: int, n: int, mode: str = "discrete") -> float:
 
 def potentials(b: float, d: int, n: int) -> ThermoPoint:
     """Free energy, internal energy, entropy and effective distance at (b, d)."""
-    if b <= 0:
-        raise ThermoError("b must be > 0")
+    if not 0 < b < math.inf:
+        raise ThermoError(f"b must be finite and > 0, got {b}")
     if d < 0 or d > n:
         raise ThermoError(f"need 0 <= d <= n, got d={d}")
     if d == n:
@@ -165,6 +165,10 @@ def scan_transition(d_over_n: float, n: int, b_grid) -> TransitionScan:
     The crossover is located where the effective distance crosses the
     midpoint between its ordered (d/n) and disordered (2/3) limits.
     """
+    if not math.isfinite(d_over_n):
+        raise ThermoError(f"d_over_n must be finite, got {d_over_n}")
+    if n < 1:
+        raise ThermoError(f"n must be >= 1, got {n}")
     b_grid = list(b_grid)
     if not b_grid:
         raise ThermoError("empty b grid")
@@ -207,6 +211,8 @@ def tune(epsilon: float, nu: float, n: int) -> TuneResult:
         raise ThermoError("epsilon must be in (0, 1)")
     if not 0.0 <= nu <= 1.0:
         raise ThermoError("nu must be in [0, 1]")
+    if n < 1:
+        raise ThermoError(f"n must be >= 1, got {n}")
     d = round(epsilon * n)
 
     def slack(b: int) -> float:

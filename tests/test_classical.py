@@ -3,7 +3,6 @@ import pytest
 
 from qamem.classical import (
     ClassicalError,
-    capacity_experiment,
     capacity_experiment_seeded,
     energy,
     hebb,
@@ -109,23 +108,21 @@ class TestOverlap:
 
 class TestCapacity:
     def test_degrades_past_loading_threshold(self):
-        rng = np.random.default_rng(11)
-        table = capacity_experiment(
-            200, (0.05, 0.2), trials=10, corruption=0.05, rng=rng
+        table = capacity_experiment_seeded(
+            200, (0.05, 0.2), trials=10, corruption=0.05, seed=11
         )
         low, high = table.rows
         assert low.mean_overlap > 0.95
         assert high.mean_overlap < low.mean_overlap - 0.1
         assert low.p == 10 and high.p == 40
 
-    def test_seeded_matches_itself_and_workers(self):
+    def test_seeded_matches_itself(self):
         kwargs = dict(
             n=100, alpha_grid=(0.05, 0.15), trials=6, corruption=0.05, seed=42
         )
         a = capacity_experiment_seeded(**kwargs).to_csv()
         b = capacity_experiment_seeded(**kwargs).to_csv()
-        c = capacity_experiment_seeded(**kwargs, workers=4).to_csv()
-        assert a == b == c
+        assert a == b
 
     def test_csv_shape(self):
         table = capacity_experiment_seeded(
@@ -139,6 +136,4 @@ class TestCapacity:
 
     def test_corruption_validation(self):
         with pytest.raises(ClassicalError):
-            capacity_experiment(
-                50, (0.1,), 2, corruption=1.0, rng=np.random.default_rng(0)
-            )
+            capacity_experiment_seeded(50, (0.1,), 2, corruption=1.0, seed=0)

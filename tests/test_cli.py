@@ -1,7 +1,13 @@
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qamem
 from qamem.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
@@ -43,7 +49,8 @@ class TestHelpers:
         assert log == pytest.approx([1.0, 10.0, 100.0])
 
     def test_parse_grid_rejects_bad(self):
-        for bad in ("", "lin:1:0:5", "log:-1:1:3", "lin:0:1:1", "a,b"):
+        for bad in ("", "lin:1:0:5", "log:-1:1:3", "lin:0:1:1", "a,b", "nan",
+                    "1,inf", "-inf,0", "lin:0:inf:3", "log:1:inf:3", "lin:nan:1:3"):
             with pytest.raises(ValueError):
                 parse_grid(bad, "x")
 
@@ -62,6 +69,19 @@ class TestStore:
         amps = {e["pattern"]: e["re"] for e in doc["amplitudes"]}
         assert amps["000"] == pytest.approx(2 ** -0.5, abs=1e-12)
         assert amps["111"] == pytest.approx(2 ** -0.5, abs=1e-12)
+
+    def test_json_schema(self, capsys, tmp_path):
+        f = tmp_path / "p.txt"
+        f.write_text("10\n01\n")
+        code, out, _ = run(capsys, "store", "--patterns", str(f))
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert doc["n"] == 2 and doc["p"] == 2 and doc["gate_count"] == 15
+        patterns = [entry["pattern"] for entry in doc["amplitudes"]]
+        assert patterns == sorted(patterns) == ["01", "10"]
+        for entry in doc["amplitudes"]:
+            assert entry["re"] == pytest.approx(1 / math.sqrt(2), abs=1e-10)
+            assert entry["im"] == pytest.approx(0.0, abs=1e-12)
 
     def test_out_file(self, capsys, pattern_file, tmp_path):
         target = tmp_path / "o.json"
@@ -147,6 +167,23 @@ class TestRetrieve:
         assert code == EXIT_OK
         assert json.loads(out)["mode"] == "amplitude_amplify"
 
+    def test_amplify_unreachable_pattern_exits_2(self, tmp_path):
+        # the input is the complement of the only stored pattern, so
+        # p_rec = cos^4(pi/2) = 0 and there is nothing to amplify; run in a
+        # subprocess so that a regression (about 2e32 iterations) times out
+        # instead of hanging the suite
+        f = tmp_path / "p.txt"
+        f.write_text("01\n")
+        argv = ["--patterns", str(f), "--input", "10", "--b", "2", "--seed", "1"]
+        env = dict(os.environ, PYTHONPATH=str(Path(qamem.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "qamem.cli", "retrieve", *argv,
+             "--mode", "amplify"],
+            capture_output=True, text=True, timeout=30, env=env,
+        )
+        assert proc.returncode == EXIT_VALIDATION
+        assert "cannot amplify zero success probability" in proc.stderr
+
     def test_bad_seed_rejected(self, capsys, pattern_file):
         with pytest.raises(SystemExit):
             main(
@@ -193,6 +230,21 @@ class TestThermo:
         assert code == EXIT_NUMERIC
         assert "numeric failure" in err
 
+    def test_non_finite_b_grid_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "thermo", "--d-over-n", "0.1", "--n", "100", "--b-grid", "1,inf"
+        )
+        assert code == EXIT_VALIDATION and out == ""
+        assert "bad b grid '1,inf'" in err
+
+    def test_bad_arguments_exit_2(self, capsys):
+        code, _, err = run(capsys, "thermo", "--d-over-n", "nan", "--n", "100")
+        assert code == EXIT_VALIDATION
+        assert "d_over_n must be finite" in err
+        code, _, err = run(capsys, "thermo", "--d-over-n", "0.1", "--n", "0")
+        assert code == EXIT_VALIDATION
+        assert "n must be >= 1" in err
+
 
 class TestTune:
     def test_json_output(self, capsys):
@@ -209,6 +261,13 @@ class TestTune:
             capsys, "tune", "--epsilon", "0.1", "--nu", "1.0", "--n", "1000"
         )
         assert code == EXIT_NUMERIC
+
+    def test_negative_n_is_validation(self, capsys):
+        code, _, err = run(
+            capsys, "tune", "--epsilon", "0.1", "--nu", "0.5", "--n", "-5"
+        )
+        assert code == EXIT_VALIDATION
+        assert "n must be >= 1, got -5" in err
 
     def test_bad_epsilon_is_validation(self, capsys):
         code, _, _ = run(
@@ -232,6 +291,27 @@ class TestPhase:
         _, a, _ = run(capsys, "phase", *self.GRID)
         _, b, _ = run(capsys, "phase", *self.GRID, "--workers", "4")
         assert a == b
+
+    def test_nan_alpha_grid_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "phase", "--alpha-grid", "nan", "--jt-grid", "0.5,1"
+        )
+        assert code == EXIT_VALIDATION and out == ""
+        assert "bad alpha grid 'nan'" in err
+
+    def test_inf_jt_grid_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "phase", "--alpha-grid", "0.1", "--jt-grid", "1,inf"
+        )
+        assert code == EXIT_VALIDATION and out == ""
+        assert "bad Jt grid '1,inf'" in err
+
+    def test_non_ascending_grid_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "phase", "--alpha-grid", "0.5,0.1", "--jt-grid", "1"
+        )
+        assert code == EXIT_VALIDATION and out == ""
+        assert "alpha grid must be strictly ascending" in err
 
     def test_out_file_moves_summary_to_stdout(self, capsys, tmp_path):
         target = tmp_path / "phase.csv"

@@ -24,6 +24,13 @@ class TestParams:
             MfParams(alpha=0.1, Jt=0.0)
         with pytest.raises(MeanFieldError):
             MfParams(alpha=0.1, Jt=1.0, M_ext=1.5)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(MeanFieldError, match="alpha must be finite"):
+                MfParams(alpha=bad, Jt=1.0)
+            with pytest.raises(MeanFieldError, match="Jt must be finite"):
+                MfParams(alpha=0.1, Jt=bad)
+            with pytest.raises(MeanFieldError, match="g_over_J must be finite"):
+                MfParams(alpha=0.1, Jt=1.0, g_over_J=bad)
 
 
 class TestSinglePattern:

@@ -1,5 +1,4 @@
 import itertools
-import json
 import math
 
 import numpy as np
@@ -180,19 +179,6 @@ class TestDualState:
         d = build_dual_state(ps)
         m = build_memory_operator(ps).final_state
         assert abs(overlap(d, m) - 1.0) < 1e-12
-
-
-class TestSerialization:
-    def test_json_schema(self):
-        ps = PatternSet((Pattern.from_string("01"), Pattern.from_string("10")))
-        doc = json.loads(build_memory_operator(ps).to_json())
-        assert doc["n"] == 2 and doc["p"] == 2
-        assert doc["gate_count"] == memory_gate_count(2, 2)
-        patterns = [entry["pattern"] for entry in doc["amplitudes"]]
-        assert patterns == sorted(patterns)
-        for entry in doc["amplitudes"]:
-            assert entry["re"] == pytest.approx(1 / math.sqrt(2), abs=1e-10)
-            assert entry["im"] == pytest.approx(0.0, abs=1e-12)
 
 
 class TestLayout:

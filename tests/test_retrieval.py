@@ -70,6 +70,16 @@ class TestAnalyticDistribution:
             dist = analytic_distribution(ps, random_input(rng, 3), b=1)
             assert dist.p_rec == pytest.approx(0.5, abs=1e-12)
 
+    def test_complement_input_has_exactly_zero_weight(self):
+        # d = n puts the branch at cos(pi/2) = 0, which round-off would make
+        # 6e-17; both forms must give exactly zero there
+        ps, inp = S("01"), P("10")
+        assert analytic_distribution(ps, inp, b=2).p_rec == 0.0
+        assert simulate_distribution(ps, inp, b=2).p_rec == 0.0
+        dist = analytic_distribution(S("01", "00"), inp, b=2)
+        assert dist.probs[P("01")] == 0.0 and dist.probs[P("00")] == 1.0
+        assert analytic_distribution(ps, inp, b=0).p_rec == 1.0
+
     def test_b_zero_uniform(self):
         dist = analytic_distribution(S("01", "10", "11"), P("00"), b=0)
         assert dist.p_rec == pytest.approx(1.0)

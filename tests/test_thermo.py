@@ -140,6 +140,9 @@ class TestPotentials:
     def test_validation(self):
         with pytest.raises(ThermoError):
             potentials(0.0, 0, 10)
+        for b in (math.inf, math.nan):
+            with pytest.raises(ThermoError, match="b must be finite"):
+                potentials(b, 0, 10)
         with pytest.raises(UndefinedPotentialsError):
             potentials(1.0, 10, 10)
 
@@ -168,6 +171,13 @@ class TestScan:
             scan_transition(0.01, 1000, [1.0, 1.0, 2.0])
         with pytest.raises(ThermoError):
             scan_transition(0.01, 1000, [])
+
+    def test_rejects_bad_size(self):
+        for d_over_n in (math.nan, math.inf):
+            with pytest.raises(ThermoError, match="d_over_n must be finite"):
+                scan_transition(d_over_n, 1000, [1.0])
+        with pytest.raises(ThermoError, match="n must be >= 1"):
+            scan_transition(0.1, 0, [1.0])
 
     def test_csv_shape(self):
         scan = scan_transition(0.1, 1000, [0.5, 5.0, 50.0])
@@ -214,3 +224,5 @@ class TestTune:
             tune(0.0, 0.5, 100)
         with pytest.raises(ThermoError):
             tune(0.5, 1.5, 100)
+        with pytest.raises(ThermoError, match="n must be >= 1, got -5"):
+            tune(0.1, 0.5, -5)
