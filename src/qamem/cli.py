@@ -75,12 +75,20 @@ def _write_output(text: str, out_path: str | None) -> None:
 # ---------------------------------------------------------------- parsing
 
 
+#: largest COUNT a lin: or log: grid may ask for
+MAX_GRID_COUNT = 10**6
+
+
 def parse_grid(spec: str, name: str) -> list[float]:
     """Grid syntax: 'lin:LO:HI:COUNT', 'log:LO:HI:COUNT' or 'v1,v2,...'."""
     try:
         if spec.startswith(("lin:", "log:")):
             kind, lo, hi, count = spec.split(":")
             lo, hi, count = float(lo), float(hi), int(count)
+            if count > MAX_GRID_COUNT:
+                raise PatternError(
+                    f"bad {name} grid {spec!r}: COUNT must be at most {MAX_GRID_COUNT}"
+                )
             if count < 2 or not hi > lo or not math.isfinite(hi - lo):
                 raise ValueError
             if kind == "log":
@@ -92,6 +100,8 @@ def parse_grid(spec: str, name: str) -> list[float]:
         if not values or not all(map(math.isfinite, values)):
             raise ValueError
         return values
+    except PatternError:
+        raise
     except ValueError:
         raise PatternError(
             f"bad {name} grid {spec!r}: use lin:LO:HI:COUNT, log:LO:HI:COUNT "
@@ -357,11 +367,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: built once per process; parse_args does not change it
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     if getattr(args, "seed", None) is not None and not 0 <= args.seed < 2**64:
-        parser.exit(EXIT_VALIDATION, "qamem: seed must fit in 64 bits\n")
+        PARSER.exit(EXIT_VALIDATION, "qamem: seed must fit in 64 bits\n")
     try:
         return args.func(args)
     except NumericFailure as exc:

@@ -20,14 +20,16 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
-from scipy.optimize import brentq
 
 DENOMINATOR_FLOOR = 1e-6
 CONVERGENCE_TOL = 1e-10
 MAX_ITERATIONS = 10_000
 ORDER_THRESHOLD = 1e-3
+#: solve_single bisects each bracket until it is at most this wide
+ROOT_XTOL = 4e-16
 
 #: probe initializations (m, r) used for basin-of-attraction classification;
 #: the (0.2, 0.01) probe reaches the weak-retrieval branch at large coupling
@@ -90,19 +92,99 @@ class PhaseCell:
         return best
 
 
-def _rhs(params: MfParams, m: float, r: float) -> tuple[float, float]:
-    jt = params.Jt
-    h = m + params.g_over_J * params.M_ext
-    damp = math.exp(-2.0 * jt * jt * params.alpha * r)
-    new_m = math.sin(2.0 * jt * h) * damp
-    den = 1.0 - 2.0 * jt * math.cos(2.0 * jt * h) * damp
-    if abs(den) < DENOMINATOR_FLOOR:
-        raise SingularDenominatorError(
-            f"r-equation denominator {den} at m={m}, r={r}"
-        )
-    num = 1.0 - math.cos(4.0 * jt * h) * damp ** 4
-    new_r = 0.5 * num / (den * den)
-    return new_m, max(new_r, 0.0)
+def _coefficients(cells, copies: int):
+    """Per-pair factors 2Jt, 4Jt, -2(Jt)^2 alpha and (g/J)M, each cell repeated."""
+    jt = np.repeat([c.Jt for c in cells], copies)
+    alpha = np.repeat([c.alpha for c in cells], copies)
+    offset = np.repeat([c.g_over_J * c.M_ext for c in cells], copies)
+    return 2.0 * jt, 4.0 * jt, -2.0 * jt * jt * alpha, offset
+
+
+def _rhs(two_jt, four_jt, coef, offset, m, r):
+    """Elementwise right-hand sides (m, r) and r-equation denominator.
+
+    Every operation rounds as the scalar formula does.  exp and the fourth
+    power go through math, one element at a time: numpy's differ from them
+    by one ulp on about 5% of arguments, while np.sin and np.cos agree with
+    math.sin and math.cos.  Pairs with a singular denominator get
+    meaningless r values; the caller drops them.
+    """
+    h = m + offset
+    damp_list = list(map(math.exp, (coef * r).tolist()))
+    damp = np.array(damp_list)
+    damp4 = np.fromiter(map(math.pow, damp_list, repeat(4.0)), float, len(damp_list))
+    arg = two_jt * h
+    new_m = np.sin(arg) * damp
+    den = 1.0 - two_jt * np.cos(arg) * damp
+    num = 1.0 - np.cos(four_jt * h) * damp4
+    with np.errstate(divide="ignore", invalid="ignore"):
+        new_r = 0.5 * num / (den * den)
+    return new_m, np.where(0.0 > new_r, 0.0, new_r), den
+
+
+def _iterate(cells, inits, eta, tol=CONVERGENCE_TOL, max_iterations=MAX_ITERATIONS):
+    """Damped fixed-point iteration of every (cell, init) pair in lockstep.
+
+    Each pair keeps its own damping, halved whenever consecutive steps
+    reverse direction (oscillation), which keeps the iteration stable near
+    the singular region of the r equation.  A pair stops when its step is
+    below ``tol`` or its denominator is singular.  The inits of a cell are
+    probes tried in order: a singular probe also stops the cell's later
+    probes.  Returns the last iterates m and r and the convergence flags,
+    each of shape (cells, inits), and per cell the index of its first
+    singular probe (``len(inits)`` if none).
+    """
+    if not 0.0 < eta <= 1.0:
+        raise MeanFieldError(f"damping must be in (0, 1], got {eta}")
+    n_inits = len(inits)
+    size = len(cells) * n_inits
+    m = np.tile(np.array([m0 for m0, _ in inits], dtype=np.float64), len(cells))
+    r = np.tile(np.array([r0 for _, r0 in inits], dtype=np.float64), len(cells))
+    out_m, out_r = m.copy(), r.copy()
+    converged = np.zeros(size, dtype=bool)
+    stop = np.full(len(cells), n_inits)
+    pair = np.arange(size)
+    etas = np.full(size, float(eta))
+    prev_m, prev_r = np.zeros(size), np.zeros(size)
+    two_jt, four_jt, coef, offset = _coefficients(cells, n_inits)
+    for _ in range(max_iterations):
+        if not pair.size:
+            break
+        fm, fr, den = _rhs(two_jt, four_jt, coef, offset, m, r)
+        singular = np.abs(den) < DENOMINATOR_FLOOR
+        if singular.any():
+            out_m[pair[singular]], out_r[pair[singular]] = m[singular], r[singular]
+            cell, probe = np.divmod(pair[singular], n_inits)
+            np.minimum.at(stop, cell, probe)
+            keep = pair % n_inits < stop[pair // n_inits]
+            (pair, m, r, etas, prev_m, prev_r, two_jt, four_jt, coef, offset, fm, fr) = (
+                a[keep]
+                for a in (
+                    pair, m, r, etas, prev_m, prev_r, two_jt, four_jt, coef, offset, fm, fr
+                )
+            )
+        step_m = etas * (fm - m)
+        step_r = etas * (fr - r)
+        halve = (step_m * prev_m + step_r * prev_r < 0) & (etas > 1e-3)
+        if halve.any():
+            etas = np.where(halve, etas * 0.5, etas)
+            step_m = np.where(halve, step_m * 0.5, step_m)
+            step_r = np.where(halve, step_r * 0.5, step_r)
+        m, r = m + step_m, r + step_r
+        prev_m, prev_r = step_m, step_r
+        abs_m, abs_r = np.abs(step_m), np.abs(step_r)
+        done = np.where(abs_r > abs_m, abs_r, abs_m) < tol
+        if done.any():
+            out_m[pair[done]], out_r[pair[done]] = m[done], r[done]
+            converged[pair[done]] = True
+            keep = ~done
+            (pair, m, r, etas, prev_m, prev_r, two_jt, four_jt, coef, offset) = (
+                a[keep]
+                for a in (pair, m, r, etas, prev_m, prev_r, two_jt, four_jt, coef, offset)
+            )
+    out_m[pair], out_r[pair] = m, r
+    shape = (len(cells), n_inits)
+    return out_m.reshape(shape), out_r.reshape(shape), converged.reshape(shape), stop
 
 
 def iterate_finite(
@@ -118,27 +200,25 @@ def iterate_finite(
     whenever consecutive steps reverse direction (oscillation), which keeps
     the iteration stable near the singular region of the r equation.
     """
-    if not 0.0 < eta <= 1.0:
-        raise MeanFieldError(f"damping must be in (0, 1], got {eta}")
-    m, r = init.m, init.r
-    prev_step = (0.0, 0.0)
-    for _ in range(max_iterations):
-        fm, fr = _rhs(params, m, r)
-        step = (eta * (fm - m), eta * (fr - r))
-        if step[0] * prev_step[0] + step[1] * prev_step[1] < 0 and eta > 1e-3:
-            eta *= 0.5
-            step = (step[0] * 0.5, step[1] * 0.5)
-        m, r = m + step[0], r + step[1]
-        prev_step = step
-        if max(abs(step[0]), abs(step[1])) < tol:
-            return OrderParameters(m, r), True
-    return OrderParameters(m, r), False
+    m, r, ok, stop = _iterate([params], [(init.m, init.r)], eta, tol, max_iterations)
+    if stop[0] == 0:
+        raise SingularDenominatorError(
+            f"r-equation denominator below {DENOMINATOR_FLOOR} "
+            f"at m={m[0, 0]}, r={r[0, 0]}"
+        )
+    return OrderParameters(float(m[0, 0]), float(r[0, 0])), bool(ok[0, 0])
 
 
 def residual(params: MfParams, sol: OrderParameters) -> float:
     """Max-norm residual of the two fixed-point equations at a solution."""
-    fm, fr = _rhs(params, sol.m, sol.r)
-    return max(abs(fm - sol.m), abs(fr - sol.r))
+    fm, fr, den = _rhs(
+        *_coefficients([params], 1), np.array([sol.m], float), np.array([sol.r], float)
+    )
+    if abs(den[0]) < DENOMINATOR_FLOOR:
+        raise SingularDenominatorError(
+            f"r-equation denominator {den[0]} at m={sol.m}, r={sol.r}"
+        )
+    return max(abs(float(fm[0]) - sol.m), abs(float(fr[0]) - sol.r))
 
 
 def solve_single(
@@ -146,34 +226,77 @@ def solve_single(
 ) -> list[float]:
     """Stable overlaps of the single-pattern equation m = sin(2Jt(m + (g/J)M)).
 
-    Roots are located by sign-change bracketing on [-1, 1]; a root is stable
-    when |2Jt cos(2Jt(m + (g/J)M))| < 1.
+    Roots are located by sign-change bracketing on [-1, 1], and every
+    bracket is bisected at once until it is at most ``ROOT_XTOL`` wide; a
+    root is stable when |2Jt cos(2Jt(m + (g/J)M))| < 1.
     """
     if Jt <= 0:
         raise MeanFieldError(f"Jt must be > 0, got {Jt}")
+    offset = g_over_J * M_ext
 
-    def f(m: float) -> float:
-        return math.sin(2.0 * Jt * (m + g_over_J * M_ext)) - m
+    def f(m):
+        return np.sin(2.0 * Jt * (m + offset)) - m
 
     xs = np.linspace(-1.0, 1.0, grid + 1)
-    vals = [f(x) for x in xs]
-    roots: list[float] = []
-    for x0, x1, v0, v1 in zip(xs, xs[1:], vals, vals[1:]):
-        if v0 == 0.0:
-            roots.append(float(x0))
-        elif v0 * v1 < 0:
-            roots.append(float(brentq(f, x0, x1, xtol=1e-14)))
+    vals = f(xs)
+    roots = list(xs[:-1][vals[:-1] == 0.0])
+    bracket = vals[:-1] * vals[1:] < 0
+    lo, hi = xs[:-1][bracket], xs[1:][bracket]
+    side = np.sign(vals[:-1][bracket])
+    while np.any(hi - lo > ROOT_XTOL):
+        mid = (lo + hi) / 2
+        sign = np.sign(f(mid)) * side
+        lo = np.where(sign >= 0, mid, lo)
+        hi = np.where(sign <= 0, mid, hi)
+    roots += list((lo + hi) / 2)
     if vals[-1] == 0.0:
         roots.append(1.0)
 
     stable: list[float] = []
-    for m in roots:
+    for m in sorted(map(float, roots)):
         if any(abs(m - s) < 1e-9 for s in stable):
             continue
-        slope = 2.0 * Jt * math.cos(2.0 * Jt * (m + g_over_J * M_ext))
+        slope = 2.0 * Jt * math.cos(2.0 * Jt * (m + offset))
         if abs(slope) < 1.0:
             stable.append(m)
     return sorted(stable)
+
+
+def _classify(params: MfParams, m, r, converged, stop: int) -> PhaseCell:
+    """Phase of one cell from the iterates of its probes (see classify_phase)."""
+    solutions: list[tuple[OrderParameters, str]] = []
+    any_converged = False
+    retrieval = False
+    glassy = False
+    for (m0, r0), sol_m, sol_r, ok in zip(PROBES[:stop], m, r, converged):
+        label = f"m={m0:g},r={r0:g}"
+        sol = OrderParameters(sol_m, sol_r)
+        if not ok:
+            solutions.append((sol, label + " (not converged)"))
+            continue
+        solutions.append((sol, label))
+        any_converged = True
+        if abs(sol.m) > ORDER_THRESHOLD:
+            retrieval = True
+        elif m0 == 0.0 and sol.r > ORDER_THRESHOLD:
+            glassy = True
+    if stop < len(PROBES) or not any_converged:
+        phase = "unclassified"
+    elif retrieval:
+        phase = "F+SG" if glassy else "F"
+    elif glassy:
+        phase = "SG"
+    else:
+        phase = "P"
+    return PhaseCell(params, tuple(solutions), phase)
+
+
+def _classify_cells(cells, eta: float) -> tuple[PhaseCell, ...]:
+    m, r, converged, stop = _iterate(cells, PROBES, eta)
+    return tuple(
+        _classify(params, *rows, int(k))
+        for params, *rows, k in zip(cells, m.tolist(), r.tolist(), converged.tolist(), stop)
+    )
 
 
 def classify_phase(params: MfParams, eta: float = 0.5) -> PhaseCell:
@@ -184,36 +307,11 @@ def classify_phase(params: MfParams, eta: float = 0.5) -> PhaseCell:
     probes converge to r above the threshold without developing an overlap
     (m = 0 is invariant under the iteration, so those probes can only
     reveal the glassy branch).  Retrieval without glassy order is F, with
-    it F+SG; glassy order alone is SG, neither is P.
+    it F+SG; glassy order alone is SG, neither is P.  A probe that meets a
+    singular denominator makes the cell unclassified, keeping the probes
+    before it.
     """
-    solutions: list[tuple[OrderParameters, str]] = []
-    any_converged = False
-    retrieval = False
-    glassy = False
-    for m0, r0 in PROBES:
-        label = f"m={m0:g},r={r0:g}"
-        try:
-            sol, ok = iterate_finite(params, OrderParameters(m0, r0), eta=eta)
-        except SingularDenominatorError:
-            return PhaseCell(params, tuple(solutions), "unclassified")
-        if not ok:
-            solutions.append((sol, label + " (not converged)"))
-            continue
-        solutions.append((sol, label))
-        any_converged = True
-        if abs(sol.m) > ORDER_THRESHOLD:
-            retrieval = True
-        elif m0 == 0.0 and sol.r > ORDER_THRESHOLD:
-            glassy = True
-    if not any_converged:
-        phase = "unclassified"
-    elif retrieval:
-        phase = "F+SG" if glassy else "F"
-    elif glassy:
-        phase = "SG"
-    else:
-        phase = "P"
-    return PhaseCell(params, tuple(solutions), phase)
+    return _classify_cells([params], eta)[0]
 
 
 @dataclass(frozen=True)
@@ -269,7 +367,11 @@ class PhaseDiagram:
 
 
 def scan_phase_diagram(alpha_grid, Jt_grid, eta: float = 0.5) -> PhaseDiagram:
-    """Classify every (alpha, Jt) cell of an ascending rectangular grid."""
+    """Classify every (alpha, Jt) cell of an ascending rectangular grid.
+
+    All (cell, probe) pairs iterate together; each cell gets what
+    classify_phase would give it.
+    """
     alpha_grid = tuple(float(a) for a in alpha_grid)
     jt_grid = tuple(float(j) for j in Jt_grid)
     for grid, name in ((alpha_grid, "alpha"), (jt_grid, "Jt")):
@@ -277,9 +379,5 @@ def scan_phase_diagram(alpha_grid, Jt_grid, eta: float = 0.5) -> PhaseDiagram:
             raise MeanFieldError(f"empty {name} grid")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise MeanFieldError(f"{name} grid must be strictly ascending")
-    cells = tuple(
-        classify_phase(MfParams(alpha=a, Jt=j), eta=eta)
-        for a in alpha_grid
-        for j in jt_grid
-    )
-    return PhaseDiagram(alpha_grid, jt_grid, cells)
+    cells = [MfParams(alpha=a, Jt=j) for a in alpha_grid for j in jt_grid]
+    return PhaseDiagram(alpha_grid, jt_grid, _classify_cells(cells, eta))

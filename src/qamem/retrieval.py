@@ -19,9 +19,9 @@ the input coded as rotations.
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -277,21 +277,21 @@ def prepare_sampling(
 ) -> SamplingTable:
     """Prepare the final state of a retrieval once and tabulate its outcomes.
 
-    The table of the most recent (pattern set, input, b, mask, input
-    register, mode) is kept, so Monte-Carlo loops over one query prepare
-    the state once; ``T`` does not enter the state.
+    Each live pattern set keeps the table of its most recent (input, b,
+    mask, input register, mode), so Monte-Carlo loops over one query
+    prepare the state once; ``T`` does not enter the state.
     """
-    return _sampling_table(
-        pattern_set,
-        input_pattern,
-        config.b,
-        config.mask,
-        config.use_input_register,
-        config.mode,
-    )
+    key = (input_pattern, config.b, config.mask, config.use_input_register, config.mode)
+    held = _LAST_TABLE.get(pattern_set)
+    if held is None or held[0] != key:
+        held = _LAST_TABLE[pattern_set] = (key, _sampling_table(pattern_set, *key))
+    return held[1]
 
 
-@functools.lru_cache(maxsize=1)
+#: pattern set -> (query key, sampling table); entries die with their set
+_LAST_TABLE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _sampling_table(pattern_set, input_pattern, b, mask, use_input_register, mode):
     config = RetrievalConfig(
         b=b, mode=mode, mask=mask, use_input_register=use_input_register

@@ -20,11 +20,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import logsumexp
+from numpy.polynomial.legendre import leggauss
 
 
 class ThermoError(ValueError):
@@ -64,63 +62,129 @@ def energy_level(d: float, n: int) -> float:
     return -2.0 * math.log(math.cos(math.pi * d / (2 * n)))
 
 
-@lru_cache(maxsize=4)
-def _log_cos_tail(d: int, n: int) -> np.ndarray:
-    """log cos(pi*j/2n) for j = d..n-1 (the j = n term vanishes identically)."""
-    j = np.arange(d, n, dtype=np.float64)
-    return np.log(np.cos(np.pi * j / (2 * n)))
+#: Gauss-Legendre nodes per panel of the continuum integral
+CONTINUUM_NODES = 30
+#: panels halving toward each end of the continuum integral
+CONTINUUM_LEVELS = 60
+#: numpy's exp returns exactly 0.0 below -745.1332
+EXP_UNDERFLOW = -745.2
+
+
+def _check_b(b: float) -> None:
+    if not 0 < b < math.inf:
+        raise ThermoError(f"b must be finite and > 0, got {b}")
+
+
+class _Levels:
+    """The energy levels E_j = -2 log cos(pi*j/2n), j = d..n-1, of one (d, n).
+
+    Built once and shared by every b evaluated against them; the j = n
+    level has zero weight for b > 0 and is left out of the arrays.
+    """
+
+    def __init__(self, d: int, n: int):
+        if d < 0 or d > n:
+            raise ThermoError(f"need 0 <= d <= n, got d={d}")
+        if d == n:
+            raise UndefinedPotentialsError("Z vanishes at d = n")
+        self.d, self.n, self.count = d, n, n - d + 1
+        j = np.arange(d, n, dtype=np.float64)
+        self.log_cos = np.log(np.cos(np.pi * j / (2 * n)))
+        self.energies = -2.0 * self.log_cos
+        self.weights = np.empty_like(self.log_cos)
+
+    def log_sum(self, b: float) -> tuple[float, np.ndarray]:
+        """log sum_j cos^{2b}(pi*j/2n) in one exp pass.
+
+        Leaves the unnormalised Boltzmann weights exp(2b log cos - max) in
+        ``self.weights`` and returns the view of their head, the part that
+        exp does not underflow to 0.  log cos falls as j grows, so the
+        maximal terms lead the array; the sum keeps them apart and rounds
+        as ``scipy.special.logsumexp`` does.
+        """
+        scale = 2.0 * b
+        log_cos, w = self.log_cos, self.weights
+        top = scale * float(log_cos[0])
+        # the terms from index `live` on are exactly 0 after exp: skip them
+        lo, live = 1, log_cos.size
+        while lo < live:
+            mid = (lo + live) // 2
+            if scale * float(log_cos[mid]) - top < EXP_UNDERFLOW:
+                live = mid
+            else:
+                lo = mid + 1
+        head = w[:live]
+        np.multiply(log_cos[:live], scale, out=head)
+        # ties with the maximum only when 2b*log cos underflows (tiny b)
+        ties = 1 if live == 1 or head[1] != top else int(np.count_nonzero(head == top))
+        np.subtract(head, top, out=head)
+        np.exp(head, out=head)
+        w[live:] = 0.0
+        w[:ties] = 0.0
+        rest = w.sum()
+        w[:ties] = 1.0
+        return float(np.log1p(rest / ties) + np.log(float(ties)) + top), head
+
+    def point(self, b: float) -> ThermoPoint:
+        _check_b(b)
+        log_sum, head = self.log_sum(b)
+        log_z = log_sum - math.log(self.count)
+        F = -log_z / b
+        head /= self.weights.sum()
+        U = float(np.dot(self.weights, self.energies))
+        S = b * (U - F)
+        D_eff = (2.0 / math.pi) * math.acos(math.exp(-F / 2.0))
+        return ThermoPoint(
+            b=b,
+            d_over_n=self.d / self.n,
+            n=self.n,
+            Z_ratio=math.exp(log_z),
+            F=F,
+            U=U,
+            S=S,
+            D_eff=D_eff,
+        )
+
+
+def _continuum_avg(b: float, x0: float) -> float:
+    """mean over x in [x0, 1] of cos^{2b}(pi*x/2), by Gauss-Legendre panels.
+
+    In u = 1 - x the integrand is sin^{2b}(pi*u/2) on [0, L], L = 1 - x0,
+    which keeps its argument exact near both ends.  It peaks at u = L with
+    width about 1/(pi*b*tan(pi*x0/2)) for large b and has a steep u^{2b}
+    edge at u = 0 for small b, so the panels halve toward both ends.
+    """
+    length = 1.0 - x0
+    half = length / 2
+    low = np.concatenate(([0.0], half * 0.5 ** np.arange(CONTINUUM_LEVELS, -1, -1)))
+    edges = np.concatenate((low, length - low[-2::-1]))
+    mid = (edges[1:] + edges[:-1]) / 2
+    radius = (edges[1:] - edges[:-1]) / 2
+    nodes, weights = leggauss(CONTINUUM_NODES)
+    u = mid[:, None] + radius[:, None] * nodes
+    values = np.exp(2.0 * b * np.log(np.sin(np.pi * u / 2)))
+    return float(np.sum(radius[:, None] * weights * values)) / length
 
 
 def partition_avg(b: float, d: int, n: int, mode: str = "discrete") -> float:
     """Averaged partition function per pattern."""
     if d < 0 or d > n or b < 0:
         raise ThermoError(f"invalid range: b={b}, d={d}, n={n}")
-    if mode == "continuum":
-        x0 = d / n
-        if x0 >= 1.0:
-            return 0.0
-        val, _ = quad(
-            lambda x: math.exp(2 * b * math.log(math.cos(math.pi * x / 2)))
-            if x < 1.0
-            else 0.0,
-            x0,
-            1.0,
-            limit=200,
-        )
-        return val / (1.0 - x0)
-    if mode != "discrete":
+    if mode not in ("discrete", "continuum"):
         raise ThermoError(f"unknown mode {mode!r}")
-    count = n - d + 1
     if b == 0:
         return 1.0
     if d == n:
         return 0.0
-    logs = 2.0 * b * _log_cos_tail(d, n)
-    return float(np.exp(logsumexp(logs))) / count
+    if mode == "continuum":
+        return _continuum_avg(b, d / n)
+    return float(np.exp(_Levels(d, n).log_sum(b)[0])) / (n - d + 1)
 
 
 def potentials(b: float, d: int, n: int) -> ThermoPoint:
     """Free energy, internal energy, entropy and effective distance at (b, d)."""
-    if not 0 < b < math.inf:
-        raise ThermoError(f"b must be finite and > 0, got {b}")
-    if d < 0 or d > n:
-        raise ThermoError(f"need 0 <= d <= n, got d={d}")
-    if d == n:
-        raise UndefinedPotentialsError("Z vanishes at d = n")
-    count = n - d + 1
-    log_cos = _log_cos_tail(d, n)
-    logw = 2.0 * b * log_cos
-    log_z = float(logsumexp(logw)) - math.log(count)
-    F = -log_z / b
-    weights = np.exp(logw - logw.max())
-    weights /= weights.sum()
-    energies = -2.0 * log_cos
-    U = float(np.dot(weights, energies))
-    S = b * (U - F)
-    D_eff = (2.0 / math.pi) * math.acos(math.exp(-F / 2.0))
-    return ThermoPoint(
-        b=b, d_over_n=d / n, n=n, Z_ratio=math.exp(log_z), F=F, U=U, S=S, D_eff=D_eff
-    )
+    _check_b(b)
+    return _Levels(d, n).point(b)
 
 
 def effective_distance(b: float, d: int, n: int) -> float:
@@ -175,7 +239,9 @@ def scan_transition(d_over_n: float, n: int, b_grid) -> TransitionScan:
     if any(b2 <= b1 for b1, b2 in zip(b_grid, b_grid[1:])):
         raise ThermoError("b grid must be strictly ascending")
     d = round(d_over_n * n)
-    points = tuple(potentials(b, d, n) for b in b_grid)
+    _check_b(b_grid[0])  # a bad b is reported before a bad d, as in potentials
+    levels = _Levels(d, n)
+    points = tuple(levels.point(b) for b in b_grid)
 
     s_values = [pt.S for pt in points]
     s_min = min(s_values)
@@ -214,9 +280,12 @@ def tune(epsilon: float, nu: float, n: int) -> TuneResult:
     if n < 1:
         raise ThermoError(f"n must be >= 1, got {n}")
     d = round(epsilon * n)
+    levels = _Levels(d, n)
+    points: dict[int, ThermoPoint] = {}
 
     def slack(b: int) -> float:
-        return effective_distance(b, d, n) - epsilon - (1.0 - nu)
+        points[b] = levels.point(b)
+        return points[b].D_eff - epsilon - (1.0 - nu)
 
     if slack(1) <= 0:
         best = 1
@@ -237,7 +306,7 @@ def tune(epsilon: float, nu: float, n: int) -> TuneResult:
                 hi = mid
         best = hi
 
-    point = potentials(best, d, n)
+    point = points[best]
     log_p_rec = 2.0 * best * math.log(math.cos(math.pi * point.D_eff / 2.0))
     t_repeat = math.ceil(math.exp(-log_p_rec))
     t_amplified = math.ceil(math.exp(-log_p_rec / 2.0))

@@ -1,8 +1,11 @@
+import ast
 import json
 import math
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -12,11 +15,23 @@ from qamem.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_VALIDATION,
+    MAX_GRID_COUNT,
     emit_json,
     format_float,
     main,
     parse_grid,
 )
+
+SRC = Path(qamem.__file__).parents[1]
+
+
+def run_process(*argv, code="import sys; from qamem.cli import main; sys.exit(main())"):
+    """Run the CLI (or other code) in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
 
 
 @pytest.fixture
@@ -53,6 +68,76 @@ class TestHelpers:
                     "1,inf", "-inf,0", "lin:0:inf:3", "log:1:inf:3", "lin:nan:1:3"):
             with pytest.raises(ValueError):
                 parse_grid(bad, "x")
+
+
+    def test_grid_count_bounded_before_allocating(self):
+        huge = "lin:0:1:1000000000000"
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match=f"bad alpha grid '{huge}'"):
+                parse_grid(huge, "alpha")
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.5 and peak < 2**20
+        for kind in ("lin", "log"):
+            with pytest.raises(ValueError, match=f"at most {MAX_GRID_COUNT}"):
+                parse_grid(f"{kind}:1:2:{MAX_GRID_COUNT + 1}", "x")
+            assert len(parse_grid(f"{kind}:1:2:{MAX_GRID_COUNT}", "x")) == MAX_GRID_COUNT
+
+    def test_huge_grid_count_exits_2(self, capsys):
+        code, out, err = run(capsys, "phase", "--alpha-grid", "lin:0:1:1000000000000")
+        assert code == EXIT_VALIDATION and out == ""
+        assert "bad alpha grid 'lin:0:1:1000000000000'" in err
+
+
+class TestProcess:
+    def test_in_process_sequence_matches_separate_calls(self, capsys, pattern_file):
+        requests = [
+            ["thermo", "--d-over-n", "0.1", "--n", "1000", "--b-grid", "log:0.1:100:5"],
+            ["phase", "--alpha-grid", "0.05,0.5", "--jt-grid", "0.3,1,9"],
+            ["retrieve", "--patterns", pattern_file, "--input", "001", "--b", "2",
+             "--T", "3", "--seed", "7"],
+        ]
+        requests.append(requests[0])
+        separate = []
+        for argv in requests:
+            proc = run_process(*argv)
+            assert proc.returncode == EXIT_OK
+            separate.append((proc.stdout, proc.stderr))
+        for argv, want in zip(requests, separate):
+            code, out, err = run(capsys, *argv)
+            assert (code, out, err) == (EXIT_OK, *want)
+            # a rejected request in between changes nothing for the next one
+            code, out, _ = run(capsys, "phase", "--alpha-grid", "nan")
+            assert code == EXIT_VALIDATION and out == ""
+
+    def test_import_loads_no_scipy(self):
+        proc = run_process(
+            code="import sys, qamem.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_source_has_no_scipy_or_module_level_lru_cache(self):
+        for path in sorted((SRC / "qamem").glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                assert not any(n.split(".")[0] == "scipy" for n in names), path
+            for node in tree.body:
+                for deco in getattr(node, "decorator_list", ()):
+                    target = deco.func if isinstance(deco, ast.Call) else deco
+                    name = getattr(target, "attr", getattr(target, "id", ""))
+                    assert name not in ("lru_cache", "cache"), (path, node.name)
 
 
 class TestStore:

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from qamem.meanfield import (
+    PROBES,
     MeanFieldError,
     MfParams,
     OrderParameters,
@@ -14,6 +16,53 @@ from qamem.meanfield import (
     scan_phase_diagram,
     solve_single,
 )
+
+
+def reference_iterate(alpha, jt, m, r, eta=0.5, tol=1e-10, max_iterations=10_000):
+    """The module docstring's damped iteration for one (m, r) start, in plain floats.
+
+    Returns (m, r, converged), or None where the r-equation denominator
+    falls below 1e-6.  exp(-8(Jt)^2 alpha r) is taken as the fourth power
+    of exp(-2(Jt)^2 alpha r), so that rounding matches and orbits that do
+    not converge stay comparable after 10^4 steps.
+    """
+    prev_m = prev_r = 0.0
+    for _ in range(max_iterations):
+        damp = math.exp(-2 * jt**2 * alpha * r)
+        den = 1 - 2 * jt * math.cos(2 * jt * m) * damp
+        if abs(den) < 1e-6:
+            return None
+        new_m = math.sin(2 * jt * m) * damp
+        new_r = max(0.0, (1 - math.cos(4 * jt * m) * damp**4) / (2 * den**2))
+        step_m, step_r = eta * (new_m - m), eta * (new_r - r)
+        if step_m * prev_m + step_r * prev_r < 0 and eta > 1e-3:
+            eta, step_m, step_r = eta / 2, step_m / 2, step_r / 2
+        m, r = m + step_m, r + step_r
+        prev_m, prev_r = step_m, step_r
+        if max(abs(step_m), abs(step_r)) < tol:
+            return m, r, True
+    return m, r, False
+
+
+def reference_cell(alpha, jt):
+    """(phase, [(m, r, label)]) by running the probes one after another."""
+    solutions, converged, retrieval, glassy = [], False, False, False
+    for m0, r0 in PROBES:
+        label = f"m={m0:g},r={r0:g}"
+        out = reference_iterate(alpha, jt, m0, r0)
+        if out is None:
+            return "unclassified", solutions
+        m, r, ok = out
+        solutions.append((m, r, label if ok else label + " (not converged)"))
+        if ok:
+            converged = True
+            retrieval = retrieval or abs(m) > 1e-3
+            glassy = glassy or (m0 == 0 and abs(m) <= 1e-3 and r > 1e-3)
+    if not converged:
+        return "unclassified", solutions
+    if retrieval:
+        return ("F+SG" if glassy else "F"), solutions
+    return ("SG" if glassy else "P"), solutions
 
 
 class TestParams:
@@ -56,6 +105,27 @@ class TestSinglePattern:
     def test_validation(self):
         with pytest.raises(MeanFieldError):
             solve_single(0.0)
+
+    def test_roots_match_brentq(self):
+        for jt in np.linspace(0.05, 2.0, 50):
+            jt = float(jt)
+
+            def f(m):
+                return math.sin(2 * jt * m) - m
+
+            xs = np.linspace(-1.0, 1.0, 2001)
+            want = []
+            for x0, x1 in zip(xs, xs[1:]):
+                if f(x0) == 0.0:
+                    want.append(float(x0))
+                elif f(x0) * f(x1) < 0:
+                    want.append(brentq(f, x0, x1, xtol=1e-14))
+            want = [m for m in want if abs(2 * jt * math.cos(2 * jt * m)) < 1]
+            got = solve_single(jt)
+            assert len(got) == len(want)
+            assert got == pytest.approx(want, abs=1e-13)
+            for m in got:
+                assert abs(f(m)) < 1e-13
 
 
 class TestIteration:
@@ -191,6 +261,22 @@ class TestDiagram:
         )
         assert len(lines) == 10
         assert lines[1].split(",")[-1] in ("P", "F", "SG", "F+SG", "unclassified")
+
+    def test_matches_sequential_reference(self):
+        # P, F, F+SG and SG cells; at Jt = 0.5 a singular probe (unclassified)
+        # and, at alpha = 0, probes that do not converge in 10^4 steps
+        diag = scan_phase_diagram((0.0, 0.05, 0.17, 0.18, 0.5, 2.0), (0.3, 0.5, 1.0, 9.0))
+        seen = set()
+        for cell in diag.cells:
+            phase, solutions = reference_cell(cell.params.alpha, cell.params.Jt)
+            assert cell.phase == phase
+            assert [label for _, label in cell.solutions] == [s[2] for s in solutions]
+            for (sol, _), (m, r, _) in zip(cell.solutions, solutions):
+                assert abs(sol.m - m) <= 1e-12 * max(1.0, abs(m))
+                assert abs(sol.r - r) <= 1e-12 * max(1.0, abs(r))
+            seen.add(phase)
+            seen.update("not converged" for _, lab in cell.solutions if "not" in lab)
+        assert seen == {"P", "F", "F+SG", "SG", "unclassified", "not converged"}
 
     def test_grid_validation(self):
         with pytest.raises(MeanFieldError):

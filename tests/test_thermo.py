@@ -1,7 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from qamem.thermo import (
@@ -15,6 +18,23 @@ from qamem.thermo import (
     scan_transition,
     tune,
 )
+
+
+def continuum_reference(b, x0):
+    """mean of cos^{2b}(pi*x/2) over [x0, 1] by mpmath at 40 digits.
+
+    The integrand peaks at x0 with width 1/(pi*b*tan(pi*x0/2)), or
+    2/(pi*sqrt(b)) at x0 = 0; the breakpoints double from that width.
+    """
+    with mpmath.workdps(40):
+        x0 = mpmath.mpf(x0)
+        width = 2 / (mpmath.pi * mpmath.sqrt(b))
+        if x0 > 0:
+            width = min(width, 1 / (mpmath.pi * b * mpmath.tan(mpmath.pi * x0 / 2)))
+        cuts = [x0 + width * 2**k for k in range(16)]
+        points = [x0] + [x for x in cuts if x < 1] + [mpmath.mpf(1)]
+        total = mpmath.quad(lambda x: mpmath.cos(mpmath.pi * x / 2) ** (2 * b), points)
+        return float(total / (1 - x0))
 
 
 class TestEnergyLevel:
@@ -64,6 +84,32 @@ class TestPartition:
         assert partition_avg(b, round(x0 * n), n, mode="continuum") == pytest.approx(
             want, rel=1e-9
         )
+
+    @pytest.mark.parametrize("b", [0.01, 0.1, 1.0, 10.0, 100.0, 1e3, 1e4, 1e5])
+    @pytest.mark.parametrize("x0", [0.0, 0.01, 0.1, 0.3, 0.5, 0.9])
+    def test_continuum_matches_mpmath(self, b, x0):
+        n = 1000
+        got = partition_avg(b, round(x0 * n), n, mode="continuum")
+        # below the smallest normal double the answer must underflow to ~0
+        assert got == pytest.approx(continuum_reference(b, x0), rel=1e-10, abs=1e-300)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        b=st.floats(0.01, 50.0),
+        n=st.integers(1, 64),
+        d_frac=st.floats(0.0, 1.0, exclude_max=True),
+    )
+    def test_matches_fsum(self, b, n, d_frac):
+        # cos^{2b} summed exactly in plain floats; b <= 50 keeps every term normal
+        d = int(d_frac * n)
+        terms = [math.cos(math.pi * j / (2 * n)) ** (2 * b) for j in range(d, n)]
+        energies = [-2 * math.log(math.cos(math.pi * j / (2 * n))) for j in range(d, n)]
+        z = math.fsum(terms) / (n - d + 1)
+        u = math.fsum(t * e for t, e in zip(terms, energies)) / math.fsum(terms)
+        assert partition_avg(b, d, n) == pytest.approx(z, rel=1e-12)
+        pt = potentials(b, d, n)
+        assert pt.Z_ratio == pytest.approx(z, rel=1e-12)
+        assert pt.U == pytest.approx(u, rel=1e-12, abs=1e-15)
 
     def test_discrete_converges_to_continuum(self):
         cont = partition_avg(3.0, 1, 10, mode="continuum")
