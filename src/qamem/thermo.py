@@ -71,8 +71,9 @@ EXP_UNDERFLOW = -745.2
 
 
 def _check_b(b: float) -> None:
-    if not 0 < b < math.inf:
-        raise ThermoError(f"b must be finite and > 0, got {b}")
+    # the weights are exp(2b log cos), so 2b must be finite too
+    if not 0 < 2.0 * b < math.inf:
+        raise ThermoError(f"b must be finite and > 0, with 2b finite; got {b}")
 
 
 class _Levels:
@@ -88,8 +89,11 @@ class _Levels:
         if d == n:
             raise UndefinedPotentialsError("Z vanishes at d = n")
         self.d, self.n, self.count = d, n, n - d + 1
-        j = np.arange(d, n, dtype=np.float64)
-        self.log_cos = np.log(np.cos(np.pi * j / (2 * n)))
+        # log cos(pi*j/2n), built in place: at n ~ 1e7 each array is 80 MB
+        self.log_cos = np.arange(d, n, dtype=np.float64)
+        self.log_cos *= np.pi
+        self.log_cos /= 2 * n
+        np.log(np.cos(self.log_cos, out=self.log_cos), out=self.log_cos)
         self.energies = -2.0 * self.log_cos
         self.weights = np.empty_like(self.log_cos)
 
@@ -174,6 +178,7 @@ def partition_avg(b: float, d: int, n: int, mode: str = "discrete") -> float:
         raise ThermoError(f"unknown mode {mode!r}")
     if b == 0:
         return 1.0
+    _check_b(b)
     if d == n:
         return 0.0
     if mode == "continuum":

@@ -321,6 +321,12 @@ class TestThermo:
         )
         assert code == EXIT_VALIDATION and out == ""
         assert "bad b grid '1,inf'" in err
+        # finite, but 2b overflows: exit 2 instead of NaN rows
+        code, out, err = run(
+            capsys, "thermo", "--d-over-n", "0.1", "--n", "100", "--b-grid", "1,1e308"
+        )
+        assert code == EXIT_VALIDATION and out == ""
+        assert "2b finite" in err
 
     def test_bad_arguments_exit_2(self, capsys):
         code, _, err = run(capsys, "thermo", "--d-over-n", "nan", "--n", "100")

@@ -124,6 +124,11 @@ class TestPartition:
             partition_avg(1.0, 11, 10)
         with pytest.raises(ThermoError):
             partition_avg(1.0, 0, 10, mode="bogus")
+        # 2b overflows: the weights would be nan, not a partition function
+        for b in (math.inf, 1e308):
+            for mode in ("discrete", "continuum"):
+                with pytest.raises(ThermoError, match="2b finite"):
+                    partition_avg(b, 3, 10, mode=mode)
 
 
 class TestPotentials:
@@ -186,7 +191,7 @@ class TestPotentials:
     def test_validation(self):
         with pytest.raises(ThermoError):
             potentials(0.0, 0, 10)
-        for b in (math.inf, math.nan):
+        for b in (math.inf, math.nan, 1e308):
             with pytest.raises(ThermoError, match="b must be finite"):
                 potentials(b, 0, 10)
         with pytest.raises(UndefinedPotentialsError):
