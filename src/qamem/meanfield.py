@@ -108,7 +108,8 @@ def _rhs(two_jt, four_jt, coef, offset, m, r):
     one element at a time: numpy 2.4's differ from them by one ulp on
     about 5% of arguments, while its np.sin and np.cos agree bitwise with
     math.sin and math.cos on 10^6 random arguments.  Pairs with a singular
-    denominator get meaningless r values; the caller drops them.
+    denominator get meaningless r values (0/0 when it is exactly 0); the
+    callers silence numpy's division warnings and drop those pairs.
     """
     h = m + offset
     damp_list = list(map(math.exp, (coef * r).tolist()))
@@ -118,11 +119,11 @@ def _rhs(two_jt, four_jt, coef, offset, m, r):
     new_m = np.sin(arg) * damp
     den = 1.0 - two_jt * np.cos(arg) * damp
     num = 1.0 - np.cos(four_jt * h) * damp4
-    with np.errstate(divide="ignore", invalid="ignore"):
-        new_r = 0.5 * num / (den * den)
+    new_r = 0.5 * num / (den * den)
     return new_m, np.where(0.0 > new_r, 0.0, new_r), den
 
 
+@np.errstate(divide="ignore", invalid="ignore")  # see _rhs
 def _iterate(cells, inits, eta, tol=CONVERGENCE_TOL, max_iterations=MAX_ITERATIONS):
     """Damped fixed-point iteration of every (cell, init) pair in lockstep.
 
@@ -153,7 +154,7 @@ def _iterate(cells, inits, eta, tol=CONVERGENCE_TOL, max_iterations=MAX_ITERATIO
             break
         fm, fr, den = _rhs(two_jt, four_jt, coef, offset, m, r)
         singular = np.abs(den) < DENOMINATOR_FLOOR
-        if singular.any():
+        if np.count_nonzero(singular):
             out_m[pair[singular]], out_r[pair[singular]] = m[singular], r[singular]
             cell, probe = np.divmod(pair[singular], n_inits)
             np.minimum.at(stop, cell, probe)
@@ -167,7 +168,7 @@ def _iterate(cells, inits, eta, tol=CONVERGENCE_TOL, max_iterations=MAX_ITERATIO
         step_m = etas * (fm - m)
         step_r = etas * (fr - r)
         halve = (step_m * prev_m + step_r * prev_r < 0) & (etas > 1e-3)
-        if halve.any():
+        if np.count_nonzero(halve):
             etas = np.where(halve, etas * 0.5, etas)
             step_m = np.where(halve, step_m * 0.5, step_m)
             step_r = np.where(halve, step_r * 0.5, step_r)
@@ -175,7 +176,7 @@ def _iterate(cells, inits, eta, tol=CONVERGENCE_TOL, max_iterations=MAX_ITERATIO
         prev_m, prev_r = step_m, step_r
         abs_m, abs_r = np.abs(step_m), np.abs(step_r)
         done = np.where(abs_r > abs_m, abs_r, abs_m) < tol
-        if done.any():
+        if np.count_nonzero(done):
             out_m[pair[done]], out_r[pair[done]] = m[done], r[done]
             converged[pair[done]] = True
             keep = ~done
@@ -212,9 +213,10 @@ def iterate_finite(
 
 def residual(params: MfParams, sol: OrderParameters) -> float:
     """Max-norm residual of the two fixed-point equations at a solution."""
-    fm, fr, den = _rhs(
-        *_coefficients([params], 1), np.array([sol.m], float), np.array([sol.r], float)
-    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fm, fr, den = _rhs(
+            *_coefficients([params], 1), np.array([sol.m], float), np.array([sol.r], float)
+        )
     if abs(den[0]) < DENOMINATOR_FLOOR:
         raise SingularDenominatorError(
             f"r-equation denominator {den[0]} at m={sol.m}, r={sol.r}"
@@ -260,7 +262,7 @@ def solve_single(
         slope = 2.0 * Jt * math.cos(2.0 * Jt * (m + offset))
         if abs(slope) < 1.0:
             stable.append(m)
-    return sorted(stable)
+    return stable
 
 
 def _classify(params: MfParams, m, r, converged, stop: int) -> PhaseCell:

@@ -154,9 +154,10 @@ def _continuum_avg(b: float, x0: float) -> float:
     """mean over x in [x0, 1] of cos^{2b}(pi*x/2), by Gauss-Legendre panels.
 
     In u = 1 - x the integrand is sin^{2b}(pi*u/2) on [0, L], L = 1 - x0,
-    which keeps its argument exact near both ends.  It peaks at u = L with
-    width about 1/(pi*b*tan(pi*x0/2)) for large b and has a steep u^{2b}
-    edge at u = 0 for small b, so the panels halve toward both ends.
+    so nodes close to x = 1 keep their full relative precision.  It peaks
+    at u = L with width about 1/(pi*b*tan(pi*x0/2)) for large b and has a
+    steep u^{2b} edge at u = 0 for small b, so the panels halve toward
+    both ends.
     """
     length = 1.0 - x0
     half = length / 2
