@@ -10,14 +10,16 @@ because of crosstalk between stored patterns.
 """
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
+from .emit import csv_text
 from .patterns import PatternSet
 from .seeds import task_rng
+
+#: sweeps of asynchronous updates per capacity trial
+CAPACITY_SWEEPS = 50
 
 
 class ClassicalError(ValueError):
@@ -40,13 +42,21 @@ def _as_spins(s) -> np.ndarray:
     return arr
 
 
-def hebb(pattern_set: PatternSet) -> HopfieldNet:
-    """Couplings w_ij = (1/n) sum over patterns of xi_i * xi_j, zero diagonal."""
-    xi = np.array([p.to_spins() for p in pattern_set], dtype=np.float64)
-    n = pattern_set.n
-    w = xi.T @ xi / n
+def _hebb_net(xi) -> HopfieldNet:
+    """Hebb couplings of the (p, n) spin rows ``xi``.
+
+    Every entry of xi.T @ xi is an integer sum, exact in float64, so the
+    weights do not depend on how the product is evaluated.
+    """
+    xi = np.asarray(xi, dtype=np.float64)
+    w = xi.T @ xi / xi.shape[1]
     np.fill_diagonal(w, 0.0)
     return HopfieldNet(weights=w)
+
+
+def hebb(pattern_set: PatternSet) -> HopfieldNet:
+    """Couplings w_ij = (1/n) sum over patterns of xi_i * xi_j, zero diagonal."""
+    return _hebb_net([p.to_spins() for p in pattern_set])
 
 
 def energy(net: HopfieldNet, s) -> float:
@@ -113,35 +123,26 @@ class CapacityTable:
     rows: tuple[CapacityRow, ...]
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["alpha", "p", "trials", "mean_overlap", "std_overlap"])
-        for row in self.rows:
-            writer.writerow(
-                [
-                    format(row.alpha, ".17g"),
-                    row.p,
-                    row.trials,
-                    format(row.mean_overlap, ".17g"),
-                    format(row.std_overlap, ".17g"),
-                ]
-            )
-        return buf.getvalue()
+        return csv_text(
+            ["alpha", "p", "trials", "mean_overlap", "std_overlap"],
+            (
+                [row.alpha, row.p, row.trials, row.mean_overlap, row.std_overlap]
+                for row in self.rows
+            ),
+        )
 
 
 def _capacity_trial(
-    n: int, p: int, corruption: float, rng: np.random.Generator, sweeps: int
+    n: int, p: int, corruption: float, rng: np.random.Generator
 ) -> float:
     xi = rng.choice([-1, 1], size=(p, n))
-    w = xi.T.astype(np.float64) @ xi.astype(np.float64) / n
-    np.fill_diagonal(w, 0.0)
-    net = HopfieldNet(weights=w)
+    net = _hebb_net(xi)
     start = xi[0].copy()
     k = round(corruption * n)
     if k:
         flip = rng.choice(n, size=k, replace=False)
         start[flip] *= -1
-    final, _ = update_async(net, start, rng, sweeps=sweeps)
+    final, _ = update_async(net, start, rng, sweeps=CAPACITY_SWEEPS)
     return abs(overlap(final, xi[0]))
 
 
@@ -151,7 +152,6 @@ def capacity_experiment_seeded(
     trials: int,
     corruption: float,
     seed: int,
-    sweeps: int = 50,
 ) -> CapacityTable:
     """Mean retrieval overlap from corrupted inputs at each loading factor.
 
@@ -168,7 +168,7 @@ def capacity_experiment_seeded(
         p = max(1, round(alpha * n))
         rngs = (task_rng(seed, i * trials + t) for t in range(trials))
         arr = np.array(
-            [_capacity_trial(n, p, corruption, rng, sweeps) for rng in rngs]
+            [_capacity_trial(n, p, corruption, rng) for rng in rngs]
         )
         rows.append(
             CapacityRow(

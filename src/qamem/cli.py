@@ -5,7 +5,8 @@ Every command that uses randomness takes an explicit 64-bit --seed and is
 byte-deterministic: per-task seeds are derived with a splitmix64 mix (see
 :mod:`.seeds`), so the output is identical across runs.  ``phase`` and
 ``classical`` accept ``--workers`` and ignore it: both run in one thread.
-Floats are printed with 17 significant digits in both JSON and CSV output.
+Output goes through :mod:`.emit`, which prints floats with 17 significant
+digits in both JSON and CSV.
 Exit codes: 0 success, 2 validation error, 3 numeric failure.
 """
 from __future__ import annotations
@@ -17,6 +18,7 @@ import sys
 import numpy as np
 
 from . import classical, meanfield, memory, retrieval, thermo
+from .emit import emit_json, format_float
 from .patterns import Mask, Pattern, PatternError, corrupt, read_pattern_file
 from .seeds import task_rng
 
@@ -25,41 +27,7 @@ EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 
 
-class NumericFailure(RuntimeError):
-    pass
-
-
 # ---------------------------------------------------------------- output
-
-
-def format_float(x: float) -> str:
-    return format(x, ".17g")
-
-
-def emit_json(obj, indent: int = 0) -> str:
-    """Minimal JSON emitter printing floats with 17 significant digits."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f'{inner}"{key}": {emit_json(value, indent + 1)}'
-            for key, value in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [inner + emit_json(value, indent + 1) for value in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, bool) or obj is None:
-        return {True: "true", False: "false", None: "null"}[obj]
-    if isinstance(obj, float):
-        return format_float(obj)
-    if isinstance(obj, int):
-        return str(obj)
-    return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def _write_output(text: str, out_path: str | None) -> None:
@@ -133,6 +101,14 @@ def _parse_mask(spec: str | None, n: int) -> Mask | None:
 # ---------------------------------------------------------------- commands
 
 
+def _by_pattern(by_pat, fields) -> list[dict]:
+    """One ``{"pattern": ..., **fields(value)}`` entry per pattern, sorted by bits."""
+    return [
+        {"pattern": str(pat), **fields(value)}
+        for pat, value in sorted(by_pat.items(), key=lambda kv: str(kv[0]))
+    ]
+
+
 def cmd_store(args) -> int:
     pattern_set = read_pattern_file(args.patterns)
     if args.dry_run:
@@ -146,12 +122,9 @@ def cmd_store(args) -> int:
         "gate_count": build.gate_count,
     }
     if pattern_set.n <= 8:
-        doc["amplitudes"] = [
-            {"pattern": str(pat), "re": amp.real, "im": amp.imag}
-            for pat, amp in sorted(
-                build.memory_amplitudes().items(), key=lambda kv: str(kv[0])
-            )
-        ]
+        doc["amplitudes"] = _by_pattern(
+            build.memory_amplitudes(), lambda amp: {"re": amp.real, "im": amp.imag}
+        )
     _write_output(emit_json(doc) + "\n", args.out)
     return EXIT_OK
 
@@ -162,12 +135,9 @@ def _report_doc(report, config, seed):
         "attempts": report.attempts,
         "output": None if report.output is None else str(report.output),
         "p_rec": report.analytic_p_rec,
-        "distribution": [
-            {"pattern": str(pat), "prob": prob}
-            for pat, prob in sorted(
-                report.analytic_dist.items(), key=lambda kv: str(kv[0])
-            )
-        ],
+        "distribution": _by_pattern(
+            report.analytic_dist, lambda prob: {"prob": prob}
+        ),
         "mode": config.mode,
         "b": config.b,
         "T": config.T,
@@ -204,10 +174,7 @@ def cmd_distribution(args) -> int:
         "b": args.b,
         "p_rec": dist.p_rec,
         "Z": dist.Z,
-        "distribution": [
-            {"pattern": str(pat), "prob": prob}
-            for pat, prob in sorted(dist.probs.items(), key=lambda kv: str(kv[0]))
-        ],
+        "distribution": _by_pattern(dist.probs, lambda prob: {"prob": prob}),
     }
     _write_output(emit_json(doc) + "\n", args.out)
     return EXIT_OK
@@ -215,21 +182,13 @@ def cmd_distribution(args) -> int:
 
 def cmd_thermo(args) -> int:
     grid = parse_grid(args.b_grid, "b")
-    try:
-        scan = thermo.scan_transition(args.d_over_n, args.n, grid)
-    except thermo.UndefinedPotentialsError as exc:
-        raise NumericFailure(str(exc)) from exc
+    scan = thermo.scan_transition(args.d_over_n, args.n, grid)
     _write_output(scan.to_csv(), args.out)
     return EXIT_OK
 
 
 def cmd_tune(args) -> int:
-    try:
-        result = thermo.tune(args.epsilon, args.nu, args.n)
-    except thermo.ThermoError as exc:
-        if "unattainable" in str(exc):
-            raise NumericFailure(str(exc)) from exc
-        raise
+    result = thermo.tune(args.epsilon, args.nu, args.n)
     doc = {
         "b": result.b,
         "T_repeat": result.T_repeat,
@@ -377,7 +336,7 @@ def main(argv=None) -> int:
         PARSER.exit(EXIT_VALIDATION, "qamem: seed must fit in 64 bits\n")
     try:
         return args.func(args)
-    except NumericFailure as exc:
+    except (thermo.UndefinedPotentialsError, thermo.UnattainableTargetError) as exc:
         sys.stderr.write(f"qamem: numeric failure: {exc}\n")
         return EXIT_NUMERIC
     except (ValueError, OSError) as exc:

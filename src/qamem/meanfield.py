@@ -16,18 +16,22 @@ initializations.
 """
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
 
+from .emit import csv_text
+
 DENOMINATOR_FLOOR = 1e-6
 CONVERGENCE_TOL = 1e-10
 MAX_ITERATIONS = 10_000
+#: starting damping of every fixed-point iteration
+DAMPING = 0.5
 ORDER_THRESHOLD = 1e-3
+#: solve_single brackets roots on this many equal steps of [-1, 1]
+ROOT_GRID = 2000
 #: solve_single bisects each bracket until it is at most this wide
 ROOT_XTOL = 4e-16
 
@@ -124,20 +128,19 @@ def _rhs(two_jt, four_jt, coef, offset, m, r):
 
 
 @np.errstate(divide="ignore", invalid="ignore")  # see _rhs
-def _iterate(cells, inits, eta, tol=CONVERGENCE_TOL, max_iterations=MAX_ITERATIONS):
+def _iterate(cells, inits):
     """Damped fixed-point iteration of every (cell, init) pair in lockstep.
 
     Each pair keeps its own damping, halved whenever consecutive steps
     reverse direction (oscillation), which keeps the iteration stable near
     the singular region of the r equation.  A pair stops when its step is
-    below ``tol`` or its denominator is singular.  The inits of a cell are
+    below ``CONVERGENCE_TOL`` or its denominator is singular; a singular
+    pair keeps its iterate from before the step.  The inits of a cell are
     probes tried in order: a singular probe also stops the cell's later
     probes.  Returns the last iterates m and r and the convergence flags,
     each of shape (cells, inits), and per cell the index of its first
     singular probe (``len(inits)`` if none).
     """
-    if not 0.0 < eta <= 1.0:
-        raise MeanFieldError(f"damping must be in (0, 1], got {eta}")
     n_inits = len(inits)
     size = len(cells) * n_inits
     m = np.tile(np.array([m0 for m0, _ in inits], dtype=np.float64), len(cells))
@@ -146,25 +149,13 @@ def _iterate(cells, inits, eta, tol=CONVERGENCE_TOL, max_iterations=MAX_ITERATIO
     converged = np.zeros(size, dtype=bool)
     stop = np.full(len(cells), n_inits)
     pair = np.arange(size)
-    etas = np.full(size, float(eta))
+    etas = np.full(size, DAMPING)
     prev_m, prev_r = np.zeros(size), np.zeros(size)
     two_jt, four_jt, coef, offset = _coefficients(cells, n_inits)
-    for _ in range(max_iterations):
+    for _ in range(MAX_ITERATIONS):
         if not pair.size:
             break
         fm, fr, den = _rhs(two_jt, four_jt, coef, offset, m, r)
-        singular = np.abs(den) < DENOMINATOR_FLOOR
-        if np.count_nonzero(singular):
-            out_m[pair[singular]], out_r[pair[singular]] = m[singular], r[singular]
-            cell, probe = np.divmod(pair[singular], n_inits)
-            np.minimum.at(stop, cell, probe)
-            keep = pair % n_inits < stop[pair // n_inits]
-            (pair, m, r, etas, prev_m, prev_r, two_jt, four_jt, coef, offset, fm, fr) = (
-                a[keep]
-                for a in (
-                    pair, m, r, etas, prev_m, prev_r, two_jt, four_jt, coef, offset, fm, fr
-                )
-            )
         step_m = etas * (fm - m)
         step_r = etas * (fr - r)
         halve = (step_m * prev_m + step_r * prev_r < 0) & (etas > 1e-3)
@@ -172,14 +163,25 @@ def _iterate(cells, inits, eta, tol=CONVERGENCE_TOL, max_iterations=MAX_ITERATIO
             etas = np.where(halve, etas * 0.5, etas)
             step_m = np.where(halve, step_m * 0.5, step_m)
             step_r = np.where(halve, step_r * 0.5, step_r)
-        m, r = m + step_m, r + step_r
         prev_m, prev_r = step_m, step_r
         abs_m, abs_r = np.abs(step_m), np.abs(step_r)
-        done = np.where(abs_r > abs_m, abs_r, abs_m) < tol
-        if np.count_nonzero(done):
-            out_m[pair[done]], out_r[pair[done]] = m[done], r[done]
+        done = np.where(abs_r > abs_m, abs_r, abs_m) < CONVERGENCE_TOL
+        next_m, next_r = m + step_m, r + step_r
+        finished = done
+        singular = np.abs(den) < DENOMINATOR_FLOOR
+        if np.count_nonzero(singular):
+            cell, probe = np.divmod(pair[singular], n_inits)
+            np.minimum.at(stop, cell, probe)
+            stopped = pair % n_inits >= stop[pair // n_inits]
+            done = done & ~stopped
+            finished = done | stopped
+            next_m = np.where(singular, m, next_m)
+            next_r = np.where(singular, r, next_r)
+        m, r, prev_m, prev_r = next_m, next_r, step_m, step_r
+        if np.count_nonzero(finished):
+            out_m[pair[finished]], out_r[pair[finished]] = m[finished], r[finished]
             converged[pair[done]] = True
-            keep = ~done
+            keep = ~finished
             (pair, m, r, etas, prev_m, prev_r, two_jt, four_jt, coef, offset) = (
                 a[keep]
                 for a in (pair, m, r, etas, prev_m, prev_r, two_jt, four_jt, coef, offset)
@@ -190,19 +192,16 @@ def _iterate(cells, inits, eta, tol=CONVERGENCE_TOL, max_iterations=MAX_ITERATIO
 
 
 def iterate_finite(
-    params: MfParams,
-    init: OrderParameters,
-    eta: float = 0.5,
-    tol: float = CONVERGENCE_TOL,
-    max_iterations: int = MAX_ITERATIONS,
+    params: MfParams, init: OrderParameters
 ) -> tuple[OrderParameters, bool]:
     """Damped fixed-point iteration of the coupled (m, r) system.
 
-    Returns the last iterate and a convergence flag; the damping is halved
-    whenever consecutive steps reverse direction (oscillation), which keeps
-    the iteration stable near the singular region of the r equation.
+    Returns the last iterate and a convergence flag; the damping starts at
+    ``DAMPING`` and is halved whenever consecutive steps reverse direction
+    (oscillation), which keeps the iteration stable near the singular
+    region of the r equation.
     """
-    m, r, ok, stop = _iterate([params], [(init.m, init.r)], eta, tol, max_iterations)
+    m, r, ok, stop = _iterate([params], [(init.m, init.r)])
     if stop[0] == 0:
         raise SingularDenominatorError(
             f"r-equation denominator below {DENOMINATOR_FLOOR} "
@@ -224,9 +223,7 @@ def residual(params: MfParams, sol: OrderParameters) -> float:
     return max(abs(float(fm[0]) - sol.m), abs(float(fr[0]) - sol.r))
 
 
-def solve_single(
-    Jt: float, g_over_J: float = 0.0, M_ext: float = 0.0, grid: int = 2000
-) -> list[float]:
+def solve_single(Jt: float, g_over_J: float = 0.0, M_ext: float = 0.0) -> list[float]:
     """Stable overlaps of the single-pattern equation m = sin(2Jt(m + (g/J)M)).
 
     Roots are located by sign-change bracketing on [-1, 1], and every
@@ -240,7 +237,7 @@ def solve_single(
     def f(m):
         return np.sin(2.0 * Jt * (m + offset)) - m
 
-    xs = np.linspace(-1.0, 1.0, grid + 1)
+    xs = np.linspace(-1.0, 1.0, ROOT_GRID + 1)
     vals = f(xs)
     roots = list(xs[:-1][vals[:-1] == 0.0])
     bracket = vals[:-1] * vals[1:] < 0
@@ -294,15 +291,15 @@ def _classify(params: MfParams, m, r, converged, stop: int) -> PhaseCell:
     return PhaseCell(params, tuple(solutions), phase)
 
 
-def _classify_cells(cells, eta: float) -> tuple[PhaseCell, ...]:
-    m, r, converged, stop = _iterate(cells, PROBES, eta)
+def _classify_cells(cells) -> tuple[PhaseCell, ...]:
+    m, r, converged, stop = _iterate(cells, PROBES)
     return tuple(
         _classify(params, *rows, int(k))
         for params, *rows, k in zip(cells, m.tolist(), r.tolist(), converged.tolist(), stop)
     )
 
 
-def classify_phase(params: MfParams, eta: float = 0.5) -> PhaseCell:
+def classify_phase(params: MfParams) -> PhaseCell:
     """Classify a parameter point by running the iteration from the probes.
 
     A cell supports retrieval when some probe converges to m above the
@@ -314,7 +311,7 @@ def classify_phase(params: MfParams, eta: float = 0.5) -> PhaseCell:
     singular denominator makes the cell unclassified, keeping the probes
     before it.
     """
-    return _classify_cells([params], eta)[0]
+    return _classify_cells([params])[0]
 
 
 @dataclass(frozen=True)
@@ -339,9 +336,15 @@ class PhaseDiagram:
         return best
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
+        missing = OrderParameters(math.nan, math.nan)
+        rows = []
+        for cell in self.cells:
+            ret = cell.retrieval_solution() or missing
+            zero = cell.solution_from("m=0,r=0.1") or missing
+            rows.append(
+                [cell.params.alpha, cell.params.Jt, ret.m, ret.r, zero.m, zero.r, cell.phase]
+            )
+        return csv_text(
             [
                 "alpha",
                 "Jt",
@@ -350,26 +353,12 @@ class PhaseDiagram:
                 "m_from_zero",
                 "r_from_zero",
                 "phase",
-            ]
+            ],
+            rows,
         )
-        for cell in self.cells:
-            ret = cell.retrieval_solution()
-            zero = cell.solution_from("m=0,r=0.1")
-            writer.writerow(
-                [
-                    format(cell.params.alpha, ".17g"),
-                    format(cell.params.Jt, ".17g"),
-                    format(ret.m if ret else math.nan, ".17g"),
-                    format(ret.r if ret else math.nan, ".17g"),
-                    format(zero.m if zero else math.nan, ".17g"),
-                    format(zero.r if zero else math.nan, ".17g"),
-                    cell.phase,
-                ]
-            )
-        return buf.getvalue()
 
 
-def scan_phase_diagram(alpha_grid, Jt_grid, eta: float = 0.5) -> PhaseDiagram:
+def scan_phase_diagram(alpha_grid, Jt_grid) -> PhaseDiagram:
     """Classify every (alpha, Jt) cell of an ascending rectangular grid.
 
     All (cell, probe) pairs iterate together; each cell gets what
@@ -383,4 +372,4 @@ def scan_phase_diagram(alpha_grid, Jt_grid, eta: float = 0.5) -> PhaseDiagram:
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise MeanFieldError(f"{name} grid must be strictly ascending")
     cells = [MfParams(alpha=a, Jt=j) for a in alpha_grid for j in jt_grid]
-    return PhaseDiagram(alpha_grid, jt_grid, _classify_cells(cells, eta))
+    return PhaseDiagram(alpha_grid, jt_grid, _classify_cells(cells))

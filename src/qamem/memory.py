@@ -49,17 +49,14 @@ def memory_gate_count(p: int, n: int) -> int:
     return p * (2 * n + 3) + 1
 
 
-def controlled_loader(
-    pattern: Pattern, memory_qubits, control: int, inverse: bool = False
-):
+def controlled_loader(pattern: Pattern, memory_qubits, control: int):
     """n controlled rotations taking |0...0> to the pattern when control is set.
 
     Rotation angle is pi/2 per set bit and 0 per clear bit; the zero-angle
     rotations are kept so the loader always contributes n gates.
     """
-    sign = -1 if inverse else 1
     return [
-        roty_gate(sign * math.pi / 2 * b, q, control=control)
+        roty_gate(math.pi / 2 * b, q, control=control)
         for q, b in zip(memory_qubits, pattern.bits)
     ]
 
@@ -80,12 +77,15 @@ def build_memory_circuit(
 
     gates = [not_gate(u2)]
     for i, pat in enumerate(pattern_set, start=1):
-        gates += controlled_loader(pat, mem, u2)
+        loader = controlled_loader(pat, mem, u2)
+        gates += loader
         gates.append(xor_gate(u2, u1))
         invert = alternate_signs and i % 2 == 0
         gates.append(cs_gate(p + 1 - i, u1, u2, inverse=invert))
         gates.append(nxor_gate(mem, u1, polarity=pat.bits))
-        gates += controlled_loader(pat, mem, u2, inverse=True)
+        # the rotations share one control and have distinct targets, so
+        # they commute: undo them in loading order
+        gates += [g.inverse() for g in loader]
     return Circuit(tuple(gates), layout)
 
 
@@ -174,14 +174,10 @@ def store_sequential(
         for j in range(n):
             dress.append(xor_gate(preg[j], mem[j]))
             dress.append(not_gate(mem[j]))
-        undress = []
-        for j in reversed(range(n)):
-            undress.append(not_gate(mem[j]))
-            undress.append(xor_gate(preg[j], mem[j]))
-        copy_out = [toffoli_gate(preg[j], u2, mem[j]) for j in reversed(range(n))]
-
+        compute = copy_in + dress
         split = [nxor_gate(mem, u1), cs_gate(p + 1 - i, u1, u2), nxor_gate(mem, u1)]
-        state = run(copy_in + dress + split + undress + copy_out, state)
+        uncompute = [g.inverse() for g in reversed(compute)]
+        state = run(compute + split + uncompute, state)
         if record_intermediate:
             snapshots.append(state.copy())
 

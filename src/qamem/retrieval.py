@@ -156,30 +156,20 @@ def retrieval_round_circuit(
         mem if mask is None else [mem[j] for j in range(n) if j in mask.known]
     )
 
-    gates: list[Gate] = [h_gate(control)]
+    dress: list[Gate] = []
     if use_input_register:
         for j in range(n):
-            gates.append(xor_gate(inp[j], mem[j]))
-            gates.append(not_gate(mem[j]))
+            dress.append(xor_gate(inp[j], mem[j]))
+            dress.append(not_gate(mem[j]))
     else:
         # dress directly: flip where the input bit is 0, so a memory qubit
         # ends in |1> exactly when it matches the input
         for j in range(n):
-            gates.append(roty_gate(math.pi / 2 * (1 - input_pattern.bits[j]), mem[j]))
-    for q in phase_qubits:
-        gates.append(phase0_gate(theta, q))
-    for q in phase_qubits:
-        gates.append(phase0_gate(-2 * theta, q, control=control))
-    if use_input_register:
-        for j in reversed(range(n)):
-            gates.append(not_gate(mem[j]))
-            gates.append(xor_gate(inp[j], mem[j]))
-    else:
-        for j in reversed(range(n)):
-            gates.append(
-                roty_gate(-math.pi / 2 * (1 - input_pattern.bits[j]), mem[j])
-            )
-    gates.append(h_gate(control))
+            dress.append(roty_gate(math.pi / 2 * (1 - input_pattern.bits[j]), mem[j]))
+    kernel = [phase0_gate(theta, q) for q in phase_qubits]
+    kernel += [phase0_gate(-2 * theta, q, control=control) for q in phase_qubits]
+    undress = [g.inverse() for g in reversed(dress)]
+    gates = [h_gate(control), *dress, *kernel, *undress, h_gate(control)]
     return Circuit(tuple(gates), layout)
 
 
@@ -299,7 +289,7 @@ def _sampling_table(pattern_set, input_pattern, b, mask, use_input_register, mod
     if mode == "amplitude_amplify":
         p_rec = analytic_distribution(pattern_set, input_pattern, b, mask).p_rec
         state = amplitude_amplify(
-            pattern_set, input_pattern, b, optimal_iterations(p_rec)
+            pattern_set, input_pattern, b, optimal_iterations(p_rec), mask
         ).state
     else:
         state = prepare_final_state(pattern_set, input_pattern, config)
@@ -354,8 +344,6 @@ def retrieve(
 class AmplificationRun:
     success_probability: float
     state: SparseState
-    theta: float
-    optimal_j: int
 
 
 def optimal_iterations(p_rec: float) -> int:
@@ -371,25 +359,24 @@ def amplitude_amplify(
     input_pattern: Pattern,
     b: int,
     iterations: int,
+    mask: Mask | None = None,
 ) -> AmplificationRun:
     """Grover-style amplification of the all-zeros control subspace.
 
     Uses the input-as-operator variant; the success probability after j
     iterations is sin^2((2j+1) theta) with sin^2(theta) the single-shot
-    recognition probability.
+    recognition probability under ``mask``.
     """
     if iterations < 0:
         raise RetrievalError("iterations must be >= 0")
     layout = retrieval_layout(pattern_set.n, b, use_input_register=False)
-    prep = preparation_circuit(pattern_set, input_pattern, layout)
+    prep = preparation_circuit(pattern_set, input_pattern, layout, mask)
     unprep = prep.inverse()
     flip_good = Circuit((flip0_gate(layout.qubits("control")),), layout)
     flip_zero = Circuit((flip0_gate(range(layout.total)),), layout)
 
     state = basis_state(layout, [0] * layout.total)
     state = apply_circuit(state, prep)
-    p_rec = section_marginal(state, "control").get(0, 0.0)
-    theta = math.asin(math.sqrt(min(p_rec, 1.0)))
 
     for _ in range(iterations):
         # Q = -(prep) S0 (prep)^-1 S
@@ -400,10 +387,7 @@ def amplitude_amplify(
         state = SparseState.from_arrays(layout, state.key_array, -state.amp_array)
 
     success = section_marginal(state, "control").get(0, 0.0)
-    opt = optimal_iterations(p_rec) if p_rec > 0 else 0
-    return AmplificationRun(
-        success_probability=success, state=state, theta=theta, optimal_j=opt
-    )
+    return AmplificationRun(success_probability=success, state=state)
 
 
 def round_gate_count(n: int, use_input_register: bool = True) -> int:
@@ -411,13 +395,7 @@ def round_gate_count(n: int, use_input_register: bool = True) -> int:
 
 
 def complexity_estimate(
-    p: int,
-    n: int,
-    b: int,
-    T: int,
-    mode: str = "repeat_measure",
-    cs_cost: int | None = None,
-    cs0_cost: int | None = None,
+    p: int, n: int, b: int, T: int, mode: str = "repeat_measure"
 ) -> int:
     """Total elementary-gate budget of a full retrieval run."""
     if min(p, n, b) < 1 or T < 0:
@@ -426,12 +404,10 @@ def complexity_estimate(
     if mode == "repeat_measure":
         return T * b * (6 * n + 2) * memory_cost
     if mode == "amplitude_amplify":
-        # oracle costs are configuration; default placeholder 2n+2b+4 each
-        if cs_cost is None:
-            cs_cost = 2 * n + 2 * b + 4
-        if cs0_cost is None:
-            cs0_cost = 2 * n + 2 * b + 4
-        per_iteration = p * (4 * n + 6) + b * (8 * n + 4) + 2 + cs_cost + cs0_cost
+        # each of the two reflections (good subspace, all-zeros) is charged
+        # the placeholder cost 2n+2b+4
+        reflections = 2 * (2 * n + 2 * b + 4)
+        per_iteration = p * (4 * n + 6) + b * (8 * n + 4) + 2 + reflections
         preparation = p * (2 * n + 3) + b * (4 * n + 2) + 1
         return T * per_iteration + preparation
     raise RetrievalError(f"unknown mode {mode!r}")

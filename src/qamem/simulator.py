@@ -46,7 +46,7 @@ import math
 import numbers
 import operator
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -158,7 +158,9 @@ class Gate:
             return self
         # CS^i, PHASE0 and ROTY invert by negating the parameter
         if self.kind in ("CS", "PHASE0", "ROTY"):
-            return replace(self, param=-self.param)
+            return Gate(
+                self.kind, self.targets, self.controls, -self.param, self.polarity
+            )
         raise SimulatorError(f"no inverse for {self.kind}")
 
     def dump(self) -> str:

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from .emit import csv_text
+
 
 class ThermoError(ValueError):
     pass
@@ -31,6 +33,10 @@ class ThermoError(ValueError):
 
 class UndefinedPotentialsError(ThermoError):
     """Z vanishes (d = n with b > 0); no finite free energy exists."""
+
+
+class UnattainableTargetError(ThermoError):
+    """No b up to MAX_TUNE_B meets the accuracy target."""
 
 
 @dataclass(frozen=True)
@@ -94,7 +100,6 @@ class _Levels:
         self.log_cos *= np.pi
         self.log_cos /= 2 * n
         np.log(np.cos(self.log_cos, out=self.log_cos), out=self.log_cos)
-        self.energies = -2.0 * self.log_cos
         self.weights = np.empty_like(self.log_cos)
 
     def log_sum(self, b: float) -> tuple[float, np.ndarray]:
@@ -135,7 +140,8 @@ class _Levels:
         log_z = log_sum - math.log(self.count)
         F = -log_z / b
         head /= self.weights.sum()
-        U = float(np.dot(self.weights, self.energies))
+        # energies are -2 log cos: the factor is exact, so no energy array
+        U = -2.0 * float(np.dot(self.weights, self.log_cos))
         S = b * (U - F)
         D_eff = (2.0 / math.pi) * math.acos(math.exp(-F / 2.0))
         return ThermoPoint(
@@ -204,29 +210,14 @@ class TransitionScan:
     b_crossover: float | None
 
     def to_csv(self) -> str:
-        import csv as _csv
-        import io as _io
-
-        buf = _io.StringIO()
-        writer = _csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            ["b", "d_over_n", "n", "Z_ratio", "F", "U", "S", "S_rescaled", "D_eff"]
+        # a b given as an int is still printed as a float
+        return csv_text(
+            ["b", "d_over_n", "n", "Z_ratio", "F", "U", "S", "S_rescaled", "D_eff"],
+            (
+                [float(pt.b), pt.d_over_n, pt.n, pt.Z_ratio, pt.F, pt.U, pt.S, s, pt.D_eff]
+                for pt, s in zip(self.points, self.s_rescaled)
+            ),
         )
-        for pt, s_resc in zip(self.points, self.s_rescaled):
-            writer.writerow(
-                [
-                    format(pt.b, ".17g"),
-                    format(pt.d_over_n, ".17g"),
-                    pt.n,
-                    format(pt.Z_ratio, ".17g"),
-                    format(pt.F, ".17g"),
-                    format(pt.U, ".17g"),
-                    format(pt.S, ".17g"),
-                    format(s_resc, ".17g"),
-                    format(pt.D_eff, ".17g"),
-                ]
-            )
-        return buf.getvalue()
 
 
 def scan_transition(d_over_n: float, n: int, b_grid) -> TransitionScan:
@@ -300,7 +291,7 @@ def tune(epsilon: float, nu: float, n: int) -> TuneResult:
         while slack(hi) > 0:
             lo, hi = hi, hi * 2
             if hi > MAX_TUNE_B:
-                raise ThermoError(
+                raise UnattainableTargetError(
                     f"accuracy target unattainable within b <= {MAX_TUNE_B}"
                 )
         # slack(lo) > 0 >= slack(hi); D is monotone decreasing in b

@@ -123,8 +123,11 @@ class TestProcess:
         assert proc.stdout.strip() == "[]"
 
     def test_source_has_no_scipy_or_module_level_lru_cache(self):
+        """Also: every import sits at module level, and only the emitter
+        module spells out the 17-digit float format."""
         for path in sorted((SRC / "qamem").glob("*.py")):
-            tree = ast.parse(path.read_text(encoding="utf-8"))
+            text = path.read_text(encoding="utf-8")
+            tree = ast.parse(text)
             for node in ast.walk(tree):
                 if isinstance(node, ast.Import):
                     names = [alias.name for alias in node.names]
@@ -133,6 +136,9 @@ class TestProcess:
                 else:
                     continue
                 assert not any(n.split(".")[0] == "scipy" for n in names), path
+                assert node in tree.body, (path, node.lineno, "function-local import")
+            if path.name != "emit.py":
+                assert ".17g" not in text, path
             for node in tree.body:
                 for deco in getattr(node, "decorator_list", ()):
                     target = deco.func if isinstance(deco, ast.Call) else deco
@@ -352,6 +358,14 @@ class TestTune:
             capsys, "tune", "--epsilon", "0.1", "--nu", "1.0", "--n", "1000"
         )
         assert code == EXIT_NUMERIC
+
+    def test_vanishing_z_is_numeric_failure(self, capsys):
+        # epsilon * n rounds to d = n, where Z vanishes: exit 3 as in thermo
+        code, out, err = run(
+            capsys, "tune", "--epsilon", "0.999", "--nu", "0.5", "--n", "100"
+        )
+        assert code == EXIT_NUMERIC and out == ""
+        assert "numeric failure: Z vanishes at d = n" in err
 
     def test_negative_n_is_validation(self, capsys):
         code, _, err = run(

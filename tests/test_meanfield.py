@@ -189,12 +189,6 @@ class TestIteration:
             assert sol.m < prev
             prev = sol.m
 
-    def test_validation(self):
-        with pytest.raises(MeanFieldError):
-            iterate_finite(
-                MfParams(alpha=0.1, Jt=1.0), OrderParameters(1.0, 0.0), eta=0.0
-            )
-
 
 class TestClassification:
     def test_retrieval_phase(self):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qamem import retrieval
 from qamem.patterns import Mask, Pattern, PatternSet, hamming
@@ -301,7 +303,8 @@ def per_call_retrieve(ps, inp, config, rng):
     """Reference protocol: prepare the state, measure the control, then the memory."""
     if config.mode == "amplitude_amplify":
         p_rec = analytic_distribution(ps, inp, config.b, config.mask).p_rec
-        state = amplitude_amplify(ps, inp, config.b, optimal_iterations(p_rec)).state
+        j = optimal_iterations(p_rec)
+        state = amplitude_amplify(ps, inp, config.b, j, config.mask).state
     else:
         state = prepare_final_state(ps, inp, config)
     p_zero = section_marginal(state, "control").get(0, 0.0)
@@ -441,6 +444,47 @@ class TestAmplification:
                 run = amplitude_amplify(ps, inp, b, j)
                 want = math.sin((2 * j + 1) * theta) ** 2
                 assert run.success_probability == pytest.approx(want, abs=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(2, 4),
+        b=st.integers(1, 3),
+        j=st.integers(0, 2),
+    )
+    def test_masked_amplification_matches_closed_form(self, data, n, b, j):
+        """Grover iterations rotate within the span of the good and bad
+        components, so the masked success probability follows the rotation
+        law and the post-selected memory keeps the masked closed form."""
+        keys = data.draw(
+            st.lists(st.integers(0, 2**n - 1), min_size=1, max_size=4, unique=True)
+        )
+        ps = PatternSet(tuple(Pattern.from_key(k, n) for k in keys))
+        inp = Pattern.from_key(data.draw(st.integers(0, 2**n - 1)), n)
+        mask = Mask(frozenset(data.draw(st.sets(st.integers(0, n - 1), min_size=1))))
+        ana = analytic_distribution(ps, inp, b, mask)
+        assume(ana.p_rec > 1e-6)
+        theta = math.asin(math.sqrt(min(ana.p_rec, 1.0)))
+
+        def check_memory(probs):
+            for pat in ps:
+                assert probs.get(pat.as_key(), 0.0) == pytest.approx(
+                    ana.probs[pat], abs=1e-9
+                )
+
+        run = amplitude_amplify(ps, inp, b, j, mask)
+        want = math.sin((2 * j + 1) * theta) ** 2
+        assert run.success_probability == pytest.approx(want, abs=1e-9)
+        if want > 1e-3:
+            _, good = postselect(run.state, "control", 0)
+            check_memory(section_marginal(good, "memory"))
+
+        # retrieve's amplify mode samples from the optimally amplified state
+        config = RetrievalConfig(b=b, mode="amplitude_amplify", mask=mask)
+        table = prepare_sampling(ps, inp, config)
+        best = math.sin((2 * optimal_iterations(ana.p_rec) + 1) * theta) ** 2
+        assert table.p_zero == pytest.approx(best, abs=1e-9)
+        check_memory(dict(zip(table.values, np.diff((0.0,) + table.cdf))))
 
     def test_optimal_iterations(self):
         assert optimal_iterations(1.0) == 0
