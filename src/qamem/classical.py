@@ -1,15 +1,24 @@
 """Classical Hopfield baseline: Hebb couplings, energy, asynchronous dynamics.
 
-Patterns are stored in the couplings w_ij = (1/n) sum_mu xi_i xi_j (zero
-diagonal) and retrieved by zero-temperature asynchronous updates
-s_i <- sign(sum_j w_ij s_j), which never increase the energy
-E = -(1/2) sum_{i != j} w_ij s_i s_j.  The capacity experiment measures the
-final overlap with a target pattern from corrupted starts as the loading
-factor alpha = p/n grows; retrieval degrades sharply past alpha ~ 0.14
-because of crosstalk between stored patterns.
+Patterns xi^mu are stored in the couplings w_ij = C_ij / n, where
+C = sum_mu xi^mu (xi^mu)^T with a zero diagonal, and retrieved by
+zero-temperature asynchronous updates s_i <- sign(h_i) with the field
+h = C s, which never increase the energy E = -(1/2n) s.C.s.  The net holds
+the integer couplings C themselves, as float64: |C_ij| <= p and
+|h_i| <= p*n, far below 2^53, so every field is an exact integer, a zero
+field is exactly zero, and the tie rule (keep s_i on a zero field) holds.
+Since h changes only when a spin flips, a sweep is event-driven: one
+vector pass over the rest of the visiting order finds the next spin with
+s_i h_i < 0, its flip updates h in O(n), and the pass resumes after it.
+
+The capacity experiment measures the final overlap with a target pattern
+from corrupted starts as the loading factor alpha = p/n grows; retrieval
+degrades sharply past alpha ~ 0.14 because of crosstalk between stored
+patterns.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,11 +37,16 @@ class ClassicalError(ValueError):
 
 @dataclass(frozen=True)
 class HopfieldNet:
-    weights: np.ndarray  # symmetric, zero diagonal
+    couplings: np.ndarray  # C = xi^T xi as float64 integers, zero diagonal
 
     @property
     def n(self) -> int:
-        return self.weights.shape[0]
+        return self.couplings.shape[0]
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The Hebb weights w = C / n (symmetric, zero diagonal)."""
+        return self.couplings / self.n
 
 
 def _as_spins(s) -> np.ndarray:
@@ -42,16 +56,25 @@ def _as_spins(s) -> np.ndarray:
     return arr
 
 
+def _net_spins(net: HopfieldNet, s) -> np.ndarray:
+    spins = _as_spins(s)
+    if spins.shape[0] != net.n:
+        raise ClassicalError(
+            f"state length {spins.shape[0]} does not match n={net.n}"
+        )
+    return spins
+
+
 def _hebb_net(xi) -> HopfieldNet:
     """Hebb couplings of the (p, n) spin rows ``xi``.
 
     Every entry of xi.T @ xi is an integer sum, exact in float64, so the
-    weights do not depend on how the product is evaluated.
+    couplings do not depend on how the product is evaluated.
     """
     xi = np.asarray(xi, dtype=np.float64)
-    w = xi.T @ xi / xi.shape[1]
-    np.fill_diagonal(w, 0.0)
-    return HopfieldNet(weights=w)
+    c = xi.T @ xi
+    np.fill_diagonal(c, 0.0)
+    return HopfieldNet(couplings=c)
 
 
 def hebb(pattern_set: PatternSet) -> HopfieldNet:
@@ -60,12 +83,9 @@ def hebb(pattern_set: PatternSet) -> HopfieldNet:
 
 
 def energy(net: HopfieldNet, s) -> float:
-    spins = _as_spins(s)
-    if spins.shape[0] != net.n:
-        raise ClassicalError(
-            f"state length {spins.shape[0]} does not match n={net.n}"
-        )
-    return -0.5 * float(spins @ net.weights @ spins)
+    """E = -(1/2n) s.C.s, exact up to the final division."""
+    spins = _net_spins(net, s)
+    return -float(spins @ net.couplings @ spins) / (2 * net.n)
 
 
 def update_async(
@@ -73,32 +93,42 @@ def update_async(
 ) -> tuple[np.ndarray, bool]:
     """Asynchronous single-spin updates in seeded random order.
 
-    Each sweep visits every neuron once in a fresh random permutation and
-    sets s_i to the sign of its local field, keeping the current value on a
-    zero field (which makes every accepted flip lower the energy).  Returns
-    the final state and whether a full sweep passed with no change.
+    Each sweep visits every neuron once in a fresh ``rng.permutation(n)``
+    and sets s_i to the sign of its exact integer field h_i = (C s)_i,
+    keeping the current value on a zero field (so every accepted flip
+    lowers the energy).  Returns the final state and whether a full sweep
+    passed with no change.
+
+    The sweep is event-driven, with the same visits and outcomes as
+    testing one neuron at a time: h changes only on a flip, so one vector
+    pass over the rest of the order finds the next visit with s_i h_i < 0;
+    flipping s_i adds 2 s_i C[:, i] to h, and the pass resumes after that
+    visit.  A sweep with no flip costs one pass.
     """
     if sweeps < 1:
         raise ClassicalError("sweeps must be >= 1")
-    spins = _as_spins(s).copy()
-    if spins.shape[0] != net.n:
-        raise ClassicalError(
-            f"state length {spins.shape[0]} does not match n={net.n}"
-        )
-    w = net.weights
+    spins = _net_spins(net, s).astype(np.float64)
+    c = net.couplings
+    h = c @ spins
     for _ in range(sweeps):
+        order = rng.permutation(net.n)
         changed = False
-        for i in rng.permutation(net.n):
-            field = w[i] @ spins
-            if field > 0 and spins[i] != 1:
-                spins[i] = 1
-                changed = True
-            elif field < 0 and spins[i] != -1:
-                spins[i] = -1
-                changed = True
+        k = 0
+        while k < net.n:
+            # visits from k on, in order, whose field opposes their spin
+            rest = order[k:]
+            against = (spins * h)[rest] < 0
+            j = int(against.argmax())
+            if not against[j]:
+                break
+            i = rest[j]
+            spins[i] = -spins[i]
+            h += (2.0 * spins[i]) * c[i]  # C is symmetric: row i is column i
+            changed = True
+            k += j + 1
         if not changed:
-            return spins, True
-    return spins, False
+            return spins.astype(np.int64), True
+    return spins.astype(np.int64), False
 
 
 def overlap(a, b) -> float:
@@ -161,10 +191,18 @@ def capacity_experiment_seeded(
     runs on its own generator seeded from the master seed and the flat task
     index, so each trial's result depends on that index alone.
     """
+    if n < 1:
+        raise ClassicalError(f"n must be >= 1, got {n}")
+    if trials < 1:
+        raise ClassicalError(f"trials must be >= 1, got {trials}")
     if not 0.0 <= corruption < 1.0:
         raise ClassicalError("corruption must be in [0, 1)")
+    alphas = [float(a) for a in alpha_grid]
+    for alpha in alphas:
+        if not (math.isfinite(alpha) and alpha >= 0.0):
+            raise ClassicalError(f"alpha must be finite and >= 0, got {alpha}")
     rows = []
-    for i, alpha in enumerate(float(a) for a in alpha_grid):
+    for i, alpha in enumerate(alphas):
         p = max(1, round(alpha * n))
         rngs = (task_rng(seed, i * trials + t) for t in range(trials))
         arr = np.array(

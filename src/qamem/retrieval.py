@@ -288,8 +288,16 @@ def _sampling_table(pattern_set, input_pattern, b, mask, use_input_register, mod
     )
     if mode == "amplitude_amplify":
         p_rec = analytic_distribution(pattern_set, input_pattern, b, mask).p_rec
+        iterations = optimal_iterations(p_rec)
+        per_iteration = amplify_iteration_gates(pattern_set.p, pattern_set.n, b)
+        if iterations * per_iteration > MAX_AMPLIFY_GATES:
+            raise RetrievalError(
+                f"amplification needs {iterations} iterations of "
+                f"{per_iteration} gates (p_rec = {p_rec:.3g}), above the "
+                f"limit of {MAX_AMPLIFY_GATES} gate applications"
+            )
         state = amplitude_amplify(
-            pattern_set, input_pattern, b, optimal_iterations(p_rec), mask
+            pattern_set, input_pattern, b, iterations, mask
         ).state
     else:
         state = prepare_final_state(pattern_set, input_pattern, config)
@@ -394,6 +402,23 @@ def round_gate_count(n: int, use_input_register: bool = True) -> int:
     return 6 * n + 2 if use_input_register else 4 * n + 2
 
 
+def amplify_preparation_gates(p: int, n: int, b: int) -> int:
+    """Gates in the preparation that :func:`amplitude_amplify` runs: the
+    memory circuit, then b rounds with the input coded as rotations."""
+    return memory_gate_count(p, n) + b * round_gate_count(n, use_input_register=False)
+
+
+def amplify_iteration_gates(p: int, n: int, b: int) -> int:
+    """Gates applied per Grover iteration: two reflections, each one gate,
+    plus the preparation and its inverse."""
+    return 2 * amplify_preparation_gates(p, n, b) + 2
+
+
+#: most gate applications (Grover iterations x gates per iteration) that
+#: amplify-mode retrieval runs; each costs about 2 us on a one-pattern memory
+MAX_AMPLIFY_GATES = 10**6
+
+
 def complexity_estimate(
     p: int, n: int, b: int, T: int, mode: str = "repeat_measure"
 ) -> int:
@@ -405,9 +430,8 @@ def complexity_estimate(
         return T * b * (6 * n + 2) * memory_cost
     if mode == "amplitude_amplify":
         # each of the two reflections (good subspace, all-zeros) is charged
-        # the placeholder cost 2n+2b+4
+        # the placeholder cost 2n+2b+4 instead of one gate
         reflections = 2 * (2 * n + 2 * b + 4)
-        per_iteration = p * (4 * n + 6) + b * (8 * n + 4) + 2 + reflections
-        preparation = p * (2 * n + 3) + b * (4 * n + 2) + 1
-        return T * per_iteration + preparation
+        preparation = amplify_preparation_gates(p, n, b)
+        return T * (2 * preparation + reflections) + preparation
     raise RetrievalError(f"unknown mode {mode!r}")

@@ -1,8 +1,13 @@
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qamem.classical import (
     ClassicalError,
+    _hebb_net,
     capacity_experiment_seeded,
     energy,
     hebb,
@@ -14,6 +19,75 @@ from qamem.patterns import Pattern, PatternSet
 
 def S(*strings):
     return PatternSet(tuple(Pattern.from_string(s) for s in strings))
+
+
+def integer_couplings(xi):
+    """C = xi^T xi with a zero diagonal, in int64."""
+    c = np.asarray(xi, dtype=np.int64).T @ np.asarray(xi, dtype=np.int64)
+    np.fill_diagonal(c, 0)
+    return c
+
+
+def reference_update(xi, s, rng, sweeps):
+    """The documented rule, transcribed with Python-int fields.
+
+    Each sweep visits rng.permutation(n) in order and sets s_i to the sign
+    of h_i = sum_j C_ij s_j, keeping s_i when h_i == 0.
+    """
+    rows = [[int(v) for v in row] for row in xi]
+    n = len(s)
+    c = [
+        [0 if i == j else sum(r[i] * r[j] for r in rows) for j in range(n)]
+        for i in range(n)
+    ]
+    s = [int(v) for v in s]
+    for _ in range(sweeps):
+        changed = False
+        for i in rng.permutation(n):
+            field = sum(cij * sj for cij, sj in zip(c[i], s))
+            if field > 0 and s[i] != 1:
+                s[i] = 1
+                changed = True
+            elif field < 0 and s[i] != -1:
+                s[i] = -1
+                changed = True
+        if not changed:
+            return s, True
+    return s, False
+
+
+def zero_field_visits(n, p, seed):
+    """(integer-zero fields met, of them flipped) in one seeded recall.
+
+    Runs update_async one sweep at a time and replays each sweep's
+    permutation on a copy of the rng.  A spin is visited once per sweep, so
+    at its visit the spins visited before it hold their end-of-sweep values
+    and the rest their start-of-sweep values: that gives its exact field.
+    """
+    data = np.random.default_rng(seed)
+    xi = data.choice([-1, 1], size=(p, n))
+    c = integer_couplings(xi)
+    net = _hebb_net(xi)
+    state = xi[0].copy()
+    state[data.choice(n, size=n // 20, replace=False)] *= -1
+    rng = np.random.default_rng(seed + 100)
+    met = flipped = 0
+    for _ in range(50):
+        order = copy.deepcopy(rng).permutation(n)
+        after, converged = update_async(net, state, rng, sweeps=1)
+        current = state.copy()
+        for i in order:
+            field = int(c[i] @ current)
+            if field == 0:
+                met += 1
+                flipped += int(after[i] != current[i])
+            else:
+                assert after[i] == (1 if field > 0 else -1)
+            current[i] = after[i]
+        state = after
+        if converged:
+            return met, flipped
+    raise AssertionError("no convergence in 50 sweeps")
 
 
 class TestHebb:
@@ -85,7 +159,42 @@ class TestDynamics:
             s = rng.choice([-1, 1], size=n)
             e0 = energy(net, s)
             final, _ = update_async(net, s, rng, sweeps=5)
-            assert energy(net, final) <= e0 + 1e-12
+            assert energy(net, final) <= e0
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        p=st.integers(1, 8),
+        sweeps=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_integer_transcription(self, n, p, sweeps, seed):
+        data = np.random.default_rng(seed)
+        xi = data.choice([-1, 1], size=(p, n))
+        start = data.choice([-1, 1], size=n)
+        rng, ref_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        final, converged = update_async(_hebb_net(xi), start, rng, sweeps)
+        want, want_converged = reference_update(xi, start, ref_rng, sweeps)
+        assert final.tolist() == want
+        assert converged == want_converged
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_zero_fields_keep_their_spin(self):
+        # n not a power of two and p even: fields can be exactly zero, and
+        # w = C/n is inexact, so a float field may leave a +-1e-17 residue
+        zeros = zero_flips = 0
+        for seed in range(8):
+            met, flipped = zero_field_visits(100, 40, seed)
+            zeros += met
+            zero_flips += flipped
+        assert zeros > 0
+        assert zero_flips == 0
+
+    def test_couplings_are_integers_and_weights_their_ratio(self):
+        xi = np.random.default_rng(4).choice([-1, 1], size=(7, 30))
+        net = _hebb_net(xi)
+        assert np.array_equal(net.couplings, integer_couplings(xi))
+        assert np.array_equal(net.weights, net.couplings / 30)
 
     def test_sweeps_validation(self):
         net = hebb(S("01"))
@@ -137,3 +246,18 @@ class TestCapacity:
     def test_corruption_validation(self):
         with pytest.raises(ClassicalError):
             capacity_experiment_seeded(50, (0.1,), 2, corruption=1.0, seed=0)
+
+    @pytest.mark.parametrize(
+        "n, alphas, trials, message",
+        [
+            (0, (0.1,), 2, "n must be"),
+            (-3, (0.1,), 2, "n must be"),
+            (50, (0.1,), 0, "trials must be"),
+            (50, (0.1, -0.2), 2, "alpha must be"),
+            (50, (float("nan"),), 2, "alpha must be"),
+            (50, (float("inf"),), 2, "alpha must be"),
+        ],
+    )
+    def test_argument_validation(self, n, alphas, trials, message):
+        with pytest.raises(ClassicalError, match=message):
+            capacity_experiment_seeded(n, alphas, trials, corruption=0.0, seed=0)

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import qamem
+from qamem import retrieval
 from qamem.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
@@ -275,6 +276,27 @@ class TestRetrieve:
         assert proc.returncode == EXIT_VALIDATION
         assert "cannot amplify zero success probability" in proc.stderr
 
+    def test_amplify_work_bound_exits_2(self, capsys, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("amplitude_amplify was entered")
+
+        monkeypatch.setattr(retrieval, "amplitude_amplify", refuse)
+        f = tmp_path / "p.txt"
+        f.write_text("0" * 100 + "\n")
+        code, out, err = run(
+            capsys, "retrieve", "--patterns", str(f), "--input", "1" * 99 + "0",
+            "--b", "2", "--mode", "amplify", "--seed", "1",
+        )
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert f"limit of {retrieval.MAX_AMPLIFY_GATES} gate applications" in err
+
+    def test_help_states_amplify_limit(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["retrieve", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert f"above {retrieval.MAX_AMPLIFY_GATES} gate applications" in help_text
+
     def test_bad_seed_rejected(self, capsys, pattern_file):
         with pytest.raises(SystemExit):
             main(
@@ -450,3 +472,21 @@ class TestClassical:
         _, a, _ = run(capsys, *self.ARGS)
         _, b, _ = run(capsys, *self.ARGS, "--workers", "3")
         assert a == b
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--n", "0", "n must be >= 1, got 0"),
+            ("--n", "-3", "n must be >= 1, got -3"),
+            ("--trials", "0", "trials must be >= 1, got 0"),
+            ("--trials", "-1", "trials must be >= 1, got -1"),
+            ("--alpha-grid", "0.1,-0.5", "alpha must be finite and >= 0, got -0.5"),
+        ],
+    )
+    def test_bad_argument_exits_2(self, capsys, flag, value, message):
+        argv = list(self.ARGS)
+        argv[argv.index(flag) + 1] = value
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert err == f"qamem: {message}\n"

@@ -9,12 +9,16 @@ from hypothesis import strategies as st
 from qamem import retrieval
 from qamem.patterns import Mask, Pattern, PatternSet, hamming
 from qamem.retrieval import (
+    MAX_AMPLIFY_GATES,
     RetrievalConfig,
     RetrievalError,
+    amplify_iteration_gates,
+    amplify_preparation_gates,
     amplitude_amplify,
     analytic_distribution,
     complexity_estimate,
     optimal_iterations,
+    preparation_circuit,
     prepare_final_state,
     prepare_sampling,
     recognition_lower_bound,
@@ -422,6 +426,33 @@ class TestWideLayouts:
 
 
 class TestAmplification:
+    def test_gate_counts_match_circuits(self):
+        rng = np.random.default_rng(8)
+        for _ in range(5):
+            ps = random_set(rng, max_n=5, max_p=4)
+            b = int(rng.integers(1, 4))
+            layout = retrieval_layout(ps.n, b, use_input_register=False)
+            prep = preparation_circuit(ps, random_input(rng, ps.n), layout)
+            assert len(prep) == amplify_preparation_gates(ps.p, ps.n, b)
+            assert amplify_iteration_gates(ps.p, ps.n, b) == 2 * len(prep) + 2
+
+    def test_work_bound_refuses_before_amplifying(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("amplitude_amplify was entered")
+
+        monkeypatch.setattr(retrieval, "amplitude_amplify", refuse)
+        # one pattern, input at distance 99 of 100: p_rec = sin^4(pi/200)
+        # at b = 2 asks for 3183 iterations of 2018 gates
+        ps = PatternSet((P("0" * 100),))
+        inp = P("1" * 99 + "0")
+        config = RetrievalConfig(b=2, mode="amplitude_amplify")
+        with pytest.raises(RetrievalError, match=f"limit of {MAX_AMPLIFY_GATES} "):
+            retrieve(ps, inp, config, np.random.default_rng(0))
+        # at b = 1 the same query is 50 iterations of 1214 gates: in bounds
+        p_rec = analytic_distribution(ps, inp, 1).p_rec
+        work = optimal_iterations(p_rec) * amplify_iteration_gates(1, 100, 1)
+        assert work == 50 * 1214 <= MAX_AMPLIFY_GATES
+
     def test_success_follows_rotation_law(self):
         ps = S("000", "111")
         inp = P("000")  # p_rec = 1/2, theta = pi/4
