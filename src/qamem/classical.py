@@ -29,6 +29,9 @@ from .seeds import task_rng
 
 #: sweeps of asynchronous updates per capacity trial
 CAPACITY_SWEEPS = 50
+#: most elements of the patterns xi and couplings C of one capacity trial,
+#: p*n + n*n; a trial at the limit peaks at about 16 bytes per element
+MAX_CAPACITY_ELEMENTS = 10**7
 
 
 class ClassicalError(ValueError):
@@ -79,7 +82,7 @@ def _hebb_net(xi) -> HopfieldNet:
 
 def hebb(pattern_set: PatternSet) -> HopfieldNet:
     """Couplings w_ij = (1/n) sum over patterns of xi_i * xi_j, zero diagonal."""
-    return _hebb_net([p.to_spins() for p in pattern_set])
+    return _hebb_net(2 * pattern_set.bits.astype(np.int8) - 1)
 
 
 def energy(net: HopfieldNet, s) -> float:
@@ -176,6 +179,10 @@ def _capacity_trial(
     return abs(overlap(final, xi[0]))
 
 
+def _capacity_p(n: int, alpha: float) -> int:
+    return max(1, round(alpha * n))
+
+
 def capacity_experiment_seeded(
     n: int,
     alpha_grid,
@@ -201,9 +208,19 @@ def capacity_experiment_seeded(
     for alpha in alphas:
         if not (math.isfinite(alpha) and alpha >= 0.0):
             raise ClassicalError(f"alpha must be finite and >= 0, got {alpha}")
+        # exact n*n, then alpha*n, before round() sees an overflowed product
+        if (
+            n * n > MAX_CAPACITY_ELEMENTS
+            or alpha * n > MAX_CAPACITY_ELEMENTS
+            or _capacity_p(n, alpha) * n + n * n > MAX_CAPACITY_ELEMENTS
+        ):
+            raise ClassicalError(
+                f"n={n}, alpha={alpha}: the patterns and couplings of a trial "
+                f"(p*n + n*n elements) exceed the limit of {MAX_CAPACITY_ELEMENTS}"
+            )
     rows = []
     for i, alpha in enumerate(alphas):
-        p = max(1, round(alpha * n))
+        p = _capacity_p(n, alpha)
         rngs = (task_rng(seed, i * trials + t) for t in range(trials))
         arr = np.array(
             [_capacity_trial(n, p, corruption, rng) for rng in rngs]

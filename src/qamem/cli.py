@@ -101,12 +101,11 @@ def _parse_mask(spec: str | None, n: int) -> Mask | None:
 # ---------------------------------------------------------------- commands
 
 
-def _by_pattern(by_pat, fields) -> list[dict]:
-    """One ``{"pattern": ..., **fields(value)}`` entry per pattern, sorted by bits."""
-    return [
-        {"pattern": str(pat), **fields(value)}
-        for pat, value in sorted(by_pat.items(), key=lambda kv: str(kv[0]))
-    ]
+def _by_pattern(strings, values, fields) -> list[dict]:
+    """One ``{"pattern": s, **fields(v)}`` entry per aligned bit string s and
+    value v, sorted by the strings."""
+    order = sorted(range(len(strings)), key=strings.__getitem__)
+    return [{"pattern": strings[i], **fields(values[i])} for i in order]
 
 
 def cmd_store(args) -> int:
@@ -122,11 +121,21 @@ def cmd_store(args) -> int:
         "gate_count": build.gate_count,
     }
     if pattern_set.n <= 8:
+        amps = build.memory_amplitudes()
         doc["amplitudes"] = _by_pattern(
-            build.memory_amplitudes(), lambda amp: {"re": amp.real, "im": amp.imag}
+            [str(pat) for pat in amps],
+            list(amps.values()),
+            lambda amp: {"re": amp.real, "im": amp.imag},
         )
     _write_output(emit_json(doc) + "\n", args.out)
     return EXIT_OK
+
+
+def _distribution_doc(dist) -> list[dict]:
+    """Entries of a closed-form law, whose support is the pattern set."""
+    return _by_pattern(
+        dist.support.strings, dist.prob_array.tolist(), lambda prob: {"prob": prob}
+    )
 
 
 def _report_doc(report, config, seed):
@@ -135,9 +144,7 @@ def _report_doc(report, config, seed):
         "attempts": report.attempts,
         "output": None if report.output is None else str(report.output),
         "p_rec": report.analytic_p_rec,
-        "distribution": _by_pattern(
-            report.analytic_dist, lambda prob: {"prob": prob}
-        ),
+        "distribution": _distribution_doc(report.analytic),
         "mode": config.mode,
         "b": config.b,
         "T": config.T,
@@ -174,7 +181,7 @@ def cmd_distribution(args) -> int:
         "b": args.b,
         "p_rec": dist.p_rec,
         "Z": dist.Z,
-        "distribution": _by_pattern(dist.probs, lambda prob: {"prob": prob}),
+        "distribution": _distribution_doc(dist),
     }
     _write_output(emit_json(doc) + "\n", args.out)
     return EXIT_OK

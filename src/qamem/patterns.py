@@ -1,5 +1,13 @@
 """Binary patterns, Hamming geometry, corruption/masking and pattern-file I/O.
 
+A :class:`PatternSet` is a read-only (p, n) ``uint8`` bit matrix, one row
+per stored pattern in file order.  Distances to an input are one numpy
+pass over it (see :func:`~qamem.retrieval.analytic_distribution`), and
+:func:`read_pattern_file` builds it in one pass from the validated lines.
+The per-pattern views, a tuple of :class:`Pattern` objects and a tuple of
+bit strings, are built from the matrix only when first asked for;
+:func:`hamming` and :func:`hamming_masked` stay the single-pair API.
+
 Conventions used throughout the package:
 
 * bit 0 is the leftmost character of the text representation and the
@@ -11,7 +19,10 @@ Both conventions live here and nowhere else.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
+
+import numpy as np
 
 
 class PatternError(ValueError):
@@ -79,36 +90,75 @@ class Pattern:
         return cls(tuple((int(s) + 1) // 2 for s in spins))
 
 
-@dataclass(frozen=True)
 class PatternSet:
-    """Ordered collection of equal-length, pairwise-distinct patterns."""
+    """Ordered collection of equal-length, pairwise-distinct patterns.
 
-    patterns: tuple[Pattern, ...]
+    ``bits`` is the read-only (p, n) ``uint8`` matrix of the set: row k is
+    pattern k, column j its bit j.  Equality and hash are by value, over
+    the matrix (so over n, p and the order).  ``patterns`` and ``strings``
+    are built from it on first use.
+    """
 
-    def __post_init__(self):
-        if len(self.patterns) < 1:
+    def __init__(self, patterns):
+        patterns = tuple(patterns)
+        if len(patterns) < 1:
             raise PatternError("pattern set must contain at least one pattern")
-        n = self.patterns[0].n
-        if any(p.n != n for p in self.patterns):
+        n = patterns[0].n
+        if any(p.n != n for p in patterns):
             raise RaggedFileError("patterns must all have the same length")
-        if len(set(self.patterns)) != len(self.patterns):
+        if len(set(patterns)) != len(patterns):
             raise DuplicatePatternError("pattern set contains duplicates")
-        if len(self.patterns) > 2**n:
+        if len(patterns) > 2**n:
             raise PatternError("more patterns than basis states")
+        self._set_bits(np.array([p.bits for p in patterns], dtype=np.uint8))
+        self.__dict__["patterns"] = patterns
+
+    @classmethod
+    def _from_validated(cls, bits: np.ndarray, strings: tuple[str, ...]):
+        """A set over the (p, n) rows ``bits``, already checked distinct."""
+        self = cls.__new__(cls)
+        self._set_bits(bits)
+        self.__dict__["strings"] = strings
+        return self
+
+    def _set_bits(self, bits: np.ndarray) -> None:
+        bits.flags.writeable = False
+        self.bits = bits
+        self._hash = hash((bits.shape, bits.tobytes()))
+
+    @cached_property
+    def patterns(self) -> tuple[Pattern, ...]:
+        return tuple(Pattern(tuple(row)) for row in self.bits.tolist())
+
+    @cached_property
+    def strings(self) -> tuple[str, ...]:
+        """Text form of each pattern ('0'/'1' characters), in set order."""
+        text = (self.bits + ord("0")).tobytes().decode("ascii")
+        return tuple(text[i : i + self.n] for i in range(0, len(text), self.n))
 
     @property
     def n(self) -> int:
-        return self.patterns[0].n
+        return self.bits.shape[1]
 
     @property
     def p(self) -> int:
-        return len(self.patterns)
+        return self.bits.shape[0]
 
     def __iter__(self):
         return iter(self.patterns)
 
     def __getitem__(self, i) -> Pattern:
         return self.patterns[i]
+
+    def __eq__(self, other):
+        if not isinstance(other, PatternSet):
+            return NotImplemented
+        return self.bits.shape == other.bits.shape and bool(
+            (self.bits == other.bits).all()
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -161,33 +211,36 @@ def corrupt(p: Pattern, k: int, rng) -> Pattern:
 
 
 def read_pattern_file(path) -> PatternSet:
-    """Parse a pattern file: one '0'/'1' line per pattern, newline-terminated."""
+    """Parse a pattern file: one '0'/'1' line per pattern, newline-terminated.
+
+    The lines are checked one by one, so an error names the first bad
+    line; the bit matrix is then built from all of them in one pass.
+    """
     text = Path(path).read_text(encoding="utf-8")
     if not text.endswith("\n"):
         raise PatternError(f"{path}: missing trailing newline")
     lines = text.split("\n")[:-1]
     if not lines:
         raise PatternError(f"{path}: empty pattern file")
-    patterns = []
+    n = len(lines[0])
     seen = set()
     for lineno, line in enumerate(lines, start=1):
         if not line:
             raise PatternError(f"{path}:{lineno}: blank line")
         if line.strip("01"):
             raise NonBinaryError(f"{path}:{lineno}: non-binary character in {line!r}")
-        if len(line) != len(lines[0]):
-            raise RaggedFileError(
-                f"{path}:{lineno}: length {len(line)} != {len(lines[0])}"
-            )
+        if len(line) != n:
+            raise RaggedFileError(f"{path}:{lineno}: length {len(line)} != {n}")
         if line in seen:
             raise DuplicatePatternError(f"{path}:{lineno}: duplicate pattern {line}")
         seen.add(line)
-        patterns.append(Pattern.from_string(line))
-    return PatternSet(tuple(patterns))
+    ascii_bits = np.frombuffer("".join(lines).encode("ascii"), dtype=np.uint8)
+    bits = (ascii_bits - ord("0")).reshape(len(lines), n)
+    return PatternSet._from_validated(bits, tuple(lines))
 
 
 def write_pattern_file(pattern_set: PatternSet, path) -> None:
     """Write the canonical text form (round-trips with read_pattern_file)."""
     Path(path).write_text(
-        "".join(str(p) + "\n" for p in pattern_set), encoding="utf-8"
+        "".join(s + "\n" for s in pattern_set.strings), encoding="utf-8"
     )

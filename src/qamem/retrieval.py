@@ -22,11 +22,14 @@ import bisect
 import itertools
 import math
 import weakref
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
-from .patterns import Mask, Pattern, PatternSet, hamming, hamming_masked
+from .patterns import Mask, Pattern, PatternError, PatternSet
 from .memory import build_memory_circuit, memory_gate_count
 from .simulator import (
     Circuit,
@@ -66,11 +69,24 @@ class RetrievalConfig:
             raise RetrievalError(f"unknown mode {self.mode!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Distribution:
+    """Recognition probability and the law of the post-selected output.
+
+    Output ``support[k]`` has probability ``prob_array[k]``; for the closed
+    form the support is the pattern set itself, in stored order.
+    """
+
     p_rec: float
-    probs: dict[Pattern, float]
     Z: float
+    support: Sequence[Pattern]
+    prob_array: np.ndarray
+
+    @cached_property
+    def probs(self) -> Mapping[Pattern, float]:
+        """Read-only ``{pattern: probability}`` in support order, built on
+        first read."""
+        return MappingProxyType(dict(zip(self.support, self.prob_array.tolist())))
 
 
 @dataclass(frozen=True)
@@ -78,14 +94,15 @@ class RetrievalReport:
     recognized: bool
     attempts: int
     output: Pattern | None
-    analytic_p_rec: float
-    analytic_dist: dict[Pattern, float]
+    analytic: Distribution
 
+    @property
+    def analytic_p_rec(self) -> float:
+        return self.analytic.p_rec
 
-def _distances(pattern_set: PatternSet, input_pattern: Pattern, mask: Mask | None):
-    if mask is None:
-        return [hamming(input_pattern, pat) for pat in pattern_set]
-    return [hamming_masked(input_pattern, pat, mask) for pat in pattern_set]
+    @property
+    def analytic_dist(self) -> Mapping[Pattern, float]:
+        return self.analytic.probs
 
 
 def analytic_distribution(
@@ -94,22 +111,38 @@ def analytic_distribution(
     b: int,
     mask: Mask | None = None,
 ) -> Distribution:
-    """Closed-form recognition probability and conditional output distribution."""
+    """Closed-form recognition probability and conditional output distribution.
+
+    The (masked) Hamming distances of the input to all p stored patterns
+    are one comparison against the set's bit matrix.  Each distance d then
+    picks its weight cos^{2b}(pi*d/2n) from a table of the n + 1 possible
+    values, with the d = n weight set to exactly 0 when b > 0.  Z sums the
+    weights left to right in stored order as Python floats, so every
+    number equals that of a per-pattern loop bit for bit.
+    """
     if b < 0:
         raise RetrievalError("b must be >= 0")
     n, p = pattern_set.n, pattern_set.p
+    if input_pattern.n != n:
+        raise PatternError(f"length mismatch: {input_pattern.n} != {n}")
+    x = np.array(input_pattern.bits, dtype=np.uint8)
+    bits = pattern_set.bits
+    if mask is not None:
+        mask.validate(n)
+        columns = sorted(mask.known)
+        bits, x = bits[:, columns], x[columns]
+    distances = np.count_nonzero(bits != x, axis=1)
     # cos(pi/2) is exactly zero, where math.cos gives 6e-17
-    weights = [
-        0.0 if d == n and b > 0 else math.cos(math.pi * d / (2 * n)) ** (2 * b)
-        for d in _distances(pattern_set, input_pattern, mask)
-    ]
-    Z = sum(weights)
-    p_rec = Z / p
-    if Z > 0:
-        probs = {pat: w / Z for pat, w in zip(pattern_set, weights)}
-    else:
-        probs = {pat: 0.0 for pat in pattern_set}
-    return Distribution(p_rec=p_rec, probs=probs, Z=Z)
+    table = np.array(
+        [
+            0.0 if d == n and b > 0 else math.cos(math.pi * d / (2 * n)) ** (2 * b)
+            for d in range(n + 1)
+        ]
+    )
+    weights = table[distances]
+    Z = sum(weights.tolist())
+    probs = weights / Z if Z > 0 else np.zeros(p)
+    return Distribution(p_rec=Z / p, Z=Z, support=pattern_set, prob_array=probs)
 
 
 def recognition_lower_bound(p: int, n: int, b: int) -> tuple[float, float]:
@@ -235,11 +268,10 @@ def simulate_distribution(
     p_rec = float(np.sum(weights))
     if p_rec > 0:
         sums = sums / p_rec
-    probs = {
-        Pattern.from_key(v, pattern_set.n): w
-        for v, w in zip(values.tolist(), sums.tolist())
-    }
-    return Distribution(p_rec=p_rec, probs=probs, Z=pattern_set.p * p_rec)
+    support = tuple(Pattern.from_key(v, pattern_set.n) for v in values.tolist())
+    return Distribution(
+        p_rec=p_rec, Z=pattern_set.p * p_rec, support=support, prob_array=sums
+    )
 
 
 @dataclass(frozen=True)
@@ -265,29 +297,42 @@ class SamplingTable:
 def prepare_sampling(
     pattern_set: PatternSet, input_pattern: Pattern, config: RetrievalConfig
 ) -> SamplingTable:
-    """Prepare the final state of a retrieval once and tabulate its outcomes.
+    """Prepare the final state of a retrieval once and tabulate its outcomes."""
+    return _prepared(pattern_set, input_pattern, config)[1]
 
-    Each live pattern set keeps the table of its most recent (input, b,
-    mask, input register, mode), so Monte-Carlo loops over one query
-    prepare the state once; ``T`` does not enter the state.
+
+def _prepared(
+    pattern_set: PatternSet, input_pattern: Pattern, config: RetrievalConfig
+) -> tuple[Distribution, SamplingTable]:
+    """The closed form and sampling table of one query.
+
+    Each live pattern set keeps those of its most recent (input, b, mask,
+    input register, mode), so Monte-Carlo loops over one query compute
+    them once; ``T`` enters neither.
     """
     key = (input_pattern, config.b, config.mask, config.use_input_register, config.mode)
     held = _LAST_TABLE.get(pattern_set)
     if held is None or held[0] != key:
-        held = _LAST_TABLE[pattern_set] = (key, _sampling_table(pattern_set, *key))
-    return held[1]
+        analytic = analytic_distribution(
+            pattern_set, input_pattern, config.b, config.mask
+        )
+        table = _sampling_table(pattern_set, analytic.p_rec, *key)
+        held = _LAST_TABLE[pattern_set] = (key, analytic, table)
+    return held[1], held[2]
 
 
-#: pattern set -> (query key, sampling table); entries die with their set
+#: pattern set -> (query key, closed form, sampling table); entries die with
+#: their set
 _LAST_TABLE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _sampling_table(pattern_set, input_pattern, b, mask, use_input_register, mode):
+def _sampling_table(
+    pattern_set, p_rec, input_pattern, b, mask, use_input_register, mode
+):
     config = RetrievalConfig(
         b=b, mode=mode, mask=mask, use_input_register=use_input_register
     )
     if mode == "amplitude_amplify":
-        p_rec = analytic_distribution(pattern_set, input_pattern, b, mask).p_rec
         iterations = optimal_iterations(p_rec)
         per_iteration = amplify_iteration_gates(pattern_set.p, pattern_set.n, b)
         if iterations * per_iteration > MAX_AMPLIFY_GATES:
@@ -320,32 +365,18 @@ def retrieve(
     """Run the probabilistic retrieval protocol with threshold T.
 
     Every attempt re-runs the same deterministic preparation, so the final
-    state is prepared once (see :func:`prepare_sampling`) and each attempt
-    draws a fresh control measurement from it: one draw per attempt, then
-    one draw for the memory register of a recognized attempt.  In
+    state is prepared once (see :func:`_prepared`) and each attempt draws a
+    fresh control measurement from it: one draw per attempt, then one draw
+    for the memory register of a recognized attempt.  In
     ``amplitude_amplify`` mode the prepared state is the amplified one.
+    Every report of one query shares its closed form, read-only.
     """
-    analytic = analytic_distribution(
-        pattern_set, input_pattern, config.b, config.mask
-    )
-    table = prepare_sampling(pattern_set, input_pattern, config)
+    analytic, table = _prepared(pattern_set, input_pattern, config)
     for attempt in range(1, config.T + 1):
         if rng.random() < table.p_zero:
             output = Pattern.from_key(table.sample_memory(rng), pattern_set.n)
-            return RetrievalReport(
-                recognized=True,
-                attempts=attempt,
-                output=output,
-                analytic_p_rec=analytic.p_rec,
-                analytic_dist=analytic.probs,
-            )
-    return RetrievalReport(
-        recognized=False,
-        attempts=config.T,
-        output=None,
-        analytic_p_rec=analytic.p_rec,
-        analytic_dist=analytic.probs,
-    )
+            return RetrievalReport(True, attempt, output, analytic)
+    return RetrievalReport(False, config.T, None, analytic)
 
 
 @dataclass(frozen=True)

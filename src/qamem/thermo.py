@@ -226,8 +226,8 @@ def scan_transition(d_over_n: float, n: int, b_grid) -> TransitionScan:
     The crossover is located where the effective distance crosses the
     midpoint between its ordered (d/n) and disordered (2/3) limits.
     """
-    if not math.isfinite(d_over_n):
-        raise ThermoError(f"d_over_n must be finite, got {d_over_n}")
+    if not 0.0 <= d_over_n <= 1.0:  # NaN fails the comparison too
+        raise ThermoError(f"d_over_n must be finite and in [0, 1], got {d_over_n}")
     if n < 1:
         raise ThermoError(f"n must be >= 1, got {n}")
     b_grid = list(b_grid)

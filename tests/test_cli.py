@@ -1,4 +1,6 @@
 import ast
+import contextlib
+import io
 import json
 import math
 import os
@@ -9,9 +11,12 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qamem
 from qamem import retrieval
+from qamem.classical import MAX_CAPACITY_ELEMENTS
 from qamem.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
@@ -490,3 +495,178 @@ class TestClassical:
         assert code == EXIT_VALIDATION
         assert out == ""
         assert err == f"qamem: {message}\n"
+
+    def test_oversized_trial_refused_before_allocating(self, capsys):
+        argv = ("classical", "--n", "500", "--alpha-grid", "1e6", "--trials", "1",
+                "--seed", "1")
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_VALIDATION and out == "" and peak < 2**20
+        assert err == (
+            "qamem: n=500, alpha=1000000.0: the patterns and couplings of a "
+            f"trial (p*n + n*n elements) exceed the limit of {MAX_CAPACITY_ELEMENTS}\n"
+        )
+
+
+def run_quiet(argv):
+    """(exit code, stdout, stderr) of one in-process request."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_rejected(*argv):
+    code, out, err = run_quiet(argv)
+    assert code == EXIT_VALIDATION and out == "", (argv, code, err)
+    assert err.startswith("qamem: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+def assert_accepted(*argv):
+    code, out, err = run_quiet(argv)
+    assert code == EXIT_OK and out, (argv, code, err)
+
+
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+POSITIVE = st.floats(0.01, 1e4)
+
+
+def spec(values) -> str:
+    return ",".join(repr(v) for v in values)
+
+
+@st.composite
+def bad_grids(draw):
+    """Grid specs every command rejects: a non-finite entry, a non-ascending
+    list or range, or a COUNT outside [2, MAX_GRID_COUNT]."""
+    kind = draw(st.sampled_from(["non-finite", "non-ascending", "range", "count"]))
+    if kind == "non-finite":
+        values = draw(st.lists(POSITIVE, max_size=3))
+        values.insert(draw(st.integers(0, len(values))), draw(NON_FINITE))
+        return spec(values)
+    if kind == "non-ascending":
+        values = sorted(draw(st.lists(POSITIVE, min_size=2, max_size=4, unique=True)))
+        i = draw(st.integers(0, len(values) - 2))
+        values[i], values[i + 1] = values[i + 1], values[i]
+        return spec(values)
+    lo, hi = sorted(draw(st.lists(POSITIVE, min_size=2, max_size=2, unique=True)))
+    form = draw(st.sampled_from(["lin", "log"]))
+    if kind == "range":
+        return f"{form}:{hi!r}:{lo!r}:{draw(st.integers(2, 5))}"
+    count = draw(st.integers(MAX_GRID_COUNT + 1, 10**15) | st.integers(-5, 1))
+    return f"{form}:{lo!r}:{hi!r}:{count}"
+
+
+@st.composite
+def good_grids(draw):
+    """The valid neighbours: ascending positive lists and small ranges."""
+    if draw(st.booleans()):
+        return spec(sorted(draw(st.lists(POSITIVE, min_size=1, max_size=4, unique=True))))
+    lo, hi = sorted(draw(st.lists(POSITIVE, min_size=2, max_size=2, unique=True)))
+    form = draw(st.sampled_from(["lin", "log"]))
+    return f"{form}:{lo!r}:{hi!r}:{draw(st.integers(2, 5))}"
+
+
+class TestBoundaryProperties:
+    """Bad values exit 2 with one ``qamem:`` line; valid neighbours exit 0."""
+
+    THERMO = ("thermo", "--n=100", "--d-over-n=0.1", "--b-grid=1,10")
+    TUNE = ("tune", "--epsilon=0.1", "--nu=0.8", "--n=1000")
+    CLASSICAL = ("classical", "--n=20", "--alpha-grid=0.1", "--trials=1", "--seed=3")
+
+    @staticmethod
+    def with_option(argv, flag, value):
+        return [a for a in argv if not a.startswith(flag + "=")] + [f"{flag}={value}"]
+
+    @settings(max_examples=150, deadline=None)
+    @given(grid=bad_grids())
+    def test_bad_grid_spec(self, grid):
+        if grid.startswith(("lin:", "log:")) or "nan" in grid or "inf" in grid:
+            with pytest.raises(ValueError, match="bad b grid"):
+                parse_grid(grid, "b")
+        for argv, flag in ((self.THERMO, "--b-grid"), (self.CLASSICAL, "--alpha-grid")):
+            if argv is self.CLASSICAL and "," in grid and "nan" not in grid and "inf" not in grid:
+                continue  # classical takes its alphas in any order
+            assert_rejected(*self.with_option(argv, flag, grid))
+        assert_rejected("phase", f"--alpha-grid={grid}", "--jt-grid=1")
+
+    @settings(max_examples=40, deadline=None)
+    @given(grid=good_grids())
+    def test_good_grid_spec(self, grid):
+        assert_accepted(*self.with_option(self.THERMO, "--b-grid", grid))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        flag_value=st.one_of(
+            st.tuples(st.just("--n"), st.integers(max_value=0)),
+            st.tuples(st.just("--d-over-n"), NON_FINITE),
+            st.tuples(st.just("--d-over-n"), st.floats(max_value=0.0, exclude_max=True)),
+            st.tuples(st.just("--d-over-n"), st.floats(min_value=1.0, exclude_min=True)),
+        )
+    )
+    def test_bad_thermo(self, flag_value):
+        assert_rejected(*self.with_option(self.THERMO, *flag_value))
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 3000), d_over_n=st.floats(0.0, 0.45))
+    def test_good_thermo(self, n, d_over_n):
+        argv = self.with_option(self.THERMO, "--n", n)
+        assert_accepted(*self.with_option(argv, "--d-over-n", repr(d_over_n)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        flag_value=st.one_of(
+            st.tuples(st.just("--n"), st.integers(max_value=0)),
+            st.tuples(st.sampled_from(["--epsilon", "--nu"]), NON_FINITE),
+            st.tuples(st.just("--epsilon"), st.floats(max_value=0.0)),
+            st.tuples(st.just("--epsilon"), st.floats(min_value=1.0)),
+            st.tuples(st.just("--nu"), st.floats(max_value=0.0, exclude_max=True)),
+            st.tuples(st.just("--nu"), st.floats(min_value=1.0, exclude_min=True)),
+        )
+    )
+    def test_bad_tune(self, flag_value):
+        flag, value = flag_value
+        assert_rejected(*self.with_option(self.TUNE, flag, repr(value)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(10, 3000), epsilon=st.floats(0.01, 0.3), nu=st.floats(0.0, 0.8)
+    )
+    def test_good_tune(self, n, epsilon, nu):
+        argv = ("tune", f"--n={n}", f"--epsilon={epsilon!r}", f"--nu={nu!r}")
+        assert_accepted(*argv)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        flag_value=st.one_of(
+            st.tuples(st.sampled_from(["--n", "--trials"]), st.integers(max_value=0)),
+            st.tuples(st.just("--alpha-grid"), NON_FINITE.map(repr)),
+            st.tuples(
+                st.just("--alpha-grid"),
+                st.floats(max_value=0.0, exclude_max=True).map(repr),
+            ),
+            # above MAX_CAPACITY_ELEMENTS: too many patterns, or n*n alone
+            st.tuples(
+                st.just("--alpha-grid"),
+                st.floats(MAX_CAPACITY_ELEMENTS / 20, 1e300).map(repr),
+            ),
+            st.tuples(st.just("--n"), st.integers(math.isqrt(MAX_CAPACITY_ELEMENTS) + 1, 10**400)),
+        )
+    )
+    def test_bad_classical(self, flag_value):
+        assert_rejected(*self.with_option(self.CLASSICAL, *flag_value))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        trials=st.integers(1, 3),
+        alphas=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=3),
+    )
+    def test_good_classical(self, n, trials, alphas):
+        argv = self.with_option(self.CLASSICAL, "--n", n)
+        argv = self.with_option(argv, "--trials", trials)
+        assert_accepted(*self.with_option(argv, "--alpha-grid", spec(alphas)))

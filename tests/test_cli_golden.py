@@ -16,6 +16,9 @@ from qamem.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 P4 = str(GOLDEN / "patterns4.txt")
 P6 = str(GOLDEN / "patterns6.txt")
+# 300 patterns of 24 bits drawn around 12 shared prefixes, so that many
+# entries tie on their leading bits and the sort order is exercised
+P24 = str(GOLDEN / "patterns24.txt")
 
 PHASE = ("phase", "--alpha-grid", "0.05,0.5", "--jt-grid", "0.5,1,9")
 CLASSICAL = (
@@ -54,6 +57,16 @@ CASES = {
         "distribution", "--patterns", P4, "--input", "0011", "--mask", "1,3",
         "--b", "2",
     ),
+    "distribution_p24": (
+        "distribution", "--patterns", P24, "--input",
+        "011101000100100111001001", "--b", "3",
+    ),
+    "distribution_p24_masked": (
+        "distribution", "--patterns", P24, "--input",
+        "011101000100100111001001", "--mask", "0,1,2,3,5,8,13,21,22,23",
+        "--b", "2",
+    ),
+    "store_dry_run_p24": ("store", "--patterns", P24, "--dry-run"),
     "thermo": (
         "thermo", "--d-over-n", "0.1", "--n", "1000", "--b-grid", "1,10,100",
     ),

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qamem.patterns import (
     DuplicatePatternError,
@@ -172,3 +174,96 @@ class TestFileIO:
         f.write_text("01")
         with pytest.raises(PatternError):
             read_pattern_file(f)
+
+
+def first_file_error(lines):
+    """(error type, line number) of the first bad line, checked one line at
+    a time as the parser has always done; (None, None) for a good file."""
+    seen = set()
+    for lineno, line in enumerate(lines, start=1):
+        if not line:
+            return PatternError, lineno
+        if line.strip("01"):
+            return NonBinaryError, lineno
+        if len(line) != len(lines[0]):
+            return RaggedFileError, lineno
+        if line in seen:
+            return DuplicatePatternError, lineno
+        seen.add(line)
+    return None, None
+
+
+@st.composite
+def good_lines(draw, max_n=8, max_p=12):
+    n = draw(st.integers(1, max_n))
+    keys = draw(
+        st.lists(st.integers(0, 2**n - 1), min_size=1, max_size=max_p, unique=True)
+    )
+    return [str(Pattern.from_key(k, n)) for k in keys]
+
+
+@st.composite
+def faulty_lines(draw):
+    """A good file with one planted fault at a drawn line."""
+    lines = draw(good_lines())
+    fault = draw(st.sampled_from(["blank", "non-binary", "ragged", "duplicate"]))
+    k = draw(st.integers(0, len(lines)))
+    if fault == "blank":
+        lines.insert(k, "")
+    elif fault == "duplicate":
+        lines.insert(k, lines[draw(st.integers(0, len(lines) - 1))])
+    elif fault == "ragged":
+        n = len(lines[0])
+        size = draw(st.integers(1, n + 2).filter(lambda size: size != n))
+        lines.insert(k, draw(st.text("01", min_size=size, max_size=size)))
+    else:  # a character replaced, or inserted so that the line is ragged too
+        k = min(k, len(lines) - 1)
+        j = draw(st.integers(0, len(lines[k]) - 1))
+        rest = lines[k][j + draw(st.integers(0, 1)) :]
+        lines[k] = lines[k][:j] + draw(st.sampled_from("2a x\t")) + rest
+    return lines
+
+
+class TestBitMatrixSet:
+    @settings(max_examples=200, deadline=None)
+    @given(lines=faulty_lines())
+    def test_planted_fault_reported_at_first_bad_line(self, tmp_path_factory, lines):
+        f = tmp_path_factory.mktemp("faulty") / "p.txt"
+        f.write_text("".join(line + "\n" for line in lines))
+        err, lineno = first_file_error(lines)
+        assert err is not None
+        with pytest.raises(PatternError) as exc_info:
+            read_pattern_file(f)
+        assert type(exc_info.value) is err
+        assert f"{f}:{lineno}: " in str(exc_info.value)
+
+    @settings(max_examples=100, deadline=None)
+    @given(lines=good_lines())
+    def test_views_agree(self, tmp_path_factory, lines):
+        f = tmp_path_factory.mktemp("good") / "p.txt"
+        f.write_text("".join(line + "\n" for line in lines))
+        read = read_pattern_file(f)
+        built = PatternSet(tuple(P(s) for s in lines))
+        for ps in (read, built):
+            assert ps.bits.dtype == np.uint8
+            assert ps.bits.shape == (len(lines), len(lines[0]))
+            assert not ps.bits.flags.writeable
+            assert ps.strings == tuple(lines)
+            assert ps.patterns == tuple(P(s) for s in lines)
+            assert ps.bits.tolist() == [list(pat.bits) for pat in ps.patterns]
+            assert (ps.p, ps.n) == ps.bits.shape
+        # equal sets compare and hash equal, whichever way they were built
+        assert read == built and hash(read) == hash(built)
+        assert len({read, built}) == 1
+        if len(lines) > 1:
+            swapped = PatternSet(tuple(P(s) for s in lines[1:] + lines[:1]))
+            assert swapped != read
+
+    def test_value_semantics(self):
+        a = PatternSet((P("01"), P("10")))
+        assert a == PatternSet((P("01"), P("10")))
+        assert a != PatternSet((P("01"),))
+        assert a != PatternSet((P("011"), P("100")))
+        assert a != PatternSet((P("10"), P("01")))
+        assert a != (P("01"), P("10"))
+        assert list(a) == [P("01"), P("10")] and a[1] == P("10")

@@ -7,7 +7,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qamem import retrieval
-from qamem.patterns import Mask, Pattern, PatternSet, hamming
+from qamem.patterns import (
+    Mask,
+    Pattern,
+    PatternError,
+    PatternSet,
+    hamming,
+    hamming_masked,
+)
 from qamem.retrieval import (
     MAX_AMPLIFY_GATES,
     RetrievalConfig,
@@ -225,6 +232,84 @@ class TestMasked:
             assert sim.probs.get(pat, 0.0) == pytest.approx(
                 ana.probs[pat], abs=1e-9
             )
+
+
+def loop_distribution(pattern_set, x, b, mask=None):
+    """The closed form as one Python loop over the stored patterns: the
+    per-pair Hamming distance, then cos^{2b} with an exact zero at d = n."""
+    n, p = pattern_set.n, pattern_set.p
+    if mask is None:
+        distances = [hamming(x, pat) for pat in pattern_set]
+    else:
+        distances = [hamming_masked(x, pat, mask) for pat in pattern_set]
+    weights = [
+        0.0 if d == n and b > 0 else math.cos(math.pi * d / (2 * n)) ** (2 * b)
+        for d in distances
+    ]
+    Z = sum(weights)
+    if Z > 0:
+        probs = {pat: w / Z for pat, w in zip(pattern_set, weights)}
+    else:
+        probs = {pat: 0.0 for pat in pattern_set}
+    return Z / p, Z, probs
+
+
+class TestBitMatrixClosedForm:
+    """The bit-matrix closed form equals the per-pattern loop bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(1, 12),
+        b=st.integers(0, 4),
+        masked=st.booleans(),
+        far=st.booleans(),
+    )
+    def test_matches_loop_exactly(self, data, n, b, masked, far):
+        keys = data.draw(
+            st.lists(st.integers(0, 2**n - 1), min_size=1, max_size=40, unique=True)
+        )
+        ps = PatternSet(tuple(Pattern.from_key(k, n) for k in keys))
+        if far:  # some stored pattern at distance n
+            x = ps[data.draw(st.integers(0, ps.p - 1))].complement()
+        else:
+            x = Pattern.from_key(data.draw(st.integers(0, 2**n - 1)), n)
+        mask = None
+        if masked:
+            mask = Mask(frozenset(data.draw(st.sets(st.integers(0, n - 1), min_size=1))))
+        dist = analytic_distribution(ps, x, b, mask)
+        p_rec, Z, probs = loop_distribution(ps, x, b, mask)
+        assert dist.p_rec == p_rec and dist.Z == Z
+        assert list(dist.probs.items()) == list(probs.items())
+        assert dist.prob_array.tolist() == list(probs.values())
+
+    def test_input_and_mask_checked(self):
+        ps = S("010", "111")
+        with pytest.raises(PatternError, match="length mismatch: 2 != 3"):
+            analytic_distribution(ps, P("01"), 1)
+        with pytest.raises(PatternError, match="out of range"):
+            analytic_distribution(ps, P("011"), 1, Mask.of(0, 3))
+
+    def test_law_is_shared_and_read_only(self):
+        """Every report of one query carries the same memoised law."""
+        ps, x = S("0110", "1011", "0001"), P("0111")
+        calls = []
+        real = retrieval.analytic_distribution
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        config = RetrievalConfig(b=2, T=2)
+        rng = np.random.default_rng(4)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(retrieval, "analytic_distribution", counted)
+            reports = [retrieve(ps, x, config, rng) for _ in range(30)]
+        assert len(calls) == 1
+        assert all(r.analytic is reports[0].analytic for r in reports)
+        assert reports[0].analytic_dist == loop_distribution(ps, x, 2)[2]
+        with pytest.raises(TypeError):
+            reports[0].analytic_dist[P("0110")] = 1.0
 
 
 class TestLowerBound:
