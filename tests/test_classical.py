@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qamem import classical
 from qamem.classical import (
     ClassicalError,
     _hebb_net,
@@ -261,3 +262,13 @@ class TestCapacity:
     def test_argument_validation(self, n, alphas, trials, message):
         with pytest.raises(ClassicalError, match=message):
             capacity_experiment_seeded(n, alphas, trials, corruption=0.0, seed=0)
+
+    def test_trial_size_limit(self, monkeypatch):
+        # alpha = 4 at n = 500 fits under the limit and runs
+        table = capacity_experiment_seeded(500, (4.0,), 1, corruption=0.05, seed=0)
+        assert table.rows[0].p == 2000
+        # p*n + n*n at the limit is allowed, one pattern more is refused
+        monkeypatch.setattr(classical, "MAX_CAPACITY_ELEMENTS", 50 * 150 + 50 * 50)
+        assert capacity_experiment_seeded(50, (3.0,), 1, 0.0, seed=0).rows[0].p == 150
+        with pytest.raises(ClassicalError, match="n=50, alpha=3.02: .* limit of 10000"):
+            capacity_experiment_seeded(50, (0.1, 3.02), 1, 0.0, seed=0)
