@@ -95,8 +95,8 @@ class PatternSet:
 
     ``bits`` is the read-only (p, n) ``uint8`` matrix of the set: row k is
     pattern k, column j its bit j.  Equality and hash are by value, over
-    the matrix (so over n, p and the order).  ``patterns`` and ``strings``
-    are built from it on first use.
+    the matrix (so over n, p and the order), and no attribute can be
+    assigned.  ``patterns`` and ``strings`` are built from it on first use.
     """
 
     def __init__(self, patterns):
@@ -106,11 +106,12 @@ class PatternSet:
         n = patterns[0].n
         if any(p.n != n for p in patterns):
             raise RaggedFileError("patterns must all have the same length")
-        if len(set(patterns)) != len(patterns):
+        rows = [bytes(p.bits) for p in patterns]
+        if len(set(rows)) != len(rows):
             raise DuplicatePatternError("pattern set contains duplicates")
         if len(patterns) > 2**n:
             raise PatternError("more patterns than basis states")
-        self._set_bits(np.array([p.bits for p in patterns], dtype=np.uint8))
+        self._set_bits(np.frombuffer(b"".join(rows), np.uint8).reshape(-1, n))
         self.__dict__["patterns"] = patterns
 
     @classmethod
@@ -123,8 +124,14 @@ class PatternSet:
 
     def _set_bits(self, bits: np.ndarray) -> None:
         bits.flags.writeable = False
-        self.bits = bits
-        self._hash = hash((bits.shape, bits.tobytes()))
+        self.__dict__["bits"] = bits
+        self.__dict__["_hash"] = hash((bits.shape, bits.tobytes()))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {name!r}: PatternSet is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: PatternSet is immutable")
 
     @cached_property
     def patterns(self) -> tuple[Pattern, ...]:

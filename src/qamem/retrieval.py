@@ -73,14 +73,18 @@ class RetrievalConfig:
 class Distribution:
     """Recognition probability and the law of the post-selected output.
 
-    Output ``support[k]`` has probability ``prob_array[k]``; for the closed
-    form the support is the pattern set itself, in stored order.
+    Output ``support[k]`` has probability ``prob_array[k]``, which is made
+    read-only; for the closed form the support is the pattern set itself,
+    in stored order.
     """
 
     p_rec: float
     Z: float
     support: Sequence[Pattern]
     prob_array: np.ndarray
+
+    def __post_init__(self):
+        self.prob_array.flags.writeable = False
 
     @cached_property
     def probs(self) -> Mapping[Pattern, float]:
@@ -294,13 +298,6 @@ class SamplingTable:
         return self.values[min(i, len(self.values) - 1)]
 
 
-def prepare_sampling(
-    pattern_set: PatternSet, input_pattern: Pattern, config: RetrievalConfig
-) -> SamplingTable:
-    """Prepare the final state of a retrieval once and tabulate its outcomes."""
-    return _prepared(pattern_set, input_pattern, config)[1]
-
-
 def _prepared(
     pattern_set: PatternSet, input_pattern: Pattern, config: RetrievalConfig
 ) -> tuple[Distribution, SamplingTable]:
@@ -308,7 +305,9 @@ def _prepared(
 
     Each live pattern set keeps those of its most recent (input, b, mask,
     input register, mode), so Monte-Carlo loops over one query compute
-    them once; ``T`` enters neither.
+    them once; ``T`` enters neither.  The memo holds the closed form
+    without its support, which is the set itself: a value that referred
+    to its key would keep the key alive.
     """
     key = (input_pattern, config.b, config.mask, config.use_input_register, config.mode)
     held = _LAST_TABLE.get(pattern_set)
@@ -317,12 +316,15 @@ def _prepared(
             pattern_set, input_pattern, config.b, config.mask
         )
         table = _sampling_table(pattern_set, analytic.p_rec, *key)
-        held = _LAST_TABLE[pattern_set] = (key, analytic, table)
-    return held[1], held[2]
+        law = (analytic.p_rec, analytic.Z, analytic.prob_array)
+        _LAST_TABLE[pattern_set] = (key, law, table)
+        return analytic, table
+    _, (p_rec, Z, prob_array), table = held
+    return Distribution(p_rec, Z, pattern_set, prob_array), table
 
 
-#: pattern set -> (query key, closed form, sampling table); entries die with
-#: their set
+#: pattern set -> (query key, (p_rec, Z, prob_array), sampling table);
+#: entries die with their set
 _LAST_TABLE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -369,7 +371,8 @@ def retrieve(
     fresh control measurement from it: one draw per attempt, then one draw
     for the memory register of a recognized attempt.  In
     ``amplitude_amplify`` mode the prepared state is the amplified one.
-    Every report of one query shares its closed form, read-only.
+    Every report of one query shares the arrays of its closed form,
+    read-only.
     """
     analytic, table = _prepared(pattern_set, input_pattern, config)
     for attempt in range(1, config.T + 1):

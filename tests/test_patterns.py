@@ -267,3 +267,12 @@ class TestBitMatrixSet:
         assert a != PatternSet((P("10"), P("01")))
         assert a != (P("01"), P("10"))
         assert list(a) == [P("01"), P("10")] and a[1] == P("10")
+        for name in ("bits", "patterns", "strings", "_hash"):
+            with pytest.raises(AttributeError):
+                setattr(a, name, None)
+            with pytest.raises(AttributeError):
+                delattr(a, name)
+        with pytest.raises(ValueError):
+            a.bits[0, 0] = 1
+        b = PatternSet((P("01"), P("10")))
+        assert a == b and hash(a) == hash(b)

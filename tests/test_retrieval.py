@@ -1,5 +1,7 @@
+import gc
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -27,7 +29,6 @@ from qamem.retrieval import (
     optimal_iterations,
     preparation_circuit,
     prepare_final_state,
-    prepare_sampling,
     recognition_lower_bound,
     retrieval_layout,
     retrieval_round_circuit,
@@ -234,6 +235,11 @@ class TestMasked:
             )
 
 
+def sampling_table(pattern_set, x, config):
+    """The memoised sampling table that retrieve draws from."""
+    return retrieval._prepared(pattern_set, x, config)[1]
+
+
 def loop_distribution(pattern_set, x, b, mask=None):
     """The closed form as one Python loop over the stored patterns: the
     per-pair Hamming distance, then cos^{2b} with an exact zero at d = n."""
@@ -306,10 +312,29 @@ class TestBitMatrixClosedForm:
             mp.setattr(retrieval, "analytic_distribution", counted)
             reports = [retrieve(ps, x, config, rng) for _ in range(30)]
         assert len(calls) == 1
-        assert all(r.analytic is reports[0].analytic for r in reports)
-        assert reports[0].analytic_dist == loop_distribution(ps, x, 2)[2]
+        law = reports[0].analytic
+        assert all(r.analytic.prob_array is law.prob_array for r in reports)
+        assert all(r.analytic.support is ps for r in reports)
+        assert reports[-1].analytic_dist == loop_distribution(ps, x, 2)[2]
         with pytest.raises(TypeError):
             reports[0].analytic_dist[P("0110")] = 1.0
+        with pytest.raises(ValueError):
+            law.prob_array[0] = 1.0
+        simulated = simulate_distribution(ps, x, 2)
+        with pytest.raises(ValueError):
+            simulated.prob_array[0] = 1.0
+
+    @pytest.mark.parametrize("mode", ["repeat_measure", "amplitude_amplify"])
+    def test_memo_dies_with_its_set(self, mode):
+        """The per-set memo keeps neither the set nor its closed form alive."""
+        ps = S("0110", "1011", "0001")
+        retrieve(ps, P("0111"), RetrievalConfig(b=2, mode=mode), np.random.default_rng(0))
+        assert ps in retrieval._LAST_TABLE
+        ref = weakref.ref(ps)
+        del ps
+        gc.collect()
+        assert ref() is None
+        assert len(retrieval._LAST_TABLE) == 0
 
 
 class TestLowerBound:
@@ -456,8 +481,8 @@ class TestPreparedSampling:
             retrieve(ps, x, config, rng)
         assert len(calls) == 5
         # the mode enters the state: p_rec = 0.064 here, amplified 3 times
-        repeat = prepare_sampling(ps, P("0000"), RetrievalConfig(b=3))
-        amplified = prepare_sampling(
+        repeat = sampling_table(ps, P("0000"), RetrievalConfig(b=3))
+        amplified = sampling_table(
             ps, P("0000"), RetrievalConfig(b=3, mode="amplitude_amplify")
         )
         assert len(calls) == 6
@@ -497,7 +522,7 @@ class TestWideLayouts:
             assert abs(sim.probs[pat] - ana.probs[pat]) < 1e-12
 
         config = RetrievalConfig(b=b, T=4, use_input_register=use_input_register)
-        table = prepare_sampling(ps, inp, config)
+        table = sampling_table(ps, inp, config)
         assert abs(table.p_zero - ana.p_rec) < 1e-12
         probs = np.diff((0.0,) + table.cdf)
         want = [ana.probs[Pattern.from_key(v, n)] for v in table.values]
@@ -597,7 +622,7 @@ class TestAmplification:
 
         # retrieve's amplify mode samples from the optimally amplified state
         config = RetrievalConfig(b=b, mode="amplitude_amplify", mask=mask)
-        table = prepare_sampling(ps, inp, config)
+        table = sampling_table(ps, inp, config)
         best = math.sin((2 * optimal_iterations(ana.p_rec) + 1) * theta) ** 2
         assert table.p_zero == pytest.approx(best, abs=1e-9)
         check_memory(dict(zip(table.values, np.diff((0.0,) + table.cdf))))
