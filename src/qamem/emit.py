@@ -10,30 +10,55 @@ def format_float(x: float) -> str:
     return format(x, ".17g")
 
 
+def _string(obj) -> str:
+    return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+#: text of each scalar type, looked up by exact type
+_SCALARS = {
+    float: format_float,
+    int: str,
+    str: _string,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda obj: "null",
+}
+
+
 def emit_json(obj, indent: int = 0) -> str:
-    """Minimal JSON emitter printing floats with 17 significant digits."""
+    """Minimal JSON emitter printing floats with 17 significant digits.
+
+    Scalars of the exact types in ``_SCALARS`` take one table lookup, also
+    as the items of a container, which recurse only into containers.
+    """
+    get = _SCALARS.get
+    text = get(type(obj))
+    if text is not None:
+        return text(obj)
     pad = "  " * indent
-    inner = "  " * (indent + 1)
+    sep = ",\n" + pad + "  "
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         items = [
-            f'{inner}"{key}": {emit_json(value, indent + 1)}'
-            for key, value in obj.items()
+            f'"{key}": '
+            + (t(v) if (t := get(type(v))) is not None else emit_json(v, indent + 1))
+            for key, v in obj.items()
         ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+        return "{\n" + pad + "  " + sep.join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [inner + emit_json(value, indent + 1) for value in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, bool) or obj is None:
-        return {True: "true", False: "false", None: "null"}[obj]
+        items = [
+            t(v) if (t := get(type(v))) is not None else emit_json(v, indent + 1)
+            for v in obj
+        ]
+        return "[\n" + pad + "  " + sep.join(items) + "\n" + pad + "]"
+    # subclasses of the scalar types, such as numpy floats, and other objects
     if isinstance(obj, float):
         return format_float(obj)
     if isinstance(obj, int):
         return str(obj)
-    return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return _string(obj)
 
 
 def csv_text(header, rows) -> str:

@@ -224,16 +224,7 @@ def preparation_circuit(
     if input_pattern.n != pattern_set.n:
         raise RetrievalError("input length does not match stored patterns")
     offset = layout.offset("memory")
-    gates = [
-        Gate(
-            g.kind,
-            tuple(t + offset for t in g.targets),
-            tuple(c + offset for c in g.controls),
-            g.param,
-            g.polarity,
-        )
-        for g in build_memory_circuit(pattern_set).gates
-    ]
+    gates = [g.shifted(offset) for g in build_memory_circuit(pattern_set).gates]
     for c in range(layout.width("control")):
         gates += retrieval_round_circuit(input_pattern, layout, c, mask).gates
     return Circuit(tuple(gates), layout)

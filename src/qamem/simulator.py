@@ -15,10 +15,23 @@ whole-array operations and runs unchanged on both key types:
   bit into the keys whose controls match;
 * diagonal gates (``PHASE0``, ``FLIP0``) multiply the matching amplitudes;
 * mixing gates (``H``, ``CS``, ``ROTY``) emit both target branches of the
-  keys whose controls match, merge equal keys with a sort-and-reduce, and
+  keys whose controls match, merge equal keys with one stable sort, and
   drop amplitudes below :data:`PRUNE_THRESHOLD`.  ``ROTY(0)`` is the
-  identity and returns its input unchanged; it stays in its circuit, so
+  identity and leaves both arrays as they are; it stays in its circuit, so
   gate counts stay honest.
+
+One kernel runs a sequence of gates on the ``(key_array, amp_array)`` pair;
+:func:`apply` hands it one gate and :func:`apply_circuit` a whole circuit,
+and only the final arrays become a :class:`SparseState`.  When a controlled
+mixing gate meets a state on which only some keys satisfy its controls, the
+kernel splits the keys once, runs that gate and every following gate with
+the same controls (the same ``cmask`` and ``cwant``) on the active keys with
+no control test, and puts ``idle + active`` back together once at the end
+of the run.  No gate targets one of its own controls, so the active keys
+stay active through the run, and the idle keys end in front in their old
+order: the result is the one gate-by-gate application gives, key order and
+amplitude bits included.  The memory loaders are such runs: n rotations on
+one control qubit that holds on a single key.
 
 Marginals, post-selection and grouping read a section's value for all keys
 at once from the layout's precomputed offsets.  ``state.amps`` is a
@@ -56,6 +69,7 @@ PRUNE_THRESHOLD = 1e-12
 INT64_KEY_QUBITS = 63
 
 _PERMUTATION_KINDS = {"NOT", "XOR", "TOFFOLI", "NXOR"}
+_MIXING_KINDS = {"H", "CS", "ROTY"}
 _VALID_KINDS = {"NOT", "H", "XOR", "TOFFOLI", "NXOR", "CS", "PHASE0", "ROTY", "FLIP0"}
 
 
@@ -115,11 +129,13 @@ class Gate:
     # per-control required values for NXOR; all-ones when None
     polarity: tuple[int, ...] | None = None
     # derived: bit masks of the targets and the controls, the control values
-    # that activate the gate, and the highest qubit index
+    # that activate the gate, the highest qubit index, and the read-only 2x2
+    # matrix of a mixing gate (H, CS, nonzero ROTY; None for every other gate)
     tmask: int = field(init=False, repr=False, compare=False)
     cmask: int = field(init=False, repr=False, compare=False)
     cwant: int = field(init=False, repr=False, compare=False)
     top: int = field(init=False, repr=False, compare=False)
+    matrix: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in _VALID_KINDS:
@@ -152,22 +168,60 @@ class Gate:
         object.__setattr__(self, "cmask", cmask)
         object.__setattr__(self, "cwant", cwant)
         object.__setattr__(self, "top", (tmask | cmask).bit_length() - 1)
+        object.__setattr__(self, "matrix", _mixing_matrix(self))
 
     def inverse(self) -> "Gate":
-        if self.kind in ("NOT", "H", "XOR", "TOFFOLI", "NXOR", "FLIP0"):
-            return self
-        # CS^i, PHASE0 and ROTY invert by negating the parameter
-        if self.kind in ("CS", "PHASE0", "ROTY"):
-            return Gate(
-                self.kind, self.targets, self.controls, -self.param, self.polarity
-            )
-        raise SimulatorError(f"no inverse for {self.kind}")
+        if self.kind not in ("CS", "PHASE0", "ROTY"):
+            return self  # NOT, H, XOR, TOFFOLI, NXOR and FLIP0
+        # CS^i, PHASE0 and ROTY invert by negating the parameter, and a real
+        # rotation by transposing its matrix
+        matrix = None if self.matrix is None else self.matrix.T
+        return self._variant(
+            self.targets, self.controls, -self.param,
+            self.tmask, self.cmask, self.cwant, self.top, matrix,
+        )
+
+    def shifted(self, offset: int) -> "Gate":
+        """The same gate on the qubits ``offset`` places higher."""
+        if offset < 0:
+            raise SimulatorError(f"negative shift {offset}")
+        return self._variant(
+            tuple(t + offset for t in self.targets),
+            tuple(c + offset for c in self.controls),
+            self.param,
+            self.tmask << offset,
+            self.cmask << offset,
+            self.cwant << offset,
+            ((self.tmask | self.cmask) << offset).bit_length() - 1,
+            self.matrix,
+        )
+
+    def _variant(self, targets, controls, param, tmask, cmask, cwant, top, matrix):
+        """A gate of this kind and polarity with every other field given,
+        made without ``__post_init__``: for the inverse and the shift of a
+        validated gate, which keep its checks true."""
+        gate = object.__new__(Gate)
+        _SET["kind"](gate, self.kind)
+        _SET["targets"](gate, targets)
+        _SET["controls"](gate, controls)
+        _SET["param"](gate, param)
+        _SET["polarity"](gate, self.polarity)
+        _SET["tmask"](gate, tmask)
+        _SET["cmask"](gate, cmask)
+        _SET["cwant"](gate, cwant)
+        _SET["top"](gate, top)
+        _SET["matrix"](gate, matrix)
+        return gate
 
     def dump(self) -> str:
         param = "" if self.param is None else f"({self.param:g})"
         ctrl = ",".join(str(c) for c in self.controls)
         tgt = ",".join(str(t) for t in self.targets)
         return f"{self.kind}{param} {ctrl} -> {tgt}"
+
+
+#: setters of Gate's slots, which bypass the frozen ``__setattr__``
+_SET = {name: getattr(Gate, name).__set__ for name in Gate.__slots__}
 
 
 def not_gate(target: int) -> Gate:
@@ -230,6 +284,16 @@ def gate_matrix(gate: Gate):
     if gate.kind == "NOT":
         return ((0.0, 1.0), (1.0, 0.0))
     raise SimulatorError(f"{gate.kind} has no single-qubit matrix")
+
+
+def _mixing_matrix(gate: Gate):
+    """:func:`gate_matrix` as a read-only array for H, CS and a nonzero ROTY;
+    None for every other gate, ``ROTY(0)`` included."""
+    if gate.kind not in _MIXING_KINDS or (gate.kind == "ROTY" and gate.param == 0):
+        return None
+    matrix = np.array(gate_matrix(gate))
+    matrix.flags.writeable = False
+    return matrix
 
 
 @dataclass(frozen=True)
@@ -361,6 +425,18 @@ def basis_state(layout: RegisterLayout, bits) -> SparseState:
     return SparseState(layout, {key: 1.0 + 0.0j})
 
 
+def _run_starts(ordered):
+    """Start of each run of equal values in the sorted array ``ordered``, or
+    None when its values are distinct."""
+    if len(ordered) > 1:
+        new = np.empty(len(ordered), dtype=bool)
+        new[0] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+        if np.count_nonzero(new) < len(new):
+            return new.nonzero()[0]
+    return None
+
+
 def group_sum(labels, weights):
     """Sort labels and sum weights (along their last axis) over equal labels.
 
@@ -369,34 +445,85 @@ def group_sum(labels, weights):
     """
     order = np.argsort(labels, kind="stable")
     labels, weights = labels[order], weights[..., order]
-    if len(labels) > 1:
-        new = np.empty(len(labels), dtype=bool)
-        new[0] = True
-        np.not_equal(labels[1:], labels[:-1], out=new[1:])
-        if np.count_nonzero(new) < len(new):
-            starts = new.nonzero()[0]
-            labels = labels[starts]
-            weights = np.add.reduceat(weights, starts, axis=-1)
+    starts = _run_starts(labels)
+    if starts is not None:
+        labels = labels[starts]
+        weights = np.add.reduceat(weights, starts, axis=-1)
     return labels, weights
 
 
 def _mix(keys, amps, gate: Gate):
-    """H, CS or ROTY on keys whose controls are all active: both branches of
-    the target, equal keys merged, small amplitudes pruned."""
-    (m00, m01), (m10, m11) = gate_matrix(gate)
+    """H, CS or a nonzero ROTY on keys whose controls all hold: both branches
+    of the target, equal keys merged, small amplitudes pruned."""
     t = gate.tmask
     column = ((keys & t) != 0).view(np.uint8)
     low = keys & ~t
-    branches = amps * np.array(((m00, m01), (m10, m11)))[:, column]
-    # both keys of a pair present: their branches land on the same keys
+    branches = amps * gate.matrix[:, column]
+    # both keys of a pair present: their branches land on the same keys,
+    # which are summed as group_sum sums them; distinct keys keep their order
     if len(low) > 1:
-        ordered = np.sort(low)
-        if np.count_nonzero(ordered[1:] == ordered[:-1]):
-            low, branches = group_sum(low, branches)
+        order = np.argsort(low, kind="stable")
+        ordered = low[order]
+        starts = _run_starts(ordered)
+        if starts is not None:
+            low = ordered[starts]
+            branches = np.add.reduceat(branches[:, order], starts, axis=-1)
     keys, amps = np.concatenate((low, low | t)), branches.ravel()
     keep = np.abs(amps) >= PRUNE_THRESHOLD
     if np.count_nonzero(keep) < len(keep):
         keys, amps = keys[keep], amps[keep]
+    return keys, amps
+
+
+def _step(keys, amps, gate: Gate, cmask: int, cwant: int):
+    """One gate on the arrays, testing the controls ``cmask``/``cwant``: the
+    gate's own, or 0/0 on keys known to satisfy them.  A mixing gate comes
+    here only with no controls left to test."""
+    kind = gate.kind
+    if kind in _PERMUTATION_KINDS:
+        flipped = keys ^ gate.tmask
+        if cmask:
+            flipped = np.where((keys & cmask) == cwant, flipped, keys)
+        return flipped, amps
+    if kind == "FLIP0":
+        zero = (keys & gate.tmask) == 0
+        return keys, np.where(zero, -amps, amps)
+    if kind == "PHASE0":
+        # controls active and target |0>
+        hit = (keys & (cmask | gate.tmask)) == cwant
+        phase = cmath.exp(1j * gate.param)
+        return keys, np.where(hit, amps * phase, amps)
+    if gate.matrix is None:  # ROTY(0)
+        return keys, amps
+    return _mix(keys, amps, gate)
+
+
+def _run(keys, amps, gates):
+    """The gate kernel: ``gates`` in order on parallel key and amplitude
+    arrays, one control split per run of gates (see the module docstring)."""
+    i, end = 0, len(gates)
+    while i < end:
+        gate = gates[i]
+        cmask, cwant = gate.cmask, gate.cwant
+        if gate.matrix is None or not cmask:
+            keys, amps = _step(keys, amps, gate, cmask, cwant)
+            i += 1
+            continue
+        j = i + 1
+        while j < end and gates[j].cmask == cmask and gates[j].cwant == cwant:
+            j += 1
+        active = (keys & cmask) == cwant
+        split = np.count_nonzero(active) < len(active)
+        if split:
+            idle = ~active
+            idle_keys, idle_amps = keys[idle], amps[idle]
+            keys, amps = keys[active], amps[active]
+        for g in gates[i:j]:
+            keys, amps = _step(keys, amps, g, 0, 0)
+        if split:
+            keys = np.concatenate((idle_keys, keys))
+            amps = np.concatenate((idle_amps, amps))
+        i = j
     return keys, amps
 
 
@@ -405,46 +532,17 @@ def apply(state: SparseState, gate: Gate) -> SparseState:
     n = state.n_qubits
     if gate.top >= n:
         raise SimulatorError(f"gate {gate.dump()} out of range for N={n}")
-    keys, amps = state.key_array, state.amp_array
-    kind = gate.kind
-
-    if kind in _PERMUTATION_KINDS:
-        flipped = keys ^ gate.tmask
-        if gate.cmask:
-            flipped = np.where((keys & gate.cmask) == gate.cwant, flipped, keys)
-        return SparseState.from_arrays(state.layout, flipped, amps)
-
-    if kind == "FLIP0":
-        zero = (keys & gate.tmask) == 0
-        return SparseState.from_arrays(state.layout, keys, np.where(zero, -amps, amps))
-
-    if kind == "PHASE0":
-        # controls active and target |0>
-        hit = (keys & (gate.cmask | gate.tmask)) == gate.cwant
-        phase = cmath.exp(1j * gate.param)
-        return SparseState.from_arrays(
-            state.layout, keys, np.where(hit, amps * phase, amps)
-        )
-
-    if kind == "ROTY" and gate.param == 0:
-        return state
-    if gate.cmask:
-        active = (keys & gate.cmask) == gate.cwant
-        if np.count_nonzero(active) < len(active):
-            idle = ~active
-            mixed_keys, mixed_amps = _mix(keys[active], amps[active], gate)
-            keys = np.concatenate((keys[idle], mixed_keys))
-            amps = np.concatenate((amps[idle], mixed_amps))
-            return SparseState.from_arrays(state.layout, keys, amps)
-    return SparseState.from_arrays(state.layout, *_mix(keys, amps, gate))
+    keys, amps = _run(state.key_array, state.amp_array, (gate,))
+    return SparseState.from_arrays(state.layout, keys, amps)
 
 
 def apply_circuit(state: SparseState, circuit: Circuit) -> SparseState:
+    """Apply every gate of a circuit, returning a new pruned state; the
+    circuit checked its gates' range against its layout when it was built."""
     if circuit.layout != state.layout:
         raise SimulatorError("circuit layout does not match state layout")
-    for gate in circuit.gates:
-        state = apply(state, gate)
-    return state
+    keys, amps = _run(state.key_array, state.amp_array, circuit.gates)
+    return SparseState.from_arrays(state.layout, keys, amps)
 
 
 def overlap(a: SparseState, b: SparseState) -> complex:

@@ -220,6 +220,21 @@ class TransitionScan:
         )
 
 
+#: largest n that :func:`scan_transition` and :func:`tune` accept: their
+#: arrays hold one entry per distance d..n, bounded like the 10^7 elements
+#: of classical.MAX_CAPACITY_ELEMENTS
+MAX_N = 10**7
+
+
+def _check_n(n) -> None:
+    """Reject n outside [1, MAX_N], comparing exactly before any float of n
+    is formed."""
+    if n < 1:
+        raise ThermoError(f"n must be >= 1, got {n}")
+    if n > MAX_N:
+        raise ThermoError(f"n must be <= MAX_N = {MAX_N}, got {n}")
+
+
 def scan_transition(d_over_n: float, n: int, b_grid) -> TransitionScan:
     """Scan the order/disorder transition over an ascending grid of b values.
 
@@ -228,8 +243,7 @@ def scan_transition(d_over_n: float, n: int, b_grid) -> TransitionScan:
     """
     if not 0.0 <= d_over_n <= 1.0:  # NaN fails the comparison too
         raise ThermoError(f"d_over_n must be finite and in [0, 1], got {d_over_n}")
-    if n < 1:
-        raise ThermoError(f"n must be >= 1, got {n}")
+    _check_n(n)
     b_grid = list(b_grid)
     if not b_grid:
         raise ThermoError("empty b grid")
@@ -274,8 +288,7 @@ def tune(epsilon: float, nu: float, n: int) -> TuneResult:
         raise ThermoError("epsilon must be in (0, 1)")
     if not 0.0 <= nu <= 1.0:
         raise ThermoError("nu must be in [0, 1]")
-    if n < 1:
-        raise ThermoError(f"n must be >= 1, got {n}")
+    _check_n(n)
     d = round(epsilon * n)
     levels = _Levels(d, n)
     points: dict[int, ThermoPoint] = {}

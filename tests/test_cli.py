@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import qamem
 from qamem import retrieval
 from qamem.classical import MAX_CAPACITY_ELEMENTS
+from qamem.thermo import MAX_N
 from qamem.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
@@ -532,6 +533,8 @@ def assert_accepted(*argv):
 
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+# above thermo.MAX_N: just above it, far above it, and past the float range
+TOO_LARGE_N = st.integers(MAX_N + 1, MAX_N + 10) | st.integers(MAX_N + 1, 10**30) | st.just(10**400)
 POSITIVE = st.floats(0.01, 1e4)
 
 
@@ -603,7 +606,7 @@ class TestBoundaryProperties:
     @settings(max_examples=100, deadline=None)
     @given(
         flag_value=st.one_of(
-            st.tuples(st.just("--n"), st.integers(max_value=0)),
+            st.tuples(st.just("--n"), st.integers(max_value=0) | TOO_LARGE_N),
             st.tuples(st.just("--d-over-n"), NON_FINITE),
             st.tuples(st.just("--d-over-n"), st.floats(max_value=0.0, exclude_max=True)),
             st.tuples(st.just("--d-over-n"), st.floats(min_value=1.0, exclude_min=True)),
@@ -611,6 +614,18 @@ class TestBoundaryProperties:
     )
     def test_bad_thermo(self, flag_value):
         assert_rejected(*self.with_option(self.THERMO, *flag_value))
+
+    @pytest.mark.parametrize("command", [THERMO, TUNE])
+    @pytest.mark.parametrize("n", [MAX_N + 1, 10**400])
+    def test_n_above_limit_names_it(self, command, n):
+        code, out, err = run_quiet(self.with_option(command, "--n", n))
+        assert code == EXIT_VALIDATION and out == ""
+        assert err == f"qamem: n must be <= MAX_N = {MAX_N}, got {n}\n"
+
+    def test_n_at_limit_runs(self):
+        # d/n = 0.99 keeps the levels at 10^5 entries
+        argv = self.with_option(self.THERMO, "--n", MAX_N)
+        assert_accepted(*self.with_option(argv, "--d-over-n", "0.99"))
 
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(1, 3000), d_over_n=st.floats(0.0, 0.45))
@@ -621,7 +636,7 @@ class TestBoundaryProperties:
     @settings(max_examples=100, deadline=None)
     @given(
         flag_value=st.one_of(
-            st.tuples(st.just("--n"), st.integers(max_value=0)),
+            st.tuples(st.just("--n"), st.integers(max_value=0) | TOO_LARGE_N),
             st.tuples(st.sampled_from(["--epsilon", "--nu"]), NON_FINITE),
             st.tuples(st.just("--epsilon"), st.floats(max_value=0.0)),
             st.tuples(st.just("--epsilon"), st.floats(min_value=1.0)),

@@ -1,9 +1,12 @@
+import functools
 import itertools
 import math
 from collections.abc import Mapping
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dense_reference import gate_unitary, random_state, run_dense, to_vector
 from qamem.simulator import (
@@ -465,3 +468,125 @@ class TestAmplitudeView:
                 assert set(state.amps) == set(amps)
                 for key, amp in amps.items():
                     assert abs(state.amps[key] - amp) < 1e-14
+
+
+ANGLES = st.floats(-3.2, 3.2, allow_nan=False)
+MIXING = ("H", "CS", "ROTY")
+# a run of gates sharing one control condition: mixing gates, permutation
+# gates, controlled phases and the identity ROTY(0)
+RUN_KINDS = MIXING + ("ROTY0", "PHASE0", "NXOR", "NOT")
+
+
+def draw_gate(draw, kind, target, controls=(), polarity=None):
+    param = None
+    if kind == "CS":
+        param = draw(st.integers(1, 5)) * draw(st.sampled_from((1, -1)))
+    elif kind in ("ROTY", "PHASE0"):
+        param = draw(ANGLES)
+    elif kind == "ROTY0":
+        kind, param = "ROTY", draw(st.sampled_from((0.0, -0.0)))
+    return Gate(kind, (target,), controls, param, polarity)
+
+
+@st.composite
+def runs_of_gates(draw):
+    """(state, circuit): runs of gates that share a control condition, apart
+    or between uncontrolled gates, on a state whose keys all satisfy the
+    first run's condition or only some of them do.  Wide layouts have object
+    keys and use qubits past bit 63."""
+    wide = draw(st.booleans())
+    n = draw(st.integers(64, 70)) if wide else draw(st.integers(3, 7))
+    pool = draw(st.lists(st.integers(0, n - 2), min_size=2, max_size=5, unique=True))
+    pool.append(n - 1)
+    gates, conditions = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            q = draw(st.sampled_from(pool))
+            kind = draw(st.sampled_from(("H", "ROTY", "NOT", "PHASE0", "FLIP0")))
+            if kind == "FLIP0":
+                gates.append(flip0_gate(draw(st.sets(st.sampled_from(pool), min_size=1))))
+            else:
+                gates.append(draw_gate(draw, kind, q))
+        controls = tuple(draw(st.lists(
+            st.sampled_from(pool), min_size=1, max_size=len(pool) - 1, unique=True
+        )))
+        polarity = tuple(draw(st.lists(st.integers(0, 1), min_size=len(controls), max_size=len(controls))))
+        conditions.append((controls, polarity))
+        targets = [q for q in pool if q not in controls]
+        kinds = [draw(st.sampled_from(MIXING))]
+        kinds += draw(st.lists(st.sampled_from(RUN_KINDS), max_size=5))
+        for kind in kinds:
+            target = draw(st.sampled_from(targets))
+            gates.append(draw_gate(draw, kind, target, controls, polarity))
+    layout = flat_layout(n)
+    keys = draw(st.lists(
+        st.lists(st.sampled_from(pool), unique=True).map(lambda bits: sum(1 << q for q in bits)),
+        min_size=1, max_size=12,
+    ))
+    if draw(st.booleans()):  # every key active in the first run
+        controls, polarity = conditions[0]
+        cmask = sum(1 << c for c in controls)
+        cwant = sum(v << c for c, v in zip(controls, polarity))
+        keys = [(k & ~cmask) | cwant for k in keys]
+    keys = list(dict.fromkeys(keys))
+    amps = [complex(draw(ANGLES), draw(ANGLES)) for _ in keys]
+    return SparseState(layout, dict(zip(keys, amps))), Circuit(tuple(gates), layout)
+
+
+class TestRunKernel:
+    """apply_circuit splits the keys once per run of gates with one control
+    condition; the result is the gate-by-gate one, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=runs_of_gates())
+    def test_circuit_matches_folded_apply(self, case):
+        state, circuit = case
+        got = apply_circuit(state, circuit)
+        want = functools.reduce(apply, circuit.gates, state)
+        assert got.key_array.dtype == want.key_array.dtype == state.layout.key_dtype
+        assert got.key_array.tolist() == want.key_array.tolist()
+        assert got.amp_array.tobytes() == want.amp_array.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_inverse_and_shift_match_fresh_gates(self, data):
+        n = data.draw(st.integers(3, 70))
+        qubits = data.draw(st.lists(st.integers(0, n - 1), min_size=3, max_size=3, unique=True))
+        kind = data.draw(st.sampled_from(sorted(RUN_KINDS + ("XOR", "TOFFOLI", "FLIP0"))))
+        if kind == "FLIP0":
+            gate = flip0_gate(qubits)
+        elif kind in ("XOR", "TOFFOLI"):
+            gate = Gate(kind, (qubits[0],), tuple(qubits[1 : 2 if kind == "XOR" else 3]))
+        else:
+            controls = tuple(qubits[1 : data.draw(st.integers(1, 3))])
+            polarity = data.draw(st.sampled_from((None, tuple(c % 2 for c in controls))))
+            gate = draw_gate(data.draw, kind, qubits[0], controls, polarity)
+        offset = data.draw(st.integers(0, 70))
+        param = -gate.param if gate.kind in ("CS", "PHASE0", "ROTY") else gate.param
+        pairs = [
+            (gate.inverse(), Gate(gate.kind, gate.targets, gate.controls, param, gate.polarity)),
+            (gate.shifted(offset), Gate(
+                gate.kind,
+                tuple(t + offset for t in gate.targets),
+                tuple(c + offset for c in gate.controls),
+                gate.param,
+                gate.polarity,
+            )),
+        ]
+        for got, fresh in pairs:
+            assert got == fresh and hash(got) == hash(fresh)
+            for name in ("tmask", "cmask", "cwant", "top"):
+                assert getattr(got, name) == getattr(fresh, name), name
+            if fresh.matrix is None:
+                assert got.matrix is None
+            else:
+                assert not got.matrix.flags.writeable
+                assert got.matrix.tolist() == np.array(gate_matrix(fresh)).tolist()
+                assert got.matrix.tobytes() == fresh.matrix.tobytes()
+        assert gate.inverse().inverse() == gate
+        assert (gate.matrix is None) == (gate.kind not in MIXING or gate.param == 0)
+
+    def test_shift_edges(self):
+        with pytest.raises(SimulatorError):
+            not_gate(1).shifted(-2)
+        assert flip0_gate(()).shifted(3).top == Gate("FLIP0", ()).top == -1
