@@ -62,8 +62,15 @@ def parse_grid(spec: str, name: str) -> list[float]:
             if kind == "log":
                 if lo <= 0:
                     raise ValueError
-                return list(np.logspace(math.log10(lo), math.log10(hi), count))
-            return list(np.linspace(lo, hi, count))
+                points = np.logspace(math.log10(lo), math.log10(hi), count)
+            else:
+                points = np.linspace(lo, hi, count)
+            if not (points[1:] > points[:-1]).all():
+                raise PatternError(
+                    f"bad {name} grid {spec!r}: {kind} grid has repeated points: "
+                    "LO and HI are too close for COUNT"
+                )
+            return list(points)
         values = [float(v) for v in spec.split(",") if v]
         if not values or not all(map(math.isfinite, values)):
             raise ValueError

@@ -8,33 +8,37 @@ other:
 * :func:`build_memory_operator` builds the compact memory circuit acting on
   memory + utility only, whose gate count is exactly ``p*(2n+3) + 1``
   (each controlled pattern-loader counts as n controlled rotations, the
-  per-pattern utility bookkeeping as 3 gates, plus one final NOT).
+  per-pattern utility bookkeeping as 3 gates, plus one initial NOT).
 
 The per-pattern bookkeeping restores the first utility qubit with a
 multi-controlled flip conditioned on the memory register holding the
 pattern currently being processed; an unconditional flip would corrupt the
 branches already stored.  The flip counts as one gate, the same unit-cost
 convention used for the n-controlled NOT of the sequential route.
+
+Both routes are one block of gate rows per pattern, and the blocks differ
+only in parameters, polarities and (sequentially) which register-rewrite
+flips fire.  So each circuit is written as a whole gate table (see
+:class:`~qamem.simulator.Circuit`) with numpy from the pattern set's bit
+matrix: the block's kind and qubit columns tiled p times, and the columns
+that vary filled from the bits.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .patterns import Pattern, PatternSet
 from .simulator import (
+    KIND,
     Circuit,
     RegisterLayout,
     SparseState,
     apply_circuit,
     basis_state,
-    cs_gate,
     group_sum,
-    not_gate,
-    nxor_gate,
-    roty_gate,
-    toffoli_gate,
-    xor_gate,
 )
 
 MEMORY_AMPLITUDE_TOL = 1e-10
@@ -49,44 +53,58 @@ def memory_gate_count(p: int, n: int) -> int:
     return p * (2 * n + 3) + 1
 
 
-def controlled_loader(pattern: Pattern, memory_qubits, control: int):
-    """n controlled rotations taking |0...0> to the pattern when control is set.
-
-    Rotation angle is pi/2 per set bit and 0 per clear bit; the zero-angle
-    rotations are kept so the loader always contributes n gates.
-    """
-    return [
-        roty_gate(math.pi / 2 * b, q, control=control)
-        for q, b in zip(memory_qubits, pattern.bits)
-    ]
-
-
 def build_memory_circuit(
     pattern_set: PatternSet, alternate_signs: bool = False
 ) -> Circuit:
     """Circuit preparing the superposition of stored patterns from |0...0;00>.
 
-    With ``alternate_signs`` the controlled rotations alternate with their
-    inverses, preparing the alternating-sign companion state instead of the
-    uniform one.
+    After one NOT on the second utility qubit, each pattern (row i of the
+    bit matrix) contributes one block of 2n + 3 rows: its loader (n
+    rotations on u2 of pi/2 per set bit and 0 per clear bit, so the loader
+    always contributes n gates), XOR u2 -> u1, CS(p + 1 - i) u1 -> u2, the
+    NXOR that flips u1 back where the memory register holds the pattern,
+    and the loader undone.  The blocks differ only in the rotation angles,
+    the CS parameter and the NXOR polarity, so the table is one block tiled
+    p times with those columns written from the bit matrix.
+
+    With ``alternate_signs`` every second CS is inverted, preparing the
+    alternating-sign companion state instead of the uniform one.
     """
     n, p = pattern_set.n, pattern_set.p
     layout = memory_layout(n)
-    mem = list(layout.qubits("memory"))
+    mem = np.asarray(layout.qubits("memory"))
     u1, u2 = layout.qubits("utility")
+    bits = pattern_set.bits
+    rows = 2 * n + 3
+    load, xor, cs, nxor, unload = slice(0, n), n, n + 1, n + 2, slice(n + 3, rows)
+    strength = p - np.arange(p)
+    if alternate_signs:
+        strength[1::2] *= -1
+    angle = math.pi / 2 * bits
 
-    gates = [not_gate(u2)]
-    for i, pat in enumerate(pattern_set, start=1):
-        loader = controlled_loader(pat, mem, u2)
-        gates += loader
-        gates.append(xor_gate(u2, u1))
-        invert = alternate_signs and i % 2 == 0
-        gates.append(cs_gate(p + 1 - i, u1, u2, inverse=invert))
-        gates.append(nxor_gate(mem, u1, polarity=pat.bits))
-        # the rotations share one control and have distinct targets, so
-        # they commute: undo them in loading order
-        gates += [g.inverse() for g in loader]
-    return Circuit(tuple(gates), layout)
+    size = 1 + p * rows
+    kind = np.full(size, KIND["ROTY"], dtype=np.int8)
+    qubits = np.full((size, n + 1), -1)
+    param = np.full(size, math.nan)
+    polarity = np.ones((size, n + 1), dtype=np.uint8)
+    polarized = np.zeros(size, dtype=bool)
+    kind[0], qubits[0, 0] = KIND["NOT"], u2
+    # the p blocks as (p, rows, ...) views of the columns
+    K, Q, A, P, Z = (
+        c[1:].reshape(p, rows, *c.shape[1:]) for c in (kind, qubits, param, polarity, polarized)
+    )
+    K[:, [xor, cs, nxor]] = KIND["XOR"], KIND["CS"], KIND["NXOR"]
+    # the rotations share one control and have distinct targets, so they
+    # commute: undo them in loading order
+    Q[:, load, 0] = Q[:, unload, 0] = mem
+    Q[:, load, 1] = Q[:, unload, 1] = u2
+    Q[:, xor, :2] = u1, u2
+    Q[:, cs, :2] = u2, u1
+    Q[:, nxor, 0], Q[:, nxor, 1:] = u1, mem
+    A[:, load], A[:, cs], A[:, unload] = angle, strength, -angle
+    P[:, nxor, 1:] = bits
+    Z[:, nxor] = True
+    return Circuit.from_table(layout, kind, qubits, param, polarity, polarized)
 
 
 @dataclass(frozen=True)
@@ -138,6 +156,58 @@ def sequential_layout(n: int) -> RegisterLayout:
     return RegisterLayout((("pattern", n), ("utility", 2), ("memory", n)))
 
 
+def sequential_circuit(pattern_set: PatternSet) -> tuple[Circuit, list[int]]:
+    """The sequential loading algorithm as one circuit, and the row where
+    each pattern's block ends.
+
+    Pattern i's block rewrites the classical pattern register from pattern
+    i - 1 (a NOT on each bit that changes; not part of the gate count),
+    copies the pattern into the memory register under u2 and dresses it
+    (compute), splits off the stored branch with CS(p + 1 - i) between two
+    NXORs that test for the all-ones dressed register, and uncomputes.
+    Only the CS parameter and the rewrite flips change from block to
+    block, so the table is one block tiled p times, with the flips that do
+    not fire dropped.
+    """
+    n, p = pattern_set.n, pattern_set.p
+    layout = sequential_layout(n)
+    preg = np.asarray(layout.qubits("pattern"))
+    u1, u2 = layout.qubits("utility")
+    mem = np.asarray(layout.qubits("memory"))
+    NOT, XOR, TOFFOLI, NXOR = (KIND[k] for k in ("NOT", "XOR", "TOFFOLI", "NXOR"))
+
+    # compute: n TOFFOLIs preg[j], u2 -> mem[j], then XOR preg[j] -> mem[j]
+    # and NOT mem[j] for each j; every compute gate is its own inverse
+    compute_kind = np.concatenate((np.full(n, TOFFOLI), np.tile([XOR, NOT], n)))
+    compute = np.full((3 * n, 3), -1)
+    compute[:n] = np.stack((mem, preg, np.full(n, u2)), axis=1)
+    compute[n::2, :2] = np.stack((mem, preg), axis=1)
+    compute[n + 1 :: 2, 0] = mem
+    kind = np.concatenate(
+        (np.full(n, NOT), compute_kind, [NXOR, KIND["CS"], NXOR], compute_kind[::-1])
+    )
+    rows = len(kind)
+    cs = 4 * n + 1
+    qubits = np.full((rows, max(n + 1, 3)), -1)
+    qubits[:n, 0] = preg
+    qubits[n:cs - 1, :3] = compute
+    qubits[[cs - 1, cs + 1], 0] = u1
+    qubits[[cs - 1, cs + 1], 1 : n + 1] = mem
+    qubits[cs, :2] = u2, u1
+    qubits[cs + 2 :, :3] = compute[::-1]
+
+    param = np.full((p, rows), math.nan)
+    param[:, cs] = p - np.arange(p)
+    keep = np.ones((p, rows), dtype=bool)
+    keep[0, :n] = False
+    keep[1:, :n] = pattern_set.bits[1:] != pattern_set.bits[:-1]
+    keep = keep.ravel()
+    circuit = Circuit.from_table(
+        layout, np.tile(kind, p)[keep], np.tile(qubits, (p, 1))[keep], param.ravel()[keep]
+    )
+    return circuit, np.cumsum(keep.reshape(p, rows).sum(axis=1)).tolist()
+
+
 def store_sequential(
     pattern_set: PatternSet, record_intermediate: bool = False
 ):
@@ -147,43 +217,17 @@ def store_sequential(
     taken after each full loading round (before the pattern register is
     rewritten), for checking the stored/processing split amplitudes.
     """
-    n, p = pattern_set.n, pattern_set.p
-    layout = sequential_layout(n)
-    preg = list(layout.qubits("pattern"))
-    u1, u2 = layout.qubits("utility")
-    mem = list(layout.qubits("memory"))
-
-    first = pattern_set[0]
-    state = basis_state(layout, list(first.bits) + [0, 1] + [0] * n)
-    snapshots = []
-
-    def run(gates, st):
-        return apply_circuit(st, Circuit(tuple(gates), layout))
-
-    for i, pat in enumerate(pattern_set, start=1):
-        if i > 1:
-            # rewrite the classical pattern register (not part of the count)
-            prev = pattern_set[i - 2]
-            flips = [
-                not_gate(preg[j]) for j in range(n) if prev.bits[j] != pat.bits[j]
-            ]
-            state = run(flips, state)
-
-        copy_in = [toffoli_gate(preg[j], u2, mem[j]) for j in range(n)]
-        dress = []
-        for j in range(n):
-            dress.append(xor_gate(preg[j], mem[j]))
-            dress.append(not_gate(mem[j]))
-        compute = copy_in + dress
-        split = [nxor_gate(mem, u1), cs_gate(p + 1 - i, u1, u2), nxor_gate(mem, u1)]
-        uncompute = [g.inverse() for g in reversed(compute)]
-        state = run(compute + split + uncompute, state)
-        if record_intermediate:
-            snapshots.append(state.copy())
-
-    if record_intermediate:
-        return state, snapshots
-    return state
+    n = pattern_set.n
+    circuit, ends = sequential_circuit(pattern_set)
+    state = basis_state(circuit.layout, list(pattern_set[0].bits) + [0, 1] + [0] * n)
+    if not record_intermediate:
+        return apply_circuit(state, circuit)
+    snapshots, start = [], 0
+    for end in ends:
+        state = apply_circuit(state, circuit[start:end])
+        snapshots.append(state)
+        start = end
+    return state, snapshots
 
 
 def memory_register_amplitudes(state: SparseState) -> dict[Pattern, complex]:

@@ -32,21 +32,16 @@ import numpy as np
 from .patterns import Mask, Pattern, PatternError, PatternSet
 from .memory import build_memory_circuit, memory_gate_count
 from .simulator import (
+    KIND,
     Circuit,
-    Gate,
     RegisterLayout,
     SparseState,
     apply_circuit,
     basis_state,
     flip0_gate,
     group_sum,
-    h_gate,
-    not_gate,
-    phase0_gate,
     postselect,
-    roty_gate,
     section_marginal,
-    xor_gate,
 )
 
 
@@ -179,35 +174,45 @@ def retrieval_round_circuit(
     final Hadamard.
     """
     n = layout.width("memory")
-    b = layout.width("control")
-    if control_index < 0 or control_index >= b:
+    if control_index < 0 or control_index >= layout.width("control"):
         raise RetrievalError(f"control index {control_index} out of range")
     if mask is not None:
         mask.validate(n)
-    use_input_register = layout.width("input") > 0
-    mem = list(layout.qubits("memory"))
-    inp = list(layout.qubits("input"))
+    mem = np.asarray(layout.qubits("memory"))
+    inp = np.asarray(layout.qubits("input"))
     control = layout.offset("control") + control_index
     theta = math.pi / (2 * n)
-    phase_qubits = (
-        mem if mask is None else [mem[j] for j in range(n) if j in mask.known]
-    )
+    phase_qubits = mem if mask is None else mem[sorted(mask.known)]
 
-    dress: list[Gate] = []
-    if use_input_register:
-        for j in range(n):
-            dress.append(xor_gate(inp[j], mem[j]))
-            dress.append(not_gate(mem[j]))
+    if len(inp):
+        dress_kind = np.tile([KIND["XOR"], KIND["NOT"]], n)
+        dress = np.full((2 * n, 2), -1)
+        dress[0::2] = np.stack((mem, inp), axis=1)
+        dress[1::2, 0] = mem
+        dress_param = undress_param = np.full(2 * n, math.nan)
     else:
         # dress directly: flip where the input bit is 0, so a memory qubit
         # ends in |1> exactly when it matches the input
-        for j in range(n):
-            dress.append(roty_gate(math.pi / 2 * (1 - input_pattern.bits[j]), mem[j]))
-    kernel = [phase0_gate(theta, q) for q in phase_qubits]
-    kernel += [phase0_gate(-2 * theta, q, control=control) for q in phase_qubits]
-    undress = [g.inverse() for g in reversed(dress)]
-    gates = [h_gate(control), *dress, *kernel, *undress, h_gate(control)]
-    return Circuit(tuple(gates), layout)
+        dress_kind = np.full(n, KIND["ROTY"])
+        dress = np.stack((mem, np.full(n, -1)), axis=1)
+        dress_param = math.pi / 2 * (1 - np.array(input_pattern.bits))
+        undress_param = -dress_param[::-1]
+    k = len(phase_qubits)
+    kernel = np.full((2 * k, 2), -1)
+    kernel[:, 0] = np.tile(phase_qubits, 2)
+    kernel[k:, 1] = control
+    hadamard = np.array([[control, -1]])
+    return Circuit.from_table(
+        layout,
+        np.concatenate(
+            ([KIND["H"]], dress_kind, np.full(2 * k, KIND["PHASE0"]), dress_kind[::-1], [KIND["H"]])
+        ),
+        np.concatenate((hadamard, dress, kernel, dress[::-1], hadamard)),
+        np.concatenate((
+            [math.nan], dress_param, np.full(k, theta), np.full(k, -2 * theta),
+            undress_param, [math.nan],
+        )),
+    )
 
 
 def preparation_circuit(
@@ -223,11 +228,10 @@ def preparation_circuit(
     """
     if input_pattern.n != pattern_set.n:
         raise RetrievalError("input length does not match stored patterns")
-    offset = layout.offset("memory")
-    gates = [g.shifted(offset) for g in build_memory_circuit(pattern_set).gates]
+    circuit = build_memory_circuit(pattern_set).shifted(layout.offset("memory"), layout)
     for c in range(layout.width("control")):
-        gates += retrieval_round_circuit(input_pattern, layout, c, mask).gates
-    return Circuit(tuple(gates), layout)
+        circuit += retrieval_round_circuit(input_pattern, layout, c, mask)
+    return circuit
 
 
 def prepare_final_state(
@@ -325,6 +329,11 @@ def _sampling_table(
     config = RetrievalConfig(
         b=b, mode=mode, mask=mask, use_input_register=use_input_register
     )
+    if pattern_set.p > MAX_PREPARED_KEYS >> b:  # p * 2^b > limit, without 2^b
+        raise RetrievalError(
+            f"b = {b} rounds on {pattern_set.p} patterns prepare a state of up to "
+            f"p*2^b keys, above the limit of {MAX_PREPARED_KEYS} keys"
+        )
     if mode == "amplitude_amplify":
         iterations = optimal_iterations(p_rec)
         per_iteration = amplify_iteration_gates(pattern_set.p, pattern_set.n, b)
@@ -404,19 +413,18 @@ def amplitude_amplify(
         raise RetrievalError("iterations must be >= 0")
     layout = retrieval_layout(pattern_set.n, b, use_input_register=False)
     prep = preparation_circuit(pattern_set, input_pattern, layout, mask)
-    unprep = prep.inverse()
-    flip_good = Circuit((flip0_gate(layout.qubits("control")),), layout)
-    flip_zero = Circuit((flip0_gate(range(layout.total)),), layout)
+    # the reflections S about the good subspace and S0 about |0...0>
+    flips = Circuit(
+        (flip0_gate(layout.qubits("control")), flip0_gate(range(layout.total))), layout
+    )
+    # Q = -(prep) S0 (prep)^-1 S, run as one circuit and then negated
+    grover = flips[:1] + prep.inverse() + flips[1:] + prep
 
     state = basis_state(layout, [0] * layout.total)
     state = apply_circuit(state, prep)
 
     for _ in range(iterations):
-        # Q = -(prep) S0 (prep)^-1 S
-        state = apply_circuit(state, flip_good)
-        state = apply_circuit(state, unprep)
-        state = apply_circuit(state, flip_zero)
-        state = apply_circuit(state, prep)
+        state = apply_circuit(state, grover)
         state = SparseState.from_arrays(layout, state.key_array, -state.amp_array)
 
     success = section_marginal(state, "control").get(0, 0.0)
@@ -442,6 +450,11 @@ def amplify_iteration_gates(p: int, n: int, b: int) -> int:
 #: most gate applications (Grover iterations x gates per iteration) that
 #: amplify-mode retrieval runs; each costs about 2 us on a one-pattern memory
 MAX_AMPLIFY_GATES = 10**6
+
+#: most nonzero amplitudes a gate-level retrieval may prepare: each round
+#: doubles the keys of the p-key memory state, so b rounds give up to
+#: p*2^b; at the limit the key and amplitude arrays take 24 MB
+MAX_PREPARED_KEYS = 2**20
 
 
 def complexity_estimate(

@@ -20,18 +20,32 @@ whole-array operations and runs unchanged on both key types:
   identity and leaves both arrays as they are; it stays in its circuit, so
   gate counts stay honest.
 
-One kernel runs a sequence of gates on the ``(key_array, amp_array)`` pair;
-:func:`apply` hands it one gate and :func:`apply_circuit` a whole circuit,
-and only the final arrays become a :class:`SparseState`.  When a controlled
-mixing gate meets a state on which only some keys satisfy its controls, the
-kernel splits the keys once, runs that gate and every following gate with
-the same controls (the same ``cmask`` and ``cwant``) on the active keys with
-no control test, and puts ``idle + active`` back together once at the end
-of the run.  No gate targets one of its own controls, so the active keys
-stay active through the run, and the idle keys end in front in their old
-order: the result is the one gate-by-gate application gives, key order and
-amplitude bits included.  The memory loaders are such runs: n rotations on
-one control qubit that holds on a single key.
+A :class:`Circuit` is a gate table: one row per gate, held as columns (a
+kind code, the qubit indices, the parameter and the control polarities).
+The builders in :mod:`qamem.memory` and :mod:`qamem.retrieval` write whole
+tables with numpy from a pattern set's bit matrix; ``inverse()`` reverses
+the rows and negates the parameters, and ``shifted()`` adds an offset to
+the qubit indices.  :class:`Gate` is the one public constructor and
+validator of a row and the view :attr:`Circuit.gates` gives of one; a
+circuit built from gates and a table written with numpy go through the same
+row check, :func:`_check_rows`.
+
+The kernel runs a circuit on the ``(key_array, amp_array)`` pair from a
+program derived once per circuit: each row's target and control masks
+(Python ints, read from the indices for the layout's key type), its phase
+or 2x2 matrix, and where each run of rows with one control condition ends,
+found by comparing adjacent rows.  :func:`apply` runs a one-gate circuit
+and :func:`apply_circuit` a whole one, and only the final arrays become a
+:class:`SparseState`.  When a controlled mixing gate meets a state on which
+only some keys satisfy its controls, the kernel splits the keys once, runs
+that gate and every following gate with the same controls (the same
+``cmask`` and ``cwant``) on the active keys with no control test, and puts
+``idle + active`` back together once at the end of the run.  No gate
+targets one of its own controls, so the active keys stay active through the
+run, and the idle keys end in front in their old order: the result is the
+one gate-by-gate application gives, key order and amplitude bits included.
+The memory loaders are such runs: n rotations on one control qubit that
+holds on a single key.
 
 Marginals, post-selection and grouping read a section's value for all keys
 at once from the layout's precomputed offsets.  ``state.amps`` is a
@@ -40,17 +54,22 @@ read-only ``{key: amplitude}`` mapping with Python ``int`` keys and
 builds a state from such a mapping.
 
 Gate set (matching the circuits built in :mod:`qamem.memory` and
-:mod:`qamem.retrieval`):
+:mod:`qamem.retrieval`); every kind but ``FLIP0`` has one target:
 
 * ``NOT``, ``H``, ``XOR`` (controlled NOT), ``TOFFOLI``, ``NXOR``
   (multi-controlled NOT, optionally with per-control polarities);
-* ``CS(i)``: controlled real rotation with sin = 1/sqrt(i);
+* ``CS(i)``: controlled real rotation with sin = 1/sqrt(i), i a nonzero
+  integer (negative for the inverse);
 * ``PHASE0(theta)``: diag(e^{i theta}, 1), phase on the |0> component,
   optionally controlled;
 * ``ROTY(angle)``: real rotation [[cos, -sin], [sin, cos]], optionally
   controlled (ROTY(pi/2)|0> = |1>);
 * ``FLIP0``: sign flip on the all-zeros subspace of its target qubits
-  (amplitude-amplification oracle).
+  (amplitude-amplification oracle); it takes no controls.
+
+``CS``, ``PHASE0`` and ``ROTY`` take a finite real parameter (an integer
+for ``CS``); the other kinds take none.  Any gate may carry a polarity, the
+value each control must hold.
 """
 from __future__ import annotations
 
@@ -68,9 +87,14 @@ PRUNE_THRESHOLD = 1e-12
 #: widest layout whose keys fit an int64 without touching the sign bit
 INT64_KEY_QUBITS = 63
 
-_PERMUTATION_KINDS = {"NOT", "XOR", "TOFFOLI", "NXOR"}
-_MIXING_KINDS = {"H", "CS", "ROTY"}
-_VALID_KINDS = {"NOT", "H", "XOR", "TOFFOLI", "NXOR", "CS", "PHASE0", "ROTY", "FLIP0"}
+#: gate kinds in code order; a circuit's ``kind`` column holds the codes
+KINDS = ("NOT", "XOR", "TOFFOLI", "NXOR", "FLIP0", "PHASE0", "H", "CS", "ROTY")
+KIND = {name: code for code, name in enumerate(KINDS)}
+# codes up to _NXOR are permutations, codes from _H on mix their target
+_NXOR, _FLIP0, _PHASE0, _H, _CS, _ROTY = (
+    KIND[k] for k in ("NXOR", "FLIP0", "PHASE0", "H", "CS", "ROTY")
+)
+_PARAM_CODES = (_PHASE0, _CS, _ROTY)
 
 
 class SimulatorError(ValueError):
@@ -122,96 +146,27 @@ class RegisterLayout:
 
 @dataclass(frozen=True, slots=True)
 class Gate:
+    """One gate: the public constructor and validator of a circuit row.
+
+    ``polarity`` gives the value each control must hold; all ones when
+    None.  Construction checks the gate with the same row check a gate
+    table goes through (see the module docstring).
+    """
+
     kind: str
     targets: tuple[int, ...]
     controls: tuple[int, ...] = ()
     param: float | int | None = None
-    # per-control required values for NXOR; all-ones when None
     polarity: tuple[int, ...] | None = None
-    # derived: bit masks of the targets and the controls, the control values
-    # that activate the gate, the highest qubit index, and the read-only 2x2
-    # matrix of a mixing gate (H, CS, nonzero ROTY; None for every other gate)
-    tmask: int = field(init=False, repr=False, compare=False)
-    cmask: int = field(init=False, repr=False, compare=False)
-    cwant: int = field(init=False, repr=False, compare=False)
-    top: int = field(init=False, repr=False, compare=False)
-    matrix: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in _VALID_KINDS:
-            raise SimulatorError(f"unknown gate kind {self.kind!r}")
-        # Python-int masks, also for numpy integer indices, so that no mask
-        # wraps past bit 62
-        tmask = cmask = cwant = 0
-        try:
-            for q in self.targets:
-                tmask |= 1 << operator.index(q)
-            for c in self.controls:
-                cmask |= 1 << operator.index(c)
-        except ValueError:  # negative shift count
-            raise SimulatorError(f"negative qubit index in {self}") from None
-        if (tmask | cmask).bit_count() != len(self.targets) + len(self.controls):
-            raise SimulatorError(f"overlapping target/control indices in {self}")
-        if self.kind == "CS" and not (
-            isinstance(self.param, numbers.Integral) and abs(self.param) >= 1
-        ):
-            raise SimulatorError("CS requires integer parameter i >= 1")
-        if self.polarity is not None and len(self.polarity) != len(self.controls):
-            raise SimulatorError("polarity length must match controls")
-        if self.polarity is None:
-            cwant = cmask
-        else:
-            for c, v in zip(self.controls, self.polarity):
-                if v:
-                    cwant |= 1 << operator.index(c)
-        object.__setattr__(self, "tmask", tmask)
-        object.__setattr__(self, "cmask", cmask)
-        object.__setattr__(self, "cwant", cwant)
-        object.__setattr__(self, "top", (tmask | cmask).bit_length() - 1)
-        object.__setattr__(self, "matrix", _mixing_matrix(self))
+        _check_rows(*_columns([_row(self)])[:4])
 
     def inverse(self) -> "Gate":
-        if self.kind not in ("CS", "PHASE0", "ROTY"):
+        if self.param is None:
             return self  # NOT, H, XOR, TOFFOLI, NXOR and FLIP0
-        # CS^i, PHASE0 and ROTY invert by negating the parameter, and a real
-        # rotation by transposing its matrix
-        matrix = None if self.matrix is None else self.matrix.T
-        return self._variant(
-            self.targets, self.controls, -self.param,
-            self.tmask, self.cmask, self.cwant, self.top, matrix,
-        )
-
-    def shifted(self, offset: int) -> "Gate":
-        """The same gate on the qubits ``offset`` places higher."""
-        if offset < 0:
-            raise SimulatorError(f"negative shift {offset}")
-        return self._variant(
-            tuple(t + offset for t in self.targets),
-            tuple(c + offset for c in self.controls),
-            self.param,
-            self.tmask << offset,
-            self.cmask << offset,
-            self.cwant << offset,
-            ((self.tmask | self.cmask) << offset).bit_length() - 1,
-            self.matrix,
-        )
-
-    def _variant(self, targets, controls, param, tmask, cmask, cwant, top, matrix):
-        """A gate of this kind and polarity with every other field given,
-        made without ``__post_init__``: for the inverse and the shift of a
-        validated gate, which keep its checks true."""
-        gate = object.__new__(Gate)
-        _SET["kind"](gate, self.kind)
-        _SET["targets"](gate, targets)
-        _SET["controls"](gate, controls)
-        _SET["param"](gate, param)
-        _SET["polarity"](gate, self.polarity)
-        _SET["tmask"](gate, tmask)
-        _SET["cmask"](gate, cmask)
-        _SET["cwant"](gate, cwant)
-        _SET["top"](gate, top)
-        _SET["matrix"](gate, matrix)
-        return gate
+        # CS^i, PHASE0 and ROTY invert by negating the parameter
+        return Gate(self.kind, self.targets, self.controls, -self.param, self.polarity)
 
     def dump(self) -> str:
         param = "" if self.param is None else f"({self.param:g})"
@@ -220,8 +175,130 @@ class Gate:
         return f"{self.kind}{param} {ctrl} -> {tgt}"
 
 
-#: setters of Gate's slots, which bypass the frozen ``__setattr__``
-_SET = {name: getattr(Gate, name).__set__ for name in Gate.__slots__}
+def _row(gate: Gate):
+    """A gate's fields as one table row: (kind code, qubits, parameter,
+    whether a parameter was given, polarity, whether a polarity was given).
+
+    This checks what only the Python values show: the kind name, that the
+    indices are non-negative integers, and the shape of targets, controls
+    and polarity.  A parameter of the wrong type becomes NaN, which
+    :func:`_check_rows` refuses.
+    """
+    code = KIND.get(gate.kind)
+    if code is None:
+        raise SimulatorError(f"unknown gate kind {gate.kind!r}")
+    try:
+        qubits = [operator.index(q) for q in (*gate.targets, *gate.controls)]
+    except TypeError:
+        raise SimulatorError(f"qubit indices must be integers in {gate}") from None
+    if any(q < 0 for q in qubits):
+        raise SimulatorError(f"negative qubit index in {gate}")
+    if code == _FLIP0:
+        if gate.controls:
+            raise SimulatorError("FLIP0 takes no controls")
+    elif len(gate.targets) != 1:
+        raise SimulatorError(f"{gate.kind} takes exactly one target")
+    polarity = [1] * len(qubits)
+    if gate.polarity is not None:
+        if len(gate.polarity) != len(gate.controls):
+            raise SimulatorError("polarity length must match controls")
+        polarity[1:] = [1 if v else 0 for v in gate.polarity]
+    param = gate.param
+    value = math.nan
+    if isinstance(param, numbers.Integral if code == _CS else numbers.Real):
+        try:
+            value = float(param)
+        except OverflowError:
+            value = math.inf
+    return code, qubits, value, param is not None, polarity, gate.polarity is not None
+
+
+def _columns(rows):
+    """Table columns (kind, qubits, param, param given, polarity, polarized)
+    of a list of :func:`_row` rows; the qubit rows are padded with -1."""
+    width = max((len(r[1]) for r in rows), default=0) or 1
+    qubits, polarity = [], []
+    for _, q, _, _, pol, _ in rows:
+        pad = width - len(q)
+        qubits.append(q + [-1] * pad)
+        polarity.append(pol + [1] * pad)
+    return (
+        np.array([r[0] for r in rows], dtype=np.int8),
+        np.array(qubits, dtype=np.int64).reshape(-1, width),
+        np.array([r[2] for r in rows], dtype=np.float64),
+        np.array([r[3] for r in rows], dtype=bool),
+        np.array(polarity, dtype=np.uint8).reshape(-1, width),
+        np.array([r[5] for r in rows], dtype=bool),
+    )
+
+
+def _check_rows(kind, qubits, param, given):
+    """The one validity check of gate rows, vectorized over a table.
+
+    ``given`` marks the rows that were given a parameter (a parameter of
+    the wrong type arrives as NaN).  A row's qubits are distinct
+    non-negative indices followed by -1 padding, and every kind but FLIP0
+    has a target; CS, PHASE0 and ROTY have a finite real parameter, CS a
+    nonzero integer one; the other kinds have none.
+    """
+    if (kind.view(np.uint8) >= len(KINDS)).any():
+        raise SimulatorError("unknown gate kind code")
+    used = qubits >= 0
+    if (qubits < -1).any() or (used[:, 1:] > used[:, :-1]).any():
+        raise SimulatorError("negative qubit index")
+    if not used[:, 0].all() and (~used[:, 0] & (kind != _FLIP0)).any():
+        raise SimulatorError("a gate other than FLIP0 needs a target")
+    ordered = np.sort(qubits, axis=1)
+    if ((ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, :-1] >= 0)).any():
+        raise SimulatorError("overlapping target/control indices")
+    needs = (kind == _PHASE0) | (kind >= _CS)
+    cs = kind == _CS
+    bad = (needs != given) | (needs & ~np.isfinite(param))
+    if cs.any():
+        bad |= cs & ((np.abs(param) < 1) | (param != np.trunc(param)))
+    if bad.any():
+        r = int(bad.argmax())
+        if cs[r]:
+            raise SimulatorError("CS requires integer parameter i >= 1")
+        if needs[r]:
+            raise SimulatorError(f"{KINDS[kind[r]]} requires a finite real parameter")
+        raise SimulatorError(f"{KINDS[kind[r]]} takes no parameter")
+
+
+def gate_matrix(gate: Gate):
+    """2x2 matrix of a single-target gate (rows/cols ordered |0>, |1>)."""
+    return _single_qubit_matrix(gate.kind, gate.param)
+
+
+def _single_qubit_matrix(kind: str, param):
+    if kind == "H":
+        s = 1.0 / math.sqrt(2.0)
+        return ((s, s), (s, -s))
+    if kind == "CS":
+        i = abs(param)
+        c = math.sqrt((i - 1) / i)
+        s = 1.0 / math.sqrt(i)
+        if param < 0:
+            s = -s
+        return ((c, s), (-s, c))
+    if kind == "ROTY":
+        c, s = math.cos(param), math.sin(param)
+        return ((c, -s), (s, c))
+    if kind == "PHASE0":
+        return ((cmath.exp(1j * param), 0.0), (0.0, 1.0))
+    if kind == "NOT":
+        return ((0.0, 1.0), (1.0, 0.0))
+    raise SimulatorError(f"{kind} has no single-qubit matrix")
+
+
+def _mixing_matrix(code: int, param: float):
+    """:func:`gate_matrix` of a mixing row as a read-only array; None for
+    ``ROTY(0)``, which is the identity."""
+    if code == _ROTY and param == 0:
+        return None
+    matrix = np.array(_single_qubit_matrix(KINDS[code], param))
+    matrix.flags.writeable = False
+    return matrix
 
 
 def not_gate(target: int) -> Gate:
@@ -264,62 +341,209 @@ def flip0_gate(targets) -> Gate:
     return Gate("FLIP0", tuple(targets))
 
 
-def gate_matrix(gate: Gate):
-    """2x2 matrix of a single-target gate (rows/cols ordered |0>, |1>)."""
-    if gate.kind == "H":
-        s = 1.0 / math.sqrt(2.0)
-        return ((s, s), (s, -s))
-    if gate.kind == "CS":
-        i = abs(gate.param)
-        c = math.sqrt((i - 1) / i)
-        s = 1.0 / math.sqrt(i)
-        if gate.param < 0:
-            s = -s
-        return ((c, s), (-s, c))
-    if gate.kind == "ROTY":
-        c, s = math.cos(gate.param), math.sin(gate.param)
-        return ((c, -s), (s, c))
-    if gate.kind == "PHASE0":
-        return ((cmath.exp(1j * gate.param), 0.0), (0.0, 1.0))
-    if gate.kind == "NOT":
-        return ((0.0, 1.0), (1.0, 0.0))
-    raise SimulatorError(f"{gate.kind} has no single-qubit matrix")
+def _pad(column, width: int, fill: int):
+    extra = width - column.shape[1]
+    if extra == 0:
+        return column
+    return np.concatenate((column, np.full((len(column), extra), fill, column.dtype)), axis=1)
 
 
-def _mixing_matrix(gate: Gate):
-    """:func:`gate_matrix` as a read-only array for H, CS and a nonzero ROTY;
-    None for every other gate, ``ROTY(0)`` included."""
-    if gate.kind not in _MIXING_KINDS or (gate.kind == "ROTY" and gate.param == 0):
-        return None
-    matrix = np.array(gate_matrix(gate))
-    matrix.flags.writeable = False
-    return matrix
-
-
-@dataclass(frozen=True)
 class Circuit:
-    gates: tuple[Gate, ...]
-    layout: RegisterLayout
+    """A gate table on a layout: one row per gate, in order.
 
-    def __post_init__(self):
+    Columns, read-only arrays with one row per gate:
+
+    * ``kind``: ``int8`` code into :data:`KINDS`;
+    * ``qubits``: ``int64`` (rows, width): the target, then the controls
+      (for FLIP0 every entry is a target), padded with -1;
+    * ``param``: ``float64``, NaN for the kinds without a parameter;
+    * ``polarity``: ``uint8`` (rows, width): the value each control must
+      hold (column 0 and the padding are unused);
+    * ``polarized``: ``bool``, whether the row was given a polarity.
+
+    ``Circuit(gates, layout)`` builds the table from :class:`Gate` objects,
+    :meth:`from_table` from columns; both check every qubit against the
+    layout.  :attr:`gates` views the rows as gates.
+    """
+
+    __slots__ = ("layout", "kind", "qubits", "param", "polarity", "polarized", "_gates", "_prog")
+
+    def __init__(self, gates, layout: RegisterLayout):
+        gates = tuple(gates)
+        kind, qubits, param, given, polarity, polarized = _columns([_row(g) for g in gates])
+        _check_rows(kind, qubits, param, given)
+        self._set(layout, kind, qubits, param, polarity, polarized)
+        self._gates = gates
+        self._check_range()
+
+    @classmethod
+    def from_table(
+        cls, layout: RegisterLayout, kind, qubits, param=None, polarity=None, polarized=None
+    ) -> "Circuit":
+        """A circuit from its columns (see the class docstring); ``param``
+        defaults to none, ``polarity`` to all ones and ``polarized`` to
+        False.  The rows go through the same check as a :class:`Gate`."""
+        kind = np.asarray(kind, dtype=np.int8)
+        qubits = np.asarray(qubits, dtype=np.int64).reshape(len(kind), -1)
+        rows = len(kind)
+        param = np.full(rows, math.nan) if param is None else np.asarray(param, dtype=np.float64)
+        if polarity is None:
+            polarity = np.ones(qubits.shape, dtype=np.uint8)
+        if polarized is None:
+            polarized = np.zeros(rows, dtype=bool)
+        _check_rows(kind, qubits, param, ~np.isnan(param))
+        circuit = cls._make(
+            layout, kind, qubits, param, np.asarray(polarity, dtype=np.uint8),
+            np.asarray(polarized, dtype=bool),
+        )
+        circuit._check_range()
+        return circuit
+
+    @classmethod
+    def _make(cls, layout, kind, qubits, param, polarity, polarized) -> "Circuit":
+        """A circuit on columns that hold valid rows."""
+        circuit = cls.__new__(cls)
+        circuit._set(layout, kind, qubits, param, polarity, polarized)
+        circuit._gates = None
+        return circuit
+
+    def _set(self, layout, kind, qubits, param, polarity, polarized) -> None:
+        for column in (kind, qubits, param, polarity, polarized):
+            column.flags.writeable = False
+        self.layout = layout
+        self.kind = kind
+        self.qubits = qubits
+        self.param = param
+        self.polarity = polarity
+        self.polarized = polarized
+        self._prog = None
+
+    def _check_range(self) -> None:
         n = self.layout.total
-        for g in self.gates:
-            if g.top >= n:
-                raise SimulatorError(f"gate {g.dump()} out of range for N={n}")
+        if self.qubits.max(initial=-1) >= n:
+            gate = self._gate(int((self.qubits >= n).any(axis=1).argmax()))
+            raise SimulatorError(f"gate {gate.dump()} out of range for N={n}")
 
     def __len__(self) -> int:
-        return len(self.gates)
+        return len(self.kind)
+
+    def _gate(self, r: int) -> Gate:
+        code, value = int(self.kind[r]), float(self.param[r])
+        qubits = [q for q in self.qubits[r].tolist() if q >= 0]
+        if code == _FLIP0:
+            targets, controls = tuple(qubits), ()
+        else:
+            targets, controls = (qubits[0],), tuple(qubits[1:])
+        param = None
+        if code in _PARAM_CODES:
+            param = int(value) if code == _CS else value
+        polarity = None
+        if self.polarized[r]:
+            polarity = tuple(self.polarity[r, 1 : len(qubits)].tolist())
+        return Gate(KINDS[code], targets, controls, param, polarity)
+
+    @property
+    def gates(self) -> tuple[Gate, ...]:
+        """The rows as :class:`Gate` objects, built on first read."""
+        if self._gates is None:
+            self._gates = tuple(self._gate(r) for r in range(len(self)))
+        return self._gates
+
+    def __getitem__(self, rows: slice) -> "Circuit":
+        """The circuit of a slice of the rows."""
+        return Circuit._make(
+            self.layout, self.kind[rows], self.qubits[rows], self.param[rows],
+            self.polarity[rows], self.polarized[rows],
+        )
 
     def inverse(self) -> "Circuit":
-        return Circuit(tuple(g.inverse() for g in reversed(self.gates)), self.layout)
+        """The rows in reverse order with their parameters negated."""
+        param = np.where(np.isnan(self.param), self.param, -self.param)
+        return Circuit._make(
+            self.layout, self.kind[::-1], self.qubits[::-1], param[::-1],
+            self.polarity[::-1], self.polarized[::-1],
+        )
+
+    def shifted(self, offset: int, layout: RegisterLayout) -> "Circuit":
+        """The same rows on the qubits ``offset`` places higher, on ``layout``."""
+        if offset < 0:
+            raise SimulatorError(f"negative shift {offset}")
+        q = self.qubits
+        circuit = Circuit._make(
+            layout, self.kind, np.where(q >= 0, q + offset, -1), self.param,
+            self.polarity, self.polarized,
+        )
+        circuit._check_range()
+        return circuit
 
     def __add__(self, other: "Circuit") -> "Circuit":
         if other.layout != self.layout:
             raise SimulatorError("cannot concatenate circuits on different layouts")
-        return Circuit(self.gates + other.gates, self.layout)
+        width = max(self.qubits.shape[1], other.qubits.shape[1])
+        return Circuit._make(
+            self.layout,
+            np.concatenate((self.kind, other.kind)),
+            np.concatenate((_pad(self.qubits, width, -1), _pad(other.qubits, width, -1))),
+            np.concatenate((self.param, other.param)),
+            np.concatenate((_pad(self.polarity, width, 1), _pad(other.polarity, width, 1))),
+            np.concatenate((self.polarized, other.polarized)),
+        )
 
     def dump(self) -> str:
         return "".join(g.dump() + "\n" for g in self.gates)
+
+    def _program(self):
+        """What the kernel reads, derived once: per-row lists of the kind
+        code, target mask, control mask, wanted control values, operand (the
+        phase of a PHASE0, the matrix of a mixing row, None for ROTY(0) and
+        the rest) and run end (the end of the run of rows with this row's
+        control condition when the row starts one, else 0)."""
+        if self._prog is None:
+            self._prog = _compile(self)
+        return self._prog
+
+
+def _compile(circuit: Circuit):
+    kind, qubits, param = circuit.kind, circuit.qubits, circuit.param
+    rows = len(kind)
+    used = qubits >= 0
+    if circuit.layout.key_dtype == object:  # Python-int masks past bit 62
+        bits = np.zeros(qubits.shape, dtype=object)
+        bits[used] = [1 << q for q in qubits[used].tolist()]
+    else:
+        bits = np.where(used, np.left_shift(1, qubits), 0)
+    controls = bits[:, 1:]
+    tmask = bits[:, 0]
+    cmask = np.bitwise_or.reduce(controls, axis=1)
+    cwant = np.bitwise_or.reduce(controls * circuit.polarity[:, 1:], axis=1)
+    flip0 = kind == _FLIP0
+    if flip0.any():
+        tmask = np.where(flip0, np.bitwise_or.reduce(bits, axis=1), tmask)
+        cmask = np.where(flip0, 0, cmask)
+        cwant = np.where(flip0, 0, cwant)
+
+    # a run starts at a controlled mixing row other than the identity
+    # ROTY(0), and ends where the control condition first changes
+    starts = (kind >= _H) & ((kind != _ROTY) | (param != 0)) & (cmask != 0)
+    run_end = np.zeros(rows, dtype=np.int64)
+    if starts.any():
+        change = (cmask[1:] != cmask[:-1]) | (cwant[1:] != cwant[:-1])
+        ends = np.append(np.flatnonzero(change) + 1, rows)
+        run_end = np.where(starts, ends[np.searchsorted(ends, np.arange(rows), side="right")], 0)
+
+    # the phase of each PHASE0 row, and one matrix per distinct mixing row
+    code, values = kind.tolist(), param.tolist()
+    operand = [None] * rows
+    for r in np.flatnonzero(kind == _PHASE0).tolist():
+        operand[r] = cmath.exp(1j * values[r])
+    matrices = {}
+    for r in np.flatnonzero(kind >= _H).tolist():
+        key = (code[r], values[r]) if code[r] != _H else _H
+        matrix = matrices.get(key, False)
+        if matrix is False:
+            matrix = matrices[key] = _mixing_matrix(code[r], values[r])
+        operand[r] = matrix
+    return code, tmask.tolist(), cmask.tolist(), cwant.tolist(), operand, run_end.tolist()
 
 
 class _Amplitudes(Mapping):
@@ -395,11 +619,6 @@ class SparseState:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amp_array))
 
-    def copy(self) -> "SparseState":
-        return SparseState.from_arrays(
-            self.layout, self.key_array.copy(), self.amp_array.copy()
-        )
-
     def section_value(self, key: int, name: str) -> int:
         off, w = self.layout._span(name)
         return (key >> off) & ((1 << w) - 1)
@@ -452,13 +671,13 @@ def group_sum(labels, weights):
     return labels, weights
 
 
-def _mix(keys, amps, gate: Gate):
-    """H, CS or a nonzero ROTY on keys whose controls all hold: both branches
-    of the target, equal keys merged, small amplitudes pruned."""
-    t = gate.tmask
+def _mix(keys, amps, t: int, matrix):
+    """H, CS or a nonzero ROTY with target mask ``t`` on keys whose controls
+    all hold: both branches of the target, equal keys merged, small
+    amplitudes pruned."""
     column = ((keys & t) != 0).view(np.uint8)
     low = keys & ~t
-    branches = amps * gate.matrix[:, column]
+    branches = amps * matrix[:, column]
     # both keys of a pair present: their branches land on the same keys,
     # which are summed as group_sum sums them; distinct keys keep their order
     if len(low) > 1:
@@ -475,51 +694,47 @@ def _mix(keys, amps, gate: Gate):
     return keys, amps
 
 
-def _step(keys, amps, gate: Gate, cmask: int, cwant: int):
-    """One gate on the arrays, testing the controls ``cmask``/``cwant``: the
-    gate's own, or 0/0 on keys known to satisfy them.  A mixing gate comes
+def _step(keys, amps, code: int, tmask: int, operand, cmask: int, cwant: int):
+    """One row on the arrays, testing the controls ``cmask``/``cwant``: the
+    row's own, or 0/0 on keys known to satisfy them.  A mixing row comes
     here only with no controls left to test."""
-    kind = gate.kind
-    if kind in _PERMUTATION_KINDS:
-        flipped = keys ^ gate.tmask
+    if code <= _NXOR:  # a permutation
+        flipped = keys ^ tmask
         if cmask:
             flipped = np.where((keys & cmask) == cwant, flipped, keys)
         return flipped, amps
-    if kind == "FLIP0":
-        zero = (keys & gate.tmask) == 0
+    if code == _FLIP0:
+        zero = (keys & tmask) == 0
         return keys, np.where(zero, -amps, amps)
-    if kind == "PHASE0":
+    if code == _PHASE0:
         # controls active and target |0>
-        hit = (keys & (cmask | gate.tmask)) == cwant
-        phase = cmath.exp(1j * gate.param)
-        return keys, np.where(hit, amps * phase, amps)
-    if gate.matrix is None:  # ROTY(0)
+        hit = (keys & (cmask | tmask)) == cwant
+        return keys, np.where(hit, amps * operand, amps)
+    if operand is None:  # ROTY(0)
         return keys, amps
-    return _mix(keys, amps, gate)
+    return _mix(keys, amps, tmask, operand)
 
 
-def _run(keys, amps, gates):
-    """The gate kernel: ``gates`` in order on parallel key and amplitude
-    arrays, one control split per run of gates (see the module docstring)."""
-    i, end = 0, len(gates)
+def _run(keys, amps, program):
+    """The gate kernel: a circuit's rows in order on parallel key and
+    amplitude arrays, one control split per run of rows (see the module
+    docstring and :meth:`Circuit._program`)."""
+    code, tmask, cmask, cwant, operand, run_end = program
+    i, end = 0, len(code)
     while i < end:
-        gate = gates[i]
-        cmask, cwant = gate.cmask, gate.cwant
-        if gate.matrix is None or not cmask:
-            keys, amps = _step(keys, amps, gate, cmask, cwant)
+        j = run_end[i]
+        if not j:
+            keys, amps = _step(keys, amps, code[i], tmask[i], operand[i], cmask[i], cwant[i])
             i += 1
             continue
-        j = i + 1
-        while j < end and gates[j].cmask == cmask and gates[j].cwant == cwant:
-            j += 1
-        active = (keys & cmask) == cwant
+        active = (keys & cmask[i]) == cwant[i]
         split = np.count_nonzero(active) < len(active)
         if split:
             idle = ~active
             idle_keys, idle_amps = keys[idle], amps[idle]
             keys, amps = keys[active], amps[active]
-        for g in gates[i:j]:
-            keys, amps = _step(keys, amps, g, 0, 0)
+        for r in range(i, j):
+            keys, amps = _step(keys, amps, code[r], tmask[r], operand[r], 0, 0)
         if split:
             keys = np.concatenate((idle_keys, keys))
             amps = np.concatenate((idle_amps, amps))
@@ -529,19 +744,17 @@ def _run(keys, amps, gates):
 
 def apply(state: SparseState, gate: Gate) -> SparseState:
     """Apply one gate, returning a new pruned state."""
-    n = state.n_qubits
-    if gate.top >= n:
-        raise SimulatorError(f"gate {gate.dump()} out of range for N={n}")
-    keys, amps = _run(state.key_array, state.amp_array, (gate,))
+    circuit = Circuit((gate,), state.layout)
+    keys, amps = _run(state.key_array, state.amp_array, circuit._program())
     return SparseState.from_arrays(state.layout, keys, amps)
 
 
 def apply_circuit(state: SparseState, circuit: Circuit) -> SparseState:
     """Apply every gate of a circuit, returning a new pruned state; the
-    circuit checked its gates' range against its layout when it was built."""
+    circuit checked its qubits against its layout when it was built."""
     if circuit.layout != state.layout:
         raise SimulatorError("circuit layout does not match state layout")
-    keys, amps = _run(state.key_array, state.amp_array, circuit.gates)
+    keys, amps = _run(state.key_array, state.amp_array, circuit._program())
     return SparseState.from_arrays(state.layout, keys, amps)
 
 

@@ -10,8 +10,9 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qamem
@@ -566,14 +567,27 @@ def bad_grids(draw):
     return kind, f"{form}:{lo!r}:{hi!r}:{count}"
 
 
+def grid_points(form, lo, hi, count):
+    if form == "log":
+        return np.logspace(math.log10(lo), math.log10(hi), count)
+    return np.linspace(lo, hi, count)
+
+
 @st.composite
 def good_grids(draw):
-    """The valid neighbours: ascending positive lists and small ranges."""
+    """The valid neighbours: ascending positive lists and small ranges.  A
+    range's COUNT is one whose points are strictly ascending: endpoints a
+    few ulps apart leave room for few points or none (for log), so close
+    endpoints keep only the counts that fit, and a log range with none
+    becomes a lin one, whose two endpoints always fit."""
     if draw(st.booleans()):
         return spec(sorted(draw(st.lists(POSITIVE, min_size=1, max_size=4, unique=True))))
     lo, hi = sorted(draw(st.lists(POSITIVE, min_size=2, max_size=2, unique=True)))
     form = draw(st.sampled_from(["lin", "log"]))
-    return f"{form}:{lo!r}:{hi!r}:{draw(st.integers(2, 5))}"
+    counts = [c for c in range(2, 6) if (np.diff(grid_points(form, lo, hi, c)) > 0).all()]
+    if not counts:
+        form, counts = "lin", [2]
+    return f"{form}:{lo!r}:{hi!r}:{draw(st.sampled_from(counts))}"
 
 
 class TestBoundaryProperties:
@@ -589,6 +603,10 @@ class TestBoundaryProperties:
 
     @settings(max_examples=150, deadline=None)
     @given(kind_grid=bad_grids())
+    # ranges whose endpoints are too close for COUNT ascending points
+    @example(kind_grid=("range", "lin:0.01:0.010000000000000002:3"))
+    @example(kind_grid=("range", "log:0.01:0.010000000000000002:3"))
+    @example(kind_grid=("range", "lin:1:1.0000000000000004:5"))
     def test_bad_grid_spec(self, kind_grid):
         kind, grid = kind_grid
         assert_rejected(*self.with_option(self.THERMO, "--b-grid", grid))
@@ -621,6 +639,29 @@ class TestBoundaryProperties:
         code, out, err = run_quiet(self.with_option(command, "--n", n))
         assert code == EXIT_VALIDATION and out == ""
         assert err == f"qamem: n must be <= MAX_N = {MAX_N}, got {n}\n"
+
+    @pytest.mark.parametrize("mode", ["repeat", "amplify"])
+    @pytest.mark.parametrize("p", [1, 3, 5])
+    def test_prepared_state_above_limit_refused(self, tmp_path, mode, p):
+        """b rounds on p patterns prepare up to p*2^b keys: the smallest b
+        above MAX_PREPARED_KEYS, and far above it, exit 2 before anything is
+        allocated; a small b on the same memory runs."""
+        path = tmp_path / "patterns.txt"
+        path.write_text("".join(format(k, "04b") + "\n" for k in range(p)))
+        argv = ("retrieve", f"--patterns={path}", "--input=0001", f"--mode={mode}", "--seed=3")
+        first = next(b for b in range(64) if p << b > retrieval.MAX_PREPARED_KEYS)
+        tracemalloc.start()
+        try:
+            for b in (first, first + 1, 10**9):
+                code, out, err = run_quiet((*argv, f"--b={b}"))
+                assert code == EXIT_VALIDATION and out == ""
+                assert err.startswith(f"qamem: b = {b} rounds on {p} patterns")
+                assert err.endswith(f"above the limit of {retrieval.MAX_PREPARED_KEYS} keys\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert_accepted(*argv, "--b=2")
 
     def test_n_at_limit_runs(self):
         # d/n = 0.99 keeps the levels at 10^5 entries

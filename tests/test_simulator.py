@@ -1,4 +1,3 @@
-import functools
 import itertools
 import math
 from collections.abc import Mapping
@@ -9,7 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_reference import gate_unitary, random_state, run_dense, to_vector
+from qamem.memory import build_memory_circuit, sequential_circuit, sequential_layout
+from qamem.patterns import Mask, Pattern, PatternSet
+from qamem.retrieval import preparation_circuit, retrieval_layout, retrieval_round_circuit
 from qamem.simulator import (
+    KIND,
     Circuit,
     Gate,
     RegisterLayout,
@@ -163,6 +166,48 @@ class TestSingleGates:
         with pytest.raises(SimulatorError):
             cs_gate(1.5, 0, 1)
         assert cs_gate(np.int64(3), 0, 1).inverse().param == -3
+
+    @pytest.mark.parametrize(
+        "kind, controls, param",
+        [
+            ("PHASE0", (), None),
+            ("PHASE0", (1,), math.inf),
+            ("ROTY", (), None),
+            ("ROTY", (1,), math.nan),
+            ("ROTY", (), "0.5"),
+            ("H", (), 3.0),
+            ("NOT", (), 0),
+            ("NXOR", (1,), math.nan),
+            ("CS", (1,), 2.5),
+        ],
+    )
+    def test_parameter_rules(self, kind, controls, param):
+        """CS, PHASE0 and ROTY need a finite real parameter and the other
+        kinds take none: a Gate and a table row fail the same check."""
+        with pytest.raises(SimulatorError):
+            Gate(kind, (0,), controls, param)
+        # a table column holds NaN for "no parameter"
+        if param is None or isinstance(param, (int, float)) and not math.isnan(param):
+            with pytest.raises(SimulatorError):
+                Circuit.from_table(flat_layout(2), [KIND[kind]], [[0, *controls]], [param])
+
+    @pytest.mark.parametrize(
+        "targets, controls, kind",
+        [((0, 1), (), "NOT"), ((), (), "H"), ((0,), (1,), "FLIP0"), ((0,), (0,), "XOR")],
+    )
+    def test_row_shape_rules(self, targets, controls, kind):
+        """Every kind but FLIP0 has one target, FLIP0 has no controls, and no
+        qubit appears twice in a row."""
+        with pytest.raises(SimulatorError):
+            Gate(kind, targets, controls)
+
+    def test_table_rows_are_checked(self):
+        layout = flat_layout(3)
+        for qubits in ([[0, 0]], [[0, -2]], [[0, -1, 1]], [[-1, 1]], [[3, 0]]):
+            with pytest.raises(SimulatorError):
+                Circuit.from_table(layout, [KIND["XOR"]], qubits)
+        with pytest.raises(SimulatorError):
+            Circuit.from_table(layout, [len(KIND)], [[0]])
 
 
 class TestNxorTruthTable:
@@ -488,12 +533,42 @@ def draw_gate(draw, kind, target, controls=(), polarity=None):
     return Gate(kind, (target,), controls, param, polarity)
 
 
+def shifted_gate(gate: Gate, offset: int) -> Gate:
+    return Gate(
+        gate.kind,
+        tuple(t + offset for t in gate.targets),
+        tuple(c + offset for c in gate.controls),
+        gate.param,
+        gate.polarity,
+    )
+
+
+def transformed(draw, circuit: Circuit, gates):
+    """The circuit as drawn, inverted, shifted onto a wider layout (from a
+    narrow one up to 70 qubits) or cut and put together again, with the
+    same done Gate by Gate: (table, reference gates, offset)."""
+    form = draw(st.sampled_from(("gates", "inverse", "shifted", "cut")))
+    if form == "inverse":
+        return circuit.inverse(), [g.inverse() for g in reversed(gates)], 0
+    if form == "shifted":
+        offset = draw(st.integers(0, max(0, 70 - circuit.layout.total)))
+        layout = flat_layout(circuit.layout.total + offset)
+        return circuit.shifted(offset, layout), [shifted_gate(g, offset) for g in gates], offset
+    if form == "cut":
+        cut = draw(st.integers(0, len(circuit)))
+        return circuit[:cut] + circuit[cut:], list(gates), 0
+    return circuit, list(gates), 0
+
+
 @st.composite
 def runs_of_gates(draw):
-    """(state, circuit): runs of gates that share a control condition, apart
-    or between uncontrolled gates, on a state whose keys all satisfy the
-    first run's condition or only some of them do.  Wide layouts have object
-    keys and use qubits past bit 63."""
+    """(state, table, reference gates): runs of gates that share a control
+    condition, apart or between uncontrolled gates, on a state whose keys
+    all satisfy the first run's condition or only some of them do.  Wide
+    layouts have object keys and use qubits past bit 63.  The table is the
+    circuit of the drawn gates, or its inverse, shift or cut and rejoined
+    copy (see :func:`transformed`); the reference gates are built to match
+    Gate by Gate."""
     wide = draw(st.booleans())
     n = draw(st.integers(64, 70)) if wide else draw(st.integers(3, 7))
     pool = draw(st.lists(st.integers(0, n - 2), min_size=2, max_size=5, unique=True))
@@ -518,7 +593,7 @@ def runs_of_gates(draw):
         for kind in kinds:
             target = draw(st.sampled_from(targets))
             gates.append(draw_gate(draw, kind, target, controls, polarity))
-    layout = flat_layout(n)
+    circuit, reference, offset = transformed(draw, Circuit(tuple(gates), flat_layout(n)), gates)
     keys = draw(st.lists(
         st.lists(st.sampled_from(pool), unique=True).map(lambda bits: sum(1 << q for q in bits)),
         min_size=1, max_size=12,
@@ -528,9 +603,129 @@ def runs_of_gates(draw):
         cmask = sum(1 << c for c in controls)
         cwant = sum(v << c for c, v in zip(controls, polarity))
         keys = [(k & ~cmask) | cwant for k in keys]
-    keys = list(dict.fromkeys(keys))
+    keys = list(dict.fromkeys(k << offset for k in keys))
     amps = [complex(draw(ANGLES), draw(ANGLES)) for _ in keys]
-    return SparseState(layout, dict(zip(keys, amps))), Circuit(tuple(gates), layout)
+    return SparseState(circuit.layout, dict(zip(keys, amps))), circuit, reference
+
+
+# Gate-by-Gate builders of the package's circuits: the tables that
+# qamem.memory and qamem.retrieval write from the bit matrix must equal them
+
+
+def memory_gates(ps, alternate_signs=False):
+    n, p = ps.n, ps.p
+    u1, u2 = n, n + 1
+    gates = [not_gate(u2)]
+    for i, pat in enumerate(ps, start=1):
+        loader = [roty_gate(math.pi / 2 * b, q, control=u2) for q, b in enumerate(pat.bits)]
+        gates += loader
+        gates.append(xor_gate(u2, u1))
+        gates.append(cs_gate(p + 1 - i, u1, u2, inverse=alternate_signs and i % 2 == 0))
+        gates.append(nxor_gate(range(n), u1, polarity=pat.bits))
+        gates += [g.inverse() for g in loader]
+    return gates
+
+
+def sequential_blocks(ps):
+    """One gate list per pattern: the register rewrite, then its loading."""
+    n, p = ps.n, ps.p
+    preg, (u1, u2), mem = range(n), (n, n + 1), range(n + 2, 2 * n + 2)
+    blocks = []
+    for i, pat in enumerate(ps, start=1):
+        flips = [] if i == 1 else [
+            not_gate(preg[j]) for j in range(n) if ps[i - 2].bits[j] != pat.bits[j]
+        ]
+        compute = [toffoli_gate(preg[j], u2, mem[j]) for j in range(n)]
+        for j in range(n):
+            compute += [xor_gate(preg[j], mem[j]), not_gate(mem[j])]
+        split = [nxor_gate(mem, u1), cs_gate(p + 1 - i, u1, u2), nxor_gate(mem, u1)]
+        blocks.append(flips + compute + split + [g.inverse() for g in reversed(compute)])
+    return blocks
+
+
+def round_gates(x, layout, c, mask):
+    n = layout.width("memory")
+    mem, inp = list(layout.qubits("memory")), list(layout.qubits("input"))
+    control = layout.offset("control") + c
+    theta = math.pi / (2 * n)
+    phase_qubits = mem if mask is None else [mem[j] for j in range(n) if j in mask.known]
+    if inp:
+        dress = []
+        for j in range(n):
+            dress += [xor_gate(inp[j], mem[j]), not_gate(mem[j])]
+    else:
+        dress = [roty_gate(math.pi / 2 * (1 - x.bits[j]), mem[j]) for j in range(n)]
+    kernel = [phase0_gate(theta, q) for q in phase_qubits]
+    kernel += [phase0_gate(-2 * theta, q, control=control) for q in phase_qubits]
+    undress = [g.inverse() for g in reversed(dress)]
+    return [h_gate(control), *dress, *kernel, *undress, h_gate(control)]
+
+
+@st.composite
+def builder_tables(draw):
+    """(table, reference gates): a circuit that qamem.memory or
+    qamem.retrieval writes from a random pattern set, and the same circuit
+    built Gate by Gate.  Retrieval layouts with an input register and
+    n = 30..32 have 63 to 70 qubits."""
+    which = draw(st.sampled_from(("memory", "dual", "sequential", "round", "preparation")))
+    wide = which in ("round", "preparation") and draw(st.booleans())
+    n = draw(st.integers(30, 32)) if wide else draw(st.integers(1, 6))
+    p = draw(st.integers(1, min(5, 2**n)))
+    keys = draw(st.lists(st.integers(0, 2**n - 1), min_size=p, max_size=p, unique=True))
+    ps = PatternSet(tuple(Pattern.from_key(k, n) for k in keys))
+    if which in ("memory", "dual"):
+        dual = which == "dual"
+        return build_memory_circuit(ps, alternate_signs=dual), memory_gates(ps, dual)
+    if which == "sequential":
+        table, ends = sequential_circuit(ps)
+        blocks = sequential_blocks(ps)
+        assert ends == list(itertools.accumulate(map(len, blocks)))
+        assert table.layout == sequential_layout(n)
+        return table, [g for block in blocks for g in block]
+    x = Pattern.from_key(draw(st.integers(0, 2**n - 1)), n)
+    b = draw(st.integers(1, 4))
+    layout = retrieval_layout(n, b, use_input_register=wide or draw(st.booleans()))
+    mask = None
+    if draw(st.booleans()):
+        mask = Mask(frozenset(draw(st.sets(st.integers(0, n - 1), min_size=1))))
+    if which == "round":
+        c = draw(st.integers(0, b - 1))
+        return retrieval_round_circuit(x, layout, c, mask), round_gates(x, layout, c, mask)
+    offset = layout.offset("memory")
+    gates = [shifted_gate(g, offset) for g in memory_gates(ps)]
+    for c in range(b):
+        gates += round_gates(x, layout, c, mask)
+    return preparation_circuit(ps, x, layout, mask), gates
+
+
+def assert_same_rows(table: Circuit, reference) -> None:
+    """Row for row: kind, targets, controls, polarity and the parameter,
+    its type and sign of zero included; and the kernel program of the
+    table has the masks of the reference gates, as Python ints."""
+    assert len(table) == len(reference)
+    for got, want in zip(table.gates, reference):
+        assert (got.kind, got.targets, got.controls, got.polarity) == (
+            want.kind, tuple(want.targets), tuple(want.controls), want.polarity
+        )
+        assert type(got.param) is type(want.param) and repr(got.param) == repr(want.param)
+    code, tmask, cmask, cwant, operand, run_end = table._program()
+    fresh = Circuit(tuple(reference), table.layout)._program()
+    assert (code, run_end) == (fresh[0], fresh[5])
+    for r, gate in enumerate(reference):
+        polarity = gate.polarity or (1,) * len(gate.controls)
+        masks = (tmask[r], cmask[r], cwant[r])
+        assert all(type(m) is int for m in masks)
+        assert masks == (
+            sum(1 << t for t in gate.targets),
+            sum(1 << c for c in gate.controls),
+            sum(v << c for c, v in zip(gate.controls, polarity)),
+        )
+        if isinstance(operand[r], np.ndarray):
+            assert not operand[r].flags.writeable
+            assert operand[r].tobytes() == np.array(gate_matrix(gate)).tobytes()
+        else:
+            assert repr(operand[r]) == repr(fresh[4][r])
+            assert operand[r] is None or gate.kind == "PHASE0"
 
 
 class TestRunKernel:
@@ -540,9 +735,17 @@ class TestRunKernel:
     @settings(max_examples=300, deadline=None)
     @given(case=runs_of_gates())
     def test_circuit_matches_folded_apply(self, case):
-        state, circuit = case
+        state, circuit, reference = case
         got = apply_circuit(state, circuit)
-        want = functools.reduce(apply, circuit.gates, state)
+        want = state
+        for gate in reference:
+            before, want = want, apply(want, gate)
+            # only a mixing gate that is not the identity moves keys: the
+            # others keep every key in its place
+            if gate.kind in ("PHASE0", "FLIP0") or gate.kind == "ROTY" and gate.param == 0:
+                assert want.key_array.tolist() == before.key_array.tolist()
+            elif gate.kind not in MIXING:
+                assert want.key_array.tolist() == list(reference_apply(dict(before.amps), gate))
         assert got.key_array.dtype == want.key_array.dtype == state.layout.key_dtype
         assert got.key_array.tolist() == want.key_array.tolist()
         assert got.amp_array.tobytes() == want.amp_array.tobytes()
@@ -550,6 +753,8 @@ class TestRunKernel:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_inverse_and_shift_match_fresh_gates(self, data):
+        """Tables equal Gate-by-Gate circuits row for row: a table of drawn
+        gates or of a builder, and its inverse, shift and rejoined cut."""
         n = data.draw(st.integers(3, 70))
         qubits = data.draw(st.lists(st.integers(0, n - 1), min_size=3, max_size=3, unique=True))
         kind = data.draw(st.sampled_from(sorted(RUN_KINDS + ("XOR", "TOFFOLI", "FLIP0"))))
@@ -561,32 +766,27 @@ class TestRunKernel:
             controls = tuple(qubits[1 : data.draw(st.integers(1, 3))])
             polarity = data.draw(st.sampled_from((None, tuple(c % 2 for c in controls))))
             gate = draw_gate(data.draw, kind, qubits[0], controls, polarity)
-        offset = data.draw(st.integers(0, 70))
         param = -gate.param if gate.kind in ("CS", "PHASE0", "ROTY") else gate.param
-        pairs = [
-            (gate.inverse(), Gate(gate.kind, gate.targets, gate.controls, param, gate.polarity)),
-            (gate.shifted(offset), Gate(
-                gate.kind,
-                tuple(t + offset for t in gate.targets),
-                tuple(c + offset for c in gate.controls),
-                gate.param,
-                gate.polarity,
-            )),
-        ]
-        for got, fresh in pairs:
-            assert got == fresh and hash(got) == hash(fresh)
-            for name in ("tmask", "cmask", "cwant", "top"):
-                assert getattr(got, name) == getattr(fresh, name), name
-            if fresh.matrix is None:
-                assert got.matrix is None
-            else:
-                assert not got.matrix.flags.writeable
-                assert got.matrix.tolist() == np.array(gate_matrix(fresh)).tolist()
-                assert got.matrix.tobytes() == fresh.matrix.tobytes()
+        assert gate.inverse() == Gate(gate.kind, gate.targets, gate.controls, param, gate.polarity)
         assert gate.inverse().inverse() == gate
-        assert (gate.matrix is None) == (gate.kind not in MIXING or gate.param == 0)
+
+        source = data.draw(st.sampled_from(("gate", "runs", "builder")))
+        if source == "gate":
+            table, reference = Circuit((gate,), flat_layout(n)), [gate]
+        elif source == "runs":
+            _, table, reference = data.draw(runs_of_gates())
+        else:
+            table, reference = data.draw(builder_tables())
+        assert_same_rows(table, reference)
+        assert_same_rows(*transformed(data.draw, table, reference)[:2])
 
     def test_shift_edges(self):
+        circuit = Circuit((not_gate(1),), flat_layout(2))
         with pytest.raises(SimulatorError):
-            not_gate(1).shifted(-2)
-        assert flip0_gate(()).shifted(3).top == Gate("FLIP0", ()).top == -1
+            circuit.shifted(-2, flat_layout(2))
+        with pytest.raises(SimulatorError, match="out of range"):
+            circuit.shifted(1, flat_layout(2))
+        empty = Circuit((flip0_gate(()),), flat_layout(1)).shifted(3, flat_layout(4))
+        assert empty.gates == (Gate("FLIP0", ()),)
+        with pytest.raises(SimulatorError, match="different layouts"):
+            circuit + empty
