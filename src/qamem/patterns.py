@@ -6,7 +6,7 @@ pass over it (see :func:`~qamem.retrieval.analytic_distribution`), and
 :func:`read_pattern_file` builds it in one pass from the validated lines.
 The per-pattern views, a tuple of :class:`Pattern` objects and a tuple of
 bit strings, are built from the matrix only when first asked for;
-:func:`hamming` and :func:`hamming_masked` stay the single-pair API.
+:func:`hamming` and :func:`hamming_masked` are the per-pair test oracles.
 
 Conventions used throughout the package:
 
@@ -190,14 +190,21 @@ class Mask:
 
 
 def hamming(a: Pattern, b: Pattern) -> int:
-    """Number of positions where a and b differ."""
+    """Number of positions where a and b differ.
+
+    A test oracle: the tests check the one-pass distances over a bit matrix
+    against it, one pair at a time.
+    """
     if a.n != b.n:
         raise PatternError(f"length mismatch: {a.n} != {b.n}")
     return sum(x != y for x, y in zip(a.bits, b.bits))
 
 
 def hamming_masked(a: Pattern, b: Pattern, mask: Mask) -> int:
-    """Hamming distance counting only the mask's known indices."""
+    """Hamming distance counting only the mask's known indices.
+
+    A test oracle, as :func:`hamming` is for masked distances.
+    """
     if a.n != b.n:
         raise PatternError(f"length mismatch: {a.n} != {b.n}")
     mask.validate(a.n)
@@ -244,10 +251,3 @@ def read_pattern_file(path) -> PatternSet:
     ascii_bits = np.frombuffer("".join(lines).encode("ascii"), dtype=np.uint8)
     bits = (ascii_bits - ord("0")).reshape(len(lines), n)
     return PatternSet._from_validated(bits, tuple(lines))
-
-
-def write_pattern_file(pattern_set: PatternSet, path) -> None:
-    """Write the canonical text form (round-trips with read_pattern_file)."""
-    Path(path).write_text(
-        "".join(s + "\n" for s in pattern_set.strings), encoding="utf-8"
-    )

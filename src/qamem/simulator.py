@@ -162,6 +162,18 @@ class Gate:
     def __post_init__(self):
         _check_rows(*_columns([_row(self)])[:4])
 
+    @classmethod
+    def _checked_row(cls, kind, targets, controls, param, polarity) -> "Gate":
+        """The gate of a table row that has passed the row check, built
+        without checking it again."""
+        gate = object.__new__(cls)
+        object.__setattr__(gate, "kind", kind)
+        object.__setattr__(gate, "targets", targets)
+        object.__setattr__(gate, "controls", controls)
+        object.__setattr__(gate, "param", param)
+        object.__setattr__(gate, "polarity", polarity)
+        return gate
+
     def inverse(self) -> "Gate":
         if self.param is None:
             return self  # NOT, H, XOR, TOFFOLI, NXOR and FLIP0
@@ -440,7 +452,7 @@ class Circuit:
         polarity = None
         if self.polarized[r]:
             polarity = tuple(self.polarity[r, 1 : len(qubits)].tolist())
-        return Gate(KINDS[code], targets, controls, param, polarity)
+        return Gate._checked_row(KINDS[code], targets, controls, param, polarity)
 
     @property
     def gates(self) -> tuple[Gate, ...]:

@@ -15,6 +15,14 @@ from which free energy, internal energy, entropy and the effective
 input/output Hamming distance follow.  All heavy evaluations work in
 log space (cos^{2b} as exp(2b*log cos)) so that b up to 1e7 and n up to
 1e7 stay finite.
+
+The same average over x = j/n in [d/n, 1] as an integral, the continuum
+mode of :func:`partition_avg`, costs O(1) in n.  It differs from the
+discrete mean by 1.5e-5 relative at (b, d, n) = (86, 51000, 1020000) and
+by 3.5e-5 at (9982, 80000, 8000000).  :func:`tune` uses it to find where
+to start: it solves the continuum accuracy target for an integer b, then
+confirms or corrects that b against the exact discrete sum with one
+gallop-and-bisect search, so a good start costs two O(n) evaluations.
 """
 from __future__ import annotations
 
@@ -60,7 +68,11 @@ class TuneResult:
 
 
 def energy_level(d: float, n: int) -> float:
-    """Boltzmann energy of a branch at Hamming distance d; +inf at d = n."""
+    """Boltzmann energy of a branch at Hamming distance d; +inf at d = n.
+
+    A paper object, the E(d) of the module docstring; the tests check the
+    low-temperature limit of F against it.
+    """
     if d < 0 or d > n:
         raise ThermoError(f"need 0 <= d <= n, got d={d}, n={n}")
     if d == n:
@@ -143,7 +155,6 @@ class _Levels:
         # energies are -2 log cos: the factor is exact, so no energy array
         U = -2.0 * float(np.dot(self.weights, self.log_cos))
         S = b * (U - F)
-        D_eff = (2.0 / math.pi) * math.acos(math.exp(-F / 2.0))
         return ThermoPoint(
             b=b,
             d_over_n=self.d / self.n,
@@ -152,29 +163,57 @@ class _Levels:
             F=F,
             U=U,
             S=S,
-            D_eff=D_eff,
+            D_eff=_distance(F),
         )
 
 
-def _continuum_avg(b: float, x0: float) -> float:
-    """mean over x in [x0, 1] of cos^{2b}(pi*x/2), by Gauss-Legendre panels.
+def _distance(F: float) -> float:
+    """The effective distance D_eff, a fraction of n with
+    cos^{2b}(pi*D_eff/2) = Z, from the free energy F = -log Z / b."""
+    return (2.0 / math.pi) * math.acos(math.exp(-F / 2.0))
+
+
+#: the continuum nodes and weights, built by the first _continuum_grid call
+_GRID: tuple[np.ndarray, np.ndarray] | None = None
+
+
+def _continuum_grid() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the continuum mean over t in [0, 1]:
+    Gauss-Legendre panels that halve toward both ends.
+
+    The weights sum to 1, so the mean of f(L*t) is their dot product with
+    the values.  ``leggauss`` is most of the cost of an evaluation, so the
+    grid is built on first use, not at import, and kept read-only.
+    """
+    global _GRID
+    if _GRID is None:
+        low = np.concatenate(([0.0], 0.5 * 0.5 ** np.arange(CONTINUUM_LEVELS, -1, -1)))
+        edges = np.concatenate((low, 1.0 - low[-2::-1]))
+        mid = (edges[1:] + edges[:-1]) / 2
+        radius = (edges[1:] - edges[:-1]) / 2
+        nodes, weights = leggauss(CONTINUUM_NODES)
+        t = (mid[:, None] + radius[:, None] * nodes).ravel()
+        w = (radius[:, None] * weights).ravel()
+        for column in (t, w):
+            column.flags.writeable = False
+        _GRID = t, w
+    return _GRID
+
+
+def _continuum_log_avg(b: float, x0: float) -> float:
+    """log of the mean over x in [x0, 1] of cos^{2b}(pi*x/2).
 
     In u = 1 - x the integrand is sin^{2b}(pi*u/2) on [0, L], L = 1 - x0,
     so nodes close to x = 1 keep their full relative precision.  It peaks
     at u = L with width about 1/(pi*b*tan(pi*x0/2)) for large b and has a
     steep u^{2b} edge at u = 0 for small b, so the panels halve toward
-    both ends.
+    both ends.  The sum subtracts the top exponent, so no b up to
+    MAX_TUNE_B underflows to a mean of 0.
     """
-    length = 1.0 - x0
-    half = length / 2
-    low = np.concatenate(([0.0], half * 0.5 ** np.arange(CONTINUUM_LEVELS, -1, -1)))
-    edges = np.concatenate((low, length - low[-2::-1]))
-    mid = (edges[1:] + edges[:-1]) / 2
-    radius = (edges[1:] - edges[:-1]) / 2
-    nodes, weights = leggauss(CONTINUUM_NODES)
-    u = mid[:, None] + radius[:, None] * nodes
-    values = np.exp(2.0 * b * np.log(np.sin(np.pi * u / 2)))
-    return float(np.sum(radius[:, None] * weights * values)) / length
+    t, w = _continuum_grid()
+    log_values = 2.0 * b * np.log(np.sin((np.pi / 2 * (1.0 - x0)) * t))
+    top = float(log_values.max())
+    return top + math.log(float(np.dot(w, np.exp(log_values - top))))
 
 
 def partition_avg(b: float, d: int, n: int, mode: str = "discrete") -> float:
@@ -189,7 +228,7 @@ def partition_avg(b: float, d: int, n: int, mode: str = "discrete") -> float:
     if d == n:
         return 0.0
     if mode == "continuum":
-        return _continuum_avg(b, d / n)
+        return math.exp(_continuum_log_avg(b, d / n))
     return float(np.exp(_Levels(d, n).log_sum(b)[0])) / (n - d + 1)
 
 
@@ -197,10 +236,6 @@ def potentials(b: float, d: int, n: int) -> ThermoPoint:
     """Free energy, internal energy, entropy and effective distance at (b, d)."""
     _check_b(b)
     return _Levels(d, n).point(b)
-
-
-def effective_distance(b: float, d: int, n: int) -> float:
-    return potentials(b, d, n).D_eff
 
 
 @dataclass(frozen=True)
@@ -277,12 +312,60 @@ def scan_transition(d_over_n: float, n: int, b_grid) -> TransitionScan:
 MAX_TUNE_B = 10**7
 
 
+def _first_b(slack, start: int) -> int | None:
+    """Smallest integer b in [1, MAX_TUNE_B] with slack(b) <= 0, or None
+    when slack(MAX_TUNE_B) > 0; slack must not rise with b.
+
+    The search gallops from ``start`` in steps of 1, 2, 4, ... toward the
+    sign change, upward while slack > 0 and downward while slack <= 0, and
+    then bisects the last step.  From start = 1 the gallop tests b = 2, 4,
+    8, ...; from the answer itself it makes two calls, slack(start) <= 0 <
+    slack(start - 1).
+    """
+    start = min(max(start, 1), MAX_TUNE_B)
+    step = 1
+    if slack(start) > 0:
+        lo = start
+        while True:
+            if lo == MAX_TUNE_B:
+                return None
+            hi = min(lo + step, MAX_TUNE_B)
+            if slack(hi) <= 0:
+                break
+            lo, step = hi, step * 2
+    else:
+        hi = start
+        while True:
+            if hi == 1:
+                return 1
+            lo = max(hi - step, 1)
+            if slack(lo) > 0:
+                break
+            hi, step = lo, step * 2
+    # slack(lo) > 0 >= slack(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if slack(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
 def tune(epsilon: float, nu: float, n: int) -> TuneResult:
     """Smallest integer b meeting the accuracy target, with both thresholds.
 
     The target is D(b, eps*n) - eps <= 1 - nu; the repetition threshold is
     the inverse of the average recognition probability cos^{2b}(pi*D/2),
     and amplitude amplification lowers it to its square root.
+
+    D falls monotonically in b, so the answer is the b with slack(b) <= 0
+    < slack(b - 1), slack = D - eps - (1 - nu).  The search first finds
+    that b for the continuum average, at O(1) per b, and starts the exact
+    search over the discrete levels there (at MAX_TUNE_B if no b meets the
+    continuum target); every b tested against the levels costs one O(n)
+    evaluation.  The answer does not depend on the start, and the result
+    is the discrete point evaluated at it.
     """
     if not 0.0 < epsilon < 1.0:
         raise ThermoError("epsilon must be in (0, 1)")
@@ -293,28 +376,19 @@ def tune(epsilon: float, nu: float, n: int) -> TuneResult:
     levels = _Levels(d, n)
     points: dict[int, ThermoPoint] = {}
 
+    def continuum_slack(b: int) -> float:
+        F = -_continuum_log_avg(b, d / n) / b
+        return _distance(F) - epsilon - (1.0 - nu)
+
     def slack(b: int) -> float:
         points[b] = levels.point(b)
         return points[b].D_eff - epsilon - (1.0 - nu)
 
-    if slack(1) <= 0:
-        best = 1
-    else:
-        lo, hi = 1, 2
-        while slack(hi) > 0:
-            lo, hi = hi, hi * 2
-            if hi > MAX_TUNE_B:
-                raise UnattainableTargetError(
-                    f"accuracy target unattainable within b <= {MAX_TUNE_B}"
-                )
-        # slack(lo) > 0 >= slack(hi); D is monotone decreasing in b
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if slack(mid) > 0:
-                lo = mid
-            else:
-                hi = mid
-        best = hi
+    best = _first_b(slack, _first_b(continuum_slack, 1) or MAX_TUNE_B)
+    if best is None:
+        raise UnattainableTargetError(
+            f"accuracy target unattainable within b <= {MAX_TUNE_B}"
+        )
 
     point = points[best]
     log_p_rec = 2.0 * best * math.log(math.cos(math.pi * point.D_eff / 2.0))

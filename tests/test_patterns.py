@@ -17,7 +17,6 @@ from qamem.patterns import (
     hamming,
     hamming_masked,
     read_pattern_file,
-    write_pattern_file,
 )
 
 
@@ -146,14 +145,6 @@ class TestFileIO:
         f.write_text("01\n10\n")
         ps = read_pattern_file(f)
         assert [str(p) for p in ps] == ["01", "10"]
-
-    def test_roundtrip_byte_identical(self, tmp_path):
-        f = tmp_path / "p.txt"
-        original = "0110\n1001\n1111\n"
-        f.write_text(original)
-        g = tmp_path / "q.txt"
-        write_pattern_file(read_pattern_file(f), g)
-        assert g.read_text() == original
 
     def test_error_kinds_name_line(self, tmp_path):
         cases = [

@@ -3,15 +3,16 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from qamem import thermo
 from qamem.thermo import (
+    MAX_TUNE_B,
     ThermoError,
     TuneResult,
     UndefinedPotentialsError,
-    effective_distance,
     energy_level,
     partition_avg,
     potentials,
@@ -20,8 +21,9 @@ from qamem.thermo import (
 )
 
 
-def continuum_reference(b, x0):
-    """mean of cos^{2b}(pi*x/2) over [x0, 1] by mpmath at 40 digits.
+def continuum_reference(b, x0, log=False):
+    """mean of cos^{2b}(pi*x/2) over [x0, 1] by mpmath at 40 digits, or its
+    log, which stays finite where the mean underflows a double.
 
     The integrand peaks at x0 with width 1/(pi*b*tan(pi*x0/2)), or
     2/(pi*sqrt(b)) at x0 = 0; the breakpoints double from that width.
@@ -34,7 +36,57 @@ def continuum_reference(b, x0):
         cuts = [x0 + width * 2**k for k in range(16)]
         points = [x0] + [x for x in cuts if x < 1] + [mpmath.mpf(1)]
         total = mpmath.quad(lambda x: mpmath.cos(mpmath.pi * x / 2) ** (2 * b), points)
-        return float(total / (1 - x0))
+        mean = total / (1 - x0)
+        return float(mpmath.log(mean) if log else mean)
+
+
+def doubling_tune(epsilon, nu, n):
+    """The reference search of tune: slack at b = 1, then at b = 2, 4,
+    8, ..., then a bisection of the last doubling; each b is one evaluation
+    of the discrete levels.  The last doubling is clamped to MAX_TUNE_B,
+    so the search covers every b up to it."""
+    d = round(epsilon * n)
+    levels = thermo._Levels(d, n)
+    points = {}
+
+    def slack(b):
+        points[b] = levels.point(b)
+        return points[b].D_eff - epsilon - (1.0 - nu)
+
+    if slack(1) <= 0:
+        best = 1
+    else:
+        lo, hi = 1, 2
+        while slack(hi) > 0:
+            if hi == MAX_TUNE_B:
+                raise thermo.UnattainableTargetError(
+                    f"accuracy target unattainable within b <= {MAX_TUNE_B}"
+                )
+            lo, hi = hi, min(hi * 2, MAX_TUNE_B)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if slack(mid) > 0:
+                lo = mid
+            else:
+                hi = mid
+        best = hi
+
+    point = points[best]
+    log_p_rec = 2.0 * best * math.log(math.cos(math.pi * point.D_eff / 2.0))
+    return TuneResult(
+        b=best,
+        T_repeat=math.ceil(math.exp(-log_p_rec)),
+        T_amplified=math.ceil(math.exp(-log_p_rec / 2.0)),
+        achieved_D=point.D_eff,
+    )
+
+
+def outcome(f, *args):
+    """f(*args), or the type and message of the error it raises."""
+    try:
+        return f(*args)
+    except (ThermoError, OverflowError) as exc:
+        return type(exc), str(exc)
 
 
 class TestEnergyLevel:
@@ -92,6 +144,14 @@ class TestPartition:
         got = partition_avg(b, round(x0 * n), n, mode="continuum")
         # below the smallest normal double the answer must underflow to ~0
         assert got == pytest.approx(continuum_reference(b, x0), rel=1e-10, abs=1e-300)
+
+    @pytest.mark.parametrize("b", [1e6, 2.0**23])
+    @pytest.mark.parametrize("x0", [0.0, 0.01, 0.1, 0.5])
+    def test_continuum_log_space_matches_mpmath(self, b, x0):
+        # at these b the plain mean underflows below x0 = 0 or is far from
+        # normal; its log is what tune solves with
+        got = thermo._continuum_log_avg(b, x0)
+        assert got == pytest.approx(continuum_reference(b, x0, log=True), rel=1e-12, abs=1e-9)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -172,14 +232,14 @@ class TestPotentials:
     def test_distance_monotone_in_b(self):
         prev = 1.0
         for b in np.logspace(-2, 5, 40):
-            cur = effective_distance(b, 10, 1000)
+            cur = potentials(b, 10, 1000).D_eff
             assert cur <= prev + 1e-12
             prev = cur
 
     def test_distance_bounds(self):
         for b in (0.1, 1.0, 100.0):
             d, n = 50, 500
-            D = effective_distance(b, d, n)
+            D = potentials(b, d, n).D_eff
             # upper bound is the disordered value, 2/3 up to finite-n effects
             assert d / n - 1e-12 <= D <= 2.0 / 3.0 + 0.01
 
@@ -214,7 +274,7 @@ class TestScan:
         scan = scan_transition(0.01, 10**4, self.grid())
         assert scan.b_crossover is not None
         mid = (0.01 + 2.0 / 3.0) / 2.0
-        d_at = effective_distance(scan.b_crossover, 100, 10**4)
+        d_at = potentials(scan.b_crossover, 100, 10**4).D_eff
         assert d_at == pytest.approx(mid, abs=0.02)
 
     def test_requires_ascending_grid(self):
@@ -255,9 +315,9 @@ class TestTune:
         eps, nu, n = 0.1, 0.8, 1000
         res = tune(eps, nu, n)
         d = round(eps * n)
-        assert effective_distance(res.b, d, n) - eps <= 1 - nu
+        assert potentials(res.b, d, n).D_eff - eps <= 1 - nu
         if res.b > 1:
-            assert effective_distance(res.b - 1, d, n) - eps > 1 - nu
+            assert potentials(res.b - 1, d, n).D_eff - eps > 1 - nu
 
     def test_thresholds_follow_distance(self):
         res = tune(0.1, 0.8, 1000)
@@ -277,3 +337,74 @@ class TestTune:
             tune(0.5, 1.5, 100)
         with pytest.raises(ThermoError, match="n must be >= 1, got -5"):
             tune(0.1, 0.5, -5)
+
+    def test_answer_above_two_to_the_23(self):
+        # nu is the continuum's target at b = 9e6 for d = 0; the largest b a
+        # doubling from 1 reaches below MAX_TUNE_B is 2^23
+        eps, nu, n = 1e-6, 0.99937945812, 10**5
+        res = tune(eps, nu, n)
+        assert 2**23 < res.b <= MAX_TUNE_B
+        assert potentials(res.b, 0, n).D_eff - eps - (1 - nu) <= 0
+        assert potentials(res.b - 1, 0, n).D_eff - eps - (1 - nu) > 0
+
+    @pytest.mark.parametrize(
+        "args, want",
+        [
+            ((0.05, 0.914, 1_020_000), None),
+            # criterion 11's input and its printed result
+            ((0.01, 0.9911, 8_000_000), TuneResult(9982, 6628, 82, 0.018899746009528356)),
+        ],
+    )
+    def test_continuum_start_needs_few_evaluations(self, monkeypatch, args, want):
+        # every b tested against the discrete levels is one O(n) evaluation
+        calls = []
+        point = thermo._Levels.point
+        monkeypatch.setattr(
+            thermo._Levels, "point", lambda self, b: calls.append(b) or point(self, b)
+        )
+        res = tune(*args)
+        assert len(calls) <= 3, calls
+        if want is not None:
+            assert res == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        epsilon=st.one_of(
+            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+            st.floats(1e-6, 1e-2),
+        ),
+        nu=st.one_of(st.floats(0.0, 1.0), st.floats(0.99, 1.0), st.just(1.0)),
+        n=st.one_of(st.integers(1, 64), st.integers(1, 5000)),
+    )
+    @example(epsilon=0.05, nu=0.914, n=1_020_000)
+    @example(epsilon=0.1, nu=0.8, n=1000)  # tune.out
+    @example(epsilon=0.1, nu=0.0, n=1000)  # b = 1
+    @example(epsilon=0.1, nu=1.0, n=1000)
+    @example(epsilon=1e-4, nu=0.9995, n=1000)  # d = 0, b near 5e6
+    @example(epsilon=0.999, nu=0.5, n=100)  # d = n
+    def test_matches_doubling_search(self, epsilon, nu, n):
+        assert outcome(tune, epsilon, nu, n) == outcome(doubling_tune, epsilon, nu, n)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        answer=st.one_of(st.integers(1, 64), st.integers(1, MAX_TUNE_B + 1)),
+        start=st.one_of(st.integers(-2, 64), st.integers(1, MAX_TUNE_B + 2)),
+    )
+    @example(answer=1, start=1)
+    @example(answer=MAX_TUNE_B, start=1)
+    @example(answer=MAX_TUNE_B + 1, start=1)
+    @example(answer=2**23 + 1, start=1)
+    def test_search_finds_the_first_b(self, answer, start):
+        calls = []
+
+        def slack(b):
+            calls.append(b)
+            return 0.0 if b >= answer else 1.0
+
+        got = thermo._first_b(slack, start)
+        assert got == (answer if answer <= MAX_TUNE_B else None)
+        assert all(1 <= b <= MAX_TUNE_B for b in calls)
+        # a gallop of at most 24 steps, and a bisection of its last step
+        assert len(calls) <= 48
+        if start == answer <= MAX_TUNE_B:
+            assert len(calls) == (1 if answer == 1 else 2)
