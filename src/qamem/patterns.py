@@ -231,11 +231,11 @@ def read_pattern_file(path) -> PatternSet:
     line; the bit matrix is then built from all of them in one pass.
     """
     text = Path(path).read_text(encoding="utf-8")
+    if not text:
+        raise PatternError(f"{path}: empty pattern file")
     if not text.endswith("\n"):
         raise PatternError(f"{path}: missing trailing newline")
     lines = text.split("\n")[:-1]
-    if not lines:
-        raise PatternError(f"{path}: empty pattern file")
     n = len(lines[0])
     seen = set()
     for lineno, line in enumerate(lines, start=1):

@@ -8,8 +8,8 @@ number of stored patterns rather than with 2^N.
 
 Key width: keys are ``int64`` on layouts of up to 63 qubits, and an object
 array of Python ints on wider layouts, so that no key or mask ever passes
-bit 62 of a fixed-width integer.  Every kernel below is written once in
-whole-array operations and runs unchanged on both key types:
+bit 62 of a fixed-width integer.  The array kernels below run unchanged on
+both key types:
 
 * permutation gates (``NOT``, ``XOR``, ``TOFFOLI``, ``NXOR``) XOR the target
   bit into the keys whose controls match;
@@ -47,6 +47,26 @@ one gate-by-gate application gives, key order and amplitude bits included.
 The memory loaders are such runs: n rotations on one control qubit that
 holds on a single key.
 
+A run that starts on exactly one active key is done on a Python ``int`` key
+and a ``complex`` amplitude, which costs a fraction of the ten or so numpy
+calls a row costs on one-element arrays.  It goes back to the arrays after
+the first row that leaves two keys (or none), and before the first row that
+scalars cannot reproduce bit for bit; keys keep the order ``[low, low | t]``
+and the layout's key dtype.  Three rules keep the result the array one:
+
+* a mixing row multiplies by its matrix entries as Python ``complex`` values
+  with a zero imaginary part, the operands numpy's loop sees.  Python and
+  numpy then round every part alike unless a product underflows to zero,
+  where a fused multiply-add may keep another sign; so a row whose
+  amplitude has a nonzero part small enough for that (below
+  ``float_info.min`` over the row's smallest nonzero entry) goes back to
+  the arrays;
+* a ``PHASE0`` row goes back to the arrays: a product of two complex
+  numbers with nonzero parts rounds differently in Python and in numpy;
+* the prune decision is the one ``np.abs(a) >= PRUNE_THRESHOLD`` makes:
+  ``abs()`` and ``np.abs`` may differ in the last bit, so a magnitude
+  within a relative 1e-9 of the threshold is decided by ``np.abs``.
+
 Marginals, post-selection and grouping read a section's value for all keys
 at once from the layout's precomputed offsets.  ``state.amps`` is a
 read-only ``{key: amplitude}`` mapping with Python ``int`` keys and
@@ -77,12 +97,15 @@ import cmath
 import math
 import numbers
 import operator
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 
 PRUNE_THRESHOLD = 1e-12
+#: magnitudes that abs() puts here are pruned or kept as np.abs decides
+_PRUNE_WINDOW = (PRUNE_THRESHOLD * (1 - 1e-9), PRUNE_THRESHOLD * (1 + 1e-9))
 
 #: widest layout whose keys fit an int64 without touching the sign bit
 INT64_KEY_QUBITS = 63
@@ -508,8 +531,9 @@ class Circuit:
         """What the kernel reads, derived once: per-row lists of the kind
         code, target mask, control mask, wanted control values, operand (the
         phase of a PHASE0, the matrix of a mixing row, None for ROTY(0) and
-        the rest) and run end (the end of the run of rows with this row's
-        control condition when the row starts one, else 0)."""
+        the rest), run end (the end of the run of rows with this row's
+        control condition when the row starts one, else 0) and the scalar
+        form of a mixing row's matrix (see :func:`_scalar_matrix`)."""
         if self._prog is None:
             self._prog = _compile(self)
         return self._prog
@@ -545,17 +569,33 @@ def _compile(circuit: Circuit):
 
     # the phase of each PHASE0 row, and one matrix per distinct mixing row
     code, values = kind.tolist(), param.tolist()
-    operand = [None] * rows
+    operand, scalar = [None] * rows, [None] * rows
     for r in np.flatnonzero(kind == _PHASE0).tolist():
         operand[r] = cmath.exp(1j * values[r])
     matrices = {}
     for r in np.flatnonzero(kind >= _H).tolist():
         key = (code[r], values[r]) if code[r] != _H else _H
-        matrix = matrices.get(key, False)
-        if matrix is False:
-            matrix = matrices[key] = _mixing_matrix(code[r], values[r])
-        operand[r] = matrix
-    return code, tmask.tolist(), cmask.tolist(), cwant.tolist(), operand, run_end.tolist()
+        forms = matrices.get(key)
+        if forms is None:
+            matrix = _mixing_matrix(code[r], values[r])
+            forms = matrices[key] = (matrix, _scalar_matrix(matrix))
+        operand[r], scalar[r] = forms
+    return (
+        code, tmask.tolist(), cmask.tolist(), cwant.tolist(), operand, run_end.tolist(), scalar,
+    )
+
+
+def _scalar_matrix(matrix):
+    """A mixing matrix as the single-key path reads it: its two columns as
+    pairs of Python complex values, and the floor below which a nonzero
+    amplitude part may make a product underflow to zero (see the module
+    docstring); None for ROTY(0)."""
+    if matrix is None:
+        return None
+    (m00, m01), (m10, m11) = matrix.tolist()
+    columns = ((complex(m00), complex(m10)), (complex(m01), complex(m11)))
+    smallest = min((abs(m) for m in (m00, m01, m10, m11) if m), default=1.0)
+    return columns, sys.float_info.min / smallest
 
 
 class _Amplitudes(Mapping):
@@ -727,11 +767,54 @@ def _step(keys, amps, code: int, tmask: int, operand, cmask: int, cwant: int):
     return _mix(keys, amps, tmask, operand)
 
 
+def _kept(amp: complex) -> bool:
+    """Whether :func:`_mix` keeps the amplitude: ``np.abs(amp) >=
+    PRUNE_THRESHOLD``, asked of numpy only near the threshold."""
+    size = abs(amp)
+    if _PRUNE_WINDOW[0] < size < _PRUNE_WINDOW[1]:
+        return bool(np.abs(amp) >= PRUNE_THRESHOLD)
+    return size >= PRUNE_THRESHOLD
+
+
+def _single_key(keys, amps, code, tmask, scalar, i: int, j: int):
+    """Rows ``i`` to ``j - 1`` of a run on its one active key, as a Python
+    int and a complex (see the module docstring).  Stops after the first row
+    that leaves two keys or none, and before a row that the scalars cannot
+    reproduce; returns the next row and the key and amplitude arrays."""
+    key, amp = keys.item(), amps.item()
+    for r in range(i, j):
+        c = code[r]
+        if c <= _NXOR:  # a permutation
+            key ^= tmask[r]
+            continue
+        if c == _PHASE0:  # FLIP0 takes no controls, so no run holds one
+            break
+        if scalar[r] is None:  # ROTY(0)
+            continue
+        columns, floor = scalar[r]
+        if 0.0 < abs(amp.real) < floor or 0.0 < abs(amp.imag) < floor:
+            break  # a product could underflow to zero
+        t = tmask[r]
+        m0, m1 = columns[1] if key & t else columns[0]
+        a0, a1 = amp * m0, amp * m1
+        keep0, keep1 = _kept(a0), _kept(a1)
+        low = key & ~t
+        if keep0 and keep1:
+            return r + 1, np.array((low, low | t), dtype=keys.dtype), np.array((a0, a1))
+        if not (keep0 or keep1):
+            return r + 1, keys[:0], amps[:0]
+        key, amp = (low, a0) if keep0 else (low | t, a1)
+    else:
+        r = j
+    return r, np.array((key,), dtype=keys.dtype), np.array((amp,))
+
+
 def _run(keys, amps, program):
     """The gate kernel: a circuit's rows in order on parallel key and
-    amplitude arrays, one control split per run of rows (see the module
-    docstring and :meth:`Circuit._program`)."""
-    code, tmask, cmask, cwant, operand, run_end = program
+    amplitude arrays, one control split per run of rows, and a run that
+    starts on one active key on Python scalars (see the module docstring
+    and :meth:`Circuit._program`)."""
+    code, tmask, cmask, cwant, operand, run_end, scalar = program
     i, end = 0, len(code)
     while i < end:
         j = run_end[i]
@@ -745,7 +828,10 @@ def _run(keys, amps, program):
             idle = ~active
             idle_keys, idle_amps = keys[idle], amps[idle]
             keys, amps = keys[active], amps[active]
-        for r in range(i, j):
+        first = i
+        if len(keys) == 1:
+            first, keys, amps = _single_key(keys, amps, code, tmask, scalar, i, j)
+        for r in range(first, j):
             keys, amps = _step(keys, amps, code[r], tmask[r], operand[r], 0, 0)
         if split:
             keys = np.concatenate((idle_keys, keys))

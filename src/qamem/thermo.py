@@ -392,7 +392,10 @@ def tune(epsilon: float, nu: float, n: int) -> TuneResult:
 
     point = points[best]
     log_p_rec = 2.0 * best * math.log(math.cos(math.pi * point.D_eff / 2.0))
-    t_repeat = math.ceil(math.exp(-log_p_rec))
+    try:
+        t_repeat = math.ceil(math.exp(-log_p_rec))
+    except OverflowError:
+        raise ThermoError(f"T_repeat = 1/p_rec exceeds the float range at b = {best}") from None
     t_amplified = math.ceil(math.exp(-log_p_rec / 2.0))
     return TuneResult(
         b=best,

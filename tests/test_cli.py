@@ -403,6 +403,13 @@ class TestTune:
         assert code == EXIT_VALIDATION
         assert "n must be >= 1, got -5" in err
 
+    def test_t_repeat_past_float_range_is_validation(self, capsys):
+        code, out, err = run(
+            capsys, "tune", "--epsilon", "0.055443360214999654", "--nu", "1.0", "--n", "1411"
+        )
+        assert code == EXIT_VALIDATION and out == ""
+        assert err.startswith("qamem: T_repeat = 1/p_rec exceeds the float range at b = ")
+
     def test_bad_epsilon_is_validation(self, capsys):
         code, _, _ = run(
             capsys, "tune", "--epsilon", "0.0", "--nu", "0.5", "--n", "100"
@@ -696,6 +703,25 @@ class TestBoundaryProperties:
     def test_good_tune(self, n, epsilon, nu):
         argv = ("tune", f"--n={n}", f"--epsilon={epsilon!r}", f"--nu={nu!r}")
         assert_accepted(*argv)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 3000),
+        epsilon=st.floats(1e-3, 0.5),
+        nu=st.one_of(st.floats(0.99, 1.0), st.just(1.0)),
+    )
+    @example(n=1411, epsilon=0.055443360214999654, nu=1.0)
+    def test_tune_near_full_accuracy(self, n, epsilon, nu):
+        """nu near 1 gives a result, a T_repeat past the float range exits 2,
+        and an unattainable target exits 3; none ends in a traceback."""
+        code, out, err = run_quiet(("tune", f"--n={n}", f"--epsilon={epsilon!r}", f"--nu={nu!r}"))
+        if code == EXIT_OK:
+            doc = json.loads(out)
+            assert 1 <= doc["T_amplified"] <= doc["T_repeat"]
+        elif code == EXIT_VALIDATION:
+            assert err.startswith("qamem: T_repeat = 1/p_rec exceeds the float range")
+        else:
+            assert code == EXIT_NUMERIC and "numeric failure" in err, err
 
     @settings(max_examples=100, deadline=None)
     @given(

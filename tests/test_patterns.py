@@ -163,7 +163,14 @@ class TestFileIO:
     def test_missing_trailing_newline(self, tmp_path):
         f = tmp_path / "p.txt"
         f.write_text("01")
-        with pytest.raises(PatternError):
+        with pytest.raises(PatternError, match="missing trailing newline"):
+            read_pattern_file(f)
+
+    @pytest.mark.parametrize("text, message", [("", "empty pattern file$"), ("\n", ":1: blank line$")])
+    def test_empty_file(self, tmp_path, text, message):
+        f = tmp_path / "p.txt"
+        f.write_text(text)
+        with pytest.raises(PatternError, match=message):
             read_pattern_file(f)
 
 

@@ -13,6 +13,7 @@ from qamem.patterns import Mask, Pattern, PatternSet
 from qamem.retrieval import preparation_circuit, retrieval_layout, retrieval_round_circuit
 from qamem.simulator import (
     KIND,
+    PRUNE_THRESHOLD,
     Circuit,
     Gate,
     RegisterLayout,
@@ -35,6 +36,7 @@ from qamem.simulator import (
     section_marginal,
     toffoli_gate,
     xor_gate,
+    _step,
 )
 
 
@@ -515,21 +517,27 @@ class TestAmplitudeView:
                     assert abs(state.amps[key] - amp) < 1e-14
 
 
-ANGLES = st.floats(-3.2, 3.2, allow_nan=False)
+# sin of a nonzero integer is irrational: products with it round, as they
+# do on the amplitudes of real circuits
+GENERIC = st.integers(1, 2**20).map(math.sin)
+GENERIC_ANGLES = GENERIC.map(lambda x: 3.2 * x)
+ANGLES = st.floats(-3.2, 3.2, allow_nan=False) | GENERIC_ANGLES
 MIXING = ("H", "CS", "ROTY")
 # a run of gates sharing one control condition: mixing gates, permutation
 # gates, controlled phases and the identity ROTY(0)
 RUN_KINDS = MIXING + ("ROTY0", "PHASE0", "NXOR", "NOT")
 
 
-def draw_gate(draw, kind, target, controls=(), polarity=None):
+def draw_gate(draw, kind, target, controls=(), polarity=None, angles=ANGLES):
     param = None
     if kind == "CS":
         param = draw(st.integers(1, 5)) * draw(st.sampled_from((1, -1)))
     elif kind in ("ROTY", "PHASE0"):
-        param = draw(ANGLES)
+        param = draw(angles)
     elif kind == "ROTY0":
         kind, param = "ROTY", draw(st.sampled_from((0.0, -0.0)))
+    elif kind == "LOAD":  # a memory loader's rotation: one key stays one key
+        kind, param = "ROTY", draw(st.sampled_from((math.pi / 2, -math.pi / 2)))
     return Gate(kind, (target,), controls, param, polarity)
 
 
@@ -710,7 +718,7 @@ def assert_same_rows(table: Circuit, reference) -> None:
             want.kind, tuple(want.targets), tuple(want.controls), want.polarity
         )
         assert type(got.param) is type(want.param) and repr(got.param) == repr(want.param)
-    code, tmask, cmask, cwant, operand, run_end = table._program()
+    code, tmask, cmask, cwant, operand, run_end, scalar = table._program()
     fresh = Circuit(tuple(reference), table.layout)._program()
     assert (code, run_end) == (fresh[0], fresh[5])
     for r, gate in enumerate(reference):
@@ -725,9 +733,111 @@ def assert_same_rows(table: Circuit, reference) -> None:
         if isinstance(operand[r], np.ndarray):
             assert not operand[r].flags.writeable
             assert operand[r].tobytes() == np.array(gate_matrix(gate)).tobytes()
+            columns = scalar[r][0]
+            assert all(type(m) is complex for column in columns for m in column)
+            assert np.array(columns).T.tobytes() == operand[r].astype(np.complex128).tobytes()
         else:
+            assert scalar[r] is None
             assert repr(operand[r]) == repr(fresh[4][r])
             assert operand[r] is None or gate.kind == "PHASE0"
+
+
+def reference_run(keys, amps, program):
+    """The kernel loop on arrays alone: one control split per run of rows
+    and every row through ``_step``, with no single-key path."""
+    code, tmask, cmask, cwant, operand, run_end, _ = program
+    i = 0
+    while i < len(code):
+        j = run_end[i]
+        if not j:
+            keys, amps = _step(keys, amps, code[i], tmask[i], operand[i], cmask[i], cwant[i])
+            i += 1
+            continue
+        active = (keys & cmask[i]) == cwant[i]
+        idle_keys, idle_amps = keys[~active], amps[~active]
+        keys, amps = keys[active], amps[active]
+        for r in range(i, j):
+            keys, amps = _step(keys, amps, code[r], tmask[r], operand[r], 0, 0)
+        keys, amps = np.concatenate((idle_keys, keys)), np.concatenate((idle_amps, amps))
+        i = j
+    return keys, amps
+
+
+# amplitude parts: signed zeros, and parts small enough that a product with
+# a matrix entry underflows
+TINY_PARTS = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308, 1e-300)
+
+
+@st.composite
+def single_key_amplitude(draw, matrix, column):
+    """An amplitude for the one active key: plain, with signed-zero or tiny
+    parts, or sized so that the first mixing row's branch through a nonzero
+    entry of ``column`` lands within a few ulps of PRUNE_THRESHOLD, where
+    possible on a size that abs() and np.abs put on opposite sides of it."""
+    mode = draw(st.sampled_from(("plain", "parts", "threshold")))
+    if mode == "plain":
+        return complex(draw(GENERIC_ANGLES), draw(GENERIC_ANGLES))
+    if mode == "parts":
+        parts = (draw(st.sampled_from(TINY_PARTS)), draw(ANGLES))
+        return complex(*(parts if draw(st.booleans()) else parts[::-1]))
+    entries = [] if matrix is None else [m for m in (matrix[0][column], matrix[1][column]) if m]
+    if not entries:
+        return complex(draw(ANGLES), draw(ANGLES))
+    entry, phase = draw(st.sampled_from(entries)), draw(GENERIC)
+    sizes = [PRUNE_THRESHOLD * (1 + k * 2.0**-52) / abs(entry) for k in range(-2, 3)]
+    amps = [complex(size * math.sqrt(1 - phase * phase), size * phase) for size in sizes]
+    for amp in amps:
+        branch = amp * complex(entry)
+        if (abs(branch) >= PRUNE_THRESHOLD) != (np.abs(branch) >= PRUNE_THRESHOLD):
+            return amp
+    return draw(st.sampled_from(amps))
+
+
+@st.composite
+def single_key_runs(draw):
+    """(state, circuit): runs of gates that share a control condition, the
+    first of which starts on exactly one active key among idle keys; the
+    later runs start on whatever the earlier ones leave, and uncontrolled
+    gates (FLIP0 among them) may sit between runs.  Wide layouts have
+    object keys and use qubits past bit 63."""
+    wide = draw(st.booleans())
+    n = draw(st.integers(64, 70)) if wide else draw(st.integers(3, 7))
+    pool = draw(st.lists(st.integers(0, n - 2), min_size=2, max_size=5, unique=True))
+    pool.append(n - 1)
+    gates, conditions = [], []
+    for run in range(draw(st.integers(1, 3))):
+        if run and draw(st.booleans()):
+            kind = draw(st.sampled_from(("H", "ROTY", "NOT", "PHASE0", "FLIP0")))
+            if kind == "FLIP0":
+                gates.append(flip0_gate(draw(st.sets(st.sampled_from(pool), min_size=1))))
+            else:
+                gates.append(draw_gate(draw, kind, draw(st.sampled_from(pool))))
+        controls = tuple(draw(st.lists(
+            st.sampled_from(pool), min_size=1, max_size=len(pool) - 1, unique=True
+        )))
+        polarity = tuple(draw(st.lists(st.integers(0, 1), min_size=len(controls), max_size=len(controls))))
+        conditions.append((controls, polarity))
+        targets = [q for q in pool if q not in controls]
+        # loader rotations keep one key one key, so the rows after them,
+        # PHASE0 among them, meet the single-key path
+        kinds = [draw(st.sampled_from(MIXING + ("LOAD", "LOAD")))]
+        kinds += draw(st.lists(st.sampled_from(RUN_KINDS + ("LOAD", "LOAD", "PHASE0")), max_size=8))
+        for kind in kinds:
+            target = draw(st.sampled_from(targets))
+            gates.append(draw_gate(draw, kind, target, controls, polarity, GENERIC_ANGLES))
+    controls, polarity = conditions[0]
+    cmask = sum(1 << c for c in controls)
+    cwant = sum(v << c for c, v in zip(controls, polarity))
+    key_bits = st.lists(st.sampled_from(pool), unique=True).map(lambda bits: sum(1 << q for q in bits))
+    active = (draw(key_bits) & ~cmask) | cwant
+    idle = [k for k in draw(st.lists(key_bits, max_size=6)) if k & cmask != cwant]
+    first = gates[0]
+    matrix = None if first.kind == "ROTY" and first.param == 0 else gate_matrix(first)
+    amp = draw(single_key_amplitude(matrix, (active >> first.targets[0]) & 1))
+    amps = {k: complex(draw(ANGLES), draw(ANGLES)) for k in idle}
+    amps[active] = amp
+    circuit = Circuit(tuple(gates), flat_layout(n))
+    return SparseState(circuit.layout, amps), circuit
 
 
 class TestRunKernel:
@@ -751,6 +861,55 @@ class TestRunKernel:
         assert got.key_array.dtype == want.key_array.dtype == state.layout.key_dtype
         assert got.key_array.tolist() == want.key_array.tolist()
         assert got.amp_array.tobytes() == want.amp_array.tobytes()
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=single_key_runs())
+    def test_single_key_runs_match_array_loop(self, case):
+        """A run that starts on one active key runs on Python scalars; the
+        result is the array loop's, key order, dtype and bits included."""
+        state, circuit = case
+        program = circuit._program()
+        assert np.count_nonzero((state.key_array & program[2][0]) == program[3][0]) == 1
+        got = apply_circuit(state, circuit)
+        keys, amps = reference_run(state.key_array, state.amp_array, program)
+        assert got.key_array.dtype == keys.dtype == state.layout.key_dtype
+        assert got.key_array.tolist() == keys.tolist()
+        assert got.amp_array.tobytes() == amps.tobytes()
+
+    def test_prune_decision_near_threshold_is_numpys(self):
+        """Where abs() and np.abs round a branch to opposite sides of
+        PRUNE_THRESHOLD, the single-key path keeps what the array loop keeps."""
+        layout = flat_layout(3)
+        circuit = Circuit((roty_gate(math.pi / 2, 0, control=2),), layout)
+        rng = np.random.default_rng(3)
+        split = 0
+        for phase in rng.uniform(-math.pi, math.pi, 4000).tolist():
+            amp = complex(PRUNE_THRESHOLD * math.cos(phase), PRUNE_THRESHOLD * math.sin(phase))
+            if (abs(amp) >= PRUNE_THRESHOLD) == (np.abs(amp) >= PRUNE_THRESHOLD):
+                continue
+            split += 1
+            # the active key holds target 1: its branch to target 0 is
+            # -amp * -sin(pi/2) = amp, and the one to target 1 is pruned
+            state = SparseState(layout, {0b101: -amp, 0b010: 1.0})
+            got = apply_circuit(state, circuit)
+            keys, amps = reference_run(state.key_array, state.amp_array, circuit._program())
+            assert got.key_array.tolist() == keys.tolist()
+            assert got.amp_array.tobytes() == amps.tobytes()
+        assert split > 10
+
+    @pytest.mark.parametrize("gate", [
+        cs_gate(4, 2, 0), cs_gate(5, 2, 0, inverse=True), roty_gate(1.3, 0, 2), roty_gate(-2.0, 0, 2),
+    ])
+    def test_underflowing_products_match_array_loop(self, gate):
+        """A product part that underflows to zero keeps the array loop's sign."""
+        layout = flat_layout(3)
+        circuit = Circuit((gate,), layout)
+        for key, re, im in itertools.product((0b100, 0b101), (5e-324, -5e-324), (0.5, -0.5)):
+            state = SparseState(layout, {key: complex(re, im), 0b010: 1.0})
+            got = apply_circuit(state, circuit)
+            keys, amps = reference_run(state.key_array, state.amp_array, circuit._program())
+            assert got.key_array.tolist() == keys.tolist()
+            assert got.amp_array.tobytes() == amps.tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -73,6 +74,8 @@ def doubling_tune(epsilon, nu, n):
 
     point = points[best]
     log_p_rec = 2.0 * best * math.log(math.cos(math.pi * point.D_eff / 2.0))
+    if -log_p_rec > math.log(sys.float_info.max):
+        raise ThermoError(f"T_repeat = 1/p_rec exceeds the float range at b = {best}")
     return TuneResult(
         b=best,
         T_repeat=math.ceil(math.exp(-log_p_rec)),
@@ -85,7 +88,7 @@ def outcome(f, *args):
     """f(*args), or the type and message of the error it raises."""
     try:
         return f(*args)
-    except (ThermoError, OverflowError) as exc:
+    except ThermoError as exc:
         return type(exc), str(exc)
 
 
@@ -330,6 +333,10 @@ class TestTune:
         with pytest.raises(ThermoError):
             tune(0.1, 1.0, 1000)
 
+    def test_t_repeat_past_float_range_raises(self):
+        with pytest.raises(ThermoError, match=r"^T_repeat = 1/p_rec exceeds the float range at b = \d+$"):
+            tune(0.055443360214999654, 1.0, 1411)
+
     def test_validation(self):
         with pytest.raises(ThermoError):
             tune(0.0, 0.5, 100)
@@ -382,6 +389,7 @@ class TestTune:
     @example(epsilon=0.1, nu=1.0, n=1000)
     @example(epsilon=1e-4, nu=0.9995, n=1000)  # d = 0, b near 5e6
     @example(epsilon=0.999, nu=0.5, n=100)  # d = n
+    @example(epsilon=0.055443360214999654, nu=1.0, n=1411)  # T_repeat past the float range
     def test_matches_doubling_search(self, epsilon, nu, n):
         assert outcome(tune, epsilon, nu, n) == outcome(doubling_tune, epsilon, nu, n)
 
