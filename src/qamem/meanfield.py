@@ -61,6 +61,10 @@ class MfParams:
             raise MeanFieldError(f"alpha must be finite and >= 0, got {self.alpha}")
         if not (self.Jt > 0 and math.isfinite(self.Jt)):
             raise MeanFieldError(f"Jt must be finite and > 0, got {self.Jt}")
+        if not math.isfinite(2.0 * self.Jt * self.Jt * self.alpha):
+            raise MeanFieldError(
+                f"2 Jt^2 alpha must be finite, got Jt = {self.Jt}, alpha = {self.alpha}"
+            )
         if not math.isfinite(self.g_over_J):
             raise MeanFieldError(f"g_over_J must be finite, got {self.g_over_J}")
         if not -1.0 <= self.M_ext <= 1.0:

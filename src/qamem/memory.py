@@ -87,12 +87,9 @@ def build_memory_circuit(
     qubits = np.full((size, n + 1), -1)
     param = np.full(size, math.nan)
     polarity = np.ones((size, n + 1), dtype=np.uint8)
-    polarized = np.zeros(size, dtype=bool)
     kind[0], qubits[0, 0] = KIND["NOT"], u2
     # the p blocks as (p, rows, ...) views of the columns
-    K, Q, A, P, Z = (
-        c[1:].reshape(p, rows, *c.shape[1:]) for c in (kind, qubits, param, polarity, polarized)
-    )
+    K, Q, A, P = (c[1:].reshape(p, rows, *c.shape[1:]) for c in (kind, qubits, param, polarity))
     K[:, [xor, cs, nxor]] = KIND["XOR"], KIND["CS"], KIND["NXOR"]
     # the rotations share one control and have distinct targets, so they
     # commute: undo them in loading order
@@ -103,8 +100,7 @@ def build_memory_circuit(
     Q[:, nxor, 0], Q[:, nxor, 1:] = u1, mem
     A[:, load], A[:, cs], A[:, unload] = angle, strength, -angle
     P[:, nxor, 1:] = bits
-    Z[:, nxor] = True
-    return Circuit.from_table(layout, kind, qubits, param, polarity, polarized)
+    return Circuit.from_table(layout, kind, qubits, param, polarity)
 
 
 @dataclass(frozen=True)
@@ -116,13 +112,7 @@ class MemoryBuild:
 
     def memory_amplitudes(self) -> dict[Pattern, complex]:
         """Amplitudes on the memory register for the utility = |00> component."""
-        state, n = self.final_state, self.pattern_set.n
-        stored = state.section_values("utility") == 0
-        values = state.section_values("memory")[stored]
-        return {
-            Pattern.from_key(v, n): amp
-            for v, amp in zip(values.tolist(), state.amp_array[stored].tolist())
-        }
+        return memory_register_amplitudes(self.final_state)
 
 
 def build_memory_operator(pattern_set: PatternSet) -> MemoryBuild:
@@ -231,7 +221,8 @@ def store_sequential(
 
 
 def memory_register_amplitudes(state: SparseState) -> dict[Pattern, complex]:
-    """Memory-register amplitudes of a sequential-storage state (utility |00>)."""
+    """Memory-register amplitudes of a storage state's utility = |00>
+    component, keyed by pattern (equal keys summed)."""
     n = state.layout.width("memory")
     stored = state.section_values("utility") == 0
     values, amps = group_sum(

@@ -171,9 +171,10 @@ class RegisterLayout:
 class Gate:
     """One gate: the public constructor and validator of a circuit row.
 
-    ``polarity`` gives the value each control must hold; all ones when
-    None.  Construction checks the gate with the same row check a gate
-    table goes through (see the module docstring).
+    ``polarity`` gives the value each control must hold, all ones when
+    None; the gate keeps it as a tuple of 0/1 ints, one per control.
+    Construction checks the gate with the same row check a gate table goes
+    through (see the module docstring).
     """
 
     kind: str
@@ -183,7 +184,9 @@ class Gate:
     polarity: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        _check_rows(*_columns([_row(self)])[:4])
+        row = _row(self)
+        _check_rows(*_columns([row])[:4])
+        object.__setattr__(self, "polarity", tuple(row[4][1 : 1 + len(self.controls)]))
 
     @classmethod
     def _checked_row(cls, kind, targets, controls, param, polarity) -> "Gate":
@@ -212,7 +215,7 @@ class Gate:
 
 def _row(gate: Gate):
     """A gate's fields as one table row: (kind code, qubits, parameter,
-    whether a parameter was given, polarity, whether a polarity was given).
+    whether a parameter was given, polarity).
 
     This checks what only the Python values show: the kind name, that the
     indices are non-negative integers, and the shape of targets, controls
@@ -237,7 +240,7 @@ def _row(gate: Gate):
     if gate.polarity is not None:
         if len(gate.polarity) != len(gate.controls):
             raise SimulatorError("polarity length must match controls")
-        polarity[1:] = [1 if v else 0 for v in gate.polarity]
+        polarity[1 : 1 + len(gate.controls)] = [1 if v else 0 for v in gate.polarity]
     param = gate.param
     value = math.nan
     if isinstance(param, numbers.Integral if code == _CS else numbers.Real):
@@ -245,15 +248,15 @@ def _row(gate: Gate):
             value = float(param)
         except OverflowError:
             value = math.inf
-    return code, qubits, value, param is not None, polarity, gate.polarity is not None
+    return code, qubits, value, param is not None, polarity
 
 
 def _columns(rows):
-    """Table columns (kind, qubits, param, param given, polarity, polarized)
-    of a list of :func:`_row` rows; the qubit rows are padded with -1."""
+    """Table columns (kind, qubits, param, param given, polarity) of a list
+    of :func:`_row` rows; the qubit rows are padded with -1."""
     width = max((len(r[1]) for r in rows), default=0) or 1
     qubits, polarity = [], []
-    for _, q, _, _, pol, _ in rows:
+    for _, q, _, _, pol in rows:
         pad = width - len(q)
         qubits.append(q + [-1] * pad)
         polarity.append(pol + [1] * pad)
@@ -263,7 +266,6 @@ def _columns(rows):
         np.array([r[2] for r in rows], dtype=np.float64),
         np.array([r[3] for r in rows], dtype=bool),
         np.array(polarity, dtype=np.uint8).reshape(-1, width),
-        np.array([r[5] for r in rows], dtype=bool),
     )
 
 
@@ -353,8 +355,7 @@ def toffoli_gate(c1: int, c2: int, target: int) -> Gate:
 
 
 def nxor_gate(controls, target: int, polarity=None) -> Gate:
-    pol = None if polarity is None else tuple(polarity)
-    return Gate("NXOR", (target,), tuple(controls), polarity=pol)
+    return Gate("NXOR", (target,), tuple(controls), polarity=polarity)
 
 
 def cs_gate(i: int, control: int, target: int, inverse: bool = False) -> Gate:
@@ -393,64 +394,55 @@ class Circuit:
       (for FLIP0 every entry is a target), padded with -1;
     * ``param``: ``float64``, NaN for the kinds without a parameter;
     * ``polarity``: ``uint8`` (rows, width): the value each control must
-      hold (column 0 and the padding are unused);
-    * ``polarized``: ``bool``, whether the row was given a polarity.
+      hold (column 0, the padding and a FLIP0's row are unused).
 
     ``Circuit(gates, layout)`` builds the table from :class:`Gate` objects,
     :meth:`from_table` from columns; both check every qubit against the
     layout.  :attr:`gates` views the rows as gates.
     """
 
-    __slots__ = ("layout", "kind", "qubits", "param", "polarity", "polarized", "_gates", "_prog")
+    __slots__ = ("layout", "kind", "qubits", "param", "polarity", "_gates", "_prog")
 
     def __init__(self, gates, layout: RegisterLayout):
-        gates = tuple(gates)
-        kind, qubits, param, given, polarity, polarized = _columns([_row(g) for g in gates])
+        kind, qubits, param, given, polarity = _columns([_row(g) for g in gates])
         _check_rows(kind, qubits, param, given)
-        self._set(layout, kind, qubits, param, polarity, polarized)
-        self._gates = gates
+        self._set(layout, kind, qubits, param, polarity)
         self._check_range()
 
     @classmethod
     def from_table(
-        cls, layout: RegisterLayout, kind, qubits, param=None, polarity=None, polarized=None
+        cls, layout: RegisterLayout, kind, qubits, param=None, polarity=None
     ) -> "Circuit":
         """A circuit from its columns (see the class docstring); ``param``
-        defaults to none, ``polarity`` to all ones and ``polarized`` to
-        False.  The rows go through the same check as a :class:`Gate`."""
+        defaults to none and ``polarity`` to all ones.  The rows go through
+        the same check as a :class:`Gate`."""
         kind = np.asarray(kind, dtype=np.int8)
         qubits = np.asarray(qubits, dtype=np.int64).reshape(len(kind), -1)
         rows = len(kind)
         param = np.full(rows, math.nan) if param is None else np.asarray(param, dtype=np.float64)
         if polarity is None:
             polarity = np.ones(qubits.shape, dtype=np.uint8)
-        if polarized is None:
-            polarized = np.zeros(rows, dtype=bool)
         _check_rows(kind, qubits, param, ~np.isnan(param))
-        circuit = cls._make(
-            layout, kind, qubits, param, np.asarray(polarity, dtype=np.uint8),
-            np.asarray(polarized, dtype=bool),
-        )
+        circuit = cls._make(layout, kind, qubits, param, np.asarray(polarity, dtype=np.uint8))
         circuit._check_range()
         return circuit
 
     @classmethod
-    def _make(cls, layout, kind, qubits, param, polarity, polarized) -> "Circuit":
+    def _make(cls, layout, kind, qubits, param, polarity) -> "Circuit":
         """A circuit on columns that hold valid rows."""
         circuit = cls.__new__(cls)
-        circuit._set(layout, kind, qubits, param, polarity, polarized)
-        circuit._gates = None
+        circuit._set(layout, kind, qubits, param, polarity)
         return circuit
 
-    def _set(self, layout, kind, qubits, param, polarity, polarized) -> None:
-        for column in (kind, qubits, param, polarity, polarized):
+    def _set(self, layout, kind, qubits, param, polarity) -> None:
+        for column in (kind, qubits, param, polarity):
             column.flags.writeable = False
         self.layout = layout
         self.kind = kind
         self.qubits = qubits
         self.param = param
         self.polarity = polarity
-        self.polarized = polarized
+        self._gates = None
         self._prog = None
 
     def _check_range(self) -> None:
@@ -472,9 +464,7 @@ class Circuit:
         param = None
         if code in _PARAM_CODES:
             param = int(value) if code == _CS else value
-        polarity = None
-        if self.polarized[r]:
-            polarity = tuple(self.polarity[r, 1 : len(qubits)].tolist())
+        polarity = tuple(self.polarity[r, 1 : 1 + len(controls)].tolist())
         return Gate._checked_row(KINDS[code], targets, controls, param, polarity)
 
     @property
@@ -487,16 +477,14 @@ class Circuit:
     def __getitem__(self, rows: slice) -> "Circuit":
         """The circuit of a slice of the rows."""
         return Circuit._make(
-            self.layout, self.kind[rows], self.qubits[rows], self.param[rows],
-            self.polarity[rows], self.polarized[rows],
+            self.layout, self.kind[rows], self.qubits[rows], self.param[rows], self.polarity[rows]
         )
 
     def inverse(self) -> "Circuit":
         """The rows in reverse order with their parameters negated."""
         param = np.where(np.isnan(self.param), self.param, -self.param)
         return Circuit._make(
-            self.layout, self.kind[::-1], self.qubits[::-1], param[::-1],
-            self.polarity[::-1], self.polarized[::-1],
+            self.layout, self.kind[::-1], self.qubits[::-1], param[::-1], self.polarity[::-1]
         )
 
     def shifted(self, offset: int, layout: RegisterLayout) -> "Circuit":
@@ -505,8 +493,7 @@ class Circuit:
             raise SimulatorError(f"negative shift {offset}")
         q = self.qubits
         circuit = Circuit._make(
-            layout, self.kind, np.where(q >= 0, q + offset, -1), self.param,
-            self.polarity, self.polarized,
+            layout, self.kind, np.where(q >= 0, q + offset, -1), self.param, self.polarity
         )
         circuit._check_range()
         return circuit
@@ -521,7 +508,6 @@ class Circuit:
             np.concatenate((_pad(self.qubits, width, -1), _pad(other.qubits, width, -1))),
             np.concatenate((self.param, other.param)),
             np.concatenate((_pad(self.polarity, width, 1), _pad(other.polarity, width, 1))),
-            np.concatenate((self.polarized, other.polarized)),
         )
 
     def dump(self) -> str:
@@ -663,10 +649,6 @@ class SparseState:
         if self._amps is None:
             self._amps = _Amplitudes(self)
         return self._amps
-
-    @property
-    def n_qubits(self) -> int:
-        return self.layout.total
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amp_array))

@@ -50,9 +50,6 @@ def gate_unitary(gate, n_qubits: int) -> np.ndarray:
         return u
 
     target = gate.targets[0]
-    polarity = gate.polarity
-    if polarity is None:
-        polarity = tuple(1 for _ in gate.controls)
 
     if gate.kind in ("XOR", "TOFFOLI", "NXOR"):
         mat = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -62,7 +59,7 @@ def gate_unitary(gate, n_qubits: int) -> np.ndarray:
     tmask = 1 << target
     for k in range(dim):
         active = all(
-            (k >> c) & 1 == want for c, want in zip(gate.controls, polarity)
+            (k >> c) & 1 == want for c, want in zip(gate.controls, gate.polarity)
         )
         if not active:
             u[k, k] = 1.0

@@ -623,6 +623,23 @@ class TestBoundaryProperties:
                 parse_grid(grid, "b")
             assert_rejected(*self.with_option(self.CLASSICAL, "--alpha-grid", grid))
 
+    @pytest.mark.parametrize("alphas, jts", [("0", "1e154"), ("1e308", "1")])
+    def test_phase_coupling_overflow(self, alphas, jts):
+        """-2 Jt^2 alpha past the float range (inf * 0 = NaN at alpha = 0)."""
+        assert_rejected("phase", f"--alpha-grid={alphas}", f"--jt-grid={jts}")
+
+    @pytest.mark.parametrize("alphas, jts", [("0.1", "1e150"), ("0", "1e153")])
+    def test_phase_coupling_in_range_runs(self, alphas, jts):
+        assert_accepted("phase", f"--alpha-grid={alphas}", f"--jt-grid={jts}")
+
+    @pytest.mark.parametrize("mask", ["a", "9", "-1", ","])
+    def test_bad_mask(self, tmp_path, mask):
+        f = tmp_path / "p.txt"
+        f.write_text("0110\n1011\n")
+        argv = ("retrieve", "--patterns", str(f), "--input", "0111", "--seed", "1")
+        assert_rejected(*argv, "--mask", mask)
+        assert_accepted(*argv, "--mask", "0,3")
+
     @settings(max_examples=40, deadline=None)
     @given(grid=good_grids())
     def test_good_grid_spec(self, grid):

@@ -80,6 +80,12 @@ class TestParams:
                 MfParams(alpha=0.1, Jt=bad)
             with pytest.raises(MeanFieldError, match="g_over_J must be finite"):
                 MfParams(alpha=0.1, Jt=1.0, g_over_J=bad)
+        # the factor -2 Jt^2 alpha overflows (inf * 0 = NaN at alpha = 0)
+        for alpha, jt in ((0.0, 1e154), (1e308, 1.0)):
+            with pytest.raises(MeanFieldError, match="2 Jt\\^2 alpha must be finite"):
+                MfParams(alpha=alpha, Jt=jt)
+        for alpha, jt in ((0.1, 1e150), (0.0, 1e153)):
+            assert MfParams(alpha=alpha, Jt=jt).Jt == jt
 
 
 class TestSinglePattern:

@@ -406,6 +406,18 @@ class TestRetrieve:
         assert report.recognized
         assert report.output in set(ps)
 
+    def test_never_recognized(self):
+        """The complement of the only stored pattern: the control-0 branch
+        is pruned, so no attempt is recognized and amplify mode refuses."""
+        ps, x = S("01"), P("10")
+        config = RetrievalConfig(b=1, T=3)
+        assert sampling_table(ps, x, config) == retrieval.SamplingTable(0.0, (), ())
+        report = retrieve(ps, x, config, np.random.default_rng(0))
+        assert (report.recognized, report.attempts, report.output) == (False, 3, None)
+        amplify = RetrievalConfig(b=1, T=3, mode="amplitude_amplify")
+        with pytest.raises(RetrievalError, match="cannot amplify zero success probability"):
+            retrieve(ps, x, amplify, np.random.default_rng(0))
+
     def test_config_validation(self):
         with pytest.raises(RetrievalError):
             RetrievalConfig(b=0)

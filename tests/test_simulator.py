@@ -143,6 +143,8 @@ class TestSingleGates:
         assert s.amps[1] == 1.0 + 0.0j
 
     def test_flip0_sign(self):
+        # a FLIP0's extra qubits are targets, so its polarity is empty
+        assert Gate("FLIP0", (0, 1), polarity=()) == flip0_gate((0, 1))
         s = random_sparse(3, np.random.default_rng(0))
         flipped = apply(s, flip0_gate([0, 1]))
         for key, amp in s.amps.items():
@@ -230,6 +232,8 @@ class TestNxorTruthTable:
 
     def test_default_polarity_all_ones(self):
         gate = nxor_gate([0, 1], 2)
+        assert gate == nxor_gate([0, 1], 2, polarity=(1, 1)) == nxor_gate([0, 1], 2, [1, 1])
+        assert gate.polarity == (1, 1)
         s = apply(basis_state(flat_layout(3), "110"), gate)
         assert set(s.amps) == {0b111}
 
@@ -400,10 +404,8 @@ class TestOverlap:
 
 def reference_apply(amps: dict, gate: Gate) -> dict:
     """One gate on a {key: amplitude} dict, key by key, with Python ints."""
-    polarity = gate.polarity or (1,) * len(gate.controls)
-
     def active(key):
-        return all((key >> c) & 1 == v for c, v in zip(gate.controls, polarity))
+        return all((key >> c) & 1 == v for c, v in zip(gate.controls, gate.polarity))
 
     out: dict[int, complex] = {}
     if gate.kind == "FLIP0":
@@ -722,13 +724,12 @@ def assert_same_rows(table: Circuit, reference) -> None:
     fresh = Circuit(tuple(reference), table.layout)._program()
     assert (code, run_end) == (fresh[0], fresh[5])
     for r, gate in enumerate(reference):
-        polarity = gate.polarity or (1,) * len(gate.controls)
         masks = (tmask[r], cmask[r], cwant[r])
         assert all(type(m) is int for m in masks)
         assert masks == (
             sum(1 << t for t in gate.targets),
             sum(1 << c for c in gate.controls),
-            sum(v << c for c, v in zip(gate.controls, polarity)),
+            sum(v << c for c, v in zip(gate.controls, gate.polarity)),
         )
         if isinstance(operand[r], np.ndarray):
             assert not operand[r].flags.writeable
