@@ -291,9 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--T", type=int, default=1, help="attempt threshold (default 1)")
     s.add_argument(
         "--mode", choices=("repeat", "amplify"), default="repeat",
-        help="repeat-until-recognized or amplitude amplification; amplify "
-        f"refuses runs above {retrieval.MAX_AMPLIFY_GATES} gate applications "
-        "(Grover iterations x gates per iteration)",
+        help="repeat-until-recognized or amplitude amplification",
     )
     s.set_defaults(func=cmd_retrieve)
 

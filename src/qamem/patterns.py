@@ -109,8 +109,6 @@ class PatternSet:
         rows = [bytes(p.bits) for p in patterns]
         if len(set(rows)) != len(rows):
             raise DuplicatePatternError("pattern set contains duplicates")
-        if len(patterns) > 2**n:
-            raise PatternError("more patterns than basis states")
         self._set_bits(np.frombuffer(b"".join(rows), np.uint8).reshape(-1, n))
         self.__dict__["patterns"] = patterns
 

@@ -15,12 +15,17 @@ qubit phase gate diag(e^{i*pi/2n}, 1) on each memory qubit followed by its
 controlled inverse-square, never as a direct matrix exponential, so the
 gate counts per round are honest: 6n+2 with an input register, 4n+2 with
 the input coded as rotations.
+
+Both retrieval modes draw from the state the b rounds prepare: amplify
+mode only raises its recognition probability to the rotation law
+sin^2((2j+1)theta) of j Grover iterations, which keep the memory law.
 """
 from __future__ import annotations
 
 import bisect
 import itertools
 import math
+import sys
 import weakref
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
@@ -121,6 +126,8 @@ def analytic_distribution(
     """
     if b < 0:
         raise RetrievalError("b must be >= 0")
+    if 2 * b > sys.float_info.max:  # exact: int against float
+        raise RetrievalError("b too large: the exponent 2b exceeds the float range")
     n, p = pattern_set.n, pattern_set.p
     if input_pattern.n != n:
         raise PatternError(f"length mismatch: {input_pattern.n} != {n}")
@@ -277,7 +284,8 @@ def simulate_distribution(
 class SamplingTable:
     """What every retrieval attempt on one prepared state draws from.
 
-    ``p_zero`` is the probability of the all-zeros control outcome.
+    ``p_zero`` is the probability of the all-zeros control outcome, after
+    the optimal Grover iterations in amplify mode.
     ``values`` are the memory-register values of the state post-selected on
     that outcome, in ascending order, and ``cdf`` their cumulative
     probabilities, as :func:`~qamem.simulator.measure_section` walks them.
@@ -334,24 +342,21 @@ def _sampling_table(
             f"b = {b} rounds on {pattern_set.p} patterns prepare a state of up to "
             f"p*2^b keys, above the limit of {MAX_PREPARED_KEYS} keys"
         )
-    if mode == "amplitude_amplify":
-        iterations = optimal_iterations(p_rec)
-        per_iteration = amplify_iteration_gates(pattern_set.p, pattern_set.n, b)
-        if iterations * per_iteration > MAX_AMPLIFY_GATES:
-            raise RetrievalError(
-                f"amplification needs {iterations} iterations of "
-                f"{per_iteration} gates (p_rec = {p_rec:.3g}), above the "
-                f"limit of {MAX_AMPLIFY_GATES} gate applications"
-            )
-        state = amplitude_amplify(
-            pattern_set, input_pattern, b, iterations, mask
-        ).state
-    else:
-        state = prepare_final_state(pattern_set, input_pattern, config)
+    iterations = optimal_iterations(p_rec) if mode == "amplitude_amplify" else None
+    state = prepare_final_state(pattern_set, input_pattern, config)
     _, recognized = postselect(state, "control", 0)
     if recognized is None:  # below postselect's 1e-15 floor: never recognized
+        if iterations is not None:
+            raise RetrievalError(
+                f"cannot amplify p_rec = {p_rec:.3g}: the recognized branch is "
+                "below the 1e-15 post-selection floor"
+            )
         return SamplingTable(0.0, (), ())
     p_zero = section_marginal(state, "control")[0]
+    if iterations is not None:
+        # Grover iterations rotate p_zero and keep the memory law
+        theta = math.asin(math.sqrt(min(p_zero, 1.0)))
+        p_zero = math.sin((2 * iterations + 1) * theta) ** 2
     memory = section_marginal(recognized, "memory")
     return SamplingTable(
         p_zero, tuple(memory), tuple(itertools.accumulate(memory.values()))
@@ -369,10 +374,10 @@ def retrieve(
     Every attempt re-runs the same deterministic preparation, so the final
     state is prepared once (see :func:`_prepared`) and each attempt draws a
     fresh control measurement from it: one draw per attempt, then one draw
-    for the memory register of a recognized attempt.  In
-    ``amplitude_amplify`` mode the prepared state is the amplified one.
-    Every report of one query shares the arrays of its closed form,
-    read-only.
+    for the memory register of a recognized attempt.  Both modes prepare
+    the same state; ``amplitude_amplify`` mode takes its recognition
+    probability from the rotation law instead of running the iterations.
+    Every report of one query shares the arrays of its closed form, read-only.
     """
     analytic, table = _prepared(pattern_set, input_pattern, config)
     for attempt in range(1, config.T + 1):
@@ -447,10 +452,6 @@ def amplify_iteration_gates(p: int, n: int, b: int) -> int:
     return 2 * amplify_preparation_gates(p, n, b) + 2
 
 
-#: most gate applications (Grover iterations x gates per iteration) that
-#: amplify-mode retrieval runs; each costs about 2 us on a one-pattern memory
-MAX_AMPLIFY_GATES = 10**6
-
 #: most nonzero amplitudes a gate-level retrieval may prepare: each round
 #: doubles the keys of the p-key memory state, so b rounds give up to
 #: p*2^b; at the limit the key and amplitude arrays take 24 MB
@@ -460,16 +461,13 @@ MAX_PREPARED_KEYS = 2**20
 def complexity_estimate(
     p: int, n: int, b: int, T: int, mode: str = "repeat_measure"
 ) -> int:
-    """Total elementary-gate budget of a full retrieval run."""
+    """Gates a retrieval run applies, counted as rows of the built gate
+    tables, as :func:`~qamem.memory.memory_gate_count` counts its NXOR:
+    T preparations in repeat mode, one and T Grover iterations in amplify."""
     if min(p, n, b) < 1 or T < 0:
         raise RetrievalError("arguments must be positive (T >= 0)")
-    memory_cost = memory_gate_count(p, n)
     if mode == "repeat_measure":
-        return T * b * (6 * n + 2) * memory_cost
+        return T * (memory_gate_count(p, n) + b * round_gate_count(n))
     if mode == "amplitude_amplify":
-        # each of the two reflections (good subspace, all-zeros) is charged
-        # the placeholder cost 2n+2b+4 instead of one gate
-        reflections = 2 * (2 * n + 2 * b + 4)
-        preparation = amplify_preparation_gates(p, n, b)
-        return T * (2 * preparation + reflections) + preparation
+        return amplify_preparation_gates(p, n, b) + T * amplify_iteration_gates(p, n, b)
     raise RetrievalError(f"unknown mode {mode!r}")

@@ -151,6 +151,8 @@ class _Levels:
         log_sum, head = self.log_sum(b)
         log_z = log_sum - math.log(self.count)
         F = -log_z / b
+        if not math.isfinite(F):  # b -> 0 sends F = -log Z / b to infinity
+            raise ThermoError(f"b = {b} is too small: F = -log Z / b overflows")
         head /= self.weights.sum()
         # energies are -2 log cos: the factor is exact, so no energy array
         U = -2.0 * float(np.dot(self.weights, self.log_cos))
@@ -300,11 +302,13 @@ def scan_transition(d_over_n: float, n: int, b_grid) -> TransitionScan:
     b_cr = None
     for prev, cur in zip(points, points[1:]):
         if prev.D_eff >= midpoint >= cur.D_eff:
-            # log-linear interpolation between the bracketing grid points
-            f = (prev.D_eff - midpoint) / (prev.D_eff - cur.D_eff)
-            b_cr = math.exp(
-                math.log(prev.b) + f * (math.log(cur.b) - math.log(prev.b))
-            )
+            if prev.D_eff == cur.D_eff:  # both on the midpoint, reached at prev
+                b_cr = prev.b
+            else:  # log-linear interpolation between the bracketing grid points
+                f = (prev.D_eff - midpoint) / (prev.D_eff - cur.D_eff)
+                b_cr = math.exp(
+                    math.log(prev.b) + f * (math.log(cur.b) - math.log(prev.b))
+                )
             break
     return TransitionScan(points=points, s_rescaled=s_rescaled, b_crossover=b_cr)
 

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qamem
-from qamem import retrieval
+from qamem import retrieval, seeds
 from qamem.classical import MAX_CAPACITY_ELEMENTS
 from qamem.thermo import MAX_N
 from qamem.cli import (
@@ -63,6 +63,12 @@ class TestHelpers:
     def test_emit_json_roundtrips(self):
         doc = {"a": 1, "b": [0.25, None, True], "s": 'he said "hi"'}
         assert json.loads(emit_json(doc)) == doc
+
+    def test_derive_seed_validation(self):
+        with pytest.raises(ValueError, match="master seed must fit in 64 bits"):
+            seeds.derive_seed(2**64, 0)
+        with pytest.raises(ValueError, match="task index must be >= 0, got -1"):
+            seeds.derive_seed(0, -1)
 
     def test_parse_grid_forms(self):
         assert parse_grid("1,2.5,4", "x") == [1.0, 2.5, 4.0]
@@ -223,6 +229,27 @@ class TestDistribution:
         )
         assert code == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("command", ["distribution", "retrieve"])
+    @pytest.mark.parametrize("b", [10**400, int(9e307)])
+    def test_b_past_float_range_exits_2(self, capsys, tmp_path, command, b):
+        f = tmp_path / "p.txt"
+        f.write_text("0000\n0011\n")
+        argv = [command, "--patterns", str(f), "--input", "0001", "--b", str(b)]
+        if command == "retrieve":
+            argv += ["--seed", "1"]
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_VALIDATION and out == ""
+        assert err == "qamem: b too large: the exponent 2b exceeds the float range\n"
+
+    def test_large_b_in_float_range_runs(self, capsys, pattern_file):
+        code, out, _ = run(
+            capsys, "distribution", "--patterns", pattern_file, "--input", "000",
+            "--b", "10000000000000000000",
+        )
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert (doc["b"], doc["p_rec"]) == (10**19, 0.5)
+
 
 class TestRetrieve:
     def args(self, pattern_file, *extra):
@@ -283,26 +310,37 @@ class TestRetrieve:
         assert proc.returncode == EXIT_VALIDATION
         assert "cannot amplify zero success probability" in proc.stderr
 
-    def test_amplify_work_bound_exits_2(self, capsys, tmp_path, monkeypatch):
+    def test_amplify_runs_no_grover_iterations(self, capsys, tmp_path, monkeypatch, pattern_file):
         def refuse(*args, **kwargs):
             raise AssertionError("amplitude_amplify was entered")
 
         monkeypatch.setattr(retrieval, "amplitude_amplify", refuse)
+        code, _, _ = run(capsys, *self.args(pattern_file, "--mode", "amplify", "--mask", "0,2"))
+        assert code == EXIT_OK
+        # one pattern, input at distance 99 of 100: p_rec = sin^4(pi/200)
+        # at b = 2 calls for 3183 iterations, which amplify mode never runs
         f = tmp_path / "p.txt"
         f.write_text("0" * 100 + "\n")
-        code, out, err = run(
+        code, out, _ = run(
             capsys, "retrieve", "--patterns", str(f), "--input", "1" * 99 + "0",
             "--b", "2", "--mode", "amplify", "--seed", "1",
         )
-        assert code == EXIT_VALIDATION
-        assert out == ""
-        assert f"limit of {retrieval.MAX_AMPLIFY_GATES} gate applications" in err
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert (doc["recognized"], doc["output"]) == (True, "0" * 100)
 
-    def test_help_states_amplify_limit(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["retrieve", "--help"])
-        help_text = " ".join(capsys.readouterr().out.split())
-        assert f"above {retrieval.MAX_AMPLIFY_GATES} gate applications" in help_text
+    def test_amplify_below_postselection_floor_exits_2(self, capsys, tmp_path):
+        # p_rec = sin^16(pi/40) = 2.06e-18: too small a branch to read its
+        # memory law, though amplification would recognize almost surely
+        f = tmp_path / "p.txt"
+        f.write_text("0" * 20 + "\n")
+        code, out, err = run(
+            capsys, "retrieve", "--patterns", str(f), "--input", "1" * 19 + "0",
+            "--b", "8", "--mode", "amplify", "--seed", "1",
+        )
+        assert code == EXIT_VALIDATION and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("qamem: cannot amplify p_rec = 2.06e-18: the recognized branch is below")
 
     def test_bad_seed_rejected(self, capsys, pattern_file):
         with pytest.raises(SystemExit):
@@ -362,6 +400,22 @@ class TestThermo:
         )
         assert code == EXIT_VALIDATION and out == ""
         assert "2b finite" in err
+
+    def test_free_energy_overflow_exits_2(self, capsys):
+        # F = -log Z / b grows without bound as b -> 0: no inf or NaN rows
+        code, out, err = run(
+            capsys, "thermo", "--d-over-n", "0.1", "--n", "100", "--b-grid", "1e-320,1e-300,1"
+        )
+        assert code == EXIT_VALIDATION and out == ""
+        assert err == "qamem: b = 1e-320 is too small: F = -log Z / b overflows\n"
+
+    def test_grid_on_the_midpoint_exits_0(self, capsys):
+        # d = 2 = 2n/3: both points have D_eff equal to the midpoint
+        code, out, _ = run(
+            capsys, "thermo", "--d-over-n", "0.5", "--n", "3", "--b-grid", "1e300,1e305"
+        )
+        assert code == EXIT_OK
+        assert len(out.splitlines()) == 3
 
     def test_bad_arguments_exit_2(self, capsys):
         code, _, err = run(capsys, "thermo", "--d-over-n", "nan", "--n", "100")

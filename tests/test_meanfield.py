@@ -185,6 +185,14 @@ class TestIteration:
                 continue
             assert sol.r >= 0.0
 
+    def test_singular_denominator_raises(self):
+        # at alpha = 0, Jt = 0.5 and m = r = 0 the r-denominator is exactly 0
+        params, origin = MfParams(0.0, 0.5), OrderParameters(0.0, 0.0)
+        with pytest.raises(SingularDenominatorError, match="r-equation denominator below"):
+            iterate_finite(params, origin)
+        with pytest.raises(SingularDenominatorError, match="r-equation denominator 0.0 at"):
+            residual(params, origin)
+
     def test_overlap_decreases_with_loading(self):
         prev = 1.1
         for alpha in (0.02, 0.05, 0.1, 0.15):

@@ -31,6 +31,8 @@ class TestPattern:
     def test_rejects_empty_and_nonbinary(self):
         with pytest.raises(PatternError):
             Pattern.from_string("")
+        with pytest.raises(PatternError, match="pattern must have length >= 1"):
+            Pattern(())
         with pytest.raises(NonBinaryError):
             Pattern.from_string("01x")
         with pytest.raises(NonBinaryError):

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import math
+import sys
 import weakref
 
 import numpy as np
@@ -18,7 +19,6 @@ from qamem.patterns import (
     hamming_masked,
 )
 from qamem.retrieval import (
-    MAX_AMPLIFY_GATES,
     RetrievalConfig,
     RetrievalError,
     amplify_iteration_gates,
@@ -36,7 +36,7 @@ from qamem.retrieval import (
     round_gate_count,
     simulate_distribution,
 )
-from qamem.simulator import measure_section, postselect, section_marginal
+from qamem.simulator import Circuit, flip0_gate, measure_section, postselect, section_marginal
 
 
 def P(s):
@@ -145,6 +145,11 @@ class TestRoundCircuit:
         layout = retrieval_layout(3, 1)
         with pytest.raises(RetrievalError):
             retrieval_round_circuit(P("000"), layout, 1)
+
+    def test_preparation_input_length_checked(self):
+        layout = retrieval_layout(4, 1)
+        with pytest.raises(RetrievalError, match="input length does not match stored patterns"):
+            preparation_circuit(S("0011"), P("01"), layout)
 
 
 class TestCircuitVsFormula:
@@ -295,6 +300,19 @@ class TestBitMatrixClosedForm:
             analytic_distribution(ps, P("01"), 1)
         with pytest.raises(PatternError, match="out of range"):
             analytic_distribution(ps, P("011"), 1, Mask.of(0, 3))
+        with pytest.raises(RetrievalError, match="b must be >= 0"):
+            analytic_distribution(ps, P("011"), -1)
+
+    def test_b_past_float_range_refused(self):
+        """cos^{2b} takes 2b as a float: a larger b is refused, and the
+        message does not echo it."""
+        ps = S("0000", "0011")
+        for b in (10**400, int(9e307)):
+            with pytest.raises(RetrievalError) as info:
+                analytic_distribution(ps, P("0001"), b)
+            assert str(info.value) == "b too large: the exponent 2b exceeds the float range"
+        largest = int(sys.float_info.max) // 2
+        assert analytic_distribution(ps, P("0011"), largest).p_rec == 0.5
 
     def test_law_is_shared_and_read_only(self):
         """Every report of one query carries the same memoised law."""
@@ -344,6 +362,10 @@ class TestLowerBound:
     def test_b_zero(self):
         bound, _ = recognition_lower_bound(5, 4, 0)
         assert bound == pytest.approx(4 / 5)
+
+    def test_validation(self):
+        with pytest.raises(RetrievalError, match="need p >= 1 and n >= 2"):
+            recognition_lower_bound(0, 4, 1)
 
     def test_holds_on_random_instances(self):
         rng = np.random.default_rng(12)
@@ -492,13 +514,53 @@ class TestPreparedSampling:
             retrieve(ps, x, config, rng)
             retrieve(ps, x, config, rng)
         assert len(calls) == 5
-        # the mode enters the state: p_rec = 0.064 here, amplified 3 times
+        # the mode enters the table: p_rec = 0.064 here, amplified 3 times
         repeat = sampling_table(ps, P("0000"), RetrievalConfig(b=3))
         amplified = sampling_table(
             ps, P("0000"), RetrievalConfig(b=3, mode="amplitude_amplify")
         )
-        assert len(calls) == 6
+        assert len(calls) == 7
         assert amplified.p_zero > repeat.p_zero
+
+    def test_amplify_table_is_repeat_table_rotated(self):
+        """Amplify mode reads the repeat-mode state: the same memory law,
+        bit for bit, and p_zero moved by the rotation law."""
+        rng = np.random.default_rng(61)
+        checked = 0
+        for _ in range(60):
+            ps = random_set(rng, 5, 6)
+            inp = random_input(rng, ps.n)
+            mask = None
+            if rng.integers(2):
+                mask = Mask(frozenset(int(j) for j in rng.choice(ps.n, size=ps.n - 1, replace=False)))
+            b = int(rng.integers(1, 4))
+            use_input_register = bool(rng.integers(2))
+            p_rec = analytic_distribution(ps, inp, b, mask).p_rec
+            if p_rec == 0:
+                continue
+            repeat = sampling_table(
+                ps, inp, RetrievalConfig(b=b, mask=mask, use_input_register=use_input_register)
+            )
+            amplified = sampling_table(ps, inp, RetrievalConfig(
+                b=b, mode="amplitude_amplify", mask=mask, use_input_register=use_input_register
+            ))
+            assert (amplified.values, amplified.cdf) == (repeat.values, repeat.cdf)
+            theta = math.asin(math.sqrt(min(repeat.p_zero, 1.0)))
+            j = optimal_iterations(p_rec)
+            assert amplified.p_zero == math.sin((2 * j + 1) * theta) ** 2
+            checked += 1
+        assert checked >= 40
+
+    def test_amplify_below_postselection_floor_refused(self):
+        """p_rec = sin^16(pi/40) = 2.06e-18 > 0 would be amplified to almost
+        sure recognition, but its branch is below postselect's floor."""
+        ps, inp = PatternSet((P("0" * 20),)), P("1" * 19 + "0")
+        config = RetrievalConfig(b=8, mode="amplitude_amplify")
+        with pytest.raises(RetrievalError, match="cannot amplify p_rec = 2.06e-18: the recognized branch is below"):
+            retrieve(ps, inp, config, np.random.default_rng(0))
+        # repeat mode reads the same state as never recognized
+        report = retrieve(ps, inp, RetrievalConfig(b=8, T=2), np.random.default_rng(0))
+        assert (report.recognized, report.attempts) == (False, 2)
 
 
 class TestWideLayouts:
@@ -557,23 +619,6 @@ class TestAmplification:
             prep = preparation_circuit(ps, random_input(rng, ps.n), layout)
             assert len(prep) == amplify_preparation_gates(ps.p, ps.n, b)
             assert amplify_iteration_gates(ps.p, ps.n, b) == 2 * len(prep) + 2
-
-    def test_work_bound_refuses_before_amplifying(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("amplitude_amplify was entered")
-
-        monkeypatch.setattr(retrieval, "amplitude_amplify", refuse)
-        # one pattern, input at distance 99 of 100: p_rec = sin^4(pi/200)
-        # at b = 2 asks for 3183 iterations of 2018 gates
-        ps = PatternSet((P("0" * 100),))
-        inp = P("1" * 99 + "0")
-        config = RetrievalConfig(b=2, mode="amplitude_amplify")
-        with pytest.raises(RetrievalError, match=f"limit of {MAX_AMPLIFY_GATES} "):
-            retrieve(ps, inp, config, np.random.default_rng(0))
-        # at b = 1 the same query is 50 iterations of 1214 gates: in bounds
-        p_rec = analytic_distribution(ps, inp, 1).p_rec
-        work = optimal_iterations(p_rec) * amplify_iteration_gates(1, 100, 1)
-        assert work == 50 * 1214 <= MAX_AMPLIFY_GATES
 
     def test_success_follows_rotation_law(self):
         ps = S("000", "111")
@@ -639,6 +684,10 @@ class TestAmplification:
         assert table.p_zero == pytest.approx(best, abs=1e-9)
         check_memory(dict(zip(table.values, np.diff((0.0,) + table.cdf))))
 
+    def test_negative_iterations_refused(self):
+        with pytest.raises(RetrievalError, match="iterations must be >= 0"):
+            amplitude_amplify(S("01"), P("01"), 1, -1)
+
     def test_optimal_iterations(self):
         assert optimal_iterations(1.0) == 0
         assert optimal_iterations(0.5) in (0, 1)
@@ -663,7 +712,31 @@ class TestAmplification:
 
 class TestComplexity:
     def test_repeat_example(self):
-        assert complexity_estimate(1, 2, 1, 1) == 112
+        # memory circuit 1*(2*2+3)+1 = 8 rows, one round 6*2+2 = 14 rows
+        assert complexity_estimate(1, 2, 1, 1) == 22
+
+    def test_matches_built_circuits(self):
+        """Repeat mode runs the preparation T times; amplify mode runs it
+        once, then T Grover iterations as amplitude_amplify builds them."""
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            ps = random_set(rng, max_n=5, max_p=4)
+            inp = random_input(rng, ps.n)
+            b, T = int(rng.integers(1, 4)), int(rng.integers(0, 4))
+            prep = preparation_circuit(ps, inp, retrieval_layout(ps.n, b))
+            assert complexity_estimate(ps.p, ps.n, b, T) == T * len(prep)
+            layout = retrieval_layout(ps.n, b, use_input_register=False)
+            prep = preparation_circuit(ps, inp, layout)
+            flips = Circuit(
+                (flip0_gate(layout.qubits("control")), flip0_gate(range(layout.total))), layout
+            )
+            grover = flips[:1] + prep.inverse() + flips[1:] + prep
+            got = complexity_estimate(ps.p, ps.n, b, T, mode="amplitude_amplify")
+            assert got == len(prep) + T * len(grover)
+
+    def test_unknown_mode_refused(self):
+        with pytest.raises(RetrievalError, match="unknown mode 'x'"):
+            complexity_estimate(1, 2, 1, 1, mode="x")
 
     def test_amplify_preparation_only(self):
         got = complexity_estimate(2, 3, 2, 0, mode="amplitude_amplify")

@@ -92,6 +92,12 @@ class TestLayout:
         with pytest.raises(SimulatorError):
             RegisterLayout((("a", 1), ("a", 2)))
 
+    def test_negative_width_and_unknown_name_rejected(self):
+        with pytest.raises(SimulatorError, match="section widths must be >= 0"):
+            RegisterLayout((("a", -1),))
+        with pytest.raises(SimulatorError, match="no section named 'missing'"):
+            flat_layout(2).offset("missing")
+
     def test_zero_width_section_allowed(self):
         layout = RegisterLayout((("input", 0), ("memory", 3)))
         assert layout.total == 3
@@ -112,6 +118,8 @@ class TestBasisState:
     def test_length_mismatch(self):
         with pytest.raises(SimulatorError):
             basis_state(flat_layout(3), "10")
+        with pytest.raises(SimulatorError, match="bits must be 0/1"):
+            basis_state(flat_layout(2), [2, 0])
 
 
 class TestSingleGates:
@@ -164,7 +172,7 @@ class TestSingleGates:
             cs_gate(0, 0, 1)
 
     def test_cs_rejects_non_integer_parameter(self):
-        for bad in (1.5, -2.5, 3.0, None):
+        for bad in (1.5, -2.5, 3.0, None, 10**400):
             with pytest.raises(SimulatorError):
                 Gate("CS", (1,), (0,), param=bad)
         with pytest.raises(SimulatorError):
@@ -205,6 +213,14 @@ class TestSingleGates:
         with pytest.raises(SimulatorError):
             Gate(kind, targets, controls)
 
+    def test_kind_qubits_and_polarity_checked(self):
+        with pytest.raises(SimulatorError, match="unknown gate kind 'BOGUS'"):
+            Gate("BOGUS", (0,))
+        with pytest.raises(SimulatorError, match="qubit indices must be integers"):
+            Gate("NOT", (0.5,))
+        with pytest.raises(SimulatorError, match="polarity length must match controls"):
+            Gate("XOR", (1,), (0,), polarity=(1, 0))
+
     def test_table_rows_are_checked(self):
         layout = flat_layout(3)
         for qubits in ([[0, 0]], [[0, -2]], [[0, -1, 1]], [[-1, 1]], [[3, 0]]):
@@ -212,6 +228,8 @@ class TestSingleGates:
                 Circuit.from_table(layout, [KIND["XOR"]], qubits)
         with pytest.raises(SimulatorError):
             Circuit.from_table(layout, [len(KIND)], [[0]])
+        with pytest.raises(SimulatorError, match="a gate other than FLIP0 needs a target"):
+            Circuit.from_table(layout, [KIND["NOT"]], [[-1]])
 
 
 class TestNxorTruthTable:
@@ -263,6 +281,14 @@ class TestCircuit:
     def test_gate_out_of_layout_rejected(self):
         with pytest.raises(SimulatorError):
             Circuit((not_gate(5),), flat_layout(2))
+
+    def test_layouts_must_match(self):
+        a = basis_state(flat_layout(2), "00")
+        b = basis_state(RegisterLayout((("r", 2),)), "00")
+        with pytest.raises(SimulatorError, match="circuit layout does not match state layout"):
+            apply_circuit(a, Circuit((), b.layout))
+        with pytest.raises(SimulatorError, match="layout mismatch in overlap"):
+            overlap(a, b)
 
     def test_dump_format(self):
         text = Circuit((cs_gate(3, 0, 1),), flat_layout(2)).dump()

@@ -259,6 +259,15 @@ class TestPotentials:
                 potentials(b, 0, 10)
         with pytest.raises(UndefinedPotentialsError):
             potentials(1.0, 10, 10)
+        with pytest.raises(ThermoError, match="need 0 <= d <= n, got d=11"):
+            potentials(1.0, 11, 10)
+
+    def test_free_energy_overflow_refused(self):
+        """Z_ratio tends to (n-d)/(n-d+1) as b -> 0, so F = -log Z / b
+        grows without bound; where it leaves the float range, b is refused."""
+        assert potentials(1e-310, 10, 100).F == pytest.approx(1.1e308, rel=0.01)
+        with pytest.raises(ThermoError, match="b = 1e-320 is too small"):
+            potentials(1e-320, 10, 100)
 
 
 class TestScan:
@@ -279,6 +288,13 @@ class TestScan:
         mid = (0.01 + 2.0 / 3.0) / 2.0
         d_at = potentials(scan.b_crossover, 100, 10**4).D_eff
         assert d_at == pytest.approx(mid, abs=0.02)
+
+    def test_crossover_on_equal_points(self):
+        """d = 2 = 2n/3 puts the ordered limit on the midpoint, so both
+        points have D_eff exactly 2/3: the scan reaches it at the first."""
+        scan = scan_transition(0.5, 3, [1e300, 1e305])
+        assert [pt.D_eff for pt in scan.points] == [2 / 3, 2 / 3]
+        assert scan.b_crossover == 1e300
 
     def test_requires_ascending_grid(self):
         with pytest.raises(ThermoError):
