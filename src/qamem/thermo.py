@@ -150,7 +150,7 @@ class _Levels:
         _check_b(b)
         log_sum, head = self.log_sum(b)
         log_z = log_sum - math.log(self.count)
-        F = -log_z / b
+        F = -log_z / float(b)  # a Python float division overflows without a warning
         if not math.isfinite(F):  # b -> 0 sends F = -log Z / b to infinity
             raise ThermoError(f"b = {b} is too small: F = -log Z / b overflows")
         head /= self.weights.sum()

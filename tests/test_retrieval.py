@@ -36,7 +36,16 @@ from qamem.retrieval import (
     round_gate_count,
     simulate_distribution,
 )
-from qamem.simulator import Circuit, flip0_gate, measure_section, postselect, section_marginal
+from qamem.simulator import (
+    Circuit,
+    SparseState,
+    apply_circuit,
+    basis_state,
+    flip0_gate,
+    measure_section,
+    postselect,
+    section_marginal,
+)
 
 
 def P(s):
@@ -58,6 +67,30 @@ def random_set(rng, max_n=6, max_p=8):
 
 def random_input(rng, n):
     return Pattern(tuple(int(b) for b in rng.integers(0, 2, size=n)))
+
+
+def grover_circuit(pattern_set, x, b, mask=None):
+    """The amplify preparation A and one Grover iteration as gates: the
+    reflection S of the all-zeros control subspace, A^-1, the reflection
+    S0 about |0...0>, then A.  The iteration Q = -A S0 A^-1 S is this
+    circuit followed by a sign flip."""
+    layout = retrieval_layout(pattern_set.n, b, use_input_register=False)
+    prep = preparation_circuit(pattern_set, x, layout, mask)
+    flips = Circuit(
+        (flip0_gate(layout.qubits("control")), flip0_gate(range(layout.total))), layout
+    )
+    return prep, flips[:1] + prep.inverse() + flips[1:] + prep
+
+
+def gate_level_amplify(pattern_set, x, b, iterations, mask=None):
+    """The state after ``iterations`` Grover iterations, run gate by gate."""
+    prep, grover = grover_circuit(pattern_set, x, b, mask)
+    layout = prep.layout
+    state = apply_circuit(basis_state(layout, [0] * layout.total), prep)
+    for _ in range(iterations):
+        state = apply_circuit(state, grover)
+        state = SparseState.from_arrays(layout, state.key_array, -state.amp_array)
+    return state
 
 
 class TestAnalyticDistribution:
@@ -514,12 +547,13 @@ class TestPreparedSampling:
             retrieve(ps, x, config, rng)
             retrieve(ps, x, config, rng)
         assert len(calls) == 5
-        # the mode enters the table: p_rec = 0.064 here, amplified 3 times
+        # the mode does not enter the state: amplify mode rotates p_zero of
+        # the same table; p_rec = 0.064 here, amplified 3 times
         repeat = sampling_table(ps, P("0000"), RetrievalConfig(b=3))
         amplified = sampling_table(
             ps, P("0000"), RetrievalConfig(b=3, mode="amplitude_amplify")
         )
-        assert len(calls) == 7
+        assert len(calls) == 6
         assert amplified.p_zero > repeat.p_zero
 
     def test_amplify_table_is_repeat_table_rotated(self):
@@ -615,10 +649,9 @@ class TestAmplification:
         for _ in range(5):
             ps = random_set(rng, max_n=5, max_p=4)
             b = int(rng.integers(1, 4))
-            layout = retrieval_layout(ps.n, b, use_input_register=False)
-            prep = preparation_circuit(ps, random_input(rng, ps.n), layout)
+            prep, grover = grover_circuit(ps, random_input(rng, ps.n), b)
             assert len(prep) == amplify_preparation_gates(ps.p, ps.n, b)
-            assert amplify_iteration_gates(ps.p, ps.n, b) == 2 * len(prep) + 2
+            assert amplify_iteration_gates(ps.p, ps.n, b) == len(grover) == 2 * len(prep) + 2
 
     def test_success_follows_rotation_law(self):
         ps = S("000", "111")
@@ -684,6 +717,49 @@ class TestAmplification:
         assert table.p_zero == pytest.approx(best, abs=1e-9)
         check_memory(dict(zip(table.values, np.diff((0.0,) + table.cdf))))
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(2, 5),
+        b=st.integers(1, 3),
+        j=st.integers(0, 4),
+        masked=st.booleans(),
+    )
+    def test_matches_gate_level_circuit(self, data, n, b, j, masked):
+        """The reflection about the prepared state is the Grover iteration:
+        every amplitude agrees with the gate-level run to 1e-12, on the
+        prepared state's keys."""
+        keys = data.draw(
+            st.lists(st.integers(0, 2**n - 1), min_size=1, max_size=min(6, 2**n), unique=True)
+        )
+        ps = PatternSet(tuple(Pattern.from_key(k, n) for k in keys))
+        inp = Pattern.from_key(data.draw(st.integers(0, 2**n - 1)), n)
+        mask = None
+        if masked:
+            mask = Mask(frozenset(data.draw(st.sets(st.integers(0, n - 1), min_size=1))))
+        run = amplitude_amplify(ps, inp, b, j, mask)
+        want = gate_level_amplify(ps, inp, b, j, mask).amps
+        got = run.state.amps
+        assert max(abs(got.get(k, 0) - want.get(k, 0)) for k in set(got) | set(want)) <= 1e-12
+        config = RetrievalConfig(b=b, mask=mask, use_input_register=False)
+        prepared = prepare_final_state(ps, inp, config)
+        assert run.state.key_array.tolist() == prepared.key_array.tolist()
+
+    def test_prepares_once_for_any_iterations(self, monkeypatch):
+        ps, inp = S("0110", "1011", "0001"), P("0111")
+        calls = []
+        real = retrieval.apply_circuit
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(retrieval, "apply_circuit", counted)
+        for j in (0, 1, 5, 40):
+            calls.clear()
+            amplitude_amplify(ps, inp, 2, j)
+            assert len(calls) == 1
+
     def test_negative_iterations_refused(self):
         with pytest.raises(RetrievalError, match="iterations must be >= 0"):
             amplitude_amplify(S("01"), P("01"), 1, -1)
@@ -716,8 +792,8 @@ class TestComplexity:
         assert complexity_estimate(1, 2, 1, 1) == 22
 
     def test_matches_built_circuits(self):
-        """Repeat mode runs the preparation T times; amplify mode runs it
-        once, then T Grover iterations as amplitude_amplify builds them."""
+        """Repeat mode runs the preparation T times; amplify mode's circuit
+        runs it once, then T Grover iterations of the gate-level circuit."""
         rng = np.random.default_rng(17)
         for _ in range(40):
             ps = random_set(rng, max_n=5, max_p=4)
@@ -725,12 +801,7 @@ class TestComplexity:
             b, T = int(rng.integers(1, 4)), int(rng.integers(0, 4))
             prep = preparation_circuit(ps, inp, retrieval_layout(ps.n, b))
             assert complexity_estimate(ps.p, ps.n, b, T) == T * len(prep)
-            layout = retrieval_layout(ps.n, b, use_input_register=False)
-            prep = preparation_circuit(ps, inp, layout)
-            flips = Circuit(
-                (flip0_gate(layout.qubits("control")), flip0_gate(range(layout.total))), layout
-            )
-            grover = flips[:1] + prep.inverse() + flips[1:] + prep
+            prep, grover = grover_circuit(ps, inp, b)
             got = complexity_estimate(ps.p, ps.n, b, T, mode="amplitude_amplify")
             assert got == len(prep) + T * len(grover)
 

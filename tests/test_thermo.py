@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 
 import mpmath
 import numpy as np
@@ -268,6 +269,14 @@ class TestPotentials:
         assert potentials(1e-310, 10, 100).F == pytest.approx(1.1e308, rel=0.01)
         with pytest.raises(ThermoError, match="b = 1e-320 is too small"):
             potentials(1e-320, 10, 100)
+
+    def test_numpy_b_overflow_raises_without_warning(self):
+        """A NumPy-float b overflows F as a Python float does: the only
+        sign of it is the ThermoError, not a RuntimeWarning first."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ThermoError, match="b = 1e-320 is too small"):
+                scan_transition(0.1, 100, list(np.array([1e-320, 1.0])))
 
 
 class TestScan:
