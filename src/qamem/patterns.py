@@ -14,7 +14,14 @@ Conventions used throughout the package:
   lowest-order qubit in register layouts;
 * classical +-1 spins map to bits as ``s = 2*bit - 1``.
 
-Both conventions live here and nowhere else.
+:class:`Pattern` applies them in ``as_key``, ``from_key``, ``to_spins``
+and ``from_spins``.  Other modules apply them on their own:
+:func:`qamem.simulator.basis_state`, :func:`qamem.simulator.postselect`
+(given a bit string) and :func:`qamem.retrieval.prepare_final_state` put
+bit j on qubit j, the circuit builders of :mod:`qamem.memory` and
+:func:`qamem.retrieval.retrieval_round_circuit` write bit column j to
+register qubit j, and :func:`qamem.classical.hebb` computes ``2*bit - 1``
+on the bit matrix.
 """
 from __future__ import annotations
 

@@ -44,6 +44,7 @@ from .patterns import Mask, Pattern, PatternError, PatternSet
 from .memory import build_memory_circuit, memory_gate_count
 from .simulator import (
     KIND,
+    POSTSELECT_FLOOR,
     Circuit,
     RegisterLayout,
     SparseState,
@@ -246,13 +247,27 @@ def preparation_circuit(
     return circuit
 
 
+#: most nonzero amplitudes a gate-level retrieval may prepare: each round
+#: doubles the keys of the p-key memory state, so b rounds give up to
+#: p*2^b; at the limit the key and amplitude arrays take 24 MB
+MAX_PREPARED_KEYS = 2**20
+
+
 def prepare_final_state(
     pattern_set: PatternSet,
     input_pattern: Pattern,
     config: RetrievalConfig,
 ) -> SparseState:
-    """Memory preparation followed by all b retrieval rounds."""
-    layout = retrieval_layout(pattern_set.n, config.b, config.use_input_register)
+    """Memory preparation followed by all b retrieval rounds; refused
+    before any gate runs when it could hold more than
+    :data:`MAX_PREPARED_KEYS` keys."""
+    b = config.b
+    if pattern_set.p > MAX_PREPARED_KEYS >> b:  # p * 2^b > limit, without 2^b
+        raise RetrievalError(
+            f"b = {b} rounds on {pattern_set.p} patterns prepare a state of up to "
+            f"p*2^b keys, above the limit of {MAX_PREPARED_KEYS} keys"
+        )
+    layout = retrieval_layout(pattern_set.n, b, config.use_input_register)
     circuit = preparation_circuit(pattern_set, input_pattern, layout, config.mask)
     bits = [0] * layout.total
     if config.use_input_register:
@@ -342,14 +357,9 @@ _LAST_TABLE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 def _sampling_table(pattern_set, input_pattern, b, mask, use_input_register):
     config = RetrievalConfig(b=b, mask=mask, use_input_register=use_input_register)
-    if pattern_set.p > MAX_PREPARED_KEYS >> b:  # p * 2^b > limit, without 2^b
-        raise RetrievalError(
-            f"b = {b} rounds on {pattern_set.p} patterns prepare a state of up to "
-            f"p*2^b keys, above the limit of {MAX_PREPARED_KEYS} keys"
-        )
     state = prepare_final_state(pattern_set, input_pattern, config)
     _, recognized = postselect(state, "control", 0)
-    if recognized is None:  # below postselect's 1e-15 floor: never recognized
+    if recognized is None:  # below POSTSELECT_FLOOR: never recognized
         return SamplingTable(0.0, (), ())
     p_zero = section_marginal(state, "control")[0]
     memory = section_marginal(recognized, "memory")
@@ -365,7 +375,7 @@ def _amplified(table: SamplingTable, p_rec: float) -> SamplingTable:
     if not table.values:
         raise RetrievalError(
             f"cannot amplify p_rec = {p_rec:.3g}: the recognized branch is "
-            "below the 1e-15 post-selection floor"
+            f"below the {POSTSELECT_FLOOR:g} post-selection floor"
         )
     theta = math.asin(math.sqrt(min(table.p_zero, 1.0)))
     p_zero = math.sin((2 * iterations + 1) * theta) ** 2
@@ -457,17 +467,12 @@ def amplify_preparation_gates(p: int, n: int, b: int) -> int:
 
 def amplify_iteration_gates(p: int, n: int, b: int) -> int:
     """Gates in one Grover iteration of the algorithm's circuit: two
-    reflections, each one gate, plus the preparation and its inverse
-    (2*prep + 2).  This counts the circuit, not the simulator's work:
-    :func:`amplitude_amplify` runs the iteration as one reflection about
-    the prepared state."""
+    reflections, each one ``PHASE0(pi)`` row on the first of its qubits
+    with the others as controls that must hold 0, plus the preparation and
+    its inverse (2*prep + 2).  This counts the circuit, not the simulator's
+    work: :func:`amplitude_amplify` runs the iteration as one reflection
+    about the prepared state."""
     return 2 * amplify_preparation_gates(p, n, b) + 2
-
-
-#: most nonzero amplitudes a gate-level retrieval may prepare: each round
-#: doubles the keys of the p-key memory state, so b rounds give up to
-#: p*2^b; at the limit the key and amplitude arrays take 24 MB
-MAX_PREPARED_KEYS = 2**20
 
 
 def complexity_estimate(
@@ -476,8 +481,9 @@ def complexity_estimate(
     """Gates the algorithm's circuit for a retrieval run has, counted as
     rows of the built gate tables, as :func:`~qamem.memory.memory_gate_count`
     counts its NXOR: T preparations in repeat mode, one and T Grover
-    iterations (2*prep + 2 gates each) in amplify.  This is the circuit's
-    size, not the simulator's work, which prepares each state once."""
+    iterations (2*prep + 2 gates each, a reflection being one controlled
+    ``PHASE0(pi)`` row) in amplify.  This is the circuit's size, not the
+    simulator's work, which prepares each state once."""
     if min(p, n, b) < 1 or T < 0:
         raise RetrievalError("arguments must be positive (T >= 0)")
     if mode == "repeat_measure":

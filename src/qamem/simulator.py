@@ -13,7 +13,7 @@ both key types:
 
 * permutation gates (``NOT``, ``XOR``, ``TOFFOLI``, ``NXOR``) XOR the target
   bit into the keys whose controls match;
-* diagonal gates (``PHASE0``, ``FLIP0``) multiply the matching amplitudes;
+* the diagonal gate ``PHASE0`` multiplies the matching amplitudes;
 * mixing gates (``H``, ``CS``, ``ROTY``) emit both target branches of the
   keys whose controls match, merge equal keys with one stable sort, and
   drop amplitudes below :data:`PRUNE_THRESHOLD`.  ``ROTY(0)`` is the
@@ -73,8 +73,9 @@ read-only ``{key: amplitude}`` mapping with Python ``int`` keys and
 ``complex`` values, built on first use; ``SparseState(layout, mapping)``
 builds a state from such a mapping.
 
-Gate set (matching the circuits built in :mod:`qamem.memory` and
-:mod:`qamem.retrieval`); every kind but ``FLIP0`` has one target:
+Gate set (the kinds the circuits of :mod:`qamem.memory` and
+:mod:`qamem.retrieval` are built from); every gate has one target and may
+have controls:
 
 * ``NOT``, ``H``, ``XOR`` (controlled NOT), ``TOFFOLI``, ``NXOR``
   (multi-controlled NOT, optionally with per-control polarities);
@@ -83,9 +84,7 @@ Gate set (matching the circuits built in :mod:`qamem.memory` and
 * ``PHASE0(theta)``: diag(e^{i theta}, 1), phase on the |0> component,
   optionally controlled;
 * ``ROTY(angle)``: real rotation [[cos, -sin], [sin, cos]], optionally
-  controlled (ROTY(pi/2)|0> = |1>);
-* ``FLIP0``: sign flip on the all-zeros subspace of its target qubits
-  (amplitude-amplification oracle); it takes no controls.
+  controlled (ROTY(pi/2)|0> = |1>).
 
 ``CS``, ``PHASE0`` and ``ROTY`` take a finite real parameter (an integer
 for ``CS``); the other kinds take none.  Any gate may carry a polarity, the
@@ -100,10 +99,13 @@ import operator
 import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
 PRUNE_THRESHOLD = 1e-12
+#: least probability :func:`postselect` projects onto; a smaller one is 0
+POSTSELECT_FLOOR = 1e-15
 #: magnitudes that abs() puts here are pruned or kept as np.abs decides
 _PRUNE_WINDOW = (PRUNE_THRESHOLD * (1 - 1e-9), PRUNE_THRESHOLD * (1 + 1e-9))
 
@@ -111,12 +113,10 @@ _PRUNE_WINDOW = (PRUNE_THRESHOLD * (1 - 1e-9), PRUNE_THRESHOLD * (1 + 1e-9))
 INT64_KEY_QUBITS = 63
 
 #: gate kinds in code order; a circuit's ``kind`` column holds the codes
-KINDS = ("NOT", "XOR", "TOFFOLI", "NXOR", "FLIP0", "PHASE0", "H", "CS", "ROTY")
+KINDS = ("NOT", "XOR", "TOFFOLI", "NXOR", "PHASE0", "H", "CS", "ROTY")
 KIND = {name: code for code, name in enumerate(KINDS)}
 # codes up to _NXOR are permutations, codes from _H on mix their target
-_NXOR, _FLIP0, _PHASE0, _H, _CS, _ROTY = (
-    KIND[k] for k in ("NXOR", "FLIP0", "PHASE0", "H", "CS", "ROTY")
-)
+_NXOR, _PHASE0, _H, _CS, _ROTY = (KIND[k] for k in ("NXOR", "PHASE0", "H", "CS", "ROTY"))
 _PARAM_CODES = (_PHASE0, _CS, _ROTY)
 
 
@@ -186,7 +186,7 @@ class Gate:
     def __post_init__(self):
         row = _row(self)
         _check_rows(*_columns([row])[:4])
-        object.__setattr__(self, "polarity", tuple(row[4][1 : 1 + len(self.controls)]))
+        object.__setattr__(self, "polarity", tuple(row[4][1:]))
 
     @classmethod
     def _checked_row(cls, kind, targets, controls, param, polarity) -> "Gate":
@@ -202,7 +202,7 @@ class Gate:
 
     def inverse(self) -> "Gate":
         if self.param is None:
-            return self  # NOT, H, XOR, TOFFOLI, NXOR and FLIP0
+            return self  # NOT, H, XOR, TOFFOLI and NXOR
         # CS^i, PHASE0 and ROTY invert by negating the parameter
         return Gate(self.kind, self.targets, self.controls, -self.param, self.polarity)
 
@@ -231,16 +231,13 @@ def _row(gate: Gate):
         raise SimulatorError(f"qubit indices must be integers in {gate}") from None
     if any(q < 0 for q in qubits):
         raise SimulatorError(f"negative qubit index in {gate}")
-    if code == _FLIP0:
-        if gate.controls:
-            raise SimulatorError("FLIP0 takes no controls")
-    elif len(gate.targets) != 1:
+    if len(gate.targets) != 1:
         raise SimulatorError(f"{gate.kind} takes exactly one target")
     polarity = [1] * len(qubits)
     if gate.polarity is not None:
         if len(gate.polarity) != len(gate.controls):
             raise SimulatorError("polarity length must match controls")
-        polarity[1 : 1 + len(gate.controls)] = [1 if v else 0 for v in gate.polarity]
+        polarity[1:] = [1 if v else 0 for v in gate.polarity]
     param = gate.param
     value = math.nan
     if isinstance(param, numbers.Integral if code == _CS else numbers.Real):
@@ -254,7 +251,7 @@ def _row(gate: Gate):
 def _columns(rows):
     """Table columns (kind, qubits, param, param given, polarity) of a list
     of :func:`_row` rows; the qubit rows are padded with -1."""
-    width = max((len(r[1]) for r in rows), default=0) or 1
+    width = max((len(r[1]) for r in rows), default=1)
     qubits, polarity = [], []
     for _, q, _, _, pol in rows:
         pad = width - len(q)
@@ -274,8 +271,8 @@ def _check_rows(kind, qubits, param, given):
 
     ``given`` marks the rows that were given a parameter (a parameter of
     the wrong type arrives as NaN).  A row's qubits are distinct
-    non-negative indices followed by -1 padding, and every kind but FLIP0
-    has a target; CS, PHASE0 and ROTY have a finite real parameter, CS a
+    non-negative indices followed by -1 padding, the first of them the
+    target; CS, PHASE0 and ROTY have a finite real parameter, CS a
     nonzero integer one; the other kinds have none.
     """
     if (kind.view(np.uint8) >= len(KINDS)).any():
@@ -283,8 +280,8 @@ def _check_rows(kind, qubits, param, given):
     used = qubits >= 0
     if (qubits < -1).any() or (used[:, 1:] > used[:, :-1]).any():
         raise SimulatorError("negative qubit index")
-    if not used[:, 0].all() and (~used[:, 0] & (kind != _FLIP0)).any():
-        raise SimulatorError("a gate other than FLIP0 needs a target")
+    if not used[:, 0].all():
+        raise SimulatorError("a gate needs a target")
     ordered = np.sort(qubits, axis=1)
     if ((ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, :-1] >= 0)).any():
         raise SimulatorError("overlapping target/control indices")
@@ -373,10 +370,6 @@ def roty_gate(angle: float, target: int, control: int | None = None) -> Gate:
     return Gate("ROTY", (target,), controls, param=angle)
 
 
-def flip0_gate(targets) -> Gate:
-    return Gate("FLIP0", tuple(targets))
-
-
 def _pad(column, width: int, fill: int):
     extra = width - column.shape[1]
     if extra == 0:
@@ -390,11 +383,11 @@ class Circuit:
     Columns, read-only arrays with one row per gate:
 
     * ``kind``: ``int8`` code into :data:`KINDS`;
-    * ``qubits``: ``int64`` (rows, width): the target, then the controls
-      (for FLIP0 every entry is a target), padded with -1;
+    * ``qubits``: ``int64`` (rows, width): the target, then the controls,
+      padded with -1;
     * ``param``: ``float64``, NaN for the kinds without a parameter;
     * ``polarity``: ``uint8`` (rows, width): the value each control must
-      hold (column 0, the padding and a FLIP0's row are unused).
+      hold (column 0 and the padding are unused).
 
     ``Circuit(gates, layout)`` builds the table from :class:`Gate` objects,
     :meth:`from_table` from columns; both check every qubit against the
@@ -456,16 +449,12 @@ class Circuit:
 
     def _gate(self, r: int) -> Gate:
         code, value = int(self.kind[r]), float(self.param[r])
-        qubits = [q for q in self.qubits[r].tolist() if q >= 0]
-        if code == _FLIP0:
-            targets, controls = tuple(qubits), ()
-        else:
-            targets, controls = (qubits[0],), tuple(qubits[1:])
+        target, *controls = [q for q in self.qubits[r].tolist() if q >= 0]
         param = None
         if code in _PARAM_CODES:
             param = int(value) if code == _CS else value
         polarity = tuple(self.polarity[r, 1 : 1 + len(controls)].tolist())
-        return Gate._checked_row(KINDS[code], targets, controls, param, polarity)
+        return Gate._checked_row(KINDS[code], (target,), tuple(controls), param, polarity)
 
     @property
     def gates(self) -> tuple[Gate, ...]:
@@ -538,11 +527,6 @@ def _compile(circuit: Circuit):
     tmask = bits[:, 0]
     cmask = np.bitwise_or.reduce(controls, axis=1)
     cwant = np.bitwise_or.reduce(controls * circuit.polarity[:, 1:], axis=1)
-    flip0 = kind == _FLIP0
-    if flip0.any():
-        tmask = np.where(flip0, np.bitwise_or.reduce(bits, axis=1), tmask)
-        cmask = np.where(flip0, 0, cmask)
-        cwant = np.where(flip0, 0, cwant)
 
     # a run starts at a controlled mixing row other than the identity
     # ROTY(0), and ends where the control condition first changes
@@ -584,34 +568,6 @@ def _scalar_matrix(matrix):
     return columns, sys.float_info.min / smallest
 
 
-class _Amplitudes(Mapping):
-    """Read-only ``{key: amplitude}`` view of a state; ``len`` is O(1)."""
-
-    __slots__ = ("_state", "_dict")
-
-    def __init__(self, state: "SparseState"):
-        self._state = state
-        self._dict = None
-
-    def _items(self) -> dict:
-        if self._dict is None:
-            s = self._state
-            self._dict = dict(zip(s.key_array.tolist(), s.amp_array.tolist()))
-        return self._dict
-
-    def __len__(self) -> int:
-        return len(self._state.key_array)
-
-    def __getitem__(self, key):
-        return self._items()[key]
-
-    def __iter__(self):
-        return iter(self._items())
-
-    def __repr__(self) -> str:
-        return repr(self._items())
-
-
 class SparseState:
     """Nonzero amplitudes of a state: parallel key and amplitude arrays.
 
@@ -647,7 +603,9 @@ class SparseState:
     @property
     def amps(self) -> Mapping:
         if self._amps is None:
-            self._amps = _Amplitudes(self)
+            self._amps = MappingProxyType(
+                dict(zip(self.key_array.tolist(), self.amp_array.tolist()))
+            )
         return self._amps
 
     def norm(self) -> float:
@@ -737,9 +695,6 @@ def _step(keys, amps, code: int, tmask: int, operand, cmask: int, cwant: int):
         if cmask:
             flipped = np.where((keys & cmask) == cwant, flipped, keys)
         return flipped, amps
-    if code == _FLIP0:
-        zero = (keys & tmask) == 0
-        return keys, np.where(zero, -amps, amps)
     if code == _PHASE0:
         # controls active and target |0>
         hit = (keys & (cmask | tmask)) == cwant
@@ -769,7 +724,7 @@ def _single_key(keys, amps, code, tmask, scalar, i: int, j: int):
         if c <= _NXOR:  # a permutation
             key ^= tmask[r]
             continue
-        if c == _PHASE0:  # FLIP0 takes no controls, so no run holds one
+        if c == _PHASE0:
             break
         if scalar[r] is None:  # ROTY(0)
             continue
@@ -887,7 +842,7 @@ def postselect(
     hit = state.section_values(section) == value
     amps = state.amp_array[hit]
     prob = float(np.sum(np.abs(amps) ** 2))
-    if prob < 1e-15:
+    if prob < POSTSELECT_FLOOR:
         return 0.0, None
     scale = 1.0 / math.sqrt(prob)
     return prob, SparseState.from_arrays(state.layout, state.key_array[hit], amps * scale)

@@ -41,14 +41,6 @@ def gate_unitary(gate, n_qubits: int) -> np.ndarray:
     dim = 1 << n_qubits
     u = np.zeros((dim, dim), dtype=complex)
 
-    if gate.kind == "FLIP0":
-        mask = 0
-        for q in gate.targets:
-            mask |= 1 << q
-        for k in range(dim):
-            u[k, k] = -1.0 if (k & mask) == 0 else 1.0
-        return u
-
     target = gate.targets[0]
 
     if gate.kind in ("XOR", "TOFFOLI", "NXOR"):

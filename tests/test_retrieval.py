@@ -41,11 +41,11 @@ from qamem.simulator import (
     SparseState,
     apply_circuit,
     basis_state,
-    flip0_gate,
     measure_section,
     postselect,
     section_marginal,
 )
+from zero_flip import zero_flip
 
 
 def P(s):
@@ -72,12 +72,12 @@ def random_input(rng, n):
 def grover_circuit(pattern_set, x, b, mask=None):
     """The amplify preparation A and one Grover iteration as gates: the
     reflection S of the all-zeros control subspace, A^-1, the reflection
-    S0 about |0...0>, then A.  The iteration Q = -A S0 A^-1 S is this
-    circuit followed by a sign flip."""
+    S0 about |0...0>, then A; each reflection is one ``PHASE0(pi)`` row.
+    The iteration Q = -A S0 A^-1 S is this circuit followed by a sign flip."""
     layout = retrieval_layout(pattern_set.n, b, use_input_register=False)
     prep = preparation_circuit(pattern_set, x, layout, mask)
     flips = Circuit(
-        (flip0_gate(layout.qubits("control")), flip0_gate(range(layout.total))), layout
+        (zero_flip(layout.qubits("control")), zero_flip(range(layout.total))), layout
     )
     return prep, flips[:1] + prep.inverse() + flips[1:] + prep
 
@@ -414,6 +414,33 @@ class TestLowerBound:
 
 
 class TestRetrieve:
+    def test_prepared_state_limit_guards_every_entry_point(self, monkeypatch):
+        """retrieve, simulate_distribution and amplitude_amplify refuse
+        p*2^b above MAX_PREPARED_KEYS with one message, before any gate
+        runs; p*2^b at the limit passes the guard."""
+        def no_gates(*args):
+            raise AssertionError("a gate ran")
+
+        monkeypatch.setattr(retrieval, "apply_circuit", no_gates)
+        ps, inp, b = S("001", "011"), P("000"), 20
+        message = (
+            f"b = 20 rounds on 2 patterns prepare a state of up to p*2^b keys, "
+            f"above the limit of {retrieval.MAX_PREPARED_KEYS} keys"
+        )
+        amplify = RetrievalConfig(b=b, mode="amplitude_amplify")
+        for call in (
+            lambda: retrieve(ps, inp, RetrievalConfig(b=b), np.random.default_rng(0)),
+            lambda: retrieve(ps, inp, amplify, np.random.default_rng(0)),
+            lambda: simulate_distribution(ps, inp, b),
+            lambda: simulate_distribution(ps, inp, b, use_input_register=False),
+            lambda: amplitude_amplify(ps, inp, b, 1),
+        ):
+            with pytest.raises(RetrievalError) as refused:
+                call()
+            assert str(refused.value) == message
+        with pytest.raises(AssertionError, match="a gate ran"):
+            simulate_distribution(ps, inp, b - 1)
+
     def test_single_pattern_always_recognized(self):
         ps = S("0110")
         config = RetrievalConfig(b=3, T=1)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_reference import gate_unitary, random_state, run_dense, to_vector
+from zero_flip import zero_flip
 from qamem.memory import build_memory_circuit, sequential_circuit, sequential_layout
 from qamem.patterns import Mask, Pattern, PatternSet
 from qamem.retrieval import preparation_circuit, retrieval_layout, retrieval_round_circuit
@@ -23,7 +24,6 @@ from qamem.simulator import (
     apply_circuit,
     basis_state,
     cs_gate,
-    flip0_gate,
     gate_matrix,
     h_gate,
     measure_section,
@@ -71,7 +71,7 @@ def random_gate(n, rng):
         ctl = qubits[1] if rng.integers(0, 2) else None
         return roty_gate(float(rng.uniform(-3, 3)), qubits[0], control=ctl)
     k = int(rng.integers(1, n + 1))
-    return flip0_gate(qubits[:k])
+    return zero_flip(qubits[:k])
 
 
 def random_sparse(n, rng, terms=5):
@@ -150,11 +150,11 @@ class TestSingleGates:
         s = apply(basis_state(flat_layout(1), "1"), phase0_gate(0.7, 0))
         assert s.amps[1] == 1.0 + 0.0j
 
-    def test_flip0_sign(self):
-        # a FLIP0's extra qubits are targets, so its polarity is empty
-        assert Gate("FLIP0", (0, 1), polarity=()) == flip0_gate((0, 1))
+    def test_zero_flip_is_one_phase0_row(self):
+        # the first qubit is the target, the others controls that hold 0
+        assert zero_flip((0, 1)) == Gate("PHASE0", (0,), (1,), math.pi, (0,))
         s = random_sparse(3, np.random.default_rng(0))
-        flipped = apply(s, flip0_gate([0, 1]))
+        flipped = apply(s, zero_flip([0, 1]))
         for key, amp in s.amps.items():
             want = -amp if key & 0b011 == 0 else amp
             assert abs(flipped.amps[key] - want) < 1e-15
@@ -205,11 +205,10 @@ class TestSingleGates:
 
     @pytest.mark.parametrize(
         "targets, controls, kind",
-        [((0, 1), (), "NOT"), ((), (), "H"), ((0,), (1,), "FLIP0"), ((0,), (0,), "XOR")],
+        [((0, 1), (), "NOT"), ((), (), "H"), ((), (1,), "XOR"), ((0,), (0,), "XOR")],
     )
     def test_row_shape_rules(self, targets, controls, kind):
-        """Every kind but FLIP0 has one target, FLIP0 has no controls, and no
-        qubit appears twice in a row."""
+        """Every gate has one target, and no qubit appears twice in a row."""
         with pytest.raises(SimulatorError):
             Gate(kind, targets, controls)
 
@@ -228,7 +227,7 @@ class TestSingleGates:
                 Circuit.from_table(layout, [KIND["XOR"]], qubits)
         with pytest.raises(SimulatorError):
             Circuit.from_table(layout, [len(KIND)], [[0]])
-        with pytest.raises(SimulatorError, match="a gate other than FLIP0 needs a target"):
+        with pytest.raises(SimulatorError, match="a gate needs a target"):
             Circuit.from_table(layout, [KIND["NOT"]], [[-1]])
 
 
@@ -434,9 +433,6 @@ def reference_apply(amps: dict, gate: Gate) -> dict:
         return all((key >> c) & 1 == v for c, v in zip(gate.controls, gate.polarity))
 
     out: dict[int, complex] = {}
-    if gate.kind == "FLIP0":
-        mask = sum(1 << q for q in gate.targets)
-        return {k: -a if k & mask == 0 else a for k, a in amps.items()}
     (t,) = gate.targets
     if gate.kind in ("NOT", "XOR", "TOFFOLI", "NXOR"):
         return {k ^ (1 << t) if active(k) else k: a for k, a in amps.items()}
@@ -493,7 +489,7 @@ class TestKeyWidth:
             phase0_gate(-0.4, 67, control=66),
             roty_gate(1.1, 68, control=64),
             roty_gate(0.0, 68),
-            flip0_gate([69, 68, 1]),
+            zero_flip([69, 68, 1]),
         ]
         for gate in gates:
             got = apply(state, gate)
@@ -599,7 +595,7 @@ def transformed(draw, circuit: Circuit, gates):
 @st.composite
 def runs_of_gates(draw):
     """(state, table, reference gates): runs of gates that share a control
-    condition, apart or between uncontrolled gates, on a state whose keys
+    condition, apart or between single gates, on a state whose keys
     all satisfy the first run's condition or only some of them do.  Wide
     layouts have object keys and use qubits past bit 63.  The table is the
     circuit of the drawn gates, or its inverse, shift or cut and rejoined
@@ -613,9 +609,9 @@ def runs_of_gates(draw):
     for _ in range(draw(st.integers(1, 4))):
         if draw(st.booleans()):
             q = draw(st.sampled_from(pool))
-            kind = draw(st.sampled_from(("H", "ROTY", "NOT", "PHASE0", "FLIP0")))
-            if kind == "FLIP0":
-                gates.append(flip0_gate(draw(st.sets(st.sampled_from(pool), min_size=1))))
+            kind = draw(st.sampled_from(("H", "ROTY", "NOT", "PHASE0", "zero flip")))
+            if kind == "zero flip":
+                gates.append(zero_flip(draw(st.sets(st.sampled_from(pool), min_size=1))))
             else:
                 gates.append(draw_gate(draw, kind, q))
         controls = tuple(draw(st.lists(
@@ -824,8 +820,8 @@ def single_key_amplitude(draw, matrix, column):
 def single_key_runs(draw):
     """(state, circuit): runs of gates that share a control condition, the
     first of which starts on exactly one active key among idle keys; the
-    later runs start on whatever the earlier ones leave, and uncontrolled
-    gates (FLIP0 among them) may sit between runs.  Wide layouts have
+    later runs start on whatever the earlier ones leave, and single gates
+    (zero flips among them) may sit between runs.  Wide layouts have
     object keys and use qubits past bit 63."""
     wide = draw(st.booleans())
     n = draw(st.integers(64, 70)) if wide else draw(st.integers(3, 7))
@@ -834,9 +830,9 @@ def single_key_runs(draw):
     gates, conditions = [], []
     for run in range(draw(st.integers(1, 3))):
         if run and draw(st.booleans()):
-            kind = draw(st.sampled_from(("H", "ROTY", "NOT", "PHASE0", "FLIP0")))
-            if kind == "FLIP0":
-                gates.append(flip0_gate(draw(st.sets(st.sampled_from(pool), min_size=1))))
+            kind = draw(st.sampled_from(("H", "ROTY", "NOT", "PHASE0", "zero flip")))
+            if kind == "zero flip":
+                gates.append(zero_flip(draw(st.sets(st.sampled_from(pool), min_size=1))))
             else:
                 gates.append(draw_gate(draw, kind, draw(st.sampled_from(pool))))
         controls = tuple(draw(st.lists(
@@ -881,7 +877,7 @@ class TestRunKernel:
             before, want = want, apply(want, gate)
             # only a mixing gate that is not the identity moves keys: the
             # others keep every key in its place
-            if gate.kind in ("PHASE0", "FLIP0") or gate.kind == "ROTY" and gate.param == 0:
+            if gate.kind == "PHASE0" or gate.kind == "ROTY" and gate.param == 0:
                 assert want.key_array.tolist() == before.key_array.tolist()
             elif gate.kind not in MIXING:
                 assert want.key_array.tolist() == list(reference_apply(dict(before.amps), gate))
@@ -945,9 +941,9 @@ class TestRunKernel:
         gates or of a builder, and its inverse, shift and rejoined cut."""
         n = data.draw(st.integers(3, 70))
         qubits = data.draw(st.lists(st.integers(0, n - 1), min_size=3, max_size=3, unique=True))
-        kind = data.draw(st.sampled_from(sorted(RUN_KINDS + ("XOR", "TOFFOLI", "FLIP0"))))
-        if kind == "FLIP0":
-            gate = flip0_gate(qubits)
+        kind = data.draw(st.sampled_from(sorted(RUN_KINDS + ("XOR", "TOFFOLI", "zero flip"))))
+        if kind == "zero flip":
+            gate = zero_flip(qubits)
         elif kind in ("XOR", "TOFFOLI"):
             gate = Gate(kind, (qubits[0],), tuple(qubits[1 : 2 if kind == "XOR" else 3]))
         else:
@@ -974,7 +970,7 @@ class TestRunKernel:
             circuit.shifted(-2, flat_layout(2))
         with pytest.raises(SimulatorError, match="out of range"):
             circuit.shifted(1, flat_layout(2))
-        empty = Circuit((flip0_gate(()),), flat_layout(1)).shifted(3, flat_layout(4))
-        assert empty.gates == (Gate("FLIP0", ()),)
+        empty = Circuit((), flat_layout(1)).shifted(3, flat_layout(4))
+        assert empty.gates == ()
         with pytest.raises(SimulatorError, match="different layouts"):
             circuit + empty
