@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -39,6 +38,15 @@ ROOT_XTOL = 4e-16
 #: the (0.2, 0.01) probe reaches the weak-retrieval branch at large coupling
 #: (overlap ~ 0.165 near Jt = 9) that the full-overlap probes overshoot
 PROBES = ((1.0, 0.01), (0.5, 0.1), (0.2, 0.01), (0.0, 0.1), (0.0, 0.0))
+#: _iterate finishes on Python floats once at most this many pairs are
+#: active.  A lockstep iteration costs about 40 us however few pairs it
+#: holds, a float pair-iteration 1 to 2 us, so the floats cost less below
+#: 40 / 2 = 20 pairs even at their slowest; scan times were flat for
+#: values from 8 to 128.
+SCALAR_PAIRS = 20
+#: iterate_finite and residual refuse a start whose exponent -2(Jt)^2 alpha r
+#: is above this, where exp(-8(Jt)^2 alpha r) = exp(708) still fits a float
+MAX_EXPONENT = 177.0
 
 
 class MeanFieldError(ValueError):
@@ -59,16 +67,21 @@ class MfParams:
     def __post_init__(self):
         if not (self.alpha >= 0 and math.isfinite(self.alpha)):
             raise MeanFieldError(f"alpha must be finite and >= 0, got {self.alpha}")
-        if not (self.Jt > 0 and math.isfinite(self.Jt)):
-            raise MeanFieldError(f"Jt must be finite and > 0, got {self.Jt}")
+        _check_coupling(self.Jt, self.g_over_J, self.M_ext)
         if not math.isfinite(2.0 * self.Jt * self.Jt * self.alpha):
             raise MeanFieldError(
                 f"2 Jt^2 alpha must be finite, got Jt = {self.Jt}, alpha = {self.alpha}"
             )
-        if not math.isfinite(self.g_over_J):
-            raise MeanFieldError(f"g_over_J must be finite, got {self.g_over_J}")
-        if not -1.0 <= self.M_ext <= 1.0:
-            raise MeanFieldError(f"M_ext must be in [-1, 1], got {self.M_ext}")
+
+
+def _check_coupling(Jt, g_over_J, M_ext) -> None:
+    """The checks that MfParams and solve_single share."""
+    if not (Jt > 0 and math.isfinite(Jt)):
+        raise MeanFieldError(f"Jt must be finite and > 0, got {Jt}")
+    if not math.isfinite(g_over_J):
+        raise MeanFieldError(f"g_over_J must be finite, got {g_over_J}")
+    if not -1.0 <= M_ext <= 1.0:
+        raise MeanFieldError(f"M_ext must be in [-1, 1], got {M_ext}")
 
 
 @dataclass(frozen=True)
@@ -111,24 +124,58 @@ def _coefficients(cells, copies: int):
 def _rhs(two_jt, four_jt, coef, offset, m, r):
     """Elementwise right-hand sides (m, r) and r-equation denominator.
 
-    Every operation rounds as the scalar formula, evaluated left to right
-    one pair at a time, does.  exp and the fourth power go through math,
-    one element at a time: numpy 2.4's differ from them by one ulp on
-    about 5% of arguments, while its np.sin and np.cos agree bitwise with
-    math.sin and math.cos on 10^6 random arguments.  Pairs with a singular
-    denominator get meaningless r values (0/0 when it is exactly 0); the
-    callers silence numpy's division warnings and drop those pairs.
+    Every element is bit-identical to ``_finish``'s scalar formula, which
+    takes math.exp, math.pow(., 4.0), math.sin and math.cos and rounds
+    left to right.  numpy's +, -, *, / and its sin and cos round as Python
+    floats and math do.  exp goes through complex128 with a zero imaginary
+    part, which numpy hands to libm's cexp; cexp(x + 0i) is libm's exp(x)
+    for every x the iteration meets, which the start checks keep at most
+    ``MAX_EXPONENT`` (glibc's cexp rescales only above about 709).  numpy's
+    own float64 exp differs from libm's in the last bit on about 5% of
+    arguments.  np.float_power calls libm's pow, where np.power differs on
+    about 5%.  ``TestLibmAgreement`` in the tests checks these agreements.
+    Pairs with a singular denominator get meaningless r values (0/0 when
+    it is exactly 0); the callers silence numpy's division warnings and
+    drop those pairs.
     """
     h = m + offset
-    damp_list = list(map(math.exp, (coef * r).tolist()))
-    damp = np.array(damp_list)
-    damp4 = np.fromiter(map(math.pow, damp_list, repeat(4.0)), float, len(damp_list))
+    damp = np.exp((coef * r).astype(np.complex128)).real
     arg = two_jt * h
     new_m = np.sin(arg) * damp
     den = 1.0 - two_jt * np.cos(arg) * damp
-    num = 1.0 - np.cos(four_jt * h) * damp4
+    num = 1.0 - np.cos(four_jt * h) * np.float_power(damp, 4.0)
     new_r = 0.5 * num / (den * den)
     return new_m, np.where(0.0 > new_r, 0.0, new_r), den
+
+
+def _finish(two_jt, four_jt, coef, offset, m, r, eta, prev_m, prev_r, steps):
+    """Run one pair of ``_iterate`` to its end on Python floats.
+
+    Takes the same operations in the same order as ``_rhs`` and one pass of
+    ``_iterate``'s loop, so every float is the same, for at most ``steps``
+    iterations.  Returns the last iterate, the convergence flag and whether
+    the denominator went singular; a singular pair returns its iterate from
+    before that step, as ``_iterate`` keeps it.
+    """
+    exp, pow, sin, cos = math.exp, math.pow, math.sin, math.cos
+    for _ in range(steps):
+        h = m + offset
+        damp = exp(coef * r)
+        arg = two_jt * h
+        den = 1.0 - two_jt * cos(arg) * damp
+        if abs(den) < DENOMINATOR_FLOOR:  # before dividing: Python raises on 0
+            return m, r, False, True
+        step_m = eta * (sin(arg) * damp - m)
+        new_r = 0.5 * (1.0 - cos(four_jt * h) * pow(damp, 4.0)) / (den * den)
+        step_r = eta * ((0.0 if 0.0 > new_r else new_r) - r)
+        if step_m * prev_m + step_r * prev_r < 0 and eta > 1e-3:
+            eta, step_m, step_r = eta * 0.5, step_m * 0.5, step_r * 0.5
+        prev_m, prev_r = step_m, step_r
+        abs_m, abs_r = abs(step_m), abs(step_r)
+        m, r = m + step_m, r + step_r
+        if (abs_r if abs_r > abs_m else abs_m) < CONVERGENCE_TOL:
+            return m, r, True, False
+    return m, r, False, False
 
 
 @np.errstate(divide="ignore", invalid="ignore")  # see _rhs
@@ -143,7 +190,15 @@ def _iterate(cells, inits):
     probes tried in order: a singular probe also stops the cell's later
     probes.  Returns the last iterates m and r and the convergence flags,
     each of shape (cells, inits), and per cell the index of its first
-    singular probe (``len(inits)`` if none).
+    singular probe (``len(inits)`` if none); the entries of the probes at
+    or after that index are not defined.
+
+    The first time at most ``SCALAR_PAIRS`` pairs are active, ``_finish``
+    runs each to its end, probes in order, in the same floats.  Pairs share
+    nothing but the stop rule: a singular probe sets its cell's stop index,
+    which the later probes of the cell then skip, so every defined output
+    is the lockstep loop's.  A pair whose math call raises (an infinite
+    argument, where numpy gives inf or NaN) stays in the lockstep loop.
     """
     n_inits = len(inits)
     size = len(cells) * n_inits
@@ -153,46 +208,78 @@ def _iterate(cells, inits):
     converged = np.zeros(size, dtype=bool)
     stop = np.full(len(cells), n_inits)
     pair = np.arange(size)
-    etas = np.full(size, DAMPING)
-    prev_m, prev_r = np.zeros(size), np.zeros(size)
-    two_jt, four_jt, coef, offset = _coefficients(cells, n_inits)
-    for _ in range(MAX_ITERATIONS):
-        if not pair.size:
-            break
-        fm, fr, den = _rhs(two_jt, four_jt, coef, offset, m, r)
-        step_m = etas * (fm - m)
-        step_r = etas * (fr - r)
-        halve = (step_m * prev_m + step_r * prev_r < 0) & (etas > 1e-3)
-        if np.count_nonzero(halve):
-            etas = np.where(halve, etas * 0.5, etas)
-            step_m = np.where(halve, step_m * 0.5, step_m)
-            step_r = np.where(halve, step_r * 0.5, step_r)
-        prev_m, prev_r = step_m, step_r
-        abs_m, abs_r = np.abs(step_m), np.abs(step_r)
-        done = np.where(abs_r > abs_m, abs_r, abs_m) < CONVERGENCE_TOL
-        next_m, next_r = m + step_m, r + step_r
-        finished = done
-        singular = np.abs(den) < DENOMINATOR_FLOOR
-        if np.count_nonzero(singular):
-            cell, probe = np.divmod(pair[singular], n_inits)
-            np.minimum.at(stop, cell, probe)
-            stopped = pair % n_inits >= stop[pair // n_inits]
-            done = done & ~stopped
-            finished = done | stopped
-            next_m = np.where(singular, m, next_m)
-            next_r = np.where(singular, r, next_r)
-        m, r, prev_m, prev_r = next_m, next_r, step_m, step_r
-        if np.count_nonzero(finished):
-            out_m[pair[finished]], out_r[pair[finished]] = m[finished], r[finished]
+    # per active pair: 2Jt, 4Jt, -2(Jt)^2 alpha, (g/J)M, m, r, eta, last steps
+    etas, prev_m, prev_r = np.full(size, DAMPING), np.zeros(size), np.zeros(size)
+    columns = (*_coefficients(cells, n_inits), m, r, etas, prev_m, prev_r)
+    steps, floats_tried = 0, False
+    while pair.size and steps < MAX_ITERATIONS:
+        if pair.size <= SCALAR_PAIRS and not floats_tried:
+            floats_tried = True
+            keep = np.zeros(pair.size, dtype=bool)
+            for k, (p, *args) in enumerate(zip(pair.tolist(), *(a.tolist() for a in columns))):
+                cell, probe = divmod(p, n_inits)
+                if probe >= stop[cell]:
+                    continue
+                try:
+                    end = _finish(*args, MAX_ITERATIONS - steps)
+                except (ValueError, OverflowError):
+                    keep[k] = True
+                    continue
+                out_m[p], out_r[p], converged[p], singular = end
+                if singular:
+                    stop[cell] = probe
+        else:
+            steps += 1
+            two_jt, four_jt, coef, offset, m, r, etas, prev_m, prev_r = columns
+            fm, fr, den = _rhs(two_jt, four_jt, coef, offset, m, r)
+            step_m = etas * (fm - m)
+            step_r = etas * (fr - r)
+            halve = (step_m * prev_m + step_r * prev_r < 0) & (etas > 1e-3)
+            if np.count_nonzero(halve):
+                etas = np.where(halve, etas * 0.5, etas)
+                step_m = np.where(halve, step_m * 0.5, step_m)
+                step_r = np.where(halve, step_r * 0.5, step_r)
+            abs_m, abs_r = np.abs(step_m), np.abs(step_r)
+            done = np.where(abs_r > abs_m, abs_r, abs_m) < CONVERGENCE_TOL
+            next_m, next_r = m + step_m, r + step_r
+            finished = done
+            singular = np.abs(den) < DENOMINATOR_FLOOR
+            if np.count_nonzero(singular):
+                cell, probe = np.divmod(pair[singular], n_inits)
+                np.minimum.at(stop, cell, probe)
+                stopped = pair % n_inits >= stop[pair // n_inits]
+                done = done & ~stopped
+                finished = done | stopped
+                next_m = np.where(singular, m, next_m)
+                next_r = np.where(singular, r, next_r)
+            columns = (two_jt, four_jt, coef, offset, next_m, next_r, etas, step_m, step_r)
+            if not np.count_nonzero(finished):
+                continue
+            out_m[pair[finished]], out_r[pair[finished]] = next_m[finished], next_r[finished]
             converged[pair[done]] = True
             keep = ~finished
-            (pair, m, r, etas, prev_m, prev_r, two_jt, four_jt, coef, offset) = (
-                a[keep]
-                for a in (pair, m, r, etas, prev_m, prev_r, two_jt, four_jt, coef, offset)
-            )
-    out_m[pair], out_r[pair] = m, r
+        pair = pair[keep]
+        columns = tuple(a[keep] for a in columns)
+    out_m[pair], out_r[pair] = columns[4], columns[5]
     shape = (len(cells), n_inits)
     return out_m.reshape(shape), out_r.reshape(shape), converged.reshape(shape), stop
+
+
+def _check_start(params: MfParams, start: OrderParameters) -> None:
+    """Refuse a start (m, r) that the iteration cannot evaluate in floats.
+
+    No later step has a larger exponent -2(Jt)^2 alpha r than the start:
+    the r equation's right-hand side is never negative, so a negative r
+    rises toward it and a nonnegative r stays nonnegative.
+    """
+    m, r = start.m, start.r
+    if not (math.isfinite(m) and math.isfinite(r)):
+        raise MeanFieldError(f"m and r must be finite, got m = {m}, r = {r}")
+    exponent = -2.0 * params.Jt * params.Jt * params.alpha * r
+    if exponent > MAX_EXPONENT:
+        raise MeanFieldError(
+            f"-2 Jt^2 alpha r must be at most {MAX_EXPONENT}, got {exponent} at r = {r}"
+        )
 
 
 def iterate_finite(
@@ -205,6 +292,7 @@ def iterate_finite(
     (oscillation), which keeps the iteration stable near the singular
     region of the r equation.
     """
+    _check_start(params, init)
     m, r, ok, stop = _iterate([params], [(init.m, init.r)])
     if stop[0] == 0:
         raise SingularDenominatorError(
@@ -216,6 +304,7 @@ def iterate_finite(
 
 def residual(params: MfParams, sol: OrderParameters) -> float:
     """Max-norm residual of the two fixed-point equations at a solution."""
+    _check_start(params, sol)
     with np.errstate(divide="ignore", invalid="ignore"):
         fm, fr, den = _rhs(
             *_coefficients([params], 1), np.array([sol.m], float), np.array([sol.r], float)
@@ -234,8 +323,7 @@ def solve_single(Jt: float, g_over_J: float = 0.0, M_ext: float = 0.0) -> list[f
     bracket is bisected at once until it is at most ``ROOT_XTOL`` wide; a
     root is stable when |2Jt cos(2Jt(m + (g/J)M))| < 1.
     """
-    if Jt <= 0:
-        raise MeanFieldError(f"Jt must be > 0, got {Jt}")
+    _check_coupling(Jt, g_over_J, M_ext)
     offset = g_over_J * M_ext
 
     def f(m):

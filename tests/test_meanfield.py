@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from qamem import meanfield
 from qamem.meanfield import (
+    MAX_EXPONENT,
     PROBES,
     MeanFieldError,
     MfParams,
@@ -111,6 +113,17 @@ class TestSinglePattern:
     def test_validation(self):
         with pytest.raises(MeanFieldError):
             solve_single(0.0)
+        # the checks of MfParams: NaN and inf returned [] before, inf after
+        # two RuntimeWarnings
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(MeanFieldError, match="Jt must be finite and > 0"):
+                solve_single(bad)
+            with pytest.raises(MeanFieldError, match="g_over_J must be finite"):
+                solve_single(1.0, bad, 1.0)
+            with pytest.raises(MeanFieldError, match="M_ext must be in"):
+                solve_single(1.0, 0.5, bad)
+        with pytest.raises(MeanFieldError, match="M_ext must be in"):
+            solve_single(1.0, 0.5, 1.5)
 
     def test_roots_match_brentq(self):
         for jt in np.linspace(0.05, 2.0, 50):
@@ -192,6 +205,30 @@ class TestIteration:
             iterate_finite(params, origin)
         with pytest.raises(SingularDenominatorError, match="r-equation denominator 0.0 at"):
             residual(params, origin)
+
+    def test_bad_start_raises(self):
+        # exp(-2 Jt^2 alpha r) overflowed with OverflowError at r = -1000
+        # (and its fourth power at r = -100); NaN ran 10^4 steps to NaN
+        params = MfParams(1.0, 1.0)
+        for m, r, match in (
+            (1.0, math.nan, "m and r must be finite"),
+            (math.inf, 0.1, "m and r must be finite"),
+            (math.nan, 0.1, "m and r must be finite"),
+            (1.0, -math.inf, "m and r must be finite"),
+            (1.0, -1000.0, "-2 Jt\\^2 alpha r must be at most"),
+            (1.0, -100.0, "-2 Jt\\^2 alpha r must be at most"),
+        ):
+            with pytest.raises(MeanFieldError, match=match):
+                iterate_finite(params, OrderParameters(m, r))
+            with pytest.raises(MeanFieldError, match=match):
+                residual(params, OrderParameters(m, r))
+
+    def test_start_at_exponent_bound(self):
+        # -2 Jt^2 alpha r = MAX_EXPONENT: no overflow, hence no RuntimeWarning
+        params, start = MfParams(1.0, 1.0), OrderParameters(1.0, -MAX_EXPONENT / 2)
+        sol, ok = iterate_finite(params, start)
+        assert ok and math.isfinite(sol.m) and sol.r >= 0.0
+        assert math.isfinite(residual(params, start))
 
     def test_overlap_decreases_with_loading(self):
         prev = 1.1
@@ -291,3 +328,94 @@ class TestDiagram:
             scan_phase_diagram((), (1.0,))
         with pytest.raises(MeanFieldError):
             scan_phase_diagram((0.2, 0.1), (1.0,))
+
+
+class TestLibmAgreement:
+    """The agreements with math that _rhs rests on, on this numpy and libm."""
+
+    # signed zeros, one, and subnormal and smallest normal magnitudes
+    SPECIAL = (-0.0, 0.0, 1.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308)
+
+    def check(self, name, xs, got, f):
+        want = np.array([f(x) for x in xs.tolist()])
+        bad = np.flatnonzero(np.asarray(got).view(np.int64) != want.view(np.int64))
+        assert not bad.size, (
+            f"numpy {np.__version__}: {name} differs from math on {bad.size} of "
+            f"{xs.size} arguments, first at {xs[bad[0]]!r}"
+        )
+
+    def args(self, lo, hi, seed):
+        rng = np.random.default_rng(seed)
+        return np.concatenate([rng.uniform(lo, hi, 100_000), self.SPECIAL])
+
+    def test_complex_exp(self):
+        # exponents -2(Jt)^2 alpha r from underflow up to the start bound
+        xs = self.args(-800.0, MAX_EXPONENT, 1)
+        self.check("exp on complex128 with zero imaginary part", xs,
+                   np.exp(xs.astype(np.complex128)).real, math.exp)
+
+    def test_float_power(self):
+        # damping factors: in [0, 1] once r >= 0, up to exp(MAX_EXPONENT) before
+        xs = np.concatenate([
+            self.args(0.0, 1.0, 2),
+            np.exp(np.random.default_rng(3).uniform(0.0, MAX_EXPONENT, 10_000)),
+        ])
+        self.check("float_power(x, 4.0)", xs, np.float_power(xs, 4.0),
+                   lambda x: math.pow(x, 4.0))
+
+    def test_sin_cos(self):
+        # 2Jt(m + (g/J)M) and twice that, beyond the grids' |Jt| <= 12 and |m| <= 1
+        xs = np.concatenate([self.args(-100.0, 100.0, 4), self.args(-1e6, 1e6, 5)])
+        self.check("sin", xs, np.sin(xs), math.sin)
+        self.check("cos", xs, np.cos(xs), math.cos)
+
+
+class TestScalarFinish:
+    """_iterate's float finish gives the lockstep loop's bits."""
+
+    # the grid of test_matches_sequential_reference: a singular probe and
+    # probes that run all 10^4 steps
+    GRID = ((0.0, 0.05, 0.17, 0.18, 0.5, 2.0), (0.3, 0.5, 1.0, 9.0))
+
+    def run(self, monkeypatch, scalar_pairs):
+        monkeypatch.setattr(meanfield, "SCALAR_PAIRS", scalar_pairs)
+        cells = [MfParams(a, j) for a in self.GRID[0] for j in self.GRID[1]]
+        m, r, converged, stop = meanfield._iterate(cells, PROBES)
+        defined = np.arange(len(PROBES)) < stop[:, None]
+        return (m[defined], r[defined], converged[defined], stop.tolist(),
+                scan_phase_diagram(*self.GRID))
+
+    @pytest.mark.parametrize("scalar_pairs", [meanfield.SCALAR_PAIRS, 10**6])
+    def test_matches_lockstep(self, monkeypatch, scalar_pairs):
+        m, r, converged, stop, diag = self.run(monkeypatch, 0)
+        fm, fr, fconverged, fstop, fdiag = self.run(monkeypatch, scalar_pairs)
+        assert stop == fstop and min(stop) < len(PROBES)
+        assert (m == fm).all() and (r == fr).all() and (converged == fconverged).all()
+        assert [c.phase for c in diag.cells] == [c.phase for c in fdiag.cells]
+        for cell, fcell in zip(diag.cells, fdiag.cells):
+            assert [lab for _, lab in cell.solutions] == [lab for _, lab in fcell.solutions]
+            assert [s.m for s, _ in cell.solutions] == [s.m for s, _ in fcell.solutions]
+            assert [s.r for s, _ in cell.solutions] == [s.r for s, _ in fcell.solutions]
+        assert diag.to_csv() == fdiag.to_csv()
+
+    def test_singular_message(self, monkeypatch):
+        messages = []
+        for scalar_pairs in (0, 10**6):
+            monkeypatch.setattr(meanfield, "SCALAR_PAIRS", scalar_pairs)
+            for start in (OrderParameters(0.0, 0.0), OrderParameters(1e-3, 0.0)):
+                with pytest.raises(SingularDenominatorError) as err:
+                    iterate_finite(MfParams(0.0, 0.5), start)
+                messages.append(str(err.value))
+        assert messages[:2] == messages[2:]
+
+    def test_infinite_argument_stays_in_lockstep(self, monkeypatch):
+        # 4Jt(m + (g/J)M) overflows on the second step: math.cos raises where
+        # numpy gives NaN, so the pair goes on in the lockstep loop
+        params, start = MfParams(0.0, 1e8, 1e300, 1.0), OrderParameters(-1e300, 0.0)
+        runs = []
+        for scalar_pairs in (0, 10**6):
+            monkeypatch.setattr(meanfield, "SCALAR_PAIRS", scalar_pairs)
+            with np.errstate(over="ignore"):
+                runs.append(iterate_finite(params, start))
+        assert math.isnan(runs[0][0].m) and not runs[0][1]
+        assert repr(runs[0]) == repr(runs[1])
