@@ -82,6 +82,12 @@ def _check_coupling(Jt, g_over_J, M_ext) -> None:
         raise MeanFieldError(f"g_over_J must be finite, got {g_over_J}")
     if not -1.0 <= M_ext <= 1.0:
         raise MeanFieldError(f"M_ext must be in [-1, 1], got {M_ext}")
+    # the largest argument the equations take, 4Jt(m + (g/J)M) at |m| = 1
+    if not math.isfinite(4.0 * Jt * (1.0 + abs(g_over_J * M_ext))):
+        raise MeanFieldError(
+            f"4 Jt (1 + |(g/J) M_ext|) must be finite, got Jt = {Jt}, "
+            f"g_over_J = {g_over_J}, M_ext = {M_ext}"
+        )
 
 
 @dataclass(frozen=True)

@@ -33,9 +33,10 @@ row check, :func:`_check_rows`.
 The kernel runs a circuit on the ``(key_array, amp_array)`` pair from a
 program derived once per circuit: each row's target and control masks
 (Python ints, read from the indices for the layout's key type), its phase
-or 2x2 matrix, and where each run of rows with one control condition ends,
-found by comparing adjacent rows.  :func:`apply` runs a one-gate circuit
-and :func:`apply_circuit` a whole one, and only the final arrays become a
+or 2x2 matrix, where each run of rows with one control condition ends,
+found by comparing adjacent rows, and the segments of permutation rows
+described below.  :func:`apply` runs a one-gate circuit and
+:func:`apply_circuit` a whole one, and only the final arrays become a
 :class:`SparseState`.  When a controlled mixing gate meets a state on which
 only some keys satisfy its controls, the kernel splits the keys once, runs
 that gate and every following gate with the same controls (the same
@@ -46,6 +47,21 @@ run, and the idle keys end in front in their old order: the result is the
 one gate-by-gate application gives, key order and amplitude bits included.
 The memory loaders are such runs: n rotations on one control qubit that
 holds on a single key.
+
+Outside the runs, a segment of two or more consecutive permutation rows in
+which no row has a control that an earlier row of the segment targets
+(``cmask[r] & (tmask[s] | ... | tmask[r - 1]) == 0``) runs as one step.
+The earlier rows change only their target bits, so every control test of
+the segment reads the keys the segment starts on, and the rows' flips XOR
+together in any order: ``keys ^= XOR over r of (tmask[r] where (keys &
+cmask[r]) == cwant[r])``, a target flipped twice (XOR then NOT on one qubit)
+included.  Integer operations alone, with amplitudes and key order left as
+they are: the keys are the ones row-by-row flipping gives, bit for bit.  A
+segment of k rows on m keys runs so only while k * m is at most
+:data:`FUSED_CELLS`, and otherwise row by row, so a large state allocates no
+(k, m) temporaries.  The sequential loader's register compute and uncompute
+blocks are such segments, and so are the retrieval rounds' dress and undress
+blocks when the input sits in a register.
 
 A run that starts on exactly one active key is done on a Python ``int`` key
 and a ``complex`` amplitude, which costs a fraction of the ten or so numpy
@@ -111,6 +127,9 @@ _PRUNE_WINDOW = (PRUNE_THRESHOLD * (1 - 1e-9), PRUNE_THRESHOLD * (1 + 1e-9))
 
 #: widest layout whose keys fit an int64 without touching the sign bit
 INT64_KEY_QUBITS = 63
+#: a segment of k permutation rows on m keys runs as one step only while
+#: k * m is at most this, which bounds its (k, m) temporaries to 512 KiB
+FUSED_CELLS = 1 << 16
 
 #: gate kinds in code order; a circuit's ``kind`` column holds the codes
 KINDS = ("NOT", "XOR", "TOFFOLI", "NXOR", "PHASE0", "H", "CS", "ROTY")
@@ -325,16 +344,6 @@ def _single_qubit_matrix(kind: str, param):
     raise SimulatorError(f"{kind} has no single-qubit matrix")
 
 
-def _mixing_matrix(code: int, param: float):
-    """:func:`gate_matrix` of a mixing row as a read-only array; None for
-    ``ROTY(0)``, which is the identity."""
-    if code == _ROTY and param == 0:
-        return None
-    matrix = np.array(_single_qubit_matrix(KINDS[code], param))
-    matrix.flags.writeable = False
-    return matrix
-
-
 def not_gate(target: int) -> Gate:
     return Gate("NOT", (target,))
 
@@ -507,8 +516,11 @@ class Circuit:
         code, target mask, control mask, wanted control values, operand (the
         phase of a PHASE0, the matrix of a mixing row, None for ROTY(0) and
         the rest), run end (the end of the run of rows with this row's
-        control condition when the row starts one, else 0) and the scalar
-        form of a mixing row's matrix (see :func:`_scalar_matrix`)."""
+        control condition when the row starts one, else 0), the scalar form
+        of a mixing row's matrix (see :func:`_matrix_forms`) and the
+        segment of permutation rows that the row starts (its end and the
+        segment's target, control and wanted masks as key-dtype columns of
+        shape (k, 1), or None; see the module docstring)."""
         if self._prog is None:
             self._prog = _compile(self)
         return self._prog
@@ -529,43 +541,89 @@ def _compile(circuit: Circuit):
     cwant = np.bitwise_or.reduce(controls * circuit.polarity[:, 1:], axis=1)
 
     # a run starts at a controlled mixing row other than the identity
-    # ROTY(0), and ends where the control condition first changes
+    # ROTY(0), and ends where the control condition first changes; _run's
+    # outer loop visits the rows of a condition up to its first run start
     starts = (kind >= _H) & ((kind != _ROTY) | (param != 0)) & (cmask != 0)
     run_end = np.zeros(rows, dtype=np.int64)
+    visited = np.ones(rows, dtype=bool)
     if starts.any():
         change = (cmask[1:] != cmask[:-1]) | (cwant[1:] != cwant[:-1])
         ends = np.append(np.flatnonzero(change) + 1, rows)
-        run_end = np.where(starts, ends[np.searchsorted(ends, np.arange(rows), side="right")], 0)
+        condition = np.searchsorted(ends, np.arange(rows), side="right")
+        run_end = np.where(starts, ends[condition], 0)
+        visited = np.maximum.accumulate(np.where(starts, condition, -1)) < condition
 
-    # the phase of each PHASE0 row, and one matrix per distinct mixing row
-    code, values = kind.tolist(), param.tolist()
+    # segments of visited permutation rows, each row's controls clear of
+    # the targets of the rows before it in the segment, cut from the
+    # stretches of two or more such rows in a row
+    code, targets, conditions = kind.tolist(), tmask.tolist(), cmask.tolist()
+    flips = visited & (kind <= _NXOR)
+    bounds = [0, *(np.flatnonzero(flips[1:] != flips[:-1]) + 1).tolist(), rows]
+    segment = [None] * rows
+    for begin, stop in zip(bounds, bounds[1:]):
+        if stop - begin < 2 or not flips[begin]:
+            continue
+        cuts, flipped = [begin], 0
+        for r in range(begin, stop):
+            if conditions[r] & flipped:
+                cuts.append(r)
+                flipped = 0
+            flipped |= targets[r]
+        cuts.append(stop)
+        for first, last in zip(cuts, cuts[1:]):
+            if last - first > 1:
+                span = slice(first, last)
+                segment[first] = (last, tmask[span, None], cmask[span, None], cwant[span, None])
+
+    # the phase of each PHASE0 row, and one matrix per distinct mixing row,
+    # the CS ones built in one pass over the CS rows (numpy's sqrt and
+    # division round as math's do)
+    values = param.tolist()
     operand, scalar = [None] * rows, [None] * rows
     for r in np.flatnonzero(kind == _PHASE0).tolist():
         operand[r] = cmath.exp(1j * values[r])
-    matrices = {}
+    forms = {}
+    cs = kind == _CS
+    if cs.any():
+        i = np.abs(param[cs])
+        s = np.copysign(1.0 / np.sqrt(i), param[cs])
+        c = np.sqrt((i - 1) / i)
+        matrices = np.empty((len(i), 2, 2))
+        matrices[:, 0, 0] = matrices[:, 1, 1] = c
+        matrices[:, 0, 1], matrices[:, 1, 0] = s, -s
+        matrices.flags.writeable = False
+        for r, matrix, entries in zip(np.flatnonzero(cs).tolist(), matrices, matrices.tolist()):
+            forms[_CS, values[r]] = _matrix_forms(matrix, entries)
     for r in np.flatnonzero(kind >= _H).tolist():
         key = (code[r], values[r]) if code[r] != _H else _H
-        forms = matrices.get(key)
-        if forms is None:
-            matrix = _mixing_matrix(code[r], values[r])
-            forms = matrices[key] = (matrix, _scalar_matrix(matrix))
-        operand[r], scalar[r] = forms
-    return (
-        code, tmask.tolist(), cmask.tolist(), cwant.tolist(), operand, run_end.tolist(), scalar,
-    )
+        form = forms.get(key)
+        if form is None:
+            form = forms[key] = _mixing_forms(code[r], values[r])
+        operand[r], scalar[r] = form
+    return code, targets, conditions, cwant.tolist(), operand, run_end.tolist(), scalar, segment
 
 
-def _scalar_matrix(matrix):
-    """A mixing matrix as the single-key path reads it: its two columns as
-    pairs of Python complex values, and the floor below which a nonzero
-    amplitude part may make a product underflow to zero (see the module
-    docstring); None for ROTY(0)."""
-    if matrix is None:
-        return None
-    (m00, m01), (m10, m11) = matrix.tolist()
+def _mixing_forms(code: int, param: float):
+    """The forms (see :func:`_matrix_forms`) of an H or ROTY row's matrix;
+    None and None for ``ROTY(0)``, which is the identity."""
+    if code == _ROTY and param == 0:
+        return None, None
+    entries = _single_qubit_matrix(KINDS[code], param)
+    matrix = np.array(entries)
+    matrix.flags.writeable = False
+    return _matrix_forms(matrix, entries)
+
+
+def _matrix_forms(matrix, entries):
+    """A mixing row's matrix, read-only, and its form for the single-key
+    path, from ``entries``, the same matrix as nested Python floats: the two
+    columns as pairs of Python complex values, and the floor below which a
+    nonzero amplitude part may make a product underflow to zero (see the
+    module docstring)."""
+    (m00, m01), (m10, m11) = entries
     columns = ((complex(m00), complex(m10)), (complex(m01), complex(m11)))
-    smallest = min((abs(m) for m in (m00, m01, m10, m11) if m), default=1.0)
-    return columns, sys.float_info.min / smallest
+    smallest = min(abs(m) for m in (m00, m01, m10, m11) if m)
+    return matrix, (columns, sys.float_info.min / smallest)
 
 
 class SparseState:
@@ -748,14 +806,20 @@ def _single_key(keys, amps, code, tmask, scalar, i: int, j: int):
 
 def _run(keys, amps, program):
     """The gate kernel: a circuit's rows in order on parallel key and
-    amplitude arrays, one control split per run of rows, and a run that
-    starts on one active key on Python scalars (see the module docstring
-    and :meth:`Circuit._program`)."""
-    code, tmask, cmask, cwant, operand, run_end, scalar = program
+    amplitude arrays, one XOR step per segment of permutation rows, one
+    control split per run of rows, and a run that starts on one active key
+    on Python scalars (see the module docstring and
+    :meth:`Circuit._program`)."""
+    code, tmask, cmask, cwant, operand, run_end, scalar, segment = program
     i, end = 0, len(code)
     while i < end:
         j = run_end[i]
         if not j:
+            flips = segment[i]
+            if flips is not None and (flips[0] - i) * len(keys) <= FUSED_CELLS:
+                i, t, c, w = flips
+                keys = keys ^ np.bitwise_xor.reduce(np.where((keys & c) == w, t, 0), axis=0)
+                continue
             keys, amps = _step(keys, amps, code[i], tmask[i], operand[i], cmask[i], cwant[i])
             i += 1
             continue

@@ -1,4 +1,6 @@
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -88,6 +90,23 @@ class TestParams:
                 MfParams(alpha=alpha, Jt=jt)
         for alpha, jt in ((0.1, 1e150), (0.0, 1e153)):
             assert MfParams(alpha=alpha, Jt=jt).Jt == jt
+
+    def test_coupling_argument_must_be_finite(self):
+        # 4Jt(m + (g/J)M) overflowed, and classify_phase ran every probe on NaN
+        big = sys.float_info.max / 4
+        for jt, g, field in ((1e10, 1e300, 1.0), (1.0, math.nextafter(big, math.inf), -1.0)):
+            with pytest.raises(MeanFieldError, match=r"4 Jt \(1 \+ \|\(g/J\) M_ext\|\) must be finite"):
+                MfParams(0.0, jt, g, field)
+            values = f"Jt = {jt}, g_over_J = {g}, M_ext = {field}"
+            with pytest.raises(MeanFieldError, match=re.escape(values)):
+                solve_single(jt, g, field)
+
+    def test_coupling_argument_at_the_limit(self):
+        # 4 * 1 * (1 + max/4) is max: the largest argument, at |m| = 1, fits
+        params = MfParams(0.0, 1.0, sys.float_info.max / 4, -1.0)
+        for m in (1.0, -1.0):
+            assert math.isfinite(residual(params, OrderParameters(m, 0.0)))
+        assert all(-1.0 <= m <= 1.0 for m in solve_single(1.0, sys.float_info.max / 4, -1.0))
 
 
 class TestSinglePattern:
@@ -409,9 +428,10 @@ class TestScalarFinish:
         assert messages[:2] == messages[2:]
 
     def test_infinite_argument_stays_in_lockstep(self, monkeypatch):
-        # 4Jt(m + (g/J)M) overflows on the second step: math.cos raises where
-        # numpy gives NaN, so the pair goes on in the lockstep loop
-        params, start = MfParams(0.0, 1e8, 1e300, 1.0), OrderParameters(-1e300, 0.0)
+        # 4Jt(m + (g/J)M) overflows on the first step from a huge start m:
+        # math.cos raises where numpy gives NaN, so the pair goes on in the
+        # lockstep loop
+        params, start = MfParams(0.0, 1e8), OrderParameters(1e301, 0.0)
         runs = []
         for scalar_pairs in (0, 10**6):
             monkeypatch.setattr(meanfield, "SCALAR_PAIRS", scalar_pairs)

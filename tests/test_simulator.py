@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 from dense_reference import gate_unitary, random_state, run_dense, to_vector
 from zero_flip import zero_flip
+from qamem import simulator
 from qamem.memory import build_memory_circuit, sequential_circuit, sequential_layout
 from qamem.patterns import Mask, Pattern, PatternSet
 from qamem.retrieval import preparation_circuit, retrieval_layout, retrieval_round_circuit
 from qamem.simulator import (
+    FUSED_CELLS,
     KIND,
     PRUNE_THRESHOLD,
     Circuit,
@@ -552,6 +554,10 @@ MIXING = ("H", "CS", "ROTY")
 RUN_KINDS = MIXING + ("ROTY0", "PHASE0", "NXOR", "NOT")
 
 
+def draw_polarity(draw, size):
+    return tuple(draw(st.lists(st.integers(0, 1), min_size=size, max_size=size)))
+
+
 def draw_gate(draw, kind, target, controls=(), polarity=None, angles=ANGLES):
     param = None
     if kind == "CS":
@@ -617,7 +623,7 @@ def runs_of_gates(draw):
         controls = tuple(draw(st.lists(
             st.sampled_from(pool), min_size=1, max_size=len(pool) - 1, unique=True
         )))
-        polarity = tuple(draw(st.lists(st.integers(0, 1), min_size=len(controls), max_size=len(controls))))
+        polarity = draw_polarity(draw, len(controls))
         conditions.append((controls, polarity))
         targets = [q for q in pool if q not in controls]
         kinds = [draw(st.sampled_from(MIXING))]
@@ -742,7 +748,7 @@ def assert_same_rows(table: Circuit, reference) -> None:
             want.kind, tuple(want.targets), tuple(want.controls), want.polarity
         )
         assert type(got.param) is type(want.param) and repr(got.param) == repr(want.param)
-    code, tmask, cmask, cwant, operand, run_end, scalar = table._program()
+    code, tmask, cmask, cwant, operand, run_end, scalar, _ = table._program()
     fresh = Circuit(tuple(reference), table.layout)._program()
     assert (code, run_end) == (fresh[0], fresh[5])
     for r, gate in enumerate(reference):
@@ -767,8 +773,9 @@ def assert_same_rows(table: Circuit, reference) -> None:
 
 def reference_run(keys, amps, program):
     """The kernel loop on arrays alone: one control split per run of rows
-    and every row through ``_step``, with no single-key path."""
-    code, tmask, cmask, cwant, operand, run_end, _ = program
+    and every row through ``_step``, with no single-key path and no fused
+    segments."""
+    code, tmask, cmask, cwant, operand, run_end, _, _ = program
     i = 0
     while i < len(code):
         j = run_end[i]
@@ -838,7 +845,7 @@ def single_key_runs(draw):
         controls = tuple(draw(st.lists(
             st.sampled_from(pool), min_size=1, max_size=len(pool) - 1, unique=True
         )))
-        polarity = tuple(draw(st.lists(st.integers(0, 1), min_size=len(controls), max_size=len(controls))))
+        polarity = draw_polarity(draw, len(controls))
         conditions.append((controls, polarity))
         targets = [q for q in pool if q not in controls]
         # loader rotations keep one key one key, so the rows after them,
@@ -964,6 +971,13 @@ class TestRunKernel:
         assert_same_rows(table, reference)
         assert_same_rows(*transformed(data.draw, table, reference)[:2])
 
+    def test_cs_matrices_are_gate_matrices(self):
+        """A table's CS matrices, built in one numpy pass over its CS rows,
+        have the bits of gate_matrix; (i - 1) / i and 1 - 1/i round apart at
+        i = 7, 19, 27, 171, 219 and 567."""
+        gates = [cs_gate(i, 0, 1, inverse=i % 3 == 0) for i in range(1, 600)]
+        assert_same_rows(Circuit(tuple(gates), flat_layout(2)), gates)
+
     def test_shift_edges(self):
         circuit = Circuit((not_gate(1),), flat_layout(2))
         with pytest.raises(SimulatorError):
@@ -974,3 +988,145 @@ class TestRunKernel:
         assert empty.gates == ()
         with pytest.raises(SimulatorError, match="different layouts"):
             circuit + empty
+
+
+# arity of each permutation kind; NXOR takes any number of controls
+FLIP_QUBITS = {"NOT": 1, "XOR": 2, "TOFFOLI": 3, "NXOR": None}
+
+
+def draw_flips(draw, pool):
+    """A stretch of permutation gates on a few qubits, so that targets
+    repeat and later controls often read an earlier target."""
+    gates = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(sorted(FLIP_QUBITS)))
+        size = FLIP_QUBITS[kind] or draw(st.integers(1, len(pool)))
+        target, *controls = draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size, unique=True))
+        polarity = None
+        if kind == "NXOR":
+            polarity = draw_polarity(draw, len(controls))
+        gates.append(Gate(kind, (target,), tuple(controls), polarity=polarity))
+    return gates
+
+
+@st.composite
+def permutation_segments(draw):
+    """(state, circuit): stretches of permutation gates, with runs of gates
+    that share a control condition, PHASE0 rows and zero flips between
+    them.  Wide layouts have object keys and use qubits past bit 63; a
+    large state has FUSED_CELLS // 2 + 1 keys, too many for any segment to
+    run fused."""
+    size = draw(st.sampled_from(("narrow", "narrow", "wide", "large")))
+    n = {"narrow": (3, 7), "wide": (64, 70), "large": (16, 18)}[size]
+    n = draw(st.integers(*n))
+    pool = draw(st.lists(st.integers(0, n - 2), min_size=2, max_size=4, unique=True))
+    pool.append(n - 1)
+    gates = []
+    for _ in range(draw(st.integers(1, 5))):
+        piece = draw(st.sampled_from(("flips", "flips", "run", "PHASE0", "zero flip")))
+        if piece == "flips":
+            gates += draw_flips(draw, pool)
+        elif piece == "run":
+            controls = tuple(draw(st.lists(
+                st.sampled_from(pool), min_size=1, max_size=len(pool) - 1, unique=True
+            )))
+            polarity = draw_polarity(draw, len(controls))
+            targets = [q for q in pool if q not in controls]
+            kinds = [draw(st.sampled_from(MIXING))] + draw(st.lists(st.sampled_from(RUN_KINDS), max_size=3))
+            for kind in kinds:
+                gates.append(draw_gate(draw, kind, draw(st.sampled_from(targets)), controls, polarity))
+        elif piece == "PHASE0":
+            target, *controls = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=2, unique=True))
+            gates.append(draw_gate(draw, "PHASE0", target, tuple(controls)))
+        else:
+            gates.append(zero_flip(draw(st.sets(st.sampled_from(pool), min_size=1))))
+    circuit = Circuit(tuple(gates), flat_layout(n))
+    if size == "large":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        count = FUSED_CELLS // 2 + 1
+        keys = rng.choice(2**n, size=count, replace=False)
+        amps = rng.normal(size=count) + 1j * rng.normal(size=count)
+        return SparseState.from_arrays(circuit.layout, keys, amps), circuit
+    keys = draw(st.lists(
+        st.lists(st.sampled_from(pool), unique=True).map(lambda bits: sum(1 << q for q in bits)),
+        min_size=1, max_size=12, unique=True,
+    ))
+    amps = [complex(draw(ANGLES), draw(ANGLES)) for _ in keys]
+    return SparseState(circuit.layout, dict(zip(keys, amps))), circuit
+
+
+class TestFusedSegments:
+    """Outside the runs, a segment of permutation rows runs as one XOR
+    step; the keys are the ones row-by-row flipping gives."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=permutation_segments())
+    def test_fused_kernel_matches_row_by_row(self, case):
+        state, circuit = case
+        got = apply_circuit(state, circuit)
+        keys, amps = reference_run(state.key_array, state.amp_array, circuit._program())
+        assert got.key_array.dtype == keys.dtype == state.layout.key_dtype
+        assert got.key_array.tolist() == keys.tolist()
+        assert got.amp_array.tobytes() == amps.tobytes()
+
+    def test_segment_rule(self):
+        """A segment ends before a row whose control an earlier row of it
+        targets; a target flipped twice stays in it, and a single row makes
+        no segment."""
+        gates = (
+            xor_gate(0, 1), not_gate(1), nxor_gate((0, 2), 3, polarity=(0, 1)),  # one segment
+            toffoli_gate(1, 2, 4), not_gate(0),  # qubit 1 was targeted: a new one
+            h_gate(2), xor_gate(0, 4),  # a mixing row, then a single row
+        )
+        segment = Circuit(gates, flat_layout(5))._program()[7]
+        assert [(r, s[0]) for r, s in enumerate(segment) if s is not None] == [(0, 3), (3, 5)]
+        _, t, c, w = segment[0]
+        assert t.shape == c.shape == w.shape == (3, 1)
+        assert (t.ravel().tolist(), c.ravel().tolist(), w.ravel().tolist()) == (
+            [0b10, 0b10, 0b1000], [0b1, 0, 0b101], [0b1, 0, 0b100]
+        )
+
+    def test_only_rows_outside_runs_fuse(self):
+        """Permutation rows inside a run stay in the run; the rows of its
+        control condition before its first mixing row may fuse, and so may
+        the rows after it."""
+        gates = (
+            xor_gate(0, 1), not_gate(2),
+            Gate("TOFFOLI", (1,), (0, 3)), Gate("TOFFOLI", (2,), (0, 3)),  # before the run
+            Gate("CS", (1,), (0, 3), 2), Gate("TOFFOLI", (2,), (0, 3)),  # the run
+            not_gate(1), not_gate(2),
+        )
+        program = Circuit(gates, flat_layout(4))._program()
+        assert program[5][4] == 6
+        assert [(r, s[0]) for r, s in enumerate(program[7]) if s is not None] == [(0, 4), (6, 8)]
+
+    def test_sequential_loader_fuses_all_but_nxor_and_cs(self):
+        """Every row of the sequential loader but the first NXOR and the CS
+        of each pattern runs in a fused segment."""
+        ps = PatternSet(tuple(Pattern.from_string(s) for s in ("0110", "1100", "1011", "0001")))
+        circuit, _ = sequential_circuit(ps)
+        segment = circuit._program()[7]
+        assert sum(s[0] - r for r, s in enumerate(segment) if s is not None) == len(circuit) - 2 * ps.p
+
+    @pytest.mark.parametrize("count, fused", [(FUSED_CELLS // 3, True), (FUSED_CELLS // 3 + 1, False)])
+    def test_segments_fuse_up_to_the_cap(self, monkeypatch, count, fused):
+        """A segment of k rows on m keys runs as one step while k * m is at
+        most FUSED_CELLS, and row by row above it."""
+        layout = flat_layout(18)
+        circuit = Circuit((xor_gate(0, 1), not_gate(1), nxor_gate((0, 2), 3, polarity=(0, 1))), layout)
+        rng = np.random.default_rng(5)
+        state = SparseState.from_arrays(
+            layout, rng.choice(2**18, size=count, replace=False), rng.normal(size=count) + 0j
+        )
+        want = reference_run(state.key_array, state.amp_array, circuit._program())
+        rows = []
+
+        def counted_step(keys, amps, code, *rest):
+            rows.append(code)
+            return _step(keys, amps, code, *rest)
+
+        monkeypatch.setattr(simulator, "_step", counted_step)
+        got = apply_circuit(state, circuit)
+        assert len(rows) == (0 if fused else 3)
+        assert got.key_array.tolist() == want[0].tolist()
+        assert got.amp_array.tobytes() == want[1].tobytes()
