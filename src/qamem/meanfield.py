@@ -276,11 +276,17 @@ def _check_start(params: MfParams, start: OrderParameters) -> None:
 
     No later step has a larger exponent -2(Jt)^2 alpha r than the start:
     the r equation's right-hand side is never negative, so a negative r
-    rises toward it and a nonnegative r stays nonnegative.
+    rises toward it and a nonnegative r stays nonnegative.  A start m at
+    which the first step's argument 4Jt(m + (g/J)M) could overflow is
+    refused too.
     """
     m, r = start.m, start.r
     if not (math.isfinite(m) and math.isfinite(r)):
         raise MeanFieldError(f"m and r must be finite, got m = {m}, r = {r}")
+    if not math.isfinite(4.0 * params.Jt * (abs(m) + abs(params.g_over_J * params.M_ext))):
+        raise MeanFieldError(
+            f"4 Jt (|m| + |(g/J) M_ext|) must be finite, got m = {m}, Jt = {params.Jt}"
+        )
     exponent = -2.0 * params.Jt * params.Jt * params.alpha * r
     if exponent > MAX_EXPONENT:
         raise MeanFieldError(

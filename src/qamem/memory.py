@@ -120,19 +120,41 @@ def build_memory_operator(pattern_set: PatternSet) -> MemoryBuild:
     circuit = build_memory_circuit(pattern_set)
     state = basis_state(circuit.layout, [0] * circuit.layout.total)
     state = apply_circuit(state, circuit)
-    build = MemoryBuild(pattern_set, circuit, len(circuit), state)
+    check_memory_contract(state, pattern_set)
+    return MemoryBuild(pattern_set, circuit, len(circuit), state)
 
+
+def check_memory_contract(state: SparseState, pattern_set: PatternSet) -> None:
+    """Check the amplitude contract of a memory state's utility = |00>
+    component: 1/sqrt(p) on every stored pattern and nothing on any other,
+    each within :data:`MEMORY_AMPLITUDE_TOL`.
+
+    Raises ``AssertionError`` for the first stored pattern, in set order,
+    that deviates, and then for a non-stored pattern.  The stored keys come
+    from the bit matrix and are matched to the component's sorted values
+    with one ``searchsorted``.
+    """
     expected = 1.0 / math.sqrt(pattern_set.p)
-    amps = build.memory_amplitudes()
-    for pat in pattern_set:
-        got = amps.pop(pat, 0.0)
-        if abs(got - expected) > MEMORY_AMPLITUDE_TOL:
-            raise AssertionError(
-                f"memory amplitude {got} for {pat} deviates from {expected}"
-            )
-    if any(abs(a) > MEMORY_AMPLITUDE_TOL for a in amps.values()):
+    values, amps = _stored_component(state)
+    weights = np.array([1 << j for j in range(pattern_set.n)], dtype=values.dtype)
+    keys = pattern_set.bits.astype(values.dtype) @ weights
+    at = np.searchsorted(values, keys)
+    found = at < len(values)
+    found[found] = values[at[found]] == keys[found]
+    hit = at[found]
+    got = np.zeros(len(keys), dtype=np.complex128)
+    got[found] = amps[hit]
+    deviates = np.flatnonzero(np.abs(got - expected) > MEMORY_AMPLITUDE_TOL)
+    if len(deviates):
+        k = deviates[0]
+        amp = amps[at[k]].item() if found[k] else 0.0
+        raise AssertionError(
+            f"memory amplitude {amp} for {pattern_set.strings[k]} deviates from {expected}"
+        )
+    stray = np.ones(len(values), dtype=bool)
+    stray[hit] = False
+    if (np.abs(amps[stray]) > MEMORY_AMPLITUDE_TOL).any():
         raise AssertionError("memory state has amplitude on a non-stored pattern")
-    return build
 
 
 def build_dual_state(pattern_set: PatternSet) -> SparseState:
@@ -224,10 +246,14 @@ def memory_register_amplitudes(state: SparseState) -> dict[Pattern, complex]:
     """Memory-register amplitudes of a storage state's utility = |00>
     component, keyed by pattern (equal keys summed)."""
     n = state.layout.width("memory")
-    stored = state.section_values("utility") == 0
-    values, amps = group_sum(
-        state.section_values("memory")[stored], state.amp_array[stored]
-    )
+    values, amps = _stored_component(state)
     return {
         Pattern.from_key(v, n): amp for v, amp in zip(values.tolist(), amps.tolist())
     }
+
+
+def _stored_component(state: SparseState):
+    """The memory register's distinct values in the utility = |00>
+    component, ascending, and their amplitudes (equal keys summed)."""
+    stored = state.section_values("utility") == 0
+    return group_sum(state.section_values("memory")[stored], state.amp_array[stored])

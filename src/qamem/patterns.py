@@ -3,7 +3,7 @@
 A :class:`PatternSet` is a read-only (p, n) ``uint8`` bit matrix, one row
 per stored pattern in file order.  Distances to an input are one numpy
 pass over it (see :func:`~qamem.retrieval.analytic_distribution`), and
-:func:`read_pattern_file` builds it in one pass from the validated lines.
+:func:`read_pattern_file` checks and builds it in one pass over the file.
 The per-pattern views, a tuple of :class:`Pattern` objects and a tuple of
 bit strings, are built from the matrix only when first asked for;
 :func:`hamming` and :func:`hamming_masked` are the per-pair test oracles.
@@ -232,8 +232,11 @@ def corrupt(p: Pattern, k: int, rng) -> Pattern:
 def read_pattern_file(path) -> PatternSet:
     """Parse a pattern file: one '0'/'1' line per pattern, newline-terminated.
 
-    The lines are checked one by one, so an error names the first bad
-    line; the bit matrix is then built from all of them in one pass.
+    A good file is checked in one numpy pass over the whole buffer: equal
+    lines of ASCII '0'/'1' characters, each ended by a newline, and no line
+    repeated; the bit matrix is built from the same buffer.  Only when that
+    fails are the lines checked one by one, so an error names the first bad
+    line.
     """
     text = Path(path).read_text(encoding="utf-8")
     if not text:
@@ -242,6 +245,15 @@ def read_pattern_file(path) -> PatternSet:
         raise PatternError(f"{path}: missing trailing newline")
     lines = text.split("\n")[:-1]
     n = len(lines[0])
+    if n and text.isascii() and len(text) == len(lines) * (n + 1):
+        grid = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(len(lines), n + 1)
+        chars = grid[:, :n]
+        if (
+            (grid[:, n] == ord("\n")).all()
+            and ((chars | 1) == ord("1")).all()  # '0' | 1 == '1' | 1 == '1'
+            and len(set(lines)) == len(lines)
+        ):
+            return PatternSet._from_validated(chars - ord("0"), tuple(lines))
     seen = set()
     for lineno, line in enumerate(lines, start=1):
         if not line:
@@ -253,6 +265,4 @@ def read_pattern_file(path) -> PatternSet:
         if line in seen:
             raise DuplicatePatternError(f"{path}:{lineno}: duplicate pattern {line}")
         seen.add(line)
-    ascii_bits = np.frombuffer("".join(lines).encode("ascii"), dtype=np.uint8)
-    bits = (ascii_bits - ord("0")).reshape(len(lines), n)
-    return PatternSet._from_validated(bits, tuple(lines))
+    raise AssertionError(f"{path}: the line loop accepts a file the buffer check refused")

@@ -237,14 +237,17 @@ def preparation_circuit(
     """The memory circuit followed by one retrieval round per control qubit.
 
     The memory circuit is built on memory + utility and shifted onto the
-    memory offset of ``layout``, where the utility register follows it.
+    memory offset of ``layout``, where the utility register follows it; the
+    table is joined from it and the rounds in one concatenation.
     """
     if input_pattern.n != pattern_set.n:
         raise RetrievalError("input length does not match stored patterns")
-    circuit = build_memory_circuit(pattern_set).shifted(layout.offset("memory"), layout)
-    for c in range(layout.width("control")):
-        circuit += retrieval_round_circuit(input_pattern, layout, c, mask)
-    return circuit
+    memory = build_memory_circuit(pattern_set).shifted(layout.offset("memory"), layout)
+    rounds = [
+        retrieval_round_circuit(input_pattern, layout, c, mask)
+        for c in range(layout.width("control"))
+    ]
+    return Circuit.join([memory, *rounds])
 
 
 #: most nonzero amplitudes a gate-level retrieval may prepare: each round

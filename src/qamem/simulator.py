@@ -46,7 +46,11 @@ targets one of its own controls, so the active keys stay active through the
 run, and the idle keys end in front in their old order: the result is the
 one gate-by-gate application gives, key order and amplitude bits included.
 The memory loaders are such runs: n rotations on one control qubit that
-holds on a single key.
+holds on a single key.  That key is the last one, since the previous
+block's ``CS`` row put its target-set branch after the others, so when
+exactly one key is active and it is the last, the split takes the slices
+``keys[:-1]`` and ``keys[-1:]`` (and the same of the amplitudes) in place
+of the boolean gathers.
 
 Outside the runs, a segment of two or more consecutive permutation rows in
 which no row has a control that an earlier row of the segment targets
@@ -497,15 +501,22 @@ class Circuit:
         return circuit
 
     def __add__(self, other: "Circuit") -> "Circuit":
-        if other.layout != self.layout:
+        return Circuit.join((self, other))
+
+    @staticmethod
+    def join(circuits) -> "Circuit":
+        """The rows of one or more circuits on one layout, in order, with
+        each column built in one concatenation."""
+        layout = circuits[0].layout
+        if any(c.layout != layout for c in circuits):
             raise SimulatorError("cannot concatenate circuits on different layouts")
-        width = max(self.qubits.shape[1], other.qubits.shape[1])
+        width = max(c.qubits.shape[1] for c in circuits)
         return Circuit._make(
-            self.layout,
-            np.concatenate((self.kind, other.kind)),
-            np.concatenate((_pad(self.qubits, width, -1), _pad(other.qubits, width, -1))),
-            np.concatenate((self.param, other.param)),
-            np.concatenate((_pad(self.polarity, width, 1), _pad(other.polarity, width, 1))),
+            layout,
+            np.concatenate([c.kind for c in circuits]),
+            np.concatenate([_pad(c.qubits, width, -1) for c in circuits]),
+            np.concatenate([c.param for c in circuits]),
+            np.concatenate([_pad(c.polarity, width, 1) for c in circuits]),
         )
 
     def dump(self) -> str:
@@ -534,7 +545,7 @@ def _compile(circuit: Circuit):
         bits = np.zeros(qubits.shape, dtype=object)
         bits[used] = [1 << q for q in qubits[used].tolist()]
     else:
-        bits = np.where(used, np.left_shift(1, qubits), 0)
+        bits = np.left_shift(used, qubits, dtype=np.int64)  # 0 on the padding
     controls = bits[:, 1:]
     tmask = bits[:, 0]
     cmask = np.bitwise_or.reduce(controls, axis=1)
@@ -543,7 +554,8 @@ def _compile(circuit: Circuit):
     # a run starts at a controlled mixing row other than the identity
     # ROTY(0), and ends where the control condition first changes; _run's
     # outer loop visits the rows of a condition up to its first run start
-    starts = (kind >= _H) & ((kind != _ROTY) | (param != 0)) & (cmask != 0)
+    mixing = (kind >= _H) & ((kind != _ROTY) | (param != 0))
+    starts = mixing & (cmask != 0)
     run_end = np.zeros(rows, dtype=np.int64)
     visited = np.ones(rows, dtype=bool)
     if starts.any():
@@ -575,9 +587,9 @@ def _compile(circuit: Circuit):
                 span = slice(first, last)
                 segment[first] = (last, tmask[span, None], cmask[span, None], cwant[span, None])
 
-    # the phase of each PHASE0 row, and one matrix per distinct mixing row,
-    # the CS ones built in one pass over the CS rows (numpy's sqrt and
-    # division round as math's do)
+    # the phase of each PHASE0 row, and one matrix per distinct mixing row
+    # other than ROTY(0), the CS ones built in one pass over the CS rows
+    # (numpy's sqrt and division round as math's do)
     values = param.tolist()
     operand, scalar = [None] * rows, [None] * rows
     for r in np.flatnonzero(kind == _PHASE0).tolist():
@@ -594,7 +606,7 @@ def _compile(circuit: Circuit):
         matrices.flags.writeable = False
         for r, matrix, entries in zip(np.flatnonzero(cs).tolist(), matrices, matrices.tolist()):
             forms[_CS, values[r]] = _matrix_forms(matrix, entries)
-    for r in np.flatnonzero(kind >= _H).tolist():
+    for r in np.flatnonzero(mixing).tolist():
         key = (code[r], values[r]) if code[r] != _H else _H
         form = forms.get(key)
         if form is None:
@@ -604,10 +616,8 @@ def _compile(circuit: Circuit):
 
 
 def _mixing_forms(code: int, param: float):
-    """The forms (see :func:`_matrix_forms`) of an H or ROTY row's matrix;
-    None and None for ``ROTY(0)``, which is the identity."""
-    if code == _ROTY and param == 0:
-        return None, None
+    """The forms (see :func:`_matrix_forms`) of an H or nonzero ROTY row's
+    matrix."""
     entries = _single_qubit_matrix(KINDS[code], param)
     matrix = np.array(entries)
     matrix.flags.writeable = False
@@ -762,21 +772,13 @@ def _step(keys, amps, code: int, tmask: int, operand, cmask: int, cwant: int):
     return _mix(keys, amps, tmask, operand)
 
 
-def _kept(amp: complex) -> bool:
-    """Whether :func:`_mix` keeps the amplitude: ``np.abs(amp) >=
-    PRUNE_THRESHOLD``, asked of numpy only near the threshold."""
-    size = abs(amp)
-    if _PRUNE_WINDOW[0] < size < _PRUNE_WINDOW[1]:
-        return bool(np.abs(amp) >= PRUNE_THRESHOLD)
-    return size >= PRUNE_THRESHOLD
-
-
 def _single_key(keys, amps, code, tmask, scalar, i: int, j: int):
     """Rows ``i`` to ``j - 1`` of a run on its one active key, as a Python
     int and a complex (see the module docstring).  Stops after the first row
     that leaves two keys or none, and before a row that the scalars cannot
     reproduce; returns the next row and the key and amplitude arrays."""
     key, amp = keys.item(), amps.item()
+    low_size, high_size = _PRUNE_WINDOW
     for r in range(i, j):
         c = code[r]
         if c <= _NXOR:  # a permutation
@@ -792,7 +794,13 @@ def _single_key(keys, amps, code, tmask, scalar, i: int, j: int):
         t = tmask[r]
         m0, m1 = columns[1] if key & t else columns[0]
         a0, a1 = amp * m0, amp * m1
-        keep0, keep1 = _kept(a0), _kept(a1)
+        # _mix keeps np.abs(a) >= PRUNE_THRESHOLD; numpy decides near it
+        size0, size1 = abs(a0), abs(a1)
+        if low_size < size0 < high_size:
+            size0 = np.abs(a0)
+        if low_size < size1 < high_size:
+            size1 = np.abs(a1)
+        keep0, keep1 = size0 >= PRUNE_THRESHOLD, size1 >= PRUNE_THRESHOLD
         low = key & ~t
         if keep0 and keep1:
             return r + 1, np.array((low, low | t), dtype=keys.dtype), np.array((a0, a1))
@@ -824,8 +832,12 @@ def _run(keys, amps, program):
             i += 1
             continue
         active = (keys & cmask[i]) == cwant[i]
-        split = np.count_nonzero(active) < len(active)
-        if split:
+        count = np.count_nonzero(active)
+        split = count < len(active)
+        if split and count == 1 and active[-1]:
+            idle_keys, idle_amps = keys[:-1], amps[:-1]
+            keys, amps = keys[-1:], amps[-1:]
+        elif split:
             idle = ~active
             idle_keys, idle_amps = keys[idle], amps[idle]
             keys, amps = keys[active], amps[active]

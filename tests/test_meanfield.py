@@ -242,6 +242,16 @@ class TestIteration:
             with pytest.raises(MeanFieldError, match=match):
                 residual(params, OrderParameters(m, r))
 
+    def test_overflowing_argument_start_raises(self):
+        # 4Jt(m + (g/J)M) overflowed on the first step: iterate_finite warned
+        # and ran 10^4 steps to NaN, residual returned NaN
+        for call, params, start in (
+            (iterate_finite, MfParams(0.0, 1e8), OrderParameters(1e301, 0.0)),
+            (residual, MfParams(0.0, 1.0), OrderParameters(1e308, 0.0)),
+        ):
+            with pytest.raises(MeanFieldError, match=r"4 Jt \(\|m\| \+ \|\(g/J\) M_ext\|\) must be finite"):
+                call(params, start)
+
     def test_start_at_exponent_bound(self):
         # -2 Jt^2 alpha r = MAX_EXPONENT: no overflow, hence no RuntimeWarning
         params, start = MfParams(1.0, 1.0), OrderParameters(1.0, -MAX_EXPONENT / 2)
@@ -430,12 +440,14 @@ class TestScalarFinish:
     def test_infinite_argument_stays_in_lockstep(self, monkeypatch):
         # 4Jt(m + (g/J)M) overflows on the first step from a huge start m:
         # math.cos raises where numpy gives NaN, so the pair goes on in the
-        # lockstep loop
-        params, start = MfParams(0.0, 1e8), OrderParameters(1e301, 0.0)
+        # lockstep loop.  iterate_finite refuses such a start, so the loop
+        # is called directly.
+        params, start = MfParams(0.0, 1e8), (1e301, 0.0)
         runs = []
         for scalar_pairs in (0, 10**6):
             monkeypatch.setattr(meanfield, "SCALAR_PAIRS", scalar_pairs)
             with np.errstate(over="ignore"):
-                runs.append(iterate_finite(params, start))
-        assert math.isnan(runs[0][0].m) and not runs[0][1]
+                runs.append(meanfield._iterate([params], [start]))
+        m, _, ok, _ = runs[0]
+        assert math.isnan(m[0, 0]) and not ok[0, 0]
         assert repr(runs[0]) == repr(runs[1])

@@ -5,16 +5,18 @@ import numpy as np
 import pytest
 
 from qamem.memory import (
+    MEMORY_AMPLITUDE_TOL,
     build_dual_state,
     build_memory_circuit,
     build_memory_operator,
+    check_memory_contract,
     memory_gate_count,
     memory_layout,
     memory_register_amplitudes,
     store_sequential,
 )
 from qamem.patterns import Pattern, PatternSet
-from qamem.simulator import overlap
+from qamem.simulator import SparseState, overlap
 
 
 def all_sets(n, max_p):
@@ -82,6 +84,103 @@ class TestMemoryOperator:
         ps = PatternSet((Pattern.from_string("101"),))
         amps = build_memory_operator(ps).memory_amplitudes()
         assert abs(amps[Pattern.from_string("101")] - 1.0) < 1e-12
+
+
+def dict_contract_check(state, pattern_set):
+    """The amplitude contract check as a loop over a {Pattern: amplitude}
+    dict: the oracle of check_memory_contract, error texts included."""
+    expected = 1.0 / math.sqrt(pattern_set.p)
+    amps = memory_register_amplitudes(state)
+    for pat in pattern_set:
+        got = amps.pop(pat, 0.0)
+        if abs(got - expected) > MEMORY_AMPLITUDE_TOL:
+            raise AssertionError(f"memory amplitude {got} for {pat} deviates from {expected}")
+    if any(abs(a) > MEMORY_AMPLITUDE_TOL for a in amps.values()):
+        raise AssertionError("memory state has amplitude on a non-stored pattern")
+
+
+def contract_outcome(check, state, pattern_set):
+    try:
+        check(state, pattern_set)
+    except AssertionError as err:
+        return str(err)
+    return None
+
+
+# offsets on either side of the tolerance, on one stored amplitude or a stray one
+OFFSETS = (2e-10, -2e-10, 2e-10j, 5e-11, -5e-11j)
+
+
+class TestContractCheck:
+    """check_memory_contract on arrays raises what the dict loop raises."""
+
+    @staticmethod
+    def perturbed(ps, change):
+        """The memory state of ps with its {key: amplitude} dict changed."""
+        state = build_memory_operator(ps).final_state
+        amps = dict(state.amps)
+        change(amps)
+        return SparseState(state.layout, amps)
+
+    @staticmethod
+    def sets():
+        rng = np.random.default_rng(7)
+        yield PatternSet((Pattern.from_string("101"),))
+        for _ in range(6):
+            yield random_set(rng)
+        # a 64-qubit memory layout: object keys
+        yield PatternSet(tuple(Pattern.from_key(k, 62) for k in (0, 2**61 + 5, 2**40 - 1)))
+
+    def assert_same(self, state, ps):
+        want = contract_outcome(dict_contract_check, state, ps)
+        assert contract_outcome(check_memory_contract, state, ps) == want
+        return want
+
+    def test_built_states_pass(self):
+        for ps in self.sets():
+            state = build_memory_operator(ps).final_state
+            assert self.assert_same(state, ps) is None
+
+    def test_stored_amplitude_off(self):
+        for ps in self.sets():
+            for k in {0, ps.p // 2, ps.p - 1}:
+                key = ps[k].as_key()
+                for offset in OFFSETS:
+                    def change(amps):
+                        amps[key] += offset
+                    got = self.assert_same(self.perturbed(ps, change), ps)
+                    if abs(offset) > MEMORY_AMPLITUDE_TOL:
+                        assert f" for {ps[k]} deviates from " in got
+                    else:
+                        assert got is None
+                def drop(amps):
+                    del amps[key]
+                assert "memory amplitude 0.0 for" in self.assert_same(self.perturbed(ps, drop), ps)
+
+    def test_stray_key(self):
+        for ps in self.sets():
+            n = ps.n
+            stray = min({pat.as_key() ^ 1 for pat in ps} - {pat.as_key() for pat in ps}, default=None)
+            if stray is None:  # every n-bit pattern is stored
+                continue
+            for offset in OFFSETS:
+                for utility in (0, 1, 3):
+                    def change(amps):
+                        amps[stray | utility << n] = offset
+                    got = self.assert_same(self.perturbed(ps, change), ps)
+                    if utility or abs(offset) < MEMORY_AMPLITUDE_TOL:
+                        assert got is None
+                    else:
+                        assert got == "memory state has amplitude on a non-stored pattern"
+
+    def test_stored_deviation_reported_before_stray(self):
+        ps = PatternSet(tuple(Pattern.from_string(s) for s in ("011", "101", "110")))
+        def change(amps):
+            amps[0] = 1.0
+            amps[ps[2].as_key()] += 2e-10
+            amps[ps[1].as_key()] -= 3e-10
+        got = self.assert_same(self.perturbed(ps, change), ps)
+        assert got.startswith("memory amplitude ") and " for 101 deviates from " in got
 
 
 class TestSequentialRoute:

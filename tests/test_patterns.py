@@ -168,6 +168,37 @@ class TestFileIO:
         with pytest.raises(PatternError, match="missing trailing newline"):
             read_pattern_file(f)
 
+    @pytest.mark.parametrize(
+        "data, error, message",
+        [
+            # universal newlines: a CRLF file reads as its LF twin
+            (b"01\r\n10\r\n01\r\n", DuplicatePatternError, ":3: duplicate pattern 01"),
+            (b"01\r\n011\r\n", RaggedFileError, ":2: length 3 != 2"),
+            ("01\n0\u00e9\n".encode(), NonBinaryError, ":2: non-binary character in '0\u00e9'"),
+            ("\uff10\uff11\n".encode(), NonBinaryError, ":1: non-binary character in '\uff10\uff11'"),
+            (b"01\n011\n", RaggedFileError, ":2: length 3 != 2"),
+            # as many characters as three good lines, cut elsewhere
+            (b"01\n011\n0\n", RaggedFileError, ":2: length 3 != 2"),
+            (b"011\n01\n", RaggedFileError, ":2: length 2 != 3"),
+            (b"01\n10\n01\n", DuplicatePatternError, ":3: duplicate pattern 01"),
+            (b"0\n1\n1\n0\n", DuplicatePatternError, ":3: duplicate pattern 1"),
+        ],
+    )
+    def test_error_texts(self, tmp_path, data, error, message):
+        """A file that fails the whole-buffer check gets the per-line error
+        text, naming the first bad line."""
+        f = tmp_path / "p.txt"
+        f.write_bytes(data)
+        with pytest.raises(error) as exc_info:
+            read_pattern_file(f)
+        assert str(exc_info.value) == f"{f}{message}"
+
+    def test_crlf_file_reads_as_lf(self, tmp_path):
+        f = tmp_path / "p.txt"
+        f.write_bytes(b"011\r\n110\r\n")
+        ps = read_pattern_file(f)
+        assert ps.strings == ("011", "110") and ps.bits.tolist() == [[0, 1, 1], [1, 1, 0]]
+
     @pytest.mark.parametrize("text, message", [("", "empty pattern file$"), ("\n", ":1: blank line$")])
     def test_empty_file(self, tmp_path, text, message):
         f = tmp_path / "p.txt"

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qamem import retrieval
+from qamem.memory import build_memory_circuit
 from qamem.patterns import (
     Mask,
     Pattern,
@@ -178,6 +179,26 @@ class TestRoundCircuit:
         layout = retrieval_layout(3, 1)
         with pytest.raises(RetrievalError):
             retrieval_round_circuit(P("000"), layout, 1)
+
+    def test_preparation_table_equals_fold(self):
+        """The preparation table, joined in one concatenation, is the memory
+        circuit shifted and followed by each round with +."""
+        rng = np.random.default_rng(11)
+        for _ in range(30):
+            ps = random_set(rng)
+            x = Pattern.from_key(int(rng.integers(2**ps.n)), ps.n)
+            mask = Mask.of(*range(0, ps.n, 2)) if rng.random() < 0.3 else None
+            b = int(rng.integers(1, 5))
+            layout = retrieval_layout(ps.n, b, use_input_register=bool(rng.random() < 0.5))
+            fold = build_memory_circuit(ps).shifted(layout.offset("memory"), layout)
+            for c in range(b):
+                fold += retrieval_round_circuit(x, layout, c, mask)
+            table = preparation_circuit(ps, x, layout, mask)
+            assert table.layout == fold.layout
+            for column in ("kind", "qubits", "polarity"):
+                got, want = getattr(table, column), getattr(fold, column)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert table.param.tobytes() == fold.param.tobytes()
 
     def test_preparation_input_length_checked(self):
         layout = retrieval_layout(4, 1)

@@ -601,8 +601,10 @@ def transformed(draw, circuit: Circuit, gates):
 @st.composite
 def runs_of_gates(draw):
     """(state, table, reference gates): runs of gates that share a control
-    condition, apart or between single gates, on a state whose keys
-    all satisfy the first run's condition or only some of them do.  Wide
+    condition, apart or between single gates, on a state whose keys all
+    satisfy the first run's condition, only some of them do, or exactly one
+    does, placed last or before the last (the kernel splits off a last
+    active key with slices and any other with gathers).  Wide
     layouts have object keys and use qubits past bit 63.  The table is the
     circuit of the drawn gates, or its inverse, shift or cut and rejoined
     copy (see :func:`transformed`); the reference gates are built to match
@@ -636,11 +638,17 @@ def runs_of_gates(draw):
         st.lists(st.sampled_from(pool), unique=True).map(lambda bits: sum(1 << q for q in bits)),
         min_size=1, max_size=12,
     ))
-    if draw(st.booleans()):  # every key active in the first run
-        controls, polarity = conditions[0]
-        cmask = sum(1 << c for c in controls)
-        cwant = sum(v << c for c, v in zip(controls, polarity))
+    controls, polarity = conditions[0]
+    cmask = sum(1 << c for c in controls)
+    cwant = sum(v << c for c, v in zip(controls, polarity))
+    active = draw(st.sampled_from(("all", "some", "one last", "one not last")))
+    if active == "all":  # every key active in the first run
         keys = [(k & ~cmask) | cwant for k in keys]
+    elif active != "some":  # one key active, the others idle
+        miss = cwant ^ (1 << controls[0])
+        keys = [(k & ~cmask) | miss for k in keys[1:]] + [(keys[0] & ~cmask) | cwant]
+        if active == "one not last" and len(keys) > 1:
+            keys.insert(draw(st.integers(0, len(keys) - 2)), keys.pop())
     keys = list(dict.fromkeys(k << offset for k in keys))
     amps = [complex(draw(ANGLES), draw(ANGLES)) for _ in keys]
     return SparseState(circuit.layout, dict(zip(keys, amps))), circuit, reference
