@@ -27,38 +27,57 @@ _SCALARS = {
 def emit_json(obj, indent: int = 0) -> str:
     """Minimal JSON emitter printing floats with 17 significant digits.
 
-    Scalars of the exact types in ``_SCALARS`` take one table lookup, also
-    as the items of a container, which recurse only into containers.
+    The text is appended piece by piece to one list, joined once at the
+    end.  Scalars of the exact types in ``_SCALARS`` take one table lookup,
+    also as the items of a container, which recurse only into containers.
     """
-    get = _SCALARS.get
-    text = get(type(obj))
+    text = _SCALARS.get(type(obj))
     if text is not None:
         return text(obj)
-    pad = "  " * indent
-    sep = ",\n" + pad + "  "
+    parts: list[str] = []
+    _emit(obj, "\n" + "  " * indent, parts)
+    return "".join(parts)
+
+
+def _emit(obj, newline: str, parts: list[str]) -> None:
+    """Append the text of ``obj``, of no exact type in ``_SCALARS``, to
+    ``parts``; ``newline`` starts a line at the indent of ``obj`` itself."""
+    get, append = _SCALARS.get, parts.append
     if isinstance(obj, dict):
         if not obj:
-            return "{}"
-        items = [
-            f'"{key}": '
-            + (t(v) if (t := get(type(v))) is not None else emit_json(v, indent + 1))
-            for key, v in obj.items()
-        ]
-        return "{\n" + pad + "  " + sep.join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
+            append("{}")
+            return
+        inner = newline + "  "
+        lead, sep = "{" + inner, "," + inner
+        for key, v in obj.items():
+            if (t := get(type(v))) is not None:
+                append(f'{lead}"{key}": {t(v)}')
+            else:
+                append(f'{lead}"{key}": ')
+                _emit(v, inner, parts)
+            lead = sep
+        append(newline + "}")
+    elif isinstance(obj, (list, tuple)):
         if not obj:
-            return "[]"
-        items = [
-            t(v) if (t := get(type(v))) is not None else emit_json(v, indent + 1)
-            for v in obj
-        ]
-        return "[\n" + pad + "  " + sep.join(items) + "\n" + pad + "]"
+            append("[]")
+            return
+        inner = newline + "  "
+        lead, sep = "[" + inner, "," + inner
+        for v in obj:
+            if (t := get(type(v))) is not None:
+                append(lead + t(v))
+            else:
+                append(lead)
+                _emit(v, inner, parts)
+            lead = sep
+        append(newline + "]")
     # subclasses of the scalar types, such as numpy floats, and other objects
-    if isinstance(obj, float):
-        return format_float(obj)
-    if isinstance(obj, int):
-        return str(obj)
-    return _string(obj)
+    elif isinstance(obj, float):
+        append(format_float(obj))
+    elif isinstance(obj, int):
+        append(str(obj))
+    else:
+        append(_string(obj))
 
 
 def csv_text(header, rows) -> str:

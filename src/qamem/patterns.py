@@ -25,6 +25,7 @@ on the bit matrix.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -48,17 +49,38 @@ class DuplicatePatternError(PatternError):
     """Pattern set contains a repeated pattern."""
 
 
+#: the values a pattern bit may take
+_BITS = frozenset((0, 1))
+
+
 @dataclass(frozen=True)
 class Pattern:
-    """A fixed-length binary string."""
+    """A fixed-length binary string.
+
+    ``bits`` is a tuple of plain ``int`` 0s and 1s: integral bits of any
+    type (``True``, ``np.uint8(1)``) are stored as ``int``, and any other
+    bit, such as ``1.0``, is refused.
+    """
 
     bits: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.bits) < 1:
+        try:
+            bits = tuple(map(operator.index, self.bits))
+        except TypeError:  # a bit that is no integer, such as 1.0
+            bits = None
+        if bits == ():
             raise PatternError("pattern must have length >= 1")
-        if any(b not in (0, 1) for b in self.bits):
+        if bits is None or not _BITS.issuperset(bits):
             raise NonBinaryError(f"pattern bits must be 0/1, got {self.bits}")
+        object.__setattr__(self, "bits", bits)
+
+    @classmethod
+    def _of_bits(cls, bits: tuple[int, ...]) -> "Pattern":
+        """A pattern over ``bits``, already a non-empty tuple of int 0/1."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "bits", bits)
+        return self
 
     @property
     def n(self) -> int:
@@ -68,7 +90,7 @@ class Pattern:
     def from_string(cls, s: str) -> "Pattern":
         if not s or s.strip("01"):
             raise NonBinaryError(f"invalid pattern string {s!r}")
-        return cls(tuple(map(int, s)))
+        return cls._of_bits(tuple(map(int, s)))
 
     def __str__(self) -> str:
         return "".join(str(b) for b in self.bits)
@@ -83,10 +105,13 @@ class Pattern:
     @classmethod
     def from_key(cls, key: int, n: int) -> "Pattern":
         """Inverse of :meth:`as_key` for an n-bit pattern."""
-        return cls(tuple((key >> j) & 1 for j in range(n)))
+        if n < 1:
+            return cls(())  # refused: a pattern has length >= 1
+        key = operator.index(key)
+        return cls._of_bits(tuple((key >> j) & 1 for j in range(n)))
 
     def complement(self) -> "Pattern":
-        return Pattern(tuple(1 - b for b in self.bits))
+        return Pattern._of_bits(tuple(1 - b for b in self.bits))
 
     def to_spins(self) -> tuple[int, ...]:
         """Map to +-1 spins via s = 2*bit - 1."""
@@ -140,7 +165,7 @@ class PatternSet:
 
     @cached_property
     def patterns(self) -> tuple[Pattern, ...]:
-        return tuple(Pattern(tuple(row)) for row in self.bits.tolist())
+        return tuple(Pattern._of_bits(tuple(row)) for row in self.bits.tolist())
 
     @cached_property
     def strings(self) -> tuple[str, ...]:
@@ -163,6 +188,8 @@ class PatternSet:
         return self.patterns[i]
 
     def __eq__(self, other):
+        if other is self:  # the memo lookups of retrieval compare a set with itself
+            return True
         if not isinstance(other, PatternSet):
             return NotImplemented
         return self.bits.shape == other.bits.shape and bool(
@@ -232,18 +259,23 @@ def corrupt(p: Pattern, k: int, rng) -> Pattern:
 def read_pattern_file(path) -> PatternSet:
     """Parse a pattern file: one '0'/'1' line per pattern, newline-terminated.
 
-    A good file is checked in one numpy pass over the whole buffer: equal
-    lines of ASCII '0'/'1' characters, each ended by a newline, and no line
-    repeated; the bit matrix is built from the same buffer.  Only when that
-    fails are the lines checked one by one, so an error names the first bad
-    line.
+    Lines end in LF or CRLF; the file is read without newline translation
+    and each CRLF taken as LF, so a lone CR stays in its line and is
+    refused there as a non-binary character.  A good file is checked in
+    one numpy pass over the whole buffer: equal lines of ASCII '0'/'1'
+    characters, each ended by a newline, and no line repeated; the bit
+    matrix is built from the same buffer.  Only when that fails are the
+    lines checked one by one, so an error names the first bad line.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_bytes().decode("utf-8").replace("\r\n", "\n")
     if not text:
         raise PatternError(f"{path}: empty pattern file")
-    if not text.endswith("\n"):
-        raise PatternError(f"{path}: missing trailing newline")
-    lines = text.split("\n")[:-1]
+    lines = text.split("\n")
+    last = lines.pop()  # what follows the last newline: empty in a good file
+    if last:
+        if "\r" not in last:
+            raise PatternError(f"{path}: missing trailing newline")
+        lines.append(last)  # a final line ended by a lone CR
     n = len(lines[0])
     if n and text.isascii() and len(text) == len(lines) * (n + 1):
         grid = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(len(lines), n + 1)

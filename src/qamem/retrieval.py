@@ -312,6 +312,8 @@ class SamplingTable:
     ``values`` are the memory-register values of the state post-selected on
     that outcome, in ascending order, and ``cdf`` their cumulative
     probabilities, as :func:`~qamem.simulator.measure_section` walks them.
+    One table serves every draw of a query; :func:`retrieve` turns a drawn
+    value into its :class:`Pattern` once per query (see :class:`_Query`).
     """
 
     p_zero: float
@@ -324,37 +326,67 @@ class SamplingTable:
         return self.values[min(i, len(self.values) - 1)]
 
 
+class _Query:
+    """The memo entry of one pattern set: its most recent query and what
+    every draw of that query reads.
+
+    ``key`` is (input, b, mask, input register); neither ``T`` nor the mode
+    enters it.  ``table`` is the repeat-mode table and ``amplified`` the
+    amplify-mode one, rotated from it on first use.  ``outputs`` maps each
+    memory value drawn so far to its output :class:`Pattern`, built on the
+    first draw of that value.  The closed form is held without its support,
+    which is the set itself, and the :class:`Distribution` the reports
+    share only through a weak reference: a value that referred to the set
+    would keep its key in :data:`_LAST_TABLE` alive.
+    """
+
+    __slots__ = ("key", "law", "table", "amplified", "outputs", "shared")
+
+    def __init__(self, key, analytic: Distribution, table: SamplingTable):
+        self.key = key
+        self.law = (analytic.p_rec, analytic.Z, analytic.prob_array)
+        self.table = table
+        self.amplified = None
+        self.outputs = {}
+        self.shared = weakref.ref(analytic)
+
+
 def _prepared(
     pattern_set: PatternSet, input_pattern: Pattern, config: RetrievalConfig
-) -> tuple[Distribution, SamplingTable]:
-    """The closed form and sampling table of one query.
+) -> tuple[Distribution, SamplingTable, dict[int, Pattern]]:
+    """The closed form, sampling table and output patterns of one query.
 
-    Each live pattern set keeps those of its most recent (input, b, mask,
-    input register), so Monte-Carlo loops over one query compute them
-    once; neither ``T`` nor the mode enters them.  The memo holds the
-    repeat-mode table, which amplify mode rotates when it reads it.  It
-    holds the closed form without its support, which is the set itself: a
-    value that referred to its key would keep the key alive.
+    Each live pattern set keeps the :class:`_Query` of its most recent
+    (input, b, mask, input register), so Monte-Carlo loops over one query
+    prepare the state once, and a repeat call costs a dictionary lookup:
+    it reuses the :class:`Distribution` of the query's reports while one
+    of them is alive, and the amplified table once amplify mode has read
+    it.  The output patterns are filled in by :func:`retrieve`.
     """
     key = (input_pattern, config.b, config.mask, config.use_input_register)
-    held = _LAST_TABLE.get(pattern_set)
-    if held is None or held[0] != key:
+    query = _LAST_TABLE.get(pattern_set)
+    if query is None or query.key != key:
         analytic = analytic_distribution(
             pattern_set, input_pattern, config.b, config.mask
         )
-        table = _sampling_table(pattern_set, *key)
-        law = (analytic.p_rec, analytic.Z, analytic.prob_array)
-        _LAST_TABLE[pattern_set] = (key, law, table)
+        query = _Query(key, analytic, _sampling_table(pattern_set, *key))
+        _LAST_TABLE[pattern_set] = query
     else:
-        _, (p_rec, Z, prob_array), table = held
-        analytic = Distribution(p_rec, Z, pattern_set, prob_array)
+        analytic = query.shared()
+        if analytic is None:
+            p_rec, Z, prob_array = query.law
+            analytic = Distribution(p_rec, Z, pattern_set, prob_array)
+            query.shared = weakref.ref(analytic)
+    table = query.table
     if config.mode == "amplitude_amplify":
-        table = _amplified(table, analytic.p_rec)
-    return analytic, table
+        if query.amplified is None:
+            query.amplified = _amplified(table, analytic.p_rec)
+        table = query.amplified
+    return analytic, table, query.outputs
 
 
-#: pattern set -> (query key, (p_rec, Z, prob_array), repeat-mode sampling
-#: table); entries die with their set
+#: pattern set -> :class:`_Query` of its most recent query; entries die
+#: with their set
 _LAST_TABLE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -399,12 +431,18 @@ def retrieve(
     for the memory register of a recognized attempt.  Both modes prepare
     and memoise the same state; ``amplitude_amplify`` mode takes its recognition
     probability from the rotation law instead of running the iterations.
-    Every report of one query shares the arrays of its closed form, read-only.
+    Every report of one query shares the arrays of its closed form,
+    read-only, and the reports alive at once share one
+    :class:`Distribution`; each distinct output pattern is built once per
+    query, so a repeat call draws in O(1) Python work.
     """
-    analytic, table = _prepared(pattern_set, input_pattern, config)
+    analytic, table, outputs = _prepared(pattern_set, input_pattern, config)
     for attempt in range(1, config.T + 1):
         if rng.random() < table.p_zero:
-            output = Pattern.from_key(table.sample_memory(rng), pattern_set.n)
+            value = table.sample_memory(rng)
+            output = outputs.get(value)
+            if output is None:
+                output = outputs[value] = Pattern.from_key(value, pattern_set.n)
             return RetrievalReport(True, attempt, output, analytic)
     return RetrievalReport(False, config.T, None, analytic)
 

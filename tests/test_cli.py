@@ -166,6 +166,15 @@ class TestStore:
         assert code == EXIT_OK
         assert out == "gates: 19\n"
 
+    def test_dry_run_refuses_lone_cr(self, capsys, tmp_path):
+        """A lone CR is no line end: the file is refused, not read as the
+        two patterns 01 and 10."""
+        f = tmp_path / "p.txt"
+        f.write_bytes(b"01\r10\n")
+        code, out, err = run(capsys, "store", "--patterns", str(f), "--dry-run")
+        assert code == EXIT_VALIDATION and out == ""
+        assert f"{f}:1: non-binary character in '01\\r10'" in err
+
     def test_full_output_amplitudes(self, capsys, pattern_file):
         code, out, _ = run(capsys, "store", "--patterns", pattern_file)
         assert code == EXIT_OK

@@ -38,6 +38,28 @@ class TestPattern:
         with pytest.raises(NonBinaryError):
             Pattern((0, 2))
 
+    def test_non_integral_bits_refused(self):
+        """A float bit is refused, even one equal to 0 or 1: it used to
+        print as "1.00.0" and fail later in as_key and PatternSet."""
+        for bits in ((1.0, 0.0), (0, 1.0), (np.float64(1.0),), ("0", "1"), (0.5,)):
+            with pytest.raises(NonBinaryError, match="pattern bits must be 0/1"):
+                Pattern(bits)
+
+    def test_integral_bits_stored_as_int(self):
+        """True/False and numpy integers are stored as plain ints, so a
+        pattern prints, keys and compares as its int twin."""
+        for bits in ((True, False, True), (np.uint8(1), np.int64(0), 1)):
+            pat = Pattern(bits)
+            assert all(type(b) is int for b in pat.bits)
+            assert pat == P("101") and hash(pat) == hash(P("101"))
+            assert str(pat) == "101" and pat.as_key() == 5
+            assert PatternSet((pat, P("011"))).strings == ("101", "011")
+        with pytest.raises(NonBinaryError):
+            Pattern((True, 2))
+        for pat in (P("0110"), Pattern.from_key(np.int64(6), 4), P("1001").complement()):
+            assert pat == Pattern((0, 1, 1, 0))
+            assert all(type(b) is int for b in pat.bits)
+
     def test_key_uses_low_bit_for_leftmost_char(self):
         assert P("100").as_key() == 1
         assert P("001").as_key() == 4
@@ -198,6 +220,29 @@ class TestFileIO:
         f.write_bytes(b"011\r\n110\r\n")
         ps = read_pattern_file(f)
         assert ps.strings == ("011", "110") and ps.bits.tolist() == [[0, 1, 1], [1, 1, 0]]
+        f.write_bytes(b"011\n110\r\n101\n")  # mixed line ends
+        assert read_pattern_file(f).strings == ("011", "110", "101")
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            # a lone CR does not end a line: these read as one pattern each
+            # under universal newlines
+            (b"01\r10\n", ":1: non-binary character in '01\\r10'"),
+            (b"01\r\n10\r\r\n", ":2: non-binary character in '10\\r'"),
+            # a lone CR on the last line, ended by it or in its middle
+            (b"01\n10\r", ":2: non-binary character in '10\\r'"),
+            (b"01\r\n10\r", ":2: non-binary character in '10\\r'"),
+            (b"01\n1\r0\n", ":2: non-binary character in '1\\r0'"),
+            (b"\r", ":1: non-binary character in '\\r'"),
+        ],
+    )
+    def test_lone_cr_refused(self, tmp_path, data, message):
+        f = tmp_path / "p.txt"
+        f.write_bytes(data)
+        with pytest.raises(NonBinaryError) as exc_info:
+            read_pattern_file(f)
+        assert str(exc_info.value) == f"{f}{message}"
 
     @pytest.mark.parametrize("text, message", [("", "empty pattern file$"), ("\n", ":1: blank line$")])
     def test_empty_file(self, tmp_path, text, message):

@@ -604,6 +604,69 @@ class TestPreparedSampling:
         assert len(calls) == 6
         assert amplified.p_zero > repeat.p_zero
 
+    @pytest.mark.parametrize("mode", ["repeat_measure", "amplitude_amplify"])
+    def test_output_pattern_built_once_per_value(self, monkeypatch, mode):
+        """A memo hit builds no Pattern: 200 draws of one query build each
+        distinct output once, and a value drawn again returns the same
+        object."""
+        ps, x = S("00110", "01011", "11000", "10101"), P("00111")
+        calls = []
+        real = Pattern.from_key
+
+        def counted(key, n):
+            calls.append(key)
+            return real(key, n)
+
+        monkeypatch.setattr(Pattern, "from_key", staticmethod(counted))
+        rng = np.random.default_rng(9)
+        config = RetrievalConfig(b=1, T=3, mode=mode)
+        reports = [retrieve(ps, x, config, rng) for _ in range(200)]
+        outputs = [r.output for r in reports if r.recognized]
+        assert len(set(outputs)) >= 3
+        assert sorted(calls) == sorted({o.as_key() for o in outputs})
+        by_value = {}
+        assert all(by_value.setdefault(o, o) is o for o in outputs)
+
+    def test_held_reports_share_one_distribution(self):
+        """Reports alive at once share one analytic object; the memo holds
+        it weakly, so it dies with the last of them, and later reports
+        share a new one over the same arrays."""
+        ps, x = S("0110", "1011", "0001"), P("0111")
+        config = RetrievalConfig(b=2, T=2)
+        rng = np.random.default_rng(5)
+        reports = [retrieve(ps, x, config, rng) for _ in range(50)]
+        law = reports[0].analytic
+        assert all(r.analytic is law for r in reports)
+        prob_array, ref = law.prob_array, weakref.ref(law)
+        del reports, law
+        gc.collect()
+        assert ref() is None
+        later = [retrieve(ps, x, config, rng) for _ in range(3)]
+        assert later[0].analytic is later[1].analytic is later[2].analytic
+        assert later[0].analytic.prob_array is prob_array
+        assert later[0].analytic.support is ps
+
+    def test_equal_distinct_set_hits_the_memo(self, monkeypatch):
+        """The memo is keyed by value: an equal set built apart reuses the
+        prepared state, and the draws go on as from the first set."""
+        strings = ("1110", "0011", "0100")
+        ps, twin, x = S(*strings), S(*strings), P("0111")
+        assert twin is not ps and twin == ps and ps == ps
+        calls = []
+        real = retrieval.prepare_final_state
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(retrieval, "prepare_final_state", counted)
+        config = RetrievalConfig(b=2, T=2)
+        fast, slow = np.random.default_rng(8), np.random.default_rng(8)
+        got = [retrieve(s, x, config, fast) for s in (ps, twin) * 10]
+        assert len(calls) == 1
+        want = [per_call_retrieve(ps, x, config, slow) for _ in range(20)]
+        assert [(r.recognized, r.attempts, r.output) for r in got] == want
+
     def test_amplify_table_is_repeat_table_rotated(self):
         """Amplify mode reads the repeat-mode state: the same memory law,
         bit for bit, and p_zero moved by the rotation law."""
