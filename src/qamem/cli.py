@@ -6,7 +6,8 @@ byte-deterministic: per-task seeds are derived with a splitmix64 mix (see
 :mod:`.seeds`), so the output is identical across runs.  ``phase`` and
 ``classical`` accept ``--workers`` and ignore it: both run in one thread.
 Output goes through :mod:`.emit`, which prints floats with 17 significant
-digits in both JSON and CSV.
+digits in both JSON and CSV.  Each command imports the modules it runs when
+it runs, so a command loads none that it does not use.
 Exit codes: 0 success, 2 validation error, 3 numeric failure.
 """
 from __future__ import annotations
@@ -17,7 +18,6 @@ import sys
 
 import numpy as np
 
-from . import classical, meanfield, memory, retrieval, thermo
 from .emit import emit_json, format_float
 from .patterns import Mask, Pattern, PatternError, corrupt, read_pattern_file
 from .seeds import task_rng
@@ -116,6 +116,8 @@ def _by_pattern(strings, values, fields) -> list[dict]:
 
 
 def cmd_store(args) -> int:
+    from . import memory
+
     pattern_set = read_pattern_file(args.patterns)
     if args.dry_run:
         count = memory.memory_gate_count(pattern_set.p, pattern_set.n)
@@ -160,6 +162,8 @@ def _report_doc(report, config, seed):
 
 
 def cmd_retrieve(args) -> int:
+    from . import retrieval
+
     pattern_set = read_pattern_file(args.patterns)
     input_pattern = _parse_input(args.input, pattern_set.n)
     mask = _parse_mask(args.mask, pattern_set.n)
@@ -177,6 +181,8 @@ def cmd_retrieve(args) -> int:
 
 
 def cmd_distribution(args) -> int:
+    from . import retrieval
+
     pattern_set = read_pattern_file(args.patterns)
     input_pattern = _parse_input(args.input, pattern_set.n)
     mask = _parse_mask(args.mask, pattern_set.n)
@@ -194,15 +200,30 @@ def cmd_distribution(args) -> int:
     return EXIT_OK
 
 
+def _numeric_failure(exc) -> int:
+    sys.stderr.write(f"qamem: numeric failure: {exc}\n")
+    return EXIT_NUMERIC
+
+
 def cmd_thermo(args) -> int:
+    from . import thermo
+
     grid = parse_grid(args.b_grid, "b")
-    scan = thermo.scan_transition(args.d_over_n, args.n, grid)
+    try:
+        scan = thermo.scan_transition(args.d_over_n, args.n, grid)
+    except (thermo.UndefinedPotentialsError, thermo.UnattainableTargetError) as exc:
+        return _numeric_failure(exc)
     _write_output(scan.to_csv(), args.out)
     return EXIT_OK
 
 
 def cmd_tune(args) -> int:
-    result = thermo.tune(args.epsilon, args.nu, args.n)
+    from . import thermo
+
+    try:
+        result = thermo.tune(args.epsilon, args.nu, args.n)
+    except (thermo.UndefinedPotentialsError, thermo.UnattainableTargetError) as exc:
+        return _numeric_failure(exc)
     doc = {
         "b": result.b,
         "T_repeat": result.T_repeat,
@@ -214,6 +235,8 @@ def cmd_tune(args) -> int:
 
 
 def cmd_phase(args) -> int:
+    from . import meanfield
+
     alpha_grid = parse_grid(args.alpha_grid, "alpha")
     jt_grid = parse_grid(args.jt_grid, "Jt")
     diagram = meanfield.scan_phase_diagram(alpha_grid, jt_grid)
@@ -234,6 +257,8 @@ def cmd_phase(args) -> int:
 
 
 def cmd_classical(args) -> int:
+    from . import classical
+
     alpha_grid = parse_grid(args.alpha_grid, "alpha")
     table = classical.capacity_experiment_seeded(
         args.n,
@@ -350,9 +375,6 @@ def main(argv=None) -> int:
         PARSER.exit(EXIT_VALIDATION, "qamem: seed must fit in 64 bits\n")
     try:
         return args.func(args)
-    except (thermo.UndefinedPotentialsError, thermo.UnattainableTargetError) as exc:
-        sys.stderr.write(f"qamem: numeric failure: {exc}\n")
-        return EXIT_NUMERIC
     except (ValueError, OSError) as exc:
         # module error types are ValueError subclasses (bad files, bad ranges)
         sys.stderr.write(f"qamem: {exc}\n")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+from json.encoder import encode_basestring
 
 
 def format_float(x: float) -> str:
@@ -11,14 +12,16 @@ def format_float(x: float) -> str:
 
 
 def _string(obj) -> str:
-    return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
+    """JSON string of ``str(obj)``: quotes, backslashes and control
+    characters escaped, as ``json.dumps(..., ensure_ascii=False)`` does."""
+    return encode_basestring(str(obj))
 
 
 #: text of each scalar type, looked up by exact type
 _SCALARS = {
     float: format_float,
     int: str,
-    str: _string,
+    str: encode_basestring,
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): lambda obj: "null",
 }
@@ -30,6 +33,8 @@ def emit_json(obj, indent: int = 0) -> str:
     The text is appended piece by piece to one list, joined once at the
     end.  Scalars of the exact types in ``_SCALARS`` take one table lookup,
     also as the items of a container, which recurse only into containers.
+    Dict keys must be ``str``; they and string values are escaped as
+    ``json.dumps`` escapes them.
     """
     text = _SCALARS.get(type(obj))
     if text is not None:
@@ -42,7 +47,7 @@ def emit_json(obj, indent: int = 0) -> str:
 def _emit(obj, newline: str, parts: list[str]) -> None:
     """Append the text of ``obj``, of no exact type in ``_SCALARS``, to
     ``parts``; ``newline`` starts a line at the indent of ``obj`` itself."""
-    get, append = _SCALARS.get, parts.append
+    get, append, encode = _SCALARS.get, parts.append, encode_basestring
     if isinstance(obj, dict):
         if not obj:
             append("{}")
@@ -51,9 +56,9 @@ def _emit(obj, newline: str, parts: list[str]) -> None:
         lead, sep = "{" + inner, "," + inner
         for key, v in obj.items():
             if (t := get(type(v))) is not None:
-                append(f'{lead}"{key}": {t(v)}')
+                append(f"{lead}{encode(key)}: {t(v)}")
             else:
-                append(f'{lead}"{key}": ')
+                append(f"{lead}{encode(key)}: ")
                 _emit(v, inner, parts)
             lead = sep
         append(newline + "}")

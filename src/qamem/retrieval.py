@@ -60,6 +60,11 @@ class RetrievalError(ValueError):
     pass
 
 
+#: most attempts one retrieval may make: each is a draw of about 1 us, so a
+#: query that is never recognized ends within about a second
+MAX_ATTEMPTS = 10**6
+
+
 @dataclass(frozen=True)
 class RetrievalConfig:
     b: int = 1
@@ -71,6 +76,8 @@ class RetrievalConfig:
     def __post_init__(self):
         if self.b < 1 or self.T < 1:
             raise RetrievalError("b and T must be >= 1")
+        if self.T > MAX_ATTEMPTS:
+            raise RetrievalError(f"T must be <= MAX_ATTEMPTS = {MAX_ATTEMPTS}, got {self.T}")
         if self.mode not in ("repeat_measure", "amplitude_amplify"):
             raise RetrievalError(f"unknown mode {self.mode!r}")
 

@@ -67,20 +67,41 @@ segment of k rows on m keys runs so only while k * m is at most
 blocks are such segments, and so are the retrieval rounds' dress and undress
 blocks when the input sits in a register.
 
-A run that starts on exactly one active key is done on a Python ``int`` key
-and a ``complex`` amplitude, which costs a fraction of the ten or so numpy
-calls a row costs on one-element arrays.  It goes back to the arrays after
-the first row that leaves two keys (or none), and before the first row that
-scalars cannot reproduce bit for bit; keys keep the order ``[low, low | t]``
-and the layout's key dtype.  Three rules keep the result the array one:
+From a run that starts on exactly one active key, the kernel goes on with
+Python ``int`` keys and ``complex`` amplitudes, which cost a fraction of the
+ten or so numpy calls a row costs on small arrays.  It keeps the idle keys
+the run split off as arrays and the tail, the one or two keys the rows act
+on, as lists, and it follows the rows past the end of the run for as long as
+each row provably leaves the idle keys alone, that is, its control
+condition fails on every one of them.  Two proofs show that:
+
+* a bit summary: a control wants 1 where the OR of the idle keys is 0, or
+  wants 0 where their AND is 1;
+* where the summaries cannot decide (a memory block's NXOR, which tests the
+  whole memory register), ``cwant`` is not in the set of the idle keys'
+  projections ``key & cmask``, built once per ``cmask`` on first use.
+
+At each later run's start, the tail keys that fail its condition join an
+idle list in order, as the array loop's split puts them before the active
+keys; a permutation row past a run XORs the tail keys that meet its
+controls.  The path goes back to the arrays with one concatenation (idle
+keys, idle list, tail), which gives the arrays the array loop holds at that
+row, key order and dtype included, before a ``PHASE0`` row, a mixing row on
+two keys, a row it cannot prove idle, or, while idle keys exist, an
+uncontrolled row or the start of a segment that runs as one XOR step.  The
+whole memory circuit runs on this path: its stored branches hold both
+utility qubits at 0, which rules them out of every row controlled on a
+utility qubit, and each block's NXOR wants its own pattern, which no stored
+branch holds.  A mixing row on one tail key leaves its branches in the order
+``[low, low | t]``, and three rules keep the amplitudes the array ones:
 
 * a mixing row multiplies by its matrix entries as Python ``complex`` values
   with a zero imaginary part, the operands numpy's loop sees.  Python and
   numpy then round every part alike unless a product underflows to zero,
   where a fused multiply-add may keep another sign; so a row whose
   amplitude has a nonzero part small enough for that (below
-  ``float_info.min`` over the row's smallest nonzero entry) goes back to
-  the arrays;
+  ``float_info.min`` over the row's smallest nonzero entry) runs as the
+  array step on one-element arrays;
 * a ``PHASE0`` row goes back to the arrays: a product of two complex
   numbers with nonzero parts rounds differently in Python and in numpy;
 * the prune decision is the one ``np.abs(a) >= PRUNE_THRESHOLD`` makes:
@@ -625,8 +646,8 @@ def _mixing_forms(code: int, param: float):
 
 
 def _matrix_forms(matrix, entries):
-    """A mixing row's matrix, read-only, and its form for the single-key
-    path, from ``entries``, the same matrix as nested Python floats: the two
+    """A mixing row's matrix, read-only, and its form for the scalar path,
+    from ``entries``, the same matrix as nested Python floats: the two
     columns as pairs of Python complex values, and the floor below which a
     nonzero amplitude part may make a product underflow to zero (see the
     module docstring)."""
@@ -772,26 +793,82 @@ def _step(keys, amps, code: int, tmask: int, operand, cmask: int, cwant: int):
     return _mix(keys, amps, tmask, operand)
 
 
-def _single_key(keys, amps, code, tmask, scalar, i: int, j: int):
-    """Rows ``i`` to ``j - 1`` of a run on its one active key, as a Python
-    int and a complex (see the module docstring).  Stops after the first row
-    that leaves two keys or none, and before a row that the scalars cannot
-    reproduce; returns the next row and the key and amplitude arrays."""
-    key, amp = keys.item(), amps.item()
+def _scalars(prefix_keys, prefix_amps, key: int, amp: complex, program, i: int):
+    """Rows from ``i``, a run start with the one active key ``key``, on
+    Python scalars, past the end of the run for as long as each row
+    provably leaves the idle keys alone (see the module docstring).  The
+    idle keys are ``prefix_keys``, the ones the run split off, and the tail
+    keys that a later run's controls fail.  Returns the next row and the key
+    and amplitude arrays."""
+    code, tmask, cmask, cwant, operand, run_end, scalar, segment = program
+    keys, amps = [key], [amp]  # the tail
+    idle_keys, idle_amps = [], []  # the idle list
+    idle = len(prefix_keys) > 0
+    # OR and AND of the idle keys, and per control mask the set of the idle
+    # keys' projections on it, all taken on first use
+    ones = alls = None
+    seen = {}
     low_size, high_size = _PRUNE_WINDOW
-    for r in range(i, j):
+    j, end = run_end[i], len(code)
+    for r in range(i, end):
         c = code[r]
-        if c <= _NXOR:  # a permutation
-            key ^= tmask[r]
-            continue
         if c == _PHASE0:
             break
-        if scalar[r] is None:  # ROTY(0)
+        if c >= _H and operand[r] is None:  # ROTY(0)
             continue
+        t = tmask[r]
+        if r >= j:  # past the run: the row must miss every idle key
+            cm, cw = cmask[r], cwant[r]
+            if idle:
+                if not cm or segment[r] is not None:
+                    break  # an uncontrolled row, or a segment for one XOR step
+                if ones is None:
+                    ones, alls = 0, -1
+                    if len(prefix_keys):
+                        ones = int(np.bitwise_or.reduce(prefix_keys))
+                        alls = int(np.bitwise_and.reduce(prefix_keys))
+                    for k in idle_keys:
+                        ones, alls = ones | k, alls & k
+                if not (cw & ~ones or cm & ~cw & alls):
+                    held = seen.get(cm)
+                    if held is None:
+                        held = seen[cm] = set((prefix_keys & cm).tolist())
+                        held.update(k & cm for k in idle_keys)
+                    if cw in held:
+                        break
+            if run_end[r]:  # a new run: tail keys that fail its controls go idle
+                j = run_end[r]
+                tail, keys, amps = zip(keys, amps), [], []
+                for k, a in tail:
+                    if (k & cm) == cw:
+                        keys.append(k)
+                        amps.append(a)
+                        continue
+                    idle = True
+                    idle_keys.append(k)
+                    idle_amps.append(a)
+                    if ones is not None:
+                        ones, alls = ones | k, alls & k
+                    for m, held in seen.items():
+                        held.add(k & m)
+            elif c <= _NXOR:
+                keys = [k ^ t if (k & cm) == cw else k for k in keys]
+                continue
+        # the row's controls hold on every tail key
+        if c <= _NXOR:
+            keys = [k ^ t for k in keys]
+            continue
+        if len(keys) != 1:
+            if keys:
+                break  # a mixing row on two keys
+            continue
+        key, amp = keys[0], amps[0]
         columns, floor = scalar[r]
         if 0.0 < abs(amp.real) < floor or 0.0 < abs(amp.imag) < floor:
-            break  # a product could underflow to zero
-        t = tmask[r]
+            # a product could underflow to zero: the array step on one key
+            mixed = _mix(np.array(keys, dtype=prefix_keys.dtype), np.array(amps), t, operand[r])
+            keys, amps = mixed[0].tolist(), mixed[1].tolist()
+            continue
         m0, m1 = columns[1] if key & t else columns[0]
         a0, a1 = amp * m0, amp * m1
         # _mix keeps np.abs(a) >= PRUNE_THRESHOLD; numpy decides near it
@@ -800,23 +877,29 @@ def _single_key(keys, amps, code, tmask, scalar, i: int, j: int):
             size0 = np.abs(a0)
         if low_size < size1 < high_size:
             size1 = np.abs(a1)
-        keep0, keep1 = size0 >= PRUNE_THRESHOLD, size1 >= PRUNE_THRESHOLD
         low = key & ~t
-        if keep0 and keep1:
-            return r + 1, np.array((low, low | t), dtype=keys.dtype), np.array((a0, a1))
-        if not (keep0 or keep1):
-            return r + 1, keys[:0], amps[:0]
-        key, amp = (low, a0) if keep0 else (low | t, a1)
+        keys, amps = [], []
+        if size0 >= PRUNE_THRESHOLD:
+            keys.append(low)
+            amps.append(a0)
+        if size1 >= PRUNE_THRESHOLD:
+            keys.append(low | t)
+            amps.append(a1)
     else:
-        r = j
-    return r, np.array((key,), dtype=keys.dtype), np.array((amp,))
+        r = end
+    keys = np.array(idle_keys + keys, dtype=prefix_keys.dtype)
+    amps = np.array(idle_amps + amps, dtype=np.complex128)
+    if len(prefix_keys):
+        keys = np.concatenate((prefix_keys, keys))
+        amps = np.concatenate((prefix_amps, amps))
+    return r, keys, amps
 
 
 def _run(keys, amps, program):
     """The gate kernel: a circuit's rows in order on parallel key and
     amplitude arrays, one XOR step per segment of permutation rows, one
-    control split per run of rows, and a run that starts on one active key
-    on Python scalars (see the module docstring and
+    control split per run of rows, and the rows from a run that starts on
+    one active key on Python scalars (see the module docstring and
     :meth:`Circuit._program`)."""
     code, tmask, cmask, cwant, operand, run_end, scalar, segment = program
     i, end = 0, len(code)
@@ -834,17 +917,17 @@ def _run(keys, amps, program):
         active = (keys & cmask[i]) == cwant[i]
         count = np.count_nonzero(active)
         split = count < len(active)
-        if split and count == 1 and active[-1]:
+        if count == 1 and active[-1]:
             idle_keys, idle_amps = keys[:-1], amps[:-1]
             keys, amps = keys[-1:], amps[-1:]
         elif split:
             idle = ~active
             idle_keys, idle_amps = keys[idle], amps[idle]
             keys, amps = keys[active], amps[active]
-        first = i
-        if len(keys) == 1:
-            first, keys, amps = _single_key(keys, amps, code, tmask, scalar, i, j)
-        for r in range(first, j):
+        if count == 1:
+            i, keys, amps = _scalars(idle_keys, idle_amps, keys.item(), amps.item(), program, i)
+            continue
+        for r in range(i, j):
             keys, amps = _step(keys, amps, code[r], tmask[r], operand[r], 0, 0)
         if split:
             keys = np.concatenate((idle_keys, keys))

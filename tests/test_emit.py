@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -6,7 +8,7 @@ from qamem.emit import emit_json
 
 
 def _string(obj) -> str:
-    return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return json.dumps(str(obj), ensure_ascii=False)
 
 
 _SCALARS = {
@@ -31,7 +33,7 @@ def recursive_emit_json(obj, indent: int = 0) -> str:
         if not obj:
             return "{}"
         items = [
-            f'"{key}": '
+            f"{_string(key)}: "
             + (t(v) if (t := get(type(v))) is not None else recursive_emit_json(v, indent + 1))
             for key, v in obj.items()
         ]
@@ -78,3 +80,22 @@ documents = st.recursive(
 @example(doc=np.float64(1 / 3), indent=1)
 def test_same_text_as_recursive_emitter(doc, indent):
     assert emit_json(doc, indent) == recursive_emit_json(doc, indent)
+
+
+json_documents = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**70), 2**70)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=json_documents, indent=st.integers(0, 3))
+@example(doc={'k"': 1, "s": "a\nb", "\x00\x1f\\": ["\t", "\u2028", "\x7f"]}, indent=0)
+def test_output_is_json(doc, indent):
+    """Any string key or value, and any finite float, reads back as itself."""
+    assert json.loads(emit_json(doc, indent)) == doc

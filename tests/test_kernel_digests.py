@@ -1,0 +1,58 @@
+"""The gate kernel's output bytes on jobs of the benchmark's circuit sizes.
+
+Each job is built from a fixed seed here, and its final state is reduced to
+a SHA-256 digest of the key dtype, the keys and the amplitude bytes.  The
+digests were recorded from the array kernel before the scalar path followed
+rows past the end of a run; a kernel change that moves one bit of one
+amplitude, or the order of the keys, changes them.
+"""
+import hashlib
+
+import numpy as np
+import pytest
+
+from qamem.memory import build_memory_operator, store_sequential
+from qamem.patterns import Pattern, PatternSet
+from qamem.retrieval import RetrievalConfig, amplitude_amplify, prepare_final_state
+
+
+def pattern_set(seed, n, p):
+    """p distinct random patterns of n bits and a random input."""
+    rng = np.random.default_rng(seed)
+    keys = rng.choice(2**n, size=p + 1, replace=False).tolist()
+    return PatternSet(tuple(Pattern.from_key(k, n) for k in keys[:p])), Pattern.from_key(keys[p], n)
+
+
+def digest(state):
+    h = hashlib.sha256(str(state.key_array.dtype).encode())
+    h.update(state.key_array.tobytes())
+    h.update(state.amp_array.tobytes())
+    return h.hexdigest()
+
+
+def memory_operator():
+    return build_memory_operator(pattern_set(1, 12, 128)[0]).final_state
+
+
+def sequential():
+    return store_sequential(pattern_set(2, 9, 64)[0])
+
+
+def preparation():
+    ps, x = pattern_set(3, 10, 128)
+    return prepare_final_state(ps, x, RetrievalConfig(b=3))
+
+
+def amplified():
+    ps, x = pattern_set(4, 6, 16)
+    return amplitude_amplify(ps, x, b=4, iterations=1).state
+
+
+@pytest.mark.parametrize("job, want", [
+    (memory_operator, "a4037d68b0141764635e7409ce2bd0026d740fcce42d8cc5f1c8666e6b015b29"),
+    (sequential, "0ce0b782e28ea472083373273087e8b8ddfe78614f97a84f4eb19538de4b703b"),
+    (preparation, "962be0d64e9977098f842261eff9c0771f199dc0f4ef18f200c16b526e590fb1"),
+    (amplified, "3e33fa3a6b42dcc341b252928b2d08f673e1c03fd8ddca3118abf09b85ce5d67"),
+])
+def test_final_state_bytes(job, want):
+    assert digest(job()) == want

@@ -509,6 +509,13 @@ class TestRetrieve:
         assert report.recognized
         assert report.output in set(ps)
 
+    def test_attempts_bounded(self):
+        """T may be up to MAX_ATTEMPTS and is refused above it."""
+        assert RetrievalConfig(T=retrieval.MAX_ATTEMPTS).T == retrieval.MAX_ATTEMPTS
+        for T in (retrieval.MAX_ATTEMPTS + 1, 10**8, 10**400):
+            with pytest.raises(RetrievalError, match=f"T must be <= MAX_ATTEMPTS = {retrieval.MAX_ATTEMPTS}, got {T}"):
+                RetrievalConfig(T=T)
+
     def test_never_recognized(self):
         """The complement of the only stored pattern: the control-0 branch
         is pruned, so no attempt is recognized and amplify mode refuses."""

@@ -801,6 +801,15 @@ def reference_run(keys, amps, program):
     return keys, amps
 
 
+def assert_matches_array_loop(state, circuit):
+    """apply_circuit gives reference_run's keys, key dtype and amplitude bits."""
+    got = apply_circuit(state, circuit)
+    keys, amps = reference_run(state.key_array, state.amp_array, circuit._program())
+    assert got.key_array.dtype == keys.dtype == state.layout.key_dtype
+    assert got.key_array.tolist() == keys.tolist()
+    assert got.amp_array.tobytes() == amps.tobytes()
+
+
 # amplitude parts: signed zeros, and parts small enough that a product with
 # a matrix entry underflows
 TINY_PARTS = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308, 1e-300)
@@ -857,7 +866,7 @@ def single_key_runs(draw):
         conditions.append((controls, polarity))
         targets = [q for q in pool if q not in controls]
         # loader rotations keep one key one key, so the rows after them,
-        # PHASE0 among them, meet the single-key path
+        # PHASE0 among them, meet the scalar path
         kinds = [draw(st.sampled_from(MIXING + ("LOAD", "LOAD")))]
         kinds += draw(st.lists(st.sampled_from(RUN_KINDS + ("LOAD", "LOAD", "PHASE0")), max_size=8))
         for kind in kinds:
@@ -874,6 +883,86 @@ def single_key_runs(draw):
     amp = draw(single_key_amplitude(matrix, (active >> first.targets[0]) & 1))
     amps = {k: complex(draw(ANGLES), draw(ANGLES)) for k in idle}
     amps[active] = amp
+    circuit = Circuit(tuple(gates), flat_layout(n))
+    return SparseState(circuit.layout, amps), circuit
+
+
+@st.composite
+def scalar_stretches(draw):
+    """(state, circuit): stretches of several runs that the scalar path may
+    follow past the end of its first run.  The first run starts on one
+    active key, the only one with its flag qubit set, among idle keys (or
+    none).  Its rows, and the pieces after it, mix:
+
+    * runs on the flag, or on data qubits that some idle keys may meet;
+    * permutations whose controls the idle keys' bit summaries decide, and
+      NXORs on data qubits that only their projections decide, the wanted
+      value drawn from an idle key, from the active key or at random;
+    * uncontrolled rows, PHASE0 rows and ROTY(0) rows.
+
+    The active key's amplitude may have parts at the underflow floor or put
+    the first mixing row's branch in the prune window.  Wide layouts have
+    object keys and use qubits past bit 63."""
+    wide = draw(st.booleans())
+    n = draw(st.integers(64, 70)) if wide else draw(st.integers(5, 8))
+    data = draw(st.lists(st.integers(0, n - 2), min_size=4, max_size=5, unique=True))
+    flag = n - 1
+    key_bits = st.lists(st.sampled_from(data), unique=True).map(lambda bits: sum(1 << q for q in bits))
+    active = draw(key_bits) | 1 << flag
+    idle = draw(st.lists(key_bits, max_size=6, unique=True))
+
+    def condition():
+        controls = tuple(draw(st.lists(st.sampled_from(data), max_size=2, unique=True)))
+        polarity = draw_polarity(draw, len(controls))
+        if draw(st.booleans()):
+            controls, polarity = (flag, *controls), (1, *polarity)
+        if not controls:
+            controls, polarity = (flag,), (draw(st.integers(0, 1)),)
+        return controls, polarity
+
+    def run(controls, polarity, first):
+        targets = [q for q in data if q not in controls]
+        kinds = [first] + draw(st.lists(st.sampled_from(RUN_KINDS + ("LOAD", "LOAD")), max_size=5))
+        return [
+            draw_gate(draw, kind, draw(st.sampled_from(targets)), controls, polarity, GENERIC_ANGLES)
+            for kind in kinds
+        ]
+
+    gates = run((flag,), (1,), draw(st.sampled_from(MIXING + ("LOAD", "LOAD"))))
+    for _ in range(draw(st.integers(1, 6))):
+        pieces = ("run", "run", "nxor", "nxor", "flip", "uncontrolled", "PHASE0", "ROTY0")
+        piece = draw(st.sampled_from(pieces))
+        if piece == "run":
+            gates += run(*condition(), draw(st.sampled_from(MIXING + ("LOAD",))))
+        elif piece == "nxor":
+            qubits = st.lists(st.sampled_from(data), min_size=3, max_size=len(data), unique=True)
+            target, *controls = draw(qubits)
+            source = draw(st.sampled_from(("idle", "active", "random")))
+            if source == "random" or source == "idle" and not idle:
+                polarity = draw_polarity(draw, len(controls))
+            else:
+                key = draw(st.sampled_from(idle)) if source == "idle" else active
+                polarity = tuple((key >> c) & 1 for c in controls)
+            gates.append(nxor_gate(controls, target, polarity=polarity))
+        elif piece == "flip":
+            controls, polarity = condition()
+            target = draw(st.sampled_from([q for q in data if q not in controls]))
+            gates.append(nxor_gate(controls, target, polarity=polarity))
+        elif piece == "uncontrolled":
+            kind = draw(st.sampled_from(("NOT", "H", "ROTY", "LOAD")))
+            gates.append(draw_gate(draw, kind, draw(st.sampled_from(data))))
+        elif piece == "PHASE0":
+            controls = () if draw(st.booleans()) else condition()[0]
+            targets = [q for q in data if q not in controls]
+            gates.append(draw_gate(draw, "PHASE0", draw(st.sampled_from(targets)), controls))
+        else:
+            controls, polarity = condition()
+            targets = [q for q in data if q not in controls]
+            gates.append(draw_gate(draw, "ROTY0", draw(st.sampled_from(targets)), controls, polarity))
+    first = gates[0]
+    matrix = None if first.kind == "ROTY" and first.param == 0 else gate_matrix(first)
+    amps = {k: complex(draw(ANGLES), draw(ANGLES)) for k in idle}
+    amps[active] = draw(single_key_amplitude(matrix, (active >> first.targets[0]) & 1))
     circuit = Circuit(tuple(gates), flat_layout(n))
     return SparseState(circuit.layout, amps), circuit
 
@@ -908,11 +997,56 @@ class TestRunKernel:
         state, circuit = case
         program = circuit._program()
         assert np.count_nonzero((state.key_array & program[2][0]) == program[3][0]) == 1
+        assert_matches_array_loop(state, circuit)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=scalar_stretches())
+    def test_scalar_stretches_match_array_loop(self, case):
+        """The scalar path follows the rows past a run's end while they miss
+        the idle keys, and leaves where they may not; the result is the
+        array loop's, key order, dtype and bits included."""
+        assert_matches_array_loop(*case)
+
+    @pytest.mark.parametrize("offset", [0, 64])
+    def test_parked_keys_join_the_projections(self, offset):
+        """A tail key that a later run finds idle joins the projections
+        already taken on a control mask, so the NXOR that then meets it
+        sends the path back to the arrays."""
+        d0, d1, d2, s, z, flag = (q + offset for q in range(6))
+        data = (d0, d1, d2)
+        gates = (
+            Gate("H", (s,), (flag,)),  # the tail: s = 0 and s = 1
+            nxor_gate(data, z, polarity=(0, 1, 0)),  # only the projections decide it
+            roty_gate(math.pi / 2, d1, control=s),  # the s = 0 key goes idle
+            nxor_gate(data, z, polarity=(1, 0, 0)),  # and this row meets it
+        )
+        circuit = Circuit(gates, flat_layout(offset + 6))
+        amps = {0: 0.5, 1 << d0 | 1 << d1: 0.5j, 1 << flag | 1 << d0: -0.5 - 0.5j}
+        state = SparseState(circuit.layout, amps)
+        assert_matches_array_loop(state, circuit)
+        assert 1 << flag | 1 << d0 | 1 << z in apply_circuit(state, circuit).amps
+
+    @pytest.mark.parametrize("alternate_signs", [False, True])
+    def test_memory_circuit_runs_on_scalars(self, monkeypatch, alternate_signs):
+        """The memory circuit runs on scalars from its first loader to its
+        end: its NXORs miss the stored branches by their projections on the
+        memory register, and every other row by the utility bits."""
+        strings = ("1100", "0110", "1011", "0001", "1110", "0111")
+        ps = PatternSet(tuple(Pattern.from_string(s) for s in strings))
+        circuit = build_memory_circuit(ps, alternate_signs)
+        state = basis_state(circuit.layout, [0] * circuit.layout.total)
+        want = reference_run(state.key_array, state.amp_array, circuit._program())
+        rows = []
+
+        def counted_step(keys, amps, code, *rest):
+            rows.append(code)
+            return _step(keys, amps, code, *rest)
+
+        monkeypatch.setattr(simulator, "_step", counted_step)
         got = apply_circuit(state, circuit)
-        keys, amps = reference_run(state.key_array, state.amp_array, program)
-        assert got.key_array.dtype == keys.dtype == state.layout.key_dtype
-        assert got.key_array.tolist() == keys.tolist()
-        assert got.amp_array.tobytes() == amps.tobytes()
+        assert rows == [KIND["NOT"]]
+        assert got.key_array.tolist() == want[0].tolist()
+        assert got.amp_array.tobytes() == want[1].tobytes()
 
     def test_prune_decision_near_threshold_is_numpys(self):
         """Where abs() and np.abs round a branch to opposite sides of
@@ -928,11 +1062,7 @@ class TestRunKernel:
             split += 1
             # the active key holds target 1: its branch to target 0 is
             # -amp * -sin(pi/2) = amp, and the one to target 1 is pruned
-            state = SparseState(layout, {0b101: -amp, 0b010: 1.0})
-            got = apply_circuit(state, circuit)
-            keys, amps = reference_run(state.key_array, state.amp_array, circuit._program())
-            assert got.key_array.tolist() == keys.tolist()
-            assert got.amp_array.tobytes() == amps.tobytes()
+            assert_matches_array_loop(SparseState(layout, {0b101: -amp, 0b010: 1.0}), circuit)
         assert split > 10
 
     @pytest.mark.parametrize("gate", [
@@ -943,11 +1073,7 @@ class TestRunKernel:
         layout = flat_layout(3)
         circuit = Circuit((gate,), layout)
         for key, re, im in itertools.product((0b100, 0b101), (5e-324, -5e-324), (0.5, -0.5)):
-            state = SparseState(layout, {key: complex(re, im), 0b010: 1.0})
-            got = apply_circuit(state, circuit)
-            keys, amps = reference_run(state.key_array, state.amp_array, circuit._program())
-            assert got.key_array.tolist() == keys.tolist()
-            assert got.amp_array.tobytes() == amps.tobytes()
+            assert_matches_array_loop(SparseState(layout, {key: complex(re, im), 0b010: 1.0}), circuit)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -1070,12 +1196,7 @@ class TestFusedSegments:
     @settings(max_examples=300, deadline=None)
     @given(case=permutation_segments())
     def test_fused_kernel_matches_row_by_row(self, case):
-        state, circuit = case
-        got = apply_circuit(state, circuit)
-        keys, amps = reference_run(state.key_array, state.amp_array, circuit._program())
-        assert got.key_array.dtype == keys.dtype == state.layout.key_dtype
-        assert got.key_array.tolist() == keys.tolist()
-        assert got.amp_array.tobytes() == amps.tobytes()
+        assert_matches_array_loop(*case)
 
     def test_segment_rule(self):
         """A segment ends before a row whose control an earlier row of it

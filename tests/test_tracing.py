@@ -22,7 +22,10 @@ def tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    importlib.import_module("qamem.cli")  # loads every module, as the tracer does
+    # the benchmark's workloads import every traced module before the tracer
+    # installs; the CLI imports a command's modules only when it runs
+    for layer in module.TRACED:
+        importlib.import_module(f"qamem.{layer}")
     return module
 
 
