@@ -168,6 +168,12 @@ def recognition_lower_bound(p: int, n: int, b: int) -> tuple[float, float]:
     """Lower bound on the recognition probability and its large-n estimate."""
     if p < 1 or n < 2:
         raise RetrievalError("need p >= 1 and n >= 2")
+    if b < 0:
+        raise RetrievalError("b must be >= 0")
+    if 2 * b > sys.float_info.max:  # exact: int against float
+        raise RetrievalError("b too large: the exponent 2b exceeds the float range")
+    if n > sys.float_info.max / math.pi:
+        raise RetrievalError("n too large: pi * n exceeds the float range")
     bound = (p - 1) / p * math.cos(math.pi * (n - 1) / (2 * n)) ** (2 * b)
     estimate = (p - 1) / p * (math.pi / (2 * n)) ** (2 * b)
     return bound, estimate

@@ -45,12 +45,6 @@ that gate and every following gate with the same controls (the same
 targets one of its own controls, so the active keys stay active through the
 run, and the idle keys end in front in their old order: the result is the
 one gate-by-gate application gives, key order and amplitude bits included.
-The memory loaders are such runs: n rotations on one control qubit that
-holds on a single key.  That key is the last one, since the previous
-block's ``CS`` row put its target-set branch after the others, so when
-exactly one key is active and it is the last, the split takes the slices
-``keys[:-1]`` and ``keys[-1:]`` (and the same of the amplitudes) in place
-of the boolean gathers.
 
 Outside the runs, a segment of two or more consecutive permutation rows in
 which no row has a control that an earlier row of the segment targets
@@ -73,27 +67,22 @@ ten or so numpy calls a row costs on small arrays.  It keeps the idle keys
 the run split off as arrays and the tail, the one or two keys the rows act
 on, as lists, and it follows the rows past the end of the run for as long as
 each row provably leaves the idle keys alone, that is, its control
-condition fails on every one of them.  Two proofs show that:
-
-* a bit summary: a control wants 1 where the OR of the idle keys is 0, or
-  wants 0 where their AND is 1;
-* where the summaries cannot decide (a memory block's NXOR, which tests the
-  whole memory register), ``cwant`` is not in the set of the idle keys'
-  projections ``key & cmask``, built once per ``cmask`` on first use.
-
-At each later run's start, the tail keys that fail its condition join an
-idle list in order, as the array loop's split puts them before the active
-keys; a permutation row past a run XORs the tail keys that meet its
-controls.  The path goes back to the arrays with one concatenation (idle
-keys, idle list, tail), which gives the arrays the array loop holds at that
-row, key order and dtype included, before a ``PHASE0`` row, a mixing row on
-two keys, a row it cannot prove idle, or, while idle keys exist, an
-uncontrolled row or the start of a segment that runs as one XOR step.  The
-whole memory circuit runs on this path: its stored branches hold both
-utility qubits at 0, which rules them out of every row controlled on a
-utility qubit, and each block's NXOR wants its own pattern, which no stored
-branch holds.  A mixing row on one tail key leaves its branches in the order
-``[low, low | t]``, and three rules keep the amplitudes the array ones:
+condition fails on every one of them: ``cwant`` is not in the set of the
+idle keys' projections ``key & cmask``, built once per ``cmask`` on first
+use.  At each later run's start, the tail keys that fail its condition
+join an idle list in order, as the array loop's split puts them before the
+active keys, and into every projection set built so far; a permutation row
+past a run XORs the tail keys that meet its controls.  The path goes back
+to the arrays with one concatenation (idle keys, idle list, tail), which
+gives the arrays the array loop holds at that row, key order and dtype
+included, before a ``PHASE0`` row, a mixing row on two keys, a row it cannot
+prove idle, or, while idle keys exist, an uncontrolled row or the start of a
+segment that runs as one XOR step.  The whole memory circuit runs on this
+path: its stored branches hold both utility qubits at 0, which rules them
+out of every row controlled on a utility qubit, and each block's NXOR wants
+its own pattern, which no stored branch holds.  A mixing row on one tail
+key leaves its branches in the order ``[low, low | t]``, and three rules
+keep the amplitudes the array ones:
 
 * a mixing row multiplies by its matrix entries as Python ``complex`` values
   with a zero imaginary part, the operands numpy's loop sees.  Python and
@@ -710,11 +699,16 @@ class SparseState:
         return (self.key_array >> off) & ((1 << w) - 1)
 
 
+def _bit_string(text: str) -> list[int]:
+    """The 0/1 values of a string of bits, qubit 0 first."""
+    if text.strip("01"):
+        raise SimulatorError("bits must be 0/1")
+    return [int(c) for c in text]
+
+
 def basis_state(layout: RegisterLayout, bits) -> SparseState:
     """Single-term state on the given bit assignment (sequence or string)."""
-    if isinstance(bits, str):
-        bits = [int(c) for c in bits]
-    bits = list(bits)
+    bits = _bit_string(bits) if isinstance(bits, str) else list(bits)
     if len(bits) != layout.total:
         raise SimulatorError(f"expected {layout.total} bits, got {len(bits)}")
     key = 0
@@ -804,9 +798,8 @@ def _scalars(prefix_keys, prefix_amps, key: int, amp: complex, program, i: int):
     keys, amps = [key], [amp]  # the tail
     idle_keys, idle_amps = [], []  # the idle list
     idle = len(prefix_keys) > 0
-    # OR and AND of the idle keys, and per control mask the set of the idle
-    # keys' projections on it, all taken on first use
-    ones = alls = None
+    # per control mask, the set of the idle keys' projections on it, taken
+    # on first use
     seen = {}
     low_size, high_size = _PRUNE_WINDOW
     j, end = run_end[i], len(code)
@@ -822,20 +815,12 @@ def _scalars(prefix_keys, prefix_amps, key: int, amp: complex, program, i: int):
             if idle:
                 if not cm or segment[r] is not None:
                     break  # an uncontrolled row, or a segment for one XOR step
-                if ones is None:
-                    ones, alls = 0, -1
-                    if len(prefix_keys):
-                        ones = int(np.bitwise_or.reduce(prefix_keys))
-                        alls = int(np.bitwise_and.reduce(prefix_keys))
-                    for k in idle_keys:
-                        ones, alls = ones | k, alls & k
-                if not (cw & ~ones or cm & ~cw & alls):
-                    held = seen.get(cm)
-                    if held is None:
-                        held = seen[cm] = set((prefix_keys & cm).tolist())
-                        held.update(k & cm for k in idle_keys)
-                    if cw in held:
-                        break
+                held = seen.get(cm)
+                if held is None:
+                    held = seen[cm] = set((prefix_keys & cm).tolist())
+                    held.update(k & cm for k in idle_keys)
+                if cw in held:
+                    break
             if run_end[r]:  # a new run: tail keys that fail its controls go idle
                 j = run_end[r]
                 tail, keys, amps = zip(keys, amps), [], []
@@ -847,8 +832,6 @@ def _scalars(prefix_keys, prefix_amps, key: int, amp: complex, program, i: int):
                     idle = True
                     idle_keys.append(k)
                     idle_amps.append(a)
-                    if ones is not None:
-                        ones, alls = ones | k, alls & k
                     for m, held in seen.items():
                         held.add(k & m)
             elif c <= _NXOR:
@@ -917,10 +900,7 @@ def _run(keys, amps, program):
         active = (keys & cmask[i]) == cwant[i]
         count = np.count_nonzero(active)
         split = count < len(active)
-        if count == 1 and active[-1]:
-            idle_keys, idle_amps = keys[:-1], amps[:-1]
-            keys, amps = keys[-1:], amps[-1:]
-        elif split:
+        if split or count == 1:
             idle = ~active
             idle_keys, idle_amps = keys[idle], amps[idle]
             keys, amps = keys[active], amps[active]
@@ -973,6 +953,8 @@ def section_marginal(state: SparseState, section: str) -> dict[int, float]:
 def measure_section(state: SparseState, section: str, rng) -> tuple[int, SparseState]:
     """Sample a measurement of one section; returns (value, collapsed state)."""
     probs = section_marginal(state, section)
+    if not probs:
+        raise SimulatorError("cannot measure a state with no amplitudes")
     u = rng.random()
     acc = 0.0
     outcome = None
@@ -994,10 +976,10 @@ def postselect(
 ) -> tuple[float, SparseState | None]:
     """Project a section onto a value; returns (probability, renormalized state)."""
     if isinstance(value, str):
-        v = 0
-        for j, c in enumerate(value):
-            v |= int(c) << j
-        value = v
+        width = state.layout.width(section)
+        if len(value) != width:
+            raise SimulatorError(f"expected {width} bits for {section!r}, got {len(value)}")
+        value = sum(b << j for j, b in enumerate(_bit_string(value)))
     hit = state.section_values(section) == value
     amps = state.amp_array[hit]
     prob = float(np.sum(np.abs(amps) ** 2))

@@ -2,16 +2,19 @@
 
 Each job is built from a fixed seed here, and its final state is reduced to
 a SHA-256 digest of the key dtype, the keys and the amplitude bytes.  The
-digests were recorded from the array kernel before the scalar path followed
-rows past the end of a run; a kernel change that moves one bit of one
-amplitude, or the order of the keys, changes them.
+first four digests were recorded from the array kernel before the scalar
+path followed rows past the end of a run, the alternating-sign memory state
+and the 66-qubit preparation (object keys) from the kernel that still split
+off a last active key with slices and proved idle keys by bit summaries; a
+kernel change that moves one bit of one amplitude, or the order of the keys,
+changes them.
 """
 import hashlib
 
 import numpy as np
 import pytest
 
-from qamem.memory import build_memory_operator, store_sequential
+from qamem.memory import build_dual_state, build_memory_operator, store_sequential
 from qamem.patterns import Pattern, PatternSet
 from qamem.retrieval import RetrievalConfig, amplitude_amplify, prepare_final_state
 
@@ -24,8 +27,10 @@ def pattern_set(seed, n, p):
 
 
 def digest(state):
-    h = hashlib.sha256(str(state.key_array.dtype).encode())
-    h.update(state.key_array.tobytes())
+    keys = state.key_array
+    h = hashlib.sha256(str(keys.dtype).encode())
+    # an object array's bytes are pointers: hash its Python ints' digits
+    h.update(repr(keys.tolist()).encode() if keys.dtype == object else keys.tobytes())
     h.update(state.amp_array.tobytes())
     return h.hexdigest()
 
@@ -43,6 +48,15 @@ def preparation():
     return prepare_final_state(ps, x, RetrievalConfig(b=3))
 
 
+def dual_state():
+    return build_dual_state(pattern_set(5, 12, 128)[0])
+
+
+def wide_preparation():
+    ps, x = pattern_set(6, 31, 16)
+    return prepare_final_state(ps, x, RetrievalConfig(b=2))
+
+
 def amplified():
     ps, x = pattern_set(4, 6, 16)
     return amplitude_amplify(ps, x, b=4, iterations=1).state
@@ -53,6 +67,8 @@ def amplified():
     (sequential, "0ce0b782e28ea472083373273087e8b8ddfe78614f97a84f4eb19538de4b703b"),
     (preparation, "962be0d64e9977098f842261eff9c0771f199dc0f4ef18f200c16b526e590fb1"),
     (amplified, "3e33fa3a6b42dcc341b252928b2d08f673e1c03fd8ddca3118abf09b85ce5d67"),
+    (dual_state, "289ba0b89a8657ae2c78e41e9e091adb3fdd0645c3e722e970f992eee5a8c04f"),
+    (wide_preparation, "22bc2cc22ba80dedf687043c730899dc8c8543d44b78412884b8a6c428a8c7a5"),
 ])
 def test_final_state_bytes(job, want):
     assert digest(job()) == want

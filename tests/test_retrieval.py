@@ -421,6 +421,27 @@ class TestLowerBound:
         with pytest.raises(RetrievalError, match="need p >= 1 and n >= 2"):
             recognition_lower_bound(0, 4, 1)
 
+    def test_negative_b(self):
+        """b < 0 would raise the cosine to a negative power: a "bound" of
+        5.4e300 at (2, 2, -1000)."""
+        with pytest.raises(RetrievalError, match="b must be >= 0"):
+            recognition_lower_bound(2, 2, -1000)
+
+    @pytest.mark.parametrize("n, b, match", [
+        (4, 10**400, "b too large"),
+        (10**400, 1, "n too large"),
+        (int(sys.float_info.max / 3), 1, "n too large"),
+    ], ids=["huge b", "huge n", "pi n past the range"])
+    def test_past_the_float_range(self, n, b, match):
+        """A b or n no float holds is refused, not left to int() overflow or
+        to a cosine of infinity."""
+        with pytest.raises(RetrievalError, match=match):
+            recognition_lower_bound(2, n, b)
+
+    def test_largest_arguments(self):
+        bound, estimate = recognition_lower_bound(2, int(sys.float_info.max / 4), 10**300)
+        assert bound == estimate == 0.0
+
     def test_holds_on_random_instances(self):
         rng = np.random.default_rng(12)
         worst_gap = math.inf

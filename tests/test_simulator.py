@@ -123,6 +123,13 @@ class TestBasisState:
         with pytest.raises(SimulatorError, match="bits must be 0/1"):
             basis_state(flat_layout(2), [2, 0])
 
+    @pytest.mark.parametrize("bits", ["0a0", "0 1", "012", "\u0660\u0661\u0660"])
+    def test_string_of_other_characters(self, bits):
+        """Only the characters 0 and 1 are bits; int() would take Arabic-Indic
+        digits and turn the rest into a ValueError of its own."""
+        with pytest.raises(SimulatorError, match="bits must be 0/1"):
+            basis_state(flat_layout(3), bits)
+
 
 class TestSingleGates:
     def test_hadamard(self):
@@ -380,6 +387,11 @@ class TestMeasurement:
         ]
         assert len(set(outcomes)) == 1
 
+    def test_measure_empty_state(self):
+        state = SparseState(RegisterLayout((("a", 2),)), {})
+        with pytest.raises(SimulatorError, match="no amplitudes"):
+            measure_section(state, "a", np.random.default_rng(0))
+
 
 class TestPostselect:
     def test_identity_on_basis(self):
@@ -411,6 +423,18 @@ class TestPostselect:
         prob, cond = postselect(s, "q", 0b11)
         assert prob == 0.0
         assert cond is None
+
+    @pytest.mark.parametrize("value", ["011", "1", ""])
+    def test_string_of_wrong_width(self, value):
+        """A string value gives every qubit of the section, no more, no less."""
+        s = basis_state(RegisterLayout((("a", 2), ("b", 1))), "110")
+        with pytest.raises(SimulatorError, match="expected 2 bits for 'a'"):
+            postselect(s, "a", value)
+
+    def test_string_of_other_characters(self):
+        s = basis_state(flat_layout(2), "10")
+        with pytest.raises(SimulatorError, match="bits must be 0/1"):
+            postselect(s, "q", "1x")
 
 
 class TestOverlap:
@@ -603,12 +627,11 @@ def runs_of_gates(draw):
     """(state, table, reference gates): runs of gates that share a control
     condition, apart or between single gates, on a state whose keys all
     satisfy the first run's condition, only some of them do, or exactly one
-    does, placed last or before the last (the kernel splits off a last
-    active key with slices and any other with gathers).  Wide
-    layouts have object keys and use qubits past bit 63.  The table is the
-    circuit of the drawn gates, or its inverse, shift or cut and rejoined
-    copy (see :func:`transformed`); the reference gates are built to match
-    Gate by Gate."""
+    does, placed last (where a memory block's CS row leaves it) or before
+    the last.  Wide layouts have object keys and use qubits past bit 63.
+    The table is the circuit of the drawn gates, or its inverse, shift or
+    cut and rejoined copy (see :func:`transformed`); the reference gates are
+    built to match Gate by Gate."""
     wide = draw(st.booleans())
     n = draw(st.integers(64, 70)) if wide else draw(st.integers(3, 7))
     pool = draw(st.lists(st.integers(0, n - 2), min_size=2, max_size=5, unique=True))
@@ -895,9 +918,9 @@ def scalar_stretches(draw):
     none).  Its rows, and the pieces after it, mix:
 
     * runs on the flag, or on data qubits that some idle keys may meet;
-    * permutations whose controls the idle keys' bit summaries decide, and
-      NXORs on data qubits that only their projections decide, the wanted
-      value drawn from an idle key, from the active key or at random;
+    * permutations on the flag or on data qubits, and NXORs on several data
+      qubits, the wanted value drawn from an idle key, from the active key
+      or at random, all decided by the idle keys' projections;
     * uncontrolled rows, PHASE0 rows and ROTY(0) rows.
 
     The active key's amplitude may have parts at the underflow floor or put
@@ -1016,7 +1039,7 @@ class TestRunKernel:
         data = (d0, d1, d2)
         gates = (
             Gate("H", (s,), (flag,)),  # the tail: s = 0 and s = 1
-            nxor_gate(data, z, polarity=(0, 1, 0)),  # only the projections decide it
+            nxor_gate(data, z, polarity=(0, 1, 0)),  # no idle key projects to 010
             roty_gate(math.pi / 2, d1, control=s),  # the s = 0 key goes idle
             nxor_gate(data, z, polarity=(1, 0, 0)),  # and this row meets it
         )
@@ -1029,8 +1052,8 @@ class TestRunKernel:
     @pytest.mark.parametrize("alternate_signs", [False, True])
     def test_memory_circuit_runs_on_scalars(self, monkeypatch, alternate_signs):
         """The memory circuit runs on scalars from its first loader to its
-        end: its NXORs miss the stored branches by their projections on the
-        memory register, and every other row by the utility bits."""
+        end: the stored branches' projections show that its NXORs miss them
+        on the memory register, and every other row on the utility bits."""
         strings = ("1100", "0110", "1011", "0001", "1110", "0111")
         ps = PatternSet(tuple(Pattern.from_string(s) for s in strings))
         circuit = build_memory_circuit(ps, alternate_signs)
