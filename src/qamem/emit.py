@@ -27,7 +27,7 @@ _SCALARS = {
 }
 
 
-def emit_json(obj, indent: int = 0) -> str:
+def emit_json(obj) -> str:
     """Minimal JSON emitter printing floats with 17 significant digits.
 
     The text is appended piece by piece to one list, joined once at the
@@ -40,7 +40,7 @@ def emit_json(obj, indent: int = 0) -> str:
     if text is not None:
         return text(obj)
     parts: list[str] = []
-    _emit(obj, "\n" + "  " * indent, parts)
+    _emit(obj, "\n", parts)
     return "".join(parts)
 
 

@@ -35,6 +35,7 @@ from .simulator import (
     KIND,
     Circuit,
     RegisterLayout,
+    SimulatorError,
     SparseState,
     apply_circuit,
     basis_state,
@@ -54,9 +55,11 @@ def memory_gate_count(p: int, n: int) -> int:
 
 
 def build_memory_circuit(
-    pattern_set: PatternSet, alternate_signs: bool = False
+    pattern_set: PatternSet, alternate_signs: bool = False, layout: RegisterLayout | None = None
 ) -> Circuit:
-    """Circuit preparing the superposition of stored patterns from |0...0;00>.
+    """Circuit preparing the superposition of stored patterns from |0...0;00>
+    on the memory and utility registers of ``layout`` (:func:`memory_layout`
+    by default).
 
     After one NOT on the second utility qubit, each pattern (row i of the
     bit matrix) contributes one block of 2n + 3 rows: its loader (n
@@ -71,7 +74,9 @@ def build_memory_circuit(
     alternating-sign companion state instead of the uniform one.
     """
     n, p = pattern_set.n, pattern_set.p
-    layout = memory_layout(n)
+    layout = memory_layout(n) if layout is None else layout
+    if (widths := (layout.width("memory"), layout.width("utility"))) != (n, 2):
+        raise SimulatorError(f"memory, utility widths must be ({n}, 2), got {widths}")
     mem = np.asarray(layout.qubits("memory"))
     u1, u2 = layout.qubits("utility")
     bits = pattern_set.bits

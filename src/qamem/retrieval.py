@@ -51,7 +51,6 @@ from .simulator import (
     apply_circuit,
     basis_state,
     group_sum,
-    postselect,
     section_marginal,
 )
 
@@ -122,6 +121,14 @@ class RetrievalReport:
         return self.analytic.probs
 
 
+def _check_exponent(b: int) -> None:
+    """Refuse a b below 0 or one whose exponent 2b is past the float range."""
+    if b < 0:
+        raise RetrievalError("b must be >= 0")
+    if 2 * b > sys.float_info.max:  # exact: int against float
+        raise RetrievalError("b too large: the exponent 2b exceeds the float range")
+
+
 def analytic_distribution(
     pattern_set: PatternSet,
     input_pattern: Pattern,
@@ -137,10 +144,7 @@ def analytic_distribution(
     weights left to right in stored order as Python floats, so every
     number equals that of a per-pattern loop bit for bit.
     """
-    if b < 0:
-        raise RetrievalError("b must be >= 0")
-    if 2 * b > sys.float_info.max:  # exact: int against float
-        raise RetrievalError("b too large: the exponent 2b exceeds the float range")
+    _check_exponent(b)
     n, p = pattern_set.n, pattern_set.p
     if input_pattern.n != n:
         raise PatternError(f"length mismatch: {input_pattern.n} != {n}")
@@ -168,10 +172,7 @@ def recognition_lower_bound(p: int, n: int, b: int) -> tuple[float, float]:
     """Lower bound on the recognition probability and its large-n estimate."""
     if p < 1 or n < 2:
         raise RetrievalError("need p >= 1 and n >= 2")
-    if b < 0:
-        raise RetrievalError("b must be >= 0")
-    if 2 * b > sys.float_info.max:  # exact: int against float
-        raise RetrievalError("b too large: the exponent 2b exceeds the float range")
+    _check_exponent(b)
     if n > sys.float_info.max / math.pi:
         raise RetrievalError("n too large: pi * n exceeds the float range")
     bound = (p - 1) / p * math.cos(math.pi * (n - 1) / (2 * n)) ** (2 * b)
@@ -247,15 +248,12 @@ def preparation_circuit(
     layout: RegisterLayout,
     mask: Mask | None = None,
 ) -> Circuit:
-    """The memory circuit followed by one retrieval round per control qubit.
-
-    The memory circuit is built on memory + utility and shifted onto the
-    memory offset of ``layout``, where the utility register follows it; the
-    table is joined from it and the rounds in one concatenation.
-    """
+    """The memory circuit, written on ``layout``'s own memory and utility
+    registers, then one retrieval round per control qubit, joined in one
+    concatenation."""
     if input_pattern.n != pattern_set.n:
         raise RetrievalError("input length does not match stored patterns")
-    memory = build_memory_circuit(pattern_set).shifted(layout.offset("memory"), layout)
+    memory = build_memory_circuit(pattern_set, layout=layout)
     rounds = [
         retrieval_round_circuit(input_pattern, layout, c, mask)
         for c in range(layout.width("control"))
@@ -272,21 +270,24 @@ MAX_PREPARED_KEYS = 2**20
 def prepare_final_state(
     pattern_set: PatternSet,
     input_pattern: Pattern,
-    config: RetrievalConfig,
+    b: int,
+    mask: Mask | None = None,
+    use_input_register: bool = True,
 ) -> SparseState:
-    """Memory preparation followed by all b retrieval rounds; refused
+    """Memory preparation followed by all b >= 1 retrieval rounds; refused
     before any gate runs when it could hold more than
     :data:`MAX_PREPARED_KEYS` keys."""
-    b = config.b
+    if b < 1:
+        raise RetrievalError("b must be >= 1")
     if pattern_set.p > MAX_PREPARED_KEYS >> b:  # p * 2^b > limit, without 2^b
         raise RetrievalError(
             f"b = {b} rounds on {pattern_set.p} patterns prepare a state of up to "
             f"p*2^b keys, above the limit of {MAX_PREPARED_KEYS} keys"
         )
-    layout = retrieval_layout(pattern_set.n, b, config.use_input_register)
-    circuit = preparation_circuit(pattern_set, input_pattern, layout, config.mask)
+    layout = retrieval_layout(pattern_set.n, b, use_input_register)
+    circuit = preparation_circuit(pattern_set, input_pattern, layout, mask)
     bits = [0] * layout.total
-    if config.use_input_register:
+    if use_input_register:
         start = layout.offset("input")
         bits[start : start + input_pattern.n] = input_pattern.bits
     return apply_circuit(basis_state(layout, bits), circuit)
@@ -299,21 +300,25 @@ def simulate_distribution(
     mask: Mask | None = None,
     use_input_register: bool = True,
 ) -> Distribution:
-    """Exact gate-level counterpart of :func:`analytic_distribution`."""
-    config = RetrievalConfig(
-        b=b, T=1, mask=mask, use_input_register=use_input_register
-    )
-    state = prepare_final_state(pattern_set, input_pattern, config)
+    """Exact gate-level counterpart of :func:`analytic_distribution`, read
+    from the prepared state by :func:`_postselected`."""
+    state = prepare_final_state(pattern_set, input_pattern, b, mask, use_input_register)
+    p_rec, values, probs = _postselected(state)
+    support = tuple(Pattern.from_key(v, pattern_set.n) for v in values.tolist())
+    return Distribution(p_rec, pattern_set.p * p_rec, support, probs)
+
+
+def _postselected(state: SparseState):
+    """p_rec of a prepared state's all-zeros control outcome, its memory
+    values in ascending order and their probabilities given it (the
+    unnormalized sums when p_rec is 0), in one pass."""
     recognized = state.section_values("control") == 0
     weights = np.abs(state.amp_array[recognized]) ** 2
     values, sums = group_sum(state.section_values("memory")[recognized], weights)
     p_rec = float(np.sum(weights))
     if p_rec > 0:
         sums = sums / p_rec
-    support = tuple(Pattern.from_key(v, pattern_set.n) for v in values.tolist())
-    return Distribution(
-        p_rec=p_rec, Z=pattern_set.p * p_rec, support=support, prob_array=sums
-    )
+    return p_rec, values, sums
 
 
 @dataclass(frozen=True)
@@ -324,7 +329,7 @@ class SamplingTable:
     the optimal Grover iterations in amplify mode.
     ``values`` are the memory-register values of the state post-selected on
     that outcome, in ascending order, and ``cdf`` their cumulative
-    probabilities, as :func:`~qamem.simulator.measure_section` walks them.
+    probabilities, as :func:`_postselected` gives them.
     One table serves every draw of a query; :func:`retrieve` turns a drawn
     value into its :class:`Pattern` once per query (see :class:`_Query`).
     """
@@ -382,7 +387,7 @@ def _prepared(
         analytic = analytic_distribution(
             pattern_set, input_pattern, config.b, config.mask
         )
-        query = _Query(key, analytic, _sampling_table(pattern_set, *key))
+        query = _Query(key, analytic, _sampling_table(prepare_final_state(pattern_set, *key)))
         _LAST_TABLE[pattern_set] = query
     else:
         analytic = query.shared()
@@ -403,16 +408,13 @@ def _prepared(
 _LAST_TABLE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _sampling_table(pattern_set, input_pattern, b, mask, use_input_register):
-    config = RetrievalConfig(b=b, mask=mask, use_input_register=use_input_register)
-    state = prepare_final_state(pattern_set, input_pattern, config)
-    _, recognized = postselect(state, "control", 0)
-    if recognized is None:  # below POSTSELECT_FLOOR: never recognized
+def _sampling_table(state: SparseState) -> SamplingTable:
+    """The repeat-mode table of a prepared state."""
+    p_rec, values, probs = _postselected(state)
+    if p_rec < POSTSELECT_FLOOR:  # as postselect would: never recognized
         return SamplingTable(0.0, (), ())
-    p_zero = section_marginal(state, "control")[0]
-    memory = section_marginal(recognized, "memory")
     return SamplingTable(
-        p_zero, tuple(memory), tuple(itertools.accumulate(memory.values()))
+        p_rec, tuple(values.tolist()), tuple(itertools.accumulate(probs.tolist()))
     )
 
 
@@ -497,8 +499,7 @@ def amplitude_amplify(
     """
     if iterations < 0:
         raise RetrievalError("iterations must be >= 0")
-    config = RetrievalConfig(b=b, mask=mask, use_input_register=False)
-    psi = prepare_final_state(pattern_set, input_pattern, config)
+    psi = prepare_final_state(pattern_set, input_pattern, b, mask, use_input_register=False)
     good = psi.section_values("control") == 0
     amps = psi.amp_array
     for _ in range(iterations):

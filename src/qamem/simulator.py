@@ -23,12 +23,11 @@ both key types:
 A :class:`Circuit` is a gate table: one row per gate, held as columns (a
 kind code, the qubit indices, the parameter and the control polarities).
 The builders in :mod:`qamem.memory` and :mod:`qamem.retrieval` write whole
-tables with numpy from a pattern set's bit matrix; ``inverse()`` reverses
-the rows and negates the parameters, and ``shifted()`` adds an offset to
-the qubit indices.  :class:`Gate` is the one public constructor and
-validator of a row and the view :attr:`Circuit.gates` gives of one; a
-circuit built from gates and a table written with numpy go through the same
-row check, :func:`_check_rows`.
+tables with numpy from a pattern set's bit matrix, each on the layout it is
+given; ``inverse()`` reverses the rows and negates the parameters.
+:class:`Gate` is the one public constructor and validator of a row and the
+view :attr:`Circuit.gates` gives of one; a circuit built from gates and a
+table written with numpy go through the same row check, :func:`_check_rows`.
 
 The kernel runs a circuit on the ``(key_array, amp_array)`` pair from a
 program derived once per circuit: each row's target and control masks
@@ -101,7 +100,7 @@ Marginals, post-selection and grouping read a section's value for all keys
 at once from the layout's precomputed offsets.  ``state.amps`` is a
 read-only ``{key: amplitude}`` mapping with Python ``int`` keys and
 ``complex`` values, built on first use; ``SparseState(layout, mapping)``
-builds a state from such a mapping.
+builds a state from such a mapping, whose keys must lie in the layout.
 
 Gate set (the kinds the circuits of :mod:`qamem.memory` and
 :mod:`qamem.retrieval` are built from); every gate has one target and may
@@ -499,17 +498,6 @@ class Circuit:
             self.layout, self.kind[::-1], self.qubits[::-1], param[::-1], self.polarity[::-1]
         )
 
-    def shifted(self, offset: int, layout: RegisterLayout) -> "Circuit":
-        """The same rows on the qubits ``offset`` places higher, on ``layout``."""
-        if offset < 0:
-            raise SimulatorError(f"negative shift {offset}")
-        q = self.qubits
-        circuit = Circuit._make(
-            layout, self.kind, np.where(q >= 0, q + offset, -1), self.param, self.polarity
-        )
-        circuit._check_range()
-        return circuit
-
     def __add__(self, other: "Circuit") -> "Circuit":
         return Circuit.join((self, other))
 
@@ -657,6 +645,8 @@ class SparseState:
 
     def __init__(self, layout: RegisterLayout, amps: Mapping | None = None):
         amps = {} if amps is None else amps
+        if any(key < 0 or key >> layout.total for key in amps):
+            raise SimulatorError(f"state keys must lie in 0..2^{layout.total} - 1")
         self._set(
             layout,
             np.array(list(amps.keys()), dtype=layout.key_dtype),
@@ -975,11 +965,13 @@ def postselect(
     state: SparseState, section: str, value
 ) -> tuple[float, SparseState | None]:
     """Project a section onto a value; returns (probability, renormalized state)."""
+    width = state.layout.width(section)
     if isinstance(value, str):
-        width = state.layout.width(section)
         if len(value) != width:
             raise SimulatorError(f"expected {width} bits for {section!r}, got {len(value)}")
         value = sum(b << j for j, b in enumerate(_bit_string(value)))
+    elif not 0 <= value < 1 << width:
+        raise SimulatorError(f"value {value} out of range for {width}-qubit section {section!r}")
     hit = state.section_values(section) == value
     amps = state.amp_array[hit]
     prob = float(np.sum(np.abs(amps) ** 2))

@@ -16,7 +16,7 @@ import pytest
 
 from qamem.memory import build_dual_state, build_memory_operator, store_sequential
 from qamem.patterns import Pattern, PatternSet
-from qamem.retrieval import RetrievalConfig, amplitude_amplify, prepare_final_state
+from qamem.retrieval import amplitude_amplify, prepare_final_state
 
 
 def pattern_set(seed, n, p):
@@ -45,7 +45,7 @@ def sequential():
 
 def preparation():
     ps, x = pattern_set(3, 10, 128)
-    return prepare_final_state(ps, x, RetrievalConfig(b=3))
+    return prepare_final_state(ps, x, 3)
 
 
 def dual_state():
@@ -54,7 +54,7 @@ def dual_state():
 
 def wide_preparation():
     ps, x = pattern_set(6, 31, 16)
-    return prepare_final_state(ps, x, RetrievalConfig(b=2))
+    return prepare_final_state(ps, x, 2)
 
 
 def amplified():

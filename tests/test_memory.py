@@ -16,7 +16,14 @@ from qamem.memory import (
     store_sequential,
 )
 from qamem.patterns import Pattern, PatternSet
-from qamem.simulator import SparseState, overlap
+from qamem.simulator import (
+    RegisterLayout,
+    SimulatorError,
+    SparseState,
+    apply_circuit,
+    basis_state,
+    overlap,
+)
 
 
 def all_sets(n, max_p):
@@ -56,6 +63,50 @@ class TestGateCount:
             ps = random_set(rng)
             circuit = build_memory_circuit(ps)
             assert len(circuit) == memory_gate_count(ps.p, ps.n)
+
+
+class TestCircuitLayout:
+    def test_rows_on_the_given_registers(self):
+        """On a wider layout the rows are those of the default layout with
+        every qubit moved by the memory register's offset, bit for bit."""
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            ps = random_set(rng)
+            offset = int(rng.integers(0, 70))
+            layout = RegisterLayout(
+                (("input", offset), ("memory", ps.n), ("utility", 2), ("control", 2))
+            )
+            for alternate_signs in (False, True):
+                base = build_memory_circuit(ps, alternate_signs)
+                moved = build_memory_circuit(ps, alternate_signs, layout)
+                assert base.layout == memory_layout(ps.n) and moved.layout == layout
+                q = base.qubits
+                assert np.array_equal(moved.qubits, np.where(q >= 0, q + offset, -1))
+                for column in ("kind", "param", "polarity"):
+                    assert getattr(moved, column).tobytes() == getattr(base, column).tobytes()
+
+    def test_any_register_order(self):
+        """The rows read every qubit from the layout: utility first, with a
+        gap before the memory register, prepares the same memory state."""
+        ps = PatternSet(tuple(Pattern.from_string(s) for s in ("0110", "1011", "0001")))
+        layout = RegisterLayout((("utility", 2), ("pad", 3), ("memory", 4)))
+        circuit = build_memory_circuit(ps, layout=layout)
+        state = apply_circuit(basis_state(layout, [0] * layout.total), circuit)
+        check_memory_contract(state, ps)
+        assert not state.section_values("pad").any()
+
+    @pytest.mark.parametrize(
+        "sections, match",
+        [
+            ((("memory", 4), ("utility", 2)), r"memory, utility widths must be \(3, 2\), got \(4, 2\)"),
+            ((("memory", 3), ("utility", 1)), r"memory, utility widths must be \(3, 2\), got \(3, 1\)"),
+            ((("memory", 3),), "no section named 'utility'"),
+        ],
+    )
+    def test_layout_widths_checked(self, sections, match):
+        ps = PatternSet((Pattern.from_string("011"),))
+        with pytest.raises(SimulatorError, match=match):
+            build_memory_circuit(ps, layout=RegisterLayout(sections))
 
 
 class TestMemoryOperator:

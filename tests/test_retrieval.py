@@ -10,7 +10,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qamem import retrieval
-from qamem.memory import build_memory_circuit
 from qamem.patterns import (
     Mask,
     Pattern,
@@ -38,6 +37,7 @@ from qamem.retrieval import (
     simulate_distribution,
 )
 from qamem.simulator import (
+    POSTSELECT_FLOOR,
     Circuit,
     SparseState,
     apply_circuit,
@@ -46,6 +46,7 @@ from qamem.simulator import (
     postselect,
     section_marginal,
 )
+from test_simulator import memory_gates, shifted_gate
 from zero_flip import zero_flip
 
 
@@ -170,8 +171,7 @@ class TestRoundCircuit:
 
     def test_exact_input_never_excites_control(self):
         ps = S("1011")
-        config = RetrievalConfig(b=1)
-        state = prepare_final_state(ps, P("1011"), config)
+        state = prepare_final_state(ps, P("1011"), 1)
         for key in state.amps:
             assert state.section_value(key, "control") == 0
 
@@ -182,7 +182,8 @@ class TestRoundCircuit:
 
     def test_preparation_table_equals_fold(self):
         """The preparation table, joined in one concatenation, is the memory
-        circuit shifted and followed by each round with +."""
+        circuit's gates moved onto the memory offset, followed by each round
+        with +."""
         rng = np.random.default_rng(11)
         for _ in range(30):
             ps = random_set(rng)
@@ -190,7 +191,8 @@ class TestRoundCircuit:
             mask = Mask.of(*range(0, ps.n, 2)) if rng.random() < 0.3 else None
             b = int(rng.integers(1, 5))
             layout = retrieval_layout(ps.n, b, use_input_register=bool(rng.random() < 0.5))
-            fold = build_memory_circuit(ps).shifted(layout.offset("memory"), layout)
+            offset = layout.offset("memory")
+            fold = Circuit(tuple(shifted_gate(g, offset) for g in memory_gates(ps)), layout)
             for c in range(b):
                 fold += retrieval_round_circuit(x, layout, c, mask)
             table = preparation_circuit(ps, x, layout, mask)
@@ -483,6 +485,19 @@ class TestRetrieve:
         with pytest.raises(AssertionError, match="a gate ran"):
             simulate_distribution(ps, inp, b - 1)
 
+    @pytest.mark.parametrize("b", [0, -1])
+    def test_preparation_needs_a_round(self, b):
+        """The gate-level entry points refuse b < 1 by the preparation's
+        own check, not a configuration's."""
+        ps, inp = S("001", "011"), P("000")
+        for call in (
+            lambda: prepare_final_state(ps, inp, b),
+            lambda: simulate_distribution(ps, inp, b),
+            lambda: amplitude_amplify(ps, inp, b, 1),
+        ):
+            with pytest.raises(RetrievalError, match="b must be >= 1"):
+                call()
+
     def test_single_pattern_always_recognized(self):
         ps = S("0110")
         config = RetrievalConfig(b=3, T=1)
@@ -563,7 +578,7 @@ def per_call_retrieve(ps, inp, config, rng):
         j = optimal_iterations(p_rec)
         state = amplitude_amplify(ps, inp, config.b, j, config.mask).state
     else:
-        state = prepare_final_state(ps, inp, config)
+        state = prepare_final_state(ps, inp, config.b, config.mask, config.use_input_register)
     p_zero = section_marginal(state, "control").get(0, 0.0)
     for attempt in range(1, config.T + 1):
         if rng.random() < p_zero:
@@ -694,6 +709,34 @@ class TestPreparedSampling:
         assert len(calls) == 1
         want = [per_call_retrieve(ps, x, config, slow) for _ in range(20)]
         assert [(r.recognized, r.attempts, r.output) for r in got] == want
+
+    def test_repeat_table_reads_simulated_distribution(self):
+        """The repeat-mode table and simulate_distribution read the
+        prepared state in one pass: p_zero is p_rec, the values are the
+        support's keys, and the cdf accumulates prob_array, bit for bit."""
+        rng = np.random.default_rng(71)
+        empty = 0
+        for _ in range(120):
+            ps = random_set(rng, 6, 8)
+            inp = random_input(rng, ps.n)
+            mask = None
+            if rng.integers(2):
+                size = int(rng.integers(1, ps.n + 1))
+                mask = Mask(frozenset(int(j) for j in rng.choice(ps.n, size=size, replace=False)))
+            b = int(rng.integers(1, 5))
+            use_input_register = bool(rng.integers(2))
+            sim = simulate_distribution(ps, inp, b, mask, use_input_register)
+            table = sampling_table(
+                ps, inp, RetrievalConfig(b=b, mask=mask, use_input_register=use_input_register)
+            )
+            if sim.p_rec < POSTSELECT_FLOOR:
+                assert (table.p_zero, table.values, table.cdf) == (0.0, (), ())
+                empty += 1
+                continue
+            assert table.p_zero == sim.p_rec
+            assert table.values == tuple(pat.as_key() for pat in sim.support)
+            assert table.cdf == tuple(itertools.accumulate(sim.prob_array.tolist()))
+        assert empty < 60
 
     def test_amplify_table_is_repeat_table_rotated(self):
         """Amplify mode reads the repeat-mode state: the same memory law,
@@ -880,8 +923,7 @@ class TestAmplification:
         want = gate_level_amplify(ps, inp, b, j, mask).amps
         got = run.state.amps
         assert max(abs(got.get(k, 0) - want.get(k, 0)) for k in set(got) | set(want)) <= 1e-12
-        config = RetrievalConfig(b=b, mask=mask, use_input_register=False)
-        prepared = prepare_final_state(ps, inp, config)
+        prepared = prepare_final_state(ps, inp, b, mask, use_input_register=False)
         assert run.state.key_array.tolist() == prepared.key_array.tolist()
 
     def test_prepares_once_for_any_iterations(self, monkeypatch):

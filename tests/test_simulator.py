@@ -436,6 +436,19 @@ class TestPostselect:
         with pytest.raises(SimulatorError, match="bits must be 0/1"):
             postselect(s, "q", "1x")
 
+    @pytest.mark.parametrize("value", [5, -3, 4])
+    def test_integer_out_of_range(self, value):
+        """An integer value names an outcome of the section: 0..2^w - 1."""
+        s = basis_state(RegisterLayout((("a", 2),)), "10")
+        with pytest.raises(SimulatorError, match=f"value {value} out of range for 2-qubit section 'a'"):
+            postselect(s, "a", value)
+
+    def test_integer_in_range(self):
+        s = basis_state(RegisterLayout((("a", 2),)), "10")
+        assert [postselect(s, "a", v)[0] for v in range(4)] == [0.0, 1.0, 0.0, 0.0]
+        assert postselect(s, "a", 1)[1].amps == s.amps
+        assert all(postselect(s, "a", v)[1] is None for v in (0, 2, 3))
+
 
 class TestOverlap:
     def test_self_overlap(self):
@@ -542,6 +555,18 @@ class TestKeyWidth:
 
 
 class TestAmplitudeView:
+    @pytest.mark.parametrize("total", [2, 70])
+    def test_mapping_keys_within_layout(self, total):
+        """A mapping's keys are the layout's basis states: a negative key or
+        one with a bit past the last qubit is refused, on int64 and object
+        keys alike."""
+        layout = flat_layout(total)
+        top = (1 << total) - 1
+        assert SparseState(layout, {0: 1.0, top: 1.0}).key_array.tolist() == [0, top]
+        for key in (top + 1, 1 << total + 1, -1):
+            with pytest.raises(SimulatorError, match=f"state keys must lie in 0..2\\^{total} - 1"):
+                SparseState(layout, {0: 1.0, key: 1.0})
+
     def test_read_only_mapping_of_python_values(self):
         state = apply(basis_state(flat_layout(3), "010"), h_gate(0))
         assert isinstance(state.amps, Mapping)
@@ -606,20 +631,15 @@ def shifted_gate(gate: Gate, offset: int) -> Gate:
 
 
 def transformed(draw, circuit: Circuit, gates):
-    """The circuit as drawn, inverted, shifted onto a wider layout (from a
-    narrow one up to 70 qubits) or cut and put together again, with the
-    same done Gate by Gate: (table, reference gates, offset)."""
-    form = draw(st.sampled_from(("gates", "inverse", "shifted", "cut")))
+    """The circuit as drawn, inverted, or cut and put together again, with
+    the same done Gate by Gate: (table, reference gates)."""
+    form = draw(st.sampled_from(("gates", "inverse", "cut")))
     if form == "inverse":
-        return circuit.inverse(), [g.inverse() for g in reversed(gates)], 0
-    if form == "shifted":
-        offset = draw(st.integers(0, max(0, 70 - circuit.layout.total)))
-        layout = flat_layout(circuit.layout.total + offset)
-        return circuit.shifted(offset, layout), [shifted_gate(g, offset) for g in gates], offset
+        return circuit.inverse(), [g.inverse() for g in reversed(gates)]
     if form == "cut":
         cut = draw(st.integers(0, len(circuit)))
-        return circuit[:cut] + circuit[cut:], list(gates), 0
-    return circuit, list(gates), 0
+        return circuit[:cut] + circuit[cut:], list(gates)
+    return circuit, list(gates)
 
 
 @st.composite
@@ -629,8 +649,8 @@ def runs_of_gates(draw):
     satisfy the first run's condition, only some of them do, or exactly one
     does, placed last (where a memory block's CS row leaves it) or before
     the last.  Wide layouts have object keys and use qubits past bit 63.
-    The table is the circuit of the drawn gates, or its inverse, shift or
-    cut and rejoined copy (see :func:`transformed`); the reference gates are
+    The table is the circuit of the drawn gates, or its inverse or cut and
+    rejoined copy (see :func:`transformed`); the reference gates are
     built to match Gate by Gate."""
     wide = draw(st.booleans())
     n = draw(st.integers(64, 70)) if wide else draw(st.integers(3, 7))
@@ -656,7 +676,7 @@ def runs_of_gates(draw):
         for kind in kinds:
             target = draw(st.sampled_from(targets))
             gates.append(draw_gate(draw, kind, target, controls, polarity))
-    circuit, reference, offset = transformed(draw, Circuit(tuple(gates), flat_layout(n)), gates)
+    circuit, reference = transformed(draw, Circuit(tuple(gates), flat_layout(n)), gates)
     keys = draw(st.lists(
         st.lists(st.sampled_from(pool), unique=True).map(lambda bits: sum(1 << q for q in bits)),
         min_size=1, max_size=12,
@@ -672,7 +692,7 @@ def runs_of_gates(draw):
         keys = [(k & ~cmask) | miss for k in keys[1:]] + [(keys[0] & ~cmask) | cwant]
         if active == "one not last" and len(keys) > 1:
             keys.insert(draw(st.integers(0, len(keys) - 2)), keys.pop())
-    keys = list(dict.fromkeys(k << offset for k in keys))
+    keys = list(dict.fromkeys(keys))
     amps = [complex(draw(ANGLES), draw(ANGLES)) for _ in keys]
     return SparseState(circuit.layout, dict(zip(keys, amps))), circuit, reference
 
@@ -1100,9 +1120,9 @@ class TestRunKernel:
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
-    def test_inverse_and_shift_match_fresh_gates(self, data):
+    def test_inverse_and_cut_match_fresh_gates(self, data):
         """Tables equal Gate-by-Gate circuits row for row: a table of drawn
-        gates or of a builder, and its inverse, shift and rejoined cut."""
+        gates or of a builder, and its inverse and rejoined cut."""
         n = data.draw(st.integers(3, 70))
         qubits = data.draw(st.lists(st.integers(0, n - 1), min_size=3, max_size=3, unique=True))
         kind = data.draw(st.sampled_from(sorted(RUN_KINDS + ("XOR", "TOFFOLI", "zero flip"))))
@@ -1126,7 +1146,7 @@ class TestRunKernel:
         else:
             table, reference = data.draw(builder_tables())
         assert_same_rows(table, reference)
-        assert_same_rows(*transformed(data.draw, table, reference)[:2])
+        assert_same_rows(*transformed(data.draw, table, reference))
 
     def test_cs_matrices_are_gate_matrices(self):
         """A table's CS matrices, built in one numpy pass over its CS rows,
@@ -1135,13 +1155,9 @@ class TestRunKernel:
         gates = [cs_gate(i, 0, 1, inverse=i % 3 == 0) for i in range(1, 600)]
         assert_same_rows(Circuit(tuple(gates), flat_layout(2)), gates)
 
-    def test_shift_edges(self):
+    def test_join_refuses_other_layouts(self):
         circuit = Circuit((not_gate(1),), flat_layout(2))
-        with pytest.raises(SimulatorError):
-            circuit.shifted(-2, flat_layout(2))
-        with pytest.raises(SimulatorError, match="out of range"):
-            circuit.shifted(1, flat_layout(2))
-        empty = Circuit((), flat_layout(1)).shifted(3, flat_layout(4))
+        empty = Circuit((), flat_layout(4))
         assert empty.gates == ()
         with pytest.raises(SimulatorError, match="different layouts"):
             circuit + empty
