@@ -17,11 +17,11 @@ branches already stored.  The flip counts as one gate, the same unit-cost
 convention used for the n-controlled NOT of the sequential route.
 
 Both routes are one block of gate rows per pattern, and the blocks differ
-only in parameters, polarities and (sequentially) which register-rewrite
-flips fire.  So each circuit is written as a whole gate table (see
-:class:`~qamem.simulator.Circuit`) with numpy from the pattern set's bit
-matrix: the block's kind and qubit columns tiled p times, and the columns
-that vary filled from the bits.
+only in parameters, wanted control values and (sequentially) which
+register-rewrite flips fire.  So each circuit is written as a whole gate
+table (see :class:`~qamem.simulator.Circuit`) with numpy from the pattern
+set's bit matrix: the block's kind and mask columns tiled p times, and the
+columns that vary filled from the bits.
 """
 from __future__ import annotations
 
@@ -67,8 +67,9 @@ def build_memory_circuit(
     always contributes n gates), XOR u2 -> u1, CS(p + 1 - i) u1 -> u2, the
     NXOR that flips u1 back where the memory register holds the pattern,
     and the loader undone.  The blocks differ only in the rotation angles,
-    the CS parameter and the NXOR polarity, so the table is one block tiled
-    p times with those columns written from the bit matrix.
+    the CS parameter and the NXOR's wanted mask (the pattern's key shifted
+    onto the memory register), so the table is one block tiled p times
+    with those columns written from the bit matrix.
 
     With ``alternate_signs`` every second CS is inverted, preparing the
     alternating-sign companion state instead of the uniform one.
@@ -77,8 +78,8 @@ def build_memory_circuit(
     layout = memory_layout(n) if layout is None else layout
     if (widths := (layout.width("memory"), layout.width("utility"))) != (n, 2):
         raise SimulatorError(f"memory, utility widths must be ({n}, 2), got {widths}")
-    mem = np.asarray(layout.qubits("memory"))
-    u1, u2 = layout.qubits("utility")
+    dtype = layout.key_dtype
+    u1, u2 = layout.masks("utility").tolist()
     bits = pattern_set.bits
     rows = 2 * n + 3
     load, xor, cs, nxor, unload = slice(0, n), n, n + 1, n + 2, slice(n + 3, rows)
@@ -89,23 +90,24 @@ def build_memory_circuit(
 
     size = 1 + p * rows
     kind = np.full(size, KIND["ROTY"], dtype=np.int8)
-    qubits = np.full((size, n + 1), -1)
+    tmask = np.empty(size, dtype=dtype)
+    cmask = np.full(size, u2, dtype=dtype)
+    cwant = np.full(size, u2, dtype=dtype)
     param = np.full(size, math.nan)
-    polarity = np.ones((size, n + 1), dtype=np.uint8)
-    kind[0], qubits[0, 0] = KIND["NOT"], u2
-    # the p blocks as (p, rows, ...) views of the columns
-    K, Q, A, P = (c[1:].reshape(p, rows, *c.shape[1:]) for c in (kind, qubits, param, polarity))
+    kind[0], tmask[0], cmask[0], cwant[0] = KIND["NOT"], u2, 0, 0
+    # the p blocks as (p, rows) views of the columns
+    K, T, C, W, A = (c[1:].reshape(p, rows) for c in (kind, tmask, cmask, cwant, param))
     K[:, [xor, cs, nxor]] = KIND["XOR"], KIND["CS"], KIND["NXOR"]
     # the rotations share one control and have distinct targets, so they
     # commute: undo them in loading order
-    Q[:, load, 0] = Q[:, unload, 0] = mem
-    Q[:, load, 1] = Q[:, unload, 1] = u2
-    Q[:, xor, :2] = u1, u2
-    Q[:, cs, :2] = u2, u1
-    Q[:, nxor, 0], Q[:, nxor, 1:] = u1, mem
+    T[:, load] = T[:, unload] = layout.masks("memory")
+    T[:, [xor, cs, nxor]] = u1, u2, u1
+    C[:, cs] = W[:, cs] = u1
+    # the NXOR wants the block's pattern on the memory register
+    C[:, nxor] = ((1 << n) - 1) << layout.offset("memory")
+    W[:, nxor] = np.left_shift(bits.astype(dtype), layout.qubits("memory")).sum(axis=1)
     A[:, load], A[:, cs], A[:, unload] = angle, strength, -angle
-    P[:, nxor, 1:] = bits
-    return Circuit.from_table(layout, kind, qubits, param, polarity)
+    return Circuit.from_masks(layout, kind, tmask, cmask, cwant, param)
 
 
 @dataclass(frozen=True)
@@ -188,30 +190,31 @@ def sequential_circuit(pattern_set: PatternSet) -> tuple[Circuit, list[int]]:
     """
     n, p = pattern_set.n, pattern_set.p
     layout = sequential_layout(n)
-    preg = np.asarray(layout.qubits("pattern"))
-    u1, u2 = layout.qubits("utility")
-    mem = np.asarray(layout.qubits("memory"))
+    dtype = layout.key_dtype
+    preg, mem = layout.masks("pattern"), layout.masks("memory")
+    u1, u2 = layout.masks("utility").tolist()
     NOT, XOR, TOFFOLI, NXOR = (KIND[k] for k in ("NOT", "XOR", "TOFFOLI", "NXOR"))
 
     # compute: n TOFFOLIs preg[j], u2 -> mem[j], then XOR preg[j] -> mem[j]
     # and NOT mem[j] for each j; every compute gate is its own inverse
     compute_kind = np.concatenate((np.full(n, TOFFOLI), np.tile([XOR, NOT], n)))
-    compute = np.full((3 * n, 3), -1)
-    compute[:n] = np.stack((mem, preg, np.full(n, u2)), axis=1)
-    compute[n::2, :2] = np.stack((mem, preg), axis=1)
-    compute[n + 1 :: 2, 0] = mem
+    compute_target = np.concatenate((mem, np.repeat(mem, 2)))
+    pairs = np.stack((preg, np.zeros(n, dtype)), axis=1).ravel()
+    compute_control = np.concatenate((preg | u2, pairs))
     kind = np.concatenate(
         (np.full(n, NOT), compute_kind, [NXOR, KIND["CS"], NXOR], compute_kind[::-1])
     )
+    # the split: NXOR on u1 wanting the all-ones memory register, CS u1 -> u2
+    full = ((1 << n) - 1) << layout.offset("memory")
+    split_target = np.array([u1, u2, u1], dtype=dtype)
+    split_control = np.array([full, u1, full], dtype=dtype)
+    tmask = np.concatenate((preg, compute_target, split_target, compute_target[::-1]))
+    # every control must hold 1, so the wanted mask is the control mask
+    cmask = np.concatenate(
+        (np.zeros(n, dtype), compute_control, split_control, compute_control[::-1])
+    )
     rows = len(kind)
     cs = 4 * n + 1
-    qubits = np.full((rows, max(n + 1, 3)), -1)
-    qubits[:n, 0] = preg
-    qubits[n:cs - 1, :3] = compute
-    qubits[[cs - 1, cs + 1], 0] = u1
-    qubits[[cs - 1, cs + 1], 1 : n + 1] = mem
-    qubits[cs, :2] = u2, u1
-    qubits[cs + 2 :, :3] = compute[::-1]
 
     param = np.full((p, rows), math.nan)
     param[:, cs] = p - np.arange(p)
@@ -219,8 +222,9 @@ def sequential_circuit(pattern_set: PatternSet) -> tuple[Circuit, list[int]]:
     keep[0, :n] = False
     keep[1:, :n] = pattern_set.bits[1:] != pattern_set.bits[:-1]
     keep = keep.ravel()
-    circuit = Circuit.from_table(
-        layout, np.tile(kind, p)[keep], np.tile(qubits, (p, 1))[keep], param.ravel()[keep]
+    cmask = np.tile(cmask, p)[keep]
+    circuit = Circuit.from_masks(
+        layout, np.tile(kind, p)[keep], np.tile(tmask, p)[keep], cmask, cmask, param.ravel()[keep]
     )
     return circuit, np.cumsum(keep.reshape(p, rows).sum(axis=1)).tolist()
 

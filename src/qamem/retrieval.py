@@ -200,46 +200,57 @@ def retrieval_round_circuit(
     direct rotations otherwise), the phase kernel, inverse dressing, and a
     final Hadamard.
     """
-    n = layout.width("memory")
     if control_index < 0 or control_index >= layout.width("control"):
         raise RetrievalError(f"control index {control_index} out of range")
+    return _rounds(input_pattern, layout, [control_index], mask)
+
+
+def _rounds(input_pattern: Pattern, layout: RegisterLayout, controls, mask: Mask | None) -> Circuit:
+    """The retrieval rounds addressed to the given control indices, in
+    order, as one table: the round's columns tiled, then the Hadamards'
+    targets and the controlled phases' control written per round."""
+    n = layout.width("memory")
     if mask is not None:
         mask.validate(n)
-    mem = np.asarray(layout.qubits("memory"))
-    inp = np.asarray(layout.qubits("input"))
-    control = layout.offset("control") + control_index
+    dtype = layout.key_dtype
+    mem = layout.masks("memory")
     theta = math.pi / (2 * n)
-    phase_qubits = mem if mask is None else mem[sorted(mask.known)]
+    phase = mem if mask is None else mem[sorted(mask.known)]
 
-    if len(inp):
+    if layout.width("input"):
+        # XOR input[j] -> mem[j], then NOT mem[j]
+        inp = layout.masks("input")
         dress_kind = np.tile([KIND["XOR"], KIND["NOT"]], n)
-        dress = np.full((2 * n, 2), -1)
-        dress[0::2] = np.stack((mem, inp), axis=1)
-        dress[1::2, 0] = mem
+        dress_target = np.repeat(mem, 2)
+        dress_control = np.stack((inp, np.zeros(n, dtype)), axis=1).ravel()
         dress_param = undress_param = np.full(2 * n, math.nan)
     else:
         # dress directly: flip where the input bit is 0, so a memory qubit
         # ends in |1> exactly when it matches the input
         dress_kind = np.full(n, KIND["ROTY"])
-        dress = np.stack((mem, np.full(n, -1)), axis=1)
+        dress_target = mem
+        dress_control = np.zeros(n, dtype)
         dress_param = math.pi / 2 * (1 - np.array(input_pattern.bits))
         undress_param = -dress_param[::-1]
-    k = len(phase_qubits)
-    kernel = np.full((2 * k, 2), -1)
-    kernel[:, 0] = np.tile(phase_qubits, 2)
-    kernel[k:, 1] = control
-    hadamard = np.array([[control, -1]])
-    return Circuit.from_table(
-        layout,
-        np.concatenate(
-            ([KIND["H"]], dress_kind, np.full(2 * k, KIND["PHASE0"]), dress_kind[::-1], [KIND["H"]])
-        ),
-        np.concatenate((hadamard, dress, kernel, dress[::-1], hadamard)),
-        np.concatenate((
-            [math.nan], dress_param, np.full(k, theta), np.full(k, -2 * theta),
-            undress_param, [math.nan],
-        )),
+    k = len(phase)
+    none = np.zeros(1, dtype)
+    kind = np.concatenate(
+        ([KIND["H"]], dress_kind, np.full(2 * k, KIND["PHASE0"]), dress_kind[::-1], [KIND["H"]])
     )
+    tmask = np.concatenate((none, dress_target, phase, phase, dress_target[::-1], none))
+    cmask = np.concatenate((none, dress_control, np.zeros(2 * k, dtype), dress_control[::-1], none))
+    param = np.concatenate((
+        [math.nan], dress_param, np.full(k, theta), np.full(k, -2 * theta), undress_param, [math.nan],
+    ))
+    rows, b = len(kind), len(controls)
+    kind, tmask, cmask, param = (np.tile(column, b) for column in (kind, tmask, cmask, param))
+    bits = layout.masks("control")[list(controls)]
+    T, C = tmask.reshape(b, rows), cmask.reshape(b, rows)
+    T[:, 0] = T[:, -1] = bits
+    kernel = 1 + len(dress_kind) + k
+    C[:, kernel : kernel + k] = bits[:, None]
+    # every control must hold 1, so the wanted mask is the control mask
+    return Circuit.from_masks(layout, kind, tmask, cmask, cmask, param)
 
 
 def preparation_circuit(
@@ -249,16 +260,12 @@ def preparation_circuit(
     mask: Mask | None = None,
 ) -> Circuit:
     """The memory circuit, written on ``layout``'s own memory and utility
-    registers, then one retrieval round per control qubit, joined in one
-    concatenation."""
+    registers, then one retrieval round per control qubit, the rounds
+    written as one table."""
     if input_pattern.n != pattern_set.n:
         raise RetrievalError("input length does not match stored patterns")
     memory = build_memory_circuit(pattern_set, layout=layout)
-    rounds = [
-        retrieval_round_circuit(input_pattern, layout, c, mask)
-        for c in range(layout.width("control"))
-    ]
-    return Circuit.join([memory, *rounds])
+    return memory + _rounds(input_pattern, layout, range(layout.width("control")), mask)
 
 
 #: most nonzero amplitudes a gate-level retrieval may prepare: each round

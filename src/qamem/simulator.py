@@ -20,18 +20,23 @@ both key types:
   identity and leaves both arrays as they are; it stays in its circuit, so
   gate counts stay honest.
 
-A :class:`Circuit` is a gate table: one row per gate, held as columns (a
-kind code, the qubit indices, the parameter and the control polarities).
-The builders in :mod:`qamem.memory` and :mod:`qamem.retrieval` write whole
-tables with numpy from a pattern set's bit matrix, each on the layout it is
-given; ``inverse()`` reverses the rows and negates the parameters.
-:class:`Gate` is the one public constructor and validator of a row and the
-view :attr:`Circuit.gates` gives of one; a circuit built from gates and a
-table written with numpy go through the same row check, :func:`_check_rows`.
+A :class:`Circuit` is a gate table: one row per gate, held as five 1-D
+columns, a kind code, the target mask, the control mask, the wanted-control
+mask (the controls that must hold 1) and the parameter, the masks of the
+layout's key dtype.  The builders in :mod:`qamem.memory` and
+:mod:`qamem.retrieval` write whole tables of masks with numpy from a
+pattern set's bit matrix, each on the layout it is given; ``inverse()``
+reverses the rows and negates the parameters.  :class:`Gate` is the one
+public constructor and validator of a row and the view
+:attr:`Circuit.gates` gives of one; a gate, a circuit built from gates, a
+table of qubit indices and a table written with numpy go through the same
+row check, :func:`_check_table`, O(rows) over the masks: one target bit,
+controls clear of it and inside the layout, wanted values inside the
+controls, and the parameter rules below.
 
 The kernel runs a circuit on the ``(key_array, amp_array)`` pair from a
 program derived once per circuit: each row's target and control masks
-(Python ints, read from the indices for the layout's key type), its phase
+(the columns as Python ints), its phase
 or 2x2 matrix, where each run of rows with one control condition ends,
 found by comparing adjacent rows, and the segments of permutation rows
 described below.  :func:`apply` runs a one-gate circuit and
@@ -198,15 +203,23 @@ class RegisterLayout:
         off, w = self._span(name)
         return range(off, off + w)
 
+    def masks(self, name: str):
+        """The one-bit masks of a section's qubits, in order, as an array of
+        the key dtype."""
+        return np.left_shift(np.ones(self.width(name), dtype=self.key_dtype), self.qubits(name))
+
 
 @dataclass(frozen=True, slots=True)
 class Gate:
     """One gate: the public constructor and validator of a circuit row.
 
     ``polarity`` gives the value each control must hold, all ones when
-    None; the gate keeps it as a tuple of 0/1 ints, one per control.
-    Construction checks the gate with the same row check a gate table goes
-    through (see the module docstring).
+    None.  Construction checks the gate's masks with the check a gate table
+    goes through (see the module docstring) and keeps the qubits as the
+    masks hold them: Python ints, the controls in ascending order, each
+    with its polarity as a 0/1 int.  So a gate equals the gate that
+    :attr:`Circuit.gates` reads back from its row, and two gates that list
+    the same controls in another order are equal.
     """
 
     kind: str
@@ -216,9 +229,12 @@ class Gate:
     polarity: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        row = _row(self)
-        _check_rows(*_columns([row])[:4])
-        object.__setattr__(self, "polarity", tuple(row[4][1:]))
+        columns = _gate_columns((self,))
+        _check_table(None, *columns)
+        target, controls, polarity = _indices(*(m.item() for m in columns[1:4]))
+        object.__setattr__(self, "targets", (target,))
+        object.__setattr__(self, "controls", controls)
+        object.__setattr__(self, "polarity", polarity)
 
     @classmethod
     def _checked_row(cls, kind, targets, controls, param, polarity) -> "Gate":
@@ -245,14 +261,14 @@ class Gate:
         return f"{self.kind}{param} {ctrl} -> {tgt}"
 
 
-def _row(gate: Gate):
-    """A gate's fields as one table row: (kind code, qubits, parameter,
-    whether a parameter was given, polarity).
+def _gate_row(gate: Gate):
+    """A gate's fields as one row: (kind code, (target, control, wanted)
+    masks as Python ints, parameter, whether a parameter was given).
 
-    This checks what only the Python values show: the kind name, that the
-    indices are non-negative integers, and the shape of targets, controls
-    and polarity.  A parameter of the wrong type becomes NaN, which
-    :func:`_check_rows` refuses.
+    This checks what the masks cannot show: the kind name, that the
+    indices are distinct non-negative integers, and the shape of targets,
+    controls and polarity.  A parameter of the wrong type becomes NaN,
+    which :func:`_check_table` refuses.
     """
     code = KIND.get(gate.kind)
     if code is None:
@@ -265,11 +281,16 @@ def _row(gate: Gate):
         raise SimulatorError(f"negative qubit index in {gate}")
     if len(gate.targets) != 1:
         raise SimulatorError(f"{gate.kind} takes exactly one target")
-    polarity = [1] * len(qubits)
+    polarity = [1] * len(gate.controls)
     if gate.polarity is not None:
         if len(gate.polarity) != len(gate.controls):
             raise SimulatorError("polarity length must match controls")
-        polarity[1:] = [1 if v else 0 for v in gate.polarity]
+        polarity = [1 if v else 0 for v in gate.polarity]
+    if len(set(qubits)) < len(qubits):
+        raise SimulatorError("overlapping target/control indices")
+    target, *controls = qubits
+    cmask = sum(1 << c for c in controls)
+    cwant = sum(v << c for c, v in zip(controls, polarity))
     param = gate.param
     value = math.nan
     if isinstance(param, numbers.Integral if code == _CS else numbers.Real):
@@ -277,48 +298,72 @@ def _row(gate: Gate):
             value = float(param)
         except OverflowError:
             value = math.inf
-    return code, qubits, value, param is not None, polarity
+    return code, (1 << target, cmask, cwant), value, param is not None
 
 
-def _columns(rows):
-    """Table columns (kind, qubits, param, param given, polarity) of a list
-    of :func:`_row` rows; the qubit rows are padded with -1."""
-    width = max((len(r[1]) for r in rows), default=1)
-    qubits, polarity = [], []
-    for _, q, _, _, pol in rows:
-        pad = width - len(q)
-        qubits.append(q + [-1] * pad)
-        polarity.append(pol + [1] * pad)
+def _gate_columns(gates, layout: RegisterLayout | None = None):
+    """Table columns (kind, tmask, cmask, cwant, param, given) of gates.
+    The masks take the layout's key dtype, or Python ints without a layout
+    or when a qubit lies past it, for the range check to name it."""
+    rows = [_gate_row(g) for g in gates]
+    top = max(((t | c).bit_length() for _, (t, c, _), _, _ in rows), default=0)
+    dtype = np.dtype(object) if layout is None or top > layout.total else layout.key_dtype
     return (
         np.array([r[0] for r in rows], dtype=np.int8),
-        np.array(qubits, dtype=np.int64).reshape(-1, width),
+        *(np.array([r[1][i] for r in rows], dtype=dtype) for i in range(3)),
         np.array([r[2] for r in rows], dtype=np.float64),
         np.array([r[3] for r in rows], dtype=bool),
-        np.array(polarity, dtype=np.uint8).reshape(-1, width),
     )
 
 
-def _check_rows(kind, qubits, param, given):
-    """The one validity check of gate rows, vectorized over a table.
+def _indices(tmask: int, cmask: int, cwant: int):
+    """The target, the controls (ascending) and their polarity of a row's
+    masks."""
+    controls, rest = [], cmask
+    while rest:
+        low = rest & -rest
+        controls.append(low.bit_length() - 1)
+        rest ^= low
+    return tmask.bit_length() - 1, tuple(controls), tuple((cwant >> c) & 1 for c in controls)
 
-    ``given`` marks the rows that were given a parameter (a parameter of
-    the wrong type arrives as NaN).  A row's qubits are distinct
-    non-negative indices followed by -1 padding, the first of them the
-    target; CS, PHASE0 and ROTY have a finite real parameter, CS a
-    nonzero integer one; the other kinds have none.
-    """
+
+def _row_gate(code: int, tmask: int, cmask: int, cwant: int, value: float) -> Gate:
+    """The :class:`Gate` view of a checked table row."""
+    target, controls, polarity = _indices(tmask, cmask, cwant)
+    param = None
+    if code in _PARAM_CODES:
+        param = int(value) if code == _CS else value
+    return Gate._checked_row(KINDS[code], (target,), controls, param, polarity)
+
+
+def _check_kinds(kind) -> None:
     if (kind.view(np.uint8) >= len(KINDS)).any():
         raise SimulatorError("unknown gate kind code")
-    used = qubits >= 0
-    if (qubits < -1).any() or (used[:, 1:] > used[:, :-1]).any():
-        raise SimulatorError("negative qubit index")
-    if not used[:, 0].all():
-        raise SimulatorError("a gate needs a target")
-    ordered = np.sort(qubits, axis=1)
-    if ((ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, :-1] >= 0)).any():
+
+
+def _check_table(total, kind, tmask, cmask, cwant, param, given=None, gate=None):
+    """The one validity check of gate rows, O(rows) over the mask columns.
+
+    Each row's target mask is a single bit and its control mask is clear
+    of it; the wanted values lie inside the control mask.  ``given`` marks
+    the rows that were given a parameter (default: the non-NaN ones; a
+    parameter of the wrong type arrives as NaN): CS, PHASE0 and ROTY have a
+    finite real parameter, CS a nonzero integer one, and the other kinds
+    have none.  With ``total`` set, every mask lies in qubits 0..total - 1;
+    the error names the first row past it as ``gate(r)`` gives it (by
+    default its :class:`Gate` view).
+    """
+    _check_kinds(kind)
+    if not ((tmask > 0) & ((tmask & (tmask - 1)) == 0)).all():
+        raise SimulatorError("a gate needs exactly one target")
+    if ((tmask & cmask) != 0).any():
         raise SimulatorError("overlapping target/control indices")
+    if ((cwant & ~cmask) != 0).any():
+        raise SimulatorError("wanted control values outside the controls")
     needs = (kind == _PHASE0) | (kind >= _CS)
     cs = kind == _CS
+    if given is None:
+        given = ~np.isnan(param)
     bad = (needs != given) | (needs & ~np.isfinite(param))
     if cs.any():
         bad |= cs & ((np.abs(param) < 1) | (param != np.trunc(param)))
@@ -329,6 +374,16 @@ def _check_rows(kind, qubits, param, given):
         if needs[r]:
             raise SimulatorError(f"{KINDS[kind[r]]} requires a finite real parameter")
         raise SimulatorError(f"{KINDS[kind[r]]} takes no parameter")
+    if total is not None:
+        outside = ((tmask | cmask) >> total) != 0
+        if outside.any():
+            r = int(outside.argmax())
+            if gate is None:
+                masks = (int(tmask[r]), int(cmask[r]), int(cwant[r]))
+                row = _row_gate(int(kind[r]), *masks, float(param[r]))
+            else:
+                row = gate(r)
+            raise SimulatorError(f"gate {row.dump()} out of range for N={total}")
 
 
 def gate_matrix(gate: Gate):
@@ -392,111 +447,113 @@ def roty_gate(angle: float, target: int, control: int | None = None) -> Gate:
     return Gate("ROTY", (target,), controls, param=angle)
 
 
-def _pad(column, width: int, fill: int):
-    extra = width - column.shape[1]
-    if extra == 0:
-        return column
-    return np.concatenate((column, np.full((len(column), extra), fill, column.dtype)), axis=1)
-
-
 class Circuit:
     """A gate table on a layout: one row per gate, in order.
 
-    Columns, read-only arrays with one row per gate:
+    Columns, read-only 1-D arrays with one entry per row:
 
     * ``kind``: ``int8`` code into :data:`KINDS`;
-    * ``qubits``: ``int64`` (rows, width): the target, then the controls,
-      padded with -1;
-    * ``param``: ``float64``, NaN for the kinds without a parameter;
-    * ``polarity``: ``uint8`` (rows, width): the value each control must
-      hold (column 0 and the padding are unused).
+    * ``tmask``: the target mask, one bit;
+    * ``cmask``: the control mask, clear of the target;
+    * ``cwant``: the wanted control values, the bits of ``cmask`` whose
+      control must hold 1;
+    * ``param``: ``float64``, NaN for the kinds without a parameter.
 
-    ``Circuit(gates, layout)`` builds the table from :class:`Gate` objects,
-    :meth:`from_table` from columns; both check every qubit against the
-    layout.  :attr:`gates` views the rows as gates.
+    The masks have the layout's key dtype: ``int64`` up to 63 qubits,
+    Python ints (an object array) past that.  :meth:`from_masks` takes the
+    columns as written, ``Circuit(gates, layout)`` reads them from
+    :class:`Gate` objects and :meth:`from_table` from qubit indices; each
+    runs the one row check, :func:`_check_table`, which also checks every
+    mask against the layout.  :attr:`gates` views the rows as gates.
     """
 
-    __slots__ = ("layout", "kind", "qubits", "param", "polarity", "_gates", "_prog")
+    __slots__ = ("layout", "kind", "tmask", "cmask", "cwant", "param", "_gates", "_prog")
 
     def __init__(self, gates, layout: RegisterLayout):
-        kind, qubits, param, given, polarity = _columns([_row(g) for g in gates])
-        _check_rows(kind, qubits, param, given)
-        self._set(layout, kind, qubits, param, polarity)
-        self._check_range()
+        columns = _gate_columns(gates, layout)
+        _check_table(layout.total, *columns)
+        self._set(layout, *columns[:5])
+
+    @classmethod
+    def from_masks(cls, layout: RegisterLayout, kind, tmask, cmask, cwant, param=None) -> "Circuit":
+        """A circuit from its columns (see the class docstring); ``param``
+        defaults to none.  The rows go through the same check as a
+        :class:`Gate`."""
+        kind = np.asarray(kind, dtype=np.int8)
+        tmask, cmask, cwant = (np.asarray(m, dtype=layout.key_dtype) for m in (tmask, cmask, cwant))
+        param = np.full(len(kind), math.nan) if param is None else np.asarray(param, dtype=np.float64)
+        _check_table(layout.total, kind, tmask, cmask, cwant, param)
+        return cls._make(layout, kind, tmask, cmask, cwant, param)
 
     @classmethod
     def from_table(
         cls, layout: RegisterLayout, kind, qubits, param=None, polarity=None
     ) -> "Circuit":
-        """A circuit from its columns (see the class docstring); ``param``
-        defaults to none and ``polarity`` to all ones.  The rows go through
-        the same check as a :class:`Gate`."""
+        """A circuit from qubit indices: ``qubits`` is (rows, width), the
+        target and then the controls of each row, padded with -1, and
+        ``polarity`` (rows, width) the value each control must hold (column
+        0 and the padding unused; all ones by default).  The indices become
+        masks, which go through the same check as a :class:`Gate`."""
         kind = np.asarray(kind, dtype=np.int8)
         qubits = np.asarray(qubits, dtype=np.int64).reshape(len(kind), -1)
-        rows = len(kind)
-        param = np.full(rows, math.nan) if param is None else np.asarray(param, dtype=np.float64)
+        param = np.full(len(kind), math.nan) if param is None else np.asarray(param, dtype=np.float64)
         if polarity is None:
             polarity = np.ones(qubits.shape, dtype=np.uint8)
-        _check_rows(kind, qubits, param, ~np.isnan(param))
-        circuit = cls._make(layout, kind, qubits, param, np.asarray(polarity, dtype=np.uint8))
-        circuit._check_range()
-        return circuit
+        polarity = np.asarray(polarity, dtype=np.uint8)
+        _check_kinds(kind)
+        tmask, cmask, cwant = _index_masks(layout, qubits, polarity)
+
+        def row(r: int) -> Gate:
+            """Row r as given, its controls in table order."""
+            target, *controls = [q for q in qubits[r].tolist() if q >= 0]
+            view = _row_gate(int(kind[r]), 1 << target, 0, 0, float(param[r]))
+            values = tuple(polarity[r, 1 : 1 + len(controls)].tolist())
+            return Gate._checked_row(view.kind, view.targets, tuple(controls), view.param, values)
+
+        _check_table(layout.total, kind, tmask, cmask, cwant, param, gate=row)
+        return cls._make(layout, kind, tmask, cmask, cwant, param)
 
     @classmethod
-    def _make(cls, layout, kind, qubits, param, polarity) -> "Circuit":
+    def _make(cls, layout, kind, tmask, cmask, cwant, param) -> "Circuit":
         """A circuit on columns that hold valid rows."""
         circuit = cls.__new__(cls)
-        circuit._set(layout, kind, qubits, param, polarity)
+        circuit._set(layout, kind, tmask, cmask, cwant, param)
         return circuit
 
-    def _set(self, layout, kind, qubits, param, polarity) -> None:
-        for column in (kind, qubits, param, polarity):
+    def _set(self, layout, kind, tmask, cmask, cwant, param) -> None:
+        for column in (kind, tmask, cmask, cwant, param):
             column.flags.writeable = False
         self.layout = layout
         self.kind = kind
-        self.qubits = qubits
+        self.tmask = tmask
+        self.cmask = cmask
+        self.cwant = cwant
         self.param = param
-        self.polarity = polarity
         self._gates = None
         self._prog = None
 
-    def _check_range(self) -> None:
-        n = self.layout.total
-        if self.qubits.max(initial=-1) >= n:
-            gate = self._gate(int((self.qubits >= n).any(axis=1).argmax()))
-            raise SimulatorError(f"gate {gate.dump()} out of range for N={n}")
+    def _columns(self):
+        return self.kind, self.tmask, self.cmask, self.cwant, self.param
 
     def __len__(self) -> int:
         return len(self.kind)
-
-    def _gate(self, r: int) -> Gate:
-        code, value = int(self.kind[r]), float(self.param[r])
-        target, *controls = [q for q in self.qubits[r].tolist() if q >= 0]
-        param = None
-        if code in _PARAM_CODES:
-            param = int(value) if code == _CS else value
-        polarity = tuple(self.polarity[r, 1 : 1 + len(controls)].tolist())
-        return Gate._checked_row(KINDS[code], (target,), tuple(controls), param, polarity)
 
     @property
     def gates(self) -> tuple[Gate, ...]:
         """The rows as :class:`Gate` objects, built on first read."""
         if self._gates is None:
-            self._gates = tuple(self._gate(r) for r in range(len(self)))
+            self._gates = tuple(map(_row_gate, *(column.tolist() for column in self._columns())))
         return self._gates
 
     def __getitem__(self, rows: slice) -> "Circuit":
         """The circuit of a slice of the rows."""
-        return Circuit._make(
-            self.layout, self.kind[rows], self.qubits[rows], self.param[rows], self.polarity[rows]
-        )
+        return Circuit._make(self.layout, *(column[rows] for column in self._columns()))
 
     def inverse(self) -> "Circuit":
         """The rows in reverse order with their parameters negated."""
         param = np.where(np.isnan(self.param), self.param, -self.param)
-        return Circuit._make(
-            self.layout, self.kind[::-1], self.qubits[::-1], param[::-1], self.polarity[::-1]
-        )
+        kind, tmask, cmask, cwant = (column[::-1] for column in self._columns()[:4])
+        return Circuit._make(self.layout, kind, tmask, cmask, cwant, param[::-1])
 
     def __add__(self, other: "Circuit") -> "Circuit":
         return Circuit.join((self, other))
@@ -508,14 +565,8 @@ class Circuit:
         layout = circuits[0].layout
         if any(c.layout != layout for c in circuits):
             raise SimulatorError("cannot concatenate circuits on different layouts")
-        width = max(c.qubits.shape[1] for c in circuits)
-        return Circuit._make(
-            layout,
-            np.concatenate([c.kind for c in circuits]),
-            np.concatenate([_pad(c.qubits, width, -1) for c in circuits]),
-            np.concatenate([c.param for c in circuits]),
-            np.concatenate([_pad(c.polarity, width, 1) for c in circuits]),
-        )
+        columns = zip(*(c._columns() for c in circuits))
+        return Circuit._make(layout, *(np.concatenate(column) for column in columns))
 
     def dump(self) -> str:
         return "".join(g.dump() + "\n" for g in self.gates)
@@ -535,19 +586,40 @@ class Circuit:
         return self._prog
 
 
-def _compile(circuit: Circuit):
-    kind, qubits, param = circuit.kind, circuit.qubits, circuit.param
-    rows = len(kind)
+def _index_masks(layout: RegisterLayout, qubits, polarity):
+    """The target, control and wanted mask columns of index rows (see
+    :meth:`Circuit.from_table`).
+
+    This refuses what masks cannot hold: a negative index, a gap in a
+    row's indices, a row with no target and a qubit twice in a row.  The
+    masks take the layout's key dtype, or Python ints when a qubit lies
+    past the layout, for the range check to name it.
+    """
     used = qubits >= 0
-    if circuit.layout.key_dtype == object:  # Python-int masks past bit 62
+    if (qubits < -1).any() or (used[:, 1:] > used[:, :-1]).any():
+        raise SimulatorError("negative qubit index")
+    if not used[:, 0].all():
+        raise SimulatorError("a gate needs a target")
+    if layout.key_dtype == object or qubits.max(initial=-1) >= layout.total:
         bits = np.zeros(qubits.shape, dtype=object)
         bits[used] = [1 << q for q in qubits[used].tolist()]
     else:
         bits = np.left_shift(used, qubits, dtype=np.int64)  # 0 on the padding
-    controls = bits[:, 1:]
-    tmask = bits[:, 0]
-    cmask = np.bitwise_or.reduce(controls, axis=1)
-    cwant = np.bitwise_or.reduce(controls * circuit.polarity[:, 1:], axis=1)
+    tmask = bits[:, 0].copy()
+    cmask, cwant = np.zeros_like(tmask), np.zeros_like(tmask)
+    repeated = np.zeros(len(tmask), dtype=bool)
+    for bit, value in zip(bits[:, 1:].T, polarity[:, 1:].T.astype(bool)):
+        repeated |= ((tmask | cmask) & bit) != 0
+        cmask |= bit
+        cwant |= np.where(value, bit, 0)
+    if repeated.any():
+        raise SimulatorError("overlapping target/control indices")
+    return tmask, cmask, cwant
+
+
+def _compile(circuit: Circuit):
+    kind, tmask, cmask, cwant, param = circuit._columns()
+    rows = len(kind)
 
     # a run starts at a controlled mixing row other than the identity
     # ROTY(0), and ends where the control condition first changes; _run's
@@ -964,12 +1036,15 @@ def measure_section(state: SparseState, section: str, rng) -> tuple[int, SparseS
 def postselect(
     state: SparseState, section: str, value
 ) -> tuple[float, SparseState | None]:
-    """Project a section onto a value; returns (probability, renormalized state)."""
+    """Project a section onto a value, an integer or a string of its bits;
+    returns (probability, renormalized state)."""
     width = state.layout.width(section)
     if isinstance(value, str):
         if len(value) != width:
             raise SimulatorError(f"expected {width} bits for {section!r}, got {len(value)}")
         value = sum(b << j for j, b in enumerate(_bit_string(value)))
+    elif not isinstance(value, numbers.Integral):
+        raise SimulatorError(f"value {value!r} for section {section!r} is not an integer")
     elif not 0 <= value < 1 << width:
         raise SimulatorError(f"value {value} out of range for {width}-qubit section {section!r}")
     hit = state.section_values(section) == value

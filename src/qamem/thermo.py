@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .emit import csv_text
 
@@ -185,7 +184,10 @@ def _continuum_grid() -> tuple[np.ndarray, np.ndarray]:
 
     The weights sum to 1, so the mean of f(L*t) is their dot product with
     the values.  ``leggauss`` is most of the cost of an evaluation, so the
-    grid is built on first use, not at import, and kept read-only.
+    grid is built on first use, not at import, and kept read-only.  It is
+    read as ``np.polynomial.legendre.leggauss`` here, since numpy imports
+    ``numpy.polynomial`` on first attribute access: ``import qamem.thermo``
+    does not load it.
     """
     global _GRID
     if _GRID is None:
@@ -193,7 +195,7 @@ def _continuum_grid() -> tuple[np.ndarray, np.ndarray]:
         edges = np.concatenate((low, 1.0 - low[-2::-1]))
         mid = (edges[1:] + edges[:-1]) / 2
         radius = (edges[1:] - edges[:-1]) / 2
-        nodes, weights = leggauss(CONTINUUM_NODES)
+        nodes, weights = np.polynomial.legendre.leggauss(CONTINUUM_NODES)
         t = (mid[:, None] + radius[:, None] * nodes).ravel()
         w = (radius[:, None] * weights).ravel()
         for column in (t, w):

@@ -5,8 +5,9 @@ a SHA-256 digest of the key dtype, the keys and the amplitude bytes.  The
 first four digests were recorded from the array kernel before the scalar
 path followed rows past the end of a run, the alternating-sign memory state
 and the 66-qubit preparation (object keys) from the kernel that still split
-off a last active key with slices and proved idle keys by bit summaries; a
-kernel change that moves one bit of one amplitude, or the order of the keys,
+off a last active key with slices and proved idle keys by bit summaries,
+and the masked preparation with the input coded as rotations from the
+kernel that still read its gate tables as qubit indices; a kernel change that moves one bit of one amplitude, or the order of the keys,
 changes them.
 """
 import hashlib
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from qamem.memory import build_dual_state, build_memory_operator, store_sequential
-from qamem.patterns import Pattern, PatternSet
+from qamem.patterns import Mask, Pattern, PatternSet
 from qamem.retrieval import amplitude_amplify, prepare_final_state
 
 
@@ -57,6 +58,11 @@ def wide_preparation():
     return prepare_final_state(ps, x, 2)
 
 
+def masked_rotation_preparation():
+    ps, x = pattern_set(7, 10, 128)
+    return prepare_final_state(ps, x, 3, Mask.of(*range(0, 10, 2)), use_input_register=False)
+
+
 def amplified():
     ps, x = pattern_set(4, 6, 16)
     return amplitude_amplify(ps, x, b=4, iterations=1).state
@@ -69,6 +75,7 @@ def amplified():
     (amplified, "3e33fa3a6b42dcc341b252928b2d08f673e1c03fd8ddca3118abf09b85ce5d67"),
     (dual_state, "289ba0b89a8657ae2c78e41e9e091adb3fdd0645c3e722e970f992eee5a8c04f"),
     (wide_preparation, "22bc2cc22ba80dedf687043c730899dc8c8543d44b78412884b8a6c428a8c7a5"),
+    (masked_rotation_preparation, "543d2172a4cc3057f91c757e9b3c8e3863aa877cfae22788fbac5e3ec5237b14"),
 ])
 def test_final_state_bytes(job, want):
     assert digest(job()) == want

@@ -80,9 +80,11 @@ class TestCircuitLayout:
                 base = build_memory_circuit(ps, alternate_signs)
                 moved = build_memory_circuit(ps, alternate_signs, layout)
                 assert base.layout == memory_layout(ps.n) and moved.layout == layout
-                q = base.qubits
-                assert np.array_equal(moved.qubits, np.where(q >= 0, q + offset, -1))
-                for column in ("kind", "param", "polarity"):
+                for column in ("tmask", "cmask", "cwant"):
+                    got, want = getattr(moved, column), getattr(base, column)
+                    assert got.dtype == layout.key_dtype
+                    assert got.tolist() == [m << offset for m in want.tolist()]
+                for column in ("kind", "param"):
                     assert getattr(moved, column).tobytes() == getattr(base, column).tobytes()
 
     def test_any_register_order(self):

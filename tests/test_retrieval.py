@@ -197,7 +197,7 @@ class TestRoundCircuit:
                 fold += retrieval_round_circuit(x, layout, c, mask)
             table = preparation_circuit(ps, x, layout, mask)
             assert table.layout == fold.layout
-            for column in ("kind", "qubits", "polarity"):
+            for column in ("kind", "tmask", "cmask", "cwant"):
                 got, want = getattr(table, column), getattr(fold, column)
                 assert got.dtype == want.dtype and np.array_equal(got, want)
             assert table.param.tobytes() == fold.param.tobytes()

@@ -1,3 +1,4 @@
+import cmath
 import itertools
 import math
 from collections.abc import Mapping
@@ -16,6 +17,7 @@ from qamem.retrieval import preparation_circuit, retrieval_layout, retrieval_rou
 from qamem.simulator import (
     FUSED_CELLS,
     KIND,
+    KINDS,
     PRUNE_THRESHOLD,
     Circuit,
     Gate,
@@ -38,6 +40,8 @@ from qamem.simulator import (
     section_marginal,
     toffoli_gate,
     xor_gate,
+    _matrix_forms,
+    _mixing_forms,
     _step,
 )
 
@@ -448,6 +452,20 @@ class TestPostselect:
         assert [postselect(s, "a", v)[0] for v in range(4)] == [0.0, 1.0, 0.0, 0.0]
         assert postselect(s, "a", 1)[1].amps == s.amps
         assert all(postselect(s, "a", v)[1] is None for v in (0, 2, 3))
+
+    @pytest.mark.parametrize("value", [1.5, 1.0, np.float64(1.0), None, 1j])
+    def test_value_not_an_integer(self, value):
+        """A value that is not an integer names no outcome: 1.5 read as a
+        valid outcome of probability 0, and 1.0 as 1."""
+        s = basis_state(RegisterLayout((("a", 2),)), "10")
+        with pytest.raises(SimulatorError, match=f"value .* for section 'a' is not an integer"):
+            postselect(s, "a", value)
+
+    def test_integral_values(self):
+        """Any integral value names an outcome: a bool reads as 0 or 1."""
+        s = basis_state(RegisterLayout((("a", 2),)), "10")
+        assert postselect(s, "a", True)[0] == postselect(s, "a", np.int64(1))[0] == 1.0
+        assert postselect(s, "a", False) == (0.0, None)
 
 
 class TestOverlap:
@@ -1298,3 +1316,284 @@ class TestFusedSegments:
         assert len(rows) == (0 if fused else 3)
         assert got.key_array.tolist() == want[0].tolist()
         assert got.amp_array.tobytes() == want[1].tobytes()
+
+
+# The index form of gate tables: what Circuit held before its rows were
+# masks, kept here as the reference that the mask check and the compiled
+# program must agree with.
+PARAM_KINDS = ("PHASE0", "CS", "ROTY")
+
+
+def index_columns(gates):
+    """(kind, qubits, param, polarity) of gates: the target and then the
+    controls of each row, padded with -1, and the polarity padded with 1."""
+    width = max((1 + len(g.controls) for g in gates), default=1)
+    qubits = [[*g.targets, *g.controls] + [-1] * (width - 1 - len(g.controls)) for g in gates]
+    polarity = [[1, *g.polarity] + [1] * (width - 1 - len(g.controls)) for g in gates]
+    return (
+        np.array([KIND[g.kind] for g in gates], dtype=np.int8),
+        np.array(qubits, dtype=np.int64).reshape(-1, width),
+        np.array([math.nan if g.param is None else float(g.param) for g in gates]),
+        np.array(polarity, dtype=np.uint8).reshape(-1, width),
+    )
+
+
+def reference_check(layout, kind, qubits, param, polarity):
+    """The index check: every row, then every qubit against the layout."""
+    if (kind.view(np.uint8) >= len(KINDS)).any():
+        raise SimulatorError("unknown gate kind code")
+    used = qubits >= 0
+    if (qubits < -1).any() or (used[:, 1:] > used[:, :-1]).any():
+        raise SimulatorError("negative qubit index")
+    if not used[:, 0].all():
+        raise SimulatorError("a gate needs a target")
+    ordered = np.sort(qubits, axis=1)
+    if ((ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, :-1] >= 0)).any():
+        raise SimulatorError("overlapping target/control indices")
+    needs = (kind == KIND["PHASE0"]) | (kind >= KIND["CS"])
+    cs = kind == KIND["CS"]
+    bad = (needs != ~np.isnan(param)) | (needs & ~np.isfinite(param))
+    if cs.any():
+        bad |= cs & ((np.abs(param) < 1) | (param != np.trunc(param)))
+    if bad.any():
+        r = int(bad.argmax())
+        if cs[r]:
+            raise SimulatorError("CS requires integer parameter i >= 1")
+        if needs[r]:
+            raise SimulatorError(f"{KINDS[kind[r]]} requires a finite real parameter")
+        raise SimulatorError(f"{KINDS[kind[r]]} takes no parameter")
+    n = layout.total
+    if qubits.max(initial=-1) >= n:
+        r = int((qubits >= n).any(axis=1).argmax())
+        name, value = KINDS[kind[r]], float(param[r])
+        target, *controls = [q for q in qubits[r].tolist() if q >= 0]
+        shown = "" if name not in PARAM_KINDS else f"({int(value) if name == 'CS' else value:g})"
+        ctrl = ",".join(str(c) for c in controls)
+        raise SimulatorError(f"gate {name}{shown} {ctrl} -> {target} out of range for N={n}")
+
+
+def reference_masks(layout, qubits, polarity):
+    """Target, control and wanted mask columns of index rows, each row's
+    qubits turned into bits and OR-reduced."""
+    used = qubits >= 0
+    if layout.key_dtype == object:
+        bits = np.zeros(qubits.shape, dtype=object)
+        bits[used] = [1 << q for q in qubits[used].tolist()]
+    else:
+        bits = np.left_shift(used, qubits, dtype=np.int64)
+    controls = bits[:, 1:]
+    return (
+        bits[:, 0],
+        np.bitwise_or.reduce(controls, axis=1),
+        np.bitwise_or.reduce(controls * polarity[:, 1:], axis=1),
+    )
+
+
+def reference_program(layout, kind, qubits, param, polarity):
+    """The kernel program derived from index columns (see
+    Circuit._program)."""
+    rows = len(kind)
+    tmask, cmask, cwant = reference_masks(layout, qubits, polarity)
+    mixing = (kind >= KIND["H"]) & ((kind != KIND["ROTY"]) | (param != 0))
+    starts = mixing & (cmask != 0)
+    run_end = np.zeros(rows, dtype=np.int64)
+    visited = np.ones(rows, dtype=bool)
+    if starts.any():
+        change = (cmask[1:] != cmask[:-1]) | (cwant[1:] != cwant[:-1])
+        ends = np.append(np.flatnonzero(change) + 1, rows)
+        condition = np.searchsorted(ends, np.arange(rows), side="right")
+        run_end = np.where(starts, ends[condition], 0)
+        visited = np.maximum.accumulate(np.where(starts, condition, -1)) < condition
+    code, targets, conditions = kind.tolist(), tmask.tolist(), cmask.tolist()
+    flips = visited & (kind <= KIND["NXOR"])
+    bounds = [0, *(np.flatnonzero(flips[1:] != flips[:-1]) + 1).tolist(), rows]
+    segment = [None] * rows
+    for begin, stop in zip(bounds, bounds[1:]):
+        if stop - begin < 2 or not flips[begin]:
+            continue
+        cuts, flipped = [begin], 0
+        for r in range(begin, stop):
+            if conditions[r] & flipped:
+                cuts.append(r)
+                flipped = 0
+            flipped |= targets[r]
+        cuts.append(stop)
+        for first, last in zip(cuts, cuts[1:]):
+            if last - first > 1:
+                span = slice(first, last)
+                segment[first] = (last, tmask[span, None], cmask[span, None], cwant[span, None])
+    values = param.tolist()
+    operand, scalar = [None] * rows, [None] * rows
+    for r in np.flatnonzero(kind == KIND["PHASE0"]).tolist():
+        operand[r] = cmath.exp(1j * values[r])
+    forms = {}
+    cs = kind == KIND["CS"]
+    if cs.any():
+        i = np.abs(param[cs])
+        s = np.copysign(1.0 / np.sqrt(i), param[cs])
+        c = np.sqrt((i - 1) / i)
+        matrices = np.empty((len(i), 2, 2))
+        matrices[:, 0, 0] = matrices[:, 1, 1] = c
+        matrices[:, 0, 1], matrices[:, 1, 0] = s, -s
+        matrices.flags.writeable = False
+        for r, matrix, entries in zip(np.flatnonzero(cs).tolist(), matrices, matrices.tolist()):
+            forms[KIND["CS"], values[r]] = _matrix_forms(matrix, entries)
+    for r in np.flatnonzero(mixing).tolist():
+        key = (code[r], values[r]) if code[r] != KIND["H"] else KIND["H"]
+        form = forms.get(key)
+        if form is None:
+            form = forms[key] = _mixing_forms(code[r], values[r])
+        operand[r], scalar[r] = form
+    return code, targets, conditions, cwant.tolist(), operand, run_end.tolist(), scalar, segment
+
+
+def canonical(value):
+    """A program part as nested tuples: types, dtypes, shapes and bytes
+    (the digits of object arrays), so that equal means bit for bit."""
+    if isinstance(value, np.ndarray):
+        data = repr(value.tolist()) if value.dtype == object else value.tobytes()
+        return ("array", str(value.dtype), value.shape, data)
+    if isinstance(value, (list, tuple)):
+        return (type(value).__name__, tuple(canonical(v) for v in value))
+    return (type(value).__name__, repr(value))
+
+
+# each row: valid, or with one fault of these
+ROW_FAULTS = (
+    "duplicate", "target as control", "out of range", "gap", "no target", "below -1", "param", "kind",
+)
+
+
+@st.composite
+def index_tables(draw):
+    """(layout, kind, qubits, param, polarity): index rows on an int64
+    layout or on one past 63 qubits, narrow rows of one to three qubits and
+    wide rows of up to 12, each valid or with one of ROW_FAULTS (a qubit
+    past the layout may lie past bit 63 of an int64 layout)."""
+    n = draw(st.integers(2, 63) | st.integers(64, 70))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        size = draw(st.integers(1, min(n, 3)) | st.integers(1, min(n, 12)))
+        qubits = draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size, unique=True))
+        polarity = [1, *draw_polarity(draw, size - 1)]
+        kind = draw(st.integers(0, len(KINDS) - 1))
+        name = KINDS[kind]
+        param = math.nan
+        if name == "CS":
+            param = float(draw(st.integers(1, 5)) * draw(st.sampled_from((1, -1))))
+        elif name in PARAM_KINDS:
+            param = draw(ANGLES)
+        fault = draw(st.sampled_from((None, None, None) + ROW_FAULTS))
+        at = draw(st.integers(0, size - 1))
+        if fault == "duplicate" and size > 1:
+            qubits[at] = qubits[(at + draw(st.integers(1, size - 1))) % size]
+        elif fault == "target as control" and size > 1:
+            qubits[max(at, 1)] = qubits[0]
+        elif fault == "out of range":
+            qubits[at] = draw(st.integers(n, n + 80))
+        elif fault == "gap":
+            qubits.insert(max(at, 1), -1)
+            polarity.insert(max(at, 1), 1)
+        elif fault == "no target":
+            qubits = [-1] * size
+        elif fault == "below -1":
+            qubits[at] = draw(st.integers(-2**63, -2))
+        elif fault == "param":
+            if name == "CS":
+                param = draw(st.sampled_from((0.0, 0.5, -2.5, math.nan, math.inf)))
+            elif name in PARAM_KINDS:
+                param = draw(st.sampled_from((math.nan, math.inf, -math.inf)))
+            else:
+                param = draw(ANGLES)
+        elif fault == "kind":
+            kind = draw(st.integers(len(KINDS), 127) | st.integers(-128, -1))
+        rows.append((kind, qubits, param, polarity))
+    width = max(len(q) for _, q, _, _ in rows)
+    return (
+        flat_layout(n),
+        np.array([k for k, _, _, _ in rows], dtype=np.int8),
+        np.array([q + [-1] * (width - len(q)) for _, q, _, _ in rows], dtype=np.int64),
+        np.array([p for _, _, p, _ in rows]),
+        np.array([v + [1] * (width - len(v)) for _, _, _, v in rows], dtype=np.uint8),
+    )
+
+
+def refusal(build, *args):
+    """The message a builder refuses its arguments with, or None."""
+    try:
+        build(*args)
+    except SimulatorError as error:
+        return str(error)
+    return None
+
+
+class TestMaskTables:
+    """A table holds masks; its check and program are those the index form
+    of the same rows gets."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(case=index_tables())
+    def test_mask_check_refuses_as_the_index_check(self, case):
+        """from_table refuses exactly the tables the index check refuses,
+        with its message; a valid table's masks are the index rows' bits,
+        and its rows come back from their gates as the same columns."""
+        want = refusal(reference_check, *case)
+        assert refusal(Circuit.from_table, *case) == want
+        if want is not None:
+            return
+        layout, _, qubits, _, polarity = case
+        circuit = Circuit.from_table(*case)
+        masks = (circuit.tmask, circuit.cmask, circuit.cwant)
+        for got, expected in zip(masks, reference_masks(layout, qubits, polarity)):
+            assert got.dtype == expected.dtype == layout.key_dtype
+            assert got.tolist() == expected.tolist()
+        again = Circuit(circuit.gates, layout)
+        assert again.gates == circuit.gates
+        for column in ("kind", "tmask", "cmask", "cwant", "param"):
+            got, expected = getattr(again, column), getattr(circuit, column)
+            assert got.dtype == expected.dtype
+            assert canonical(got) == canonical(expected)
+
+    def test_messages(self):
+        """The check's own messages, for rows that only masks can hold."""
+        layout = flat_layout(4)
+        ones = np.ones(1, dtype=np.int64)
+        cases = [
+            ((0b11, 0, 0), "a gate needs exactly one target"),
+            ((0, 0, 0), "a gate needs exactly one target"),
+            ((0b1, 0b11, 0b10), "overlapping target/control indices"),
+            ((0b1, 0b10, 0b110), "wanted control values outside the controls"),
+            ((0b1, 0b10000, 0), r"gate NOT 4 -> 0 out of range for N=4"),
+        ]
+        for masks, match in cases:
+            with pytest.raises(SimulatorError, match=match):
+                Circuit.from_masks(layout, [KIND["NOT"]], *(ones * m for m in masks))
+
+    @pytest.mark.parametrize("job", [
+        "memory", "dual", "sequential", "preparation", "masked", "rotations", "masked rotations", "wide",
+    ])
+    def test_program_equals_index_derivation(self, job):
+        """The compiled program of each builder's table, at the benchmark's
+        sizes, is the one derived from the index columns of the same
+        circuit built Gate by Gate, bit for bit."""
+        rng = np.random.default_rng(26)
+        n, p = {"memory": (12, 128), "dual": (12, 128), "sequential": (9, 64), "wide": (31, 16)}.get(job, (10, 128))
+        keys = rng.choice(2**n, size=p + 1, replace=False).tolist()
+        ps = PatternSet(tuple(Pattern.from_key(k, n) for k in keys[:p]))
+        x = Pattern.from_key(keys[p], n)
+        if job in ("memory", "dual"):
+            table, gates = build_memory_circuit(ps, job == "dual"), memory_gates(ps, job == "dual")
+        elif job == "sequential":
+            table, gates = sequential_circuit(ps)[0], [g for block in sequential_blocks(ps) for g in block]
+        else:
+            b = 2 if job == "wide" else 3
+            mask = Mask.of(*range(0, n, 2)) if "masked" in job else None
+            layout = retrieval_layout(n, b, use_input_register="rotations" not in job)
+            offset = layout.offset("memory")
+            table = preparation_circuit(ps, x, layout, mask)
+            gates = [shifted_gate(g, offset) for g in memory_gates(ps)]
+            for c in range(b):
+                gates += round_gates(x, layout, c, mask)
+        assert (job == "wide") == (table.layout.key_dtype == object)
+        want = reference_program(table.layout, *index_columns(gates))
+        assert canonical(table._program()) == canonical(want)
