@@ -25,6 +25,7 @@ on the bit matrix.
 """
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -209,6 +210,8 @@ class Mask:
     def __post_init__(self):
         if not self.known:
             raise PatternError("mask must be non-empty")
+        if not all(isinstance(i, numbers.Integral) for i in self.known):
+            raise PatternError("mask indices must be integers")
         if any(i < 0 for i in self.known):
             raise PatternError("mask indices must be non-negative")
 

@@ -25,14 +25,13 @@ columns, a kind code, the target mask, the control mask, the wanted-control
 mask (the controls that must hold 1) and the parameter, the masks of the
 layout's key dtype.  The builders in :mod:`qamem.memory` and
 :mod:`qamem.retrieval` write whole tables of masks with numpy from a
-pattern set's bit matrix, each on the layout it is given; ``inverse()``
-reverses the rows and negates the parameters.  :class:`Gate` is the one
-public constructor and validator of a row and the view
-:attr:`Circuit.gates` gives of one; a gate, a circuit built from gates, a
-table of qubit indices and a table written with numpy go through the same
-row check, :func:`_check_table`, O(rows) over the masks: one target bit,
-controls clear of it and inside the layout, wanted values inside the
-controls, and the parameter rules below.
+pattern set's bit matrix, each on the layout it is given, through
+:meth:`Circuit.from_masks`; ``inverse()`` reverses the rows and negates the
+parameters.  :class:`Gate` is one row as an object and the view
+:attr:`Circuit.gates` gives of one; a gate, a circuit built from gates and
+a table of masks go through the same row check, :func:`_check_table`,
+O(rows) over the masks: one target bit, controls clear of it and inside the
+layout, wanted values inside the controls, and the parameter rules below.
 
 The kernel runs a circuit on the ``(key_array, amp_array)`` pair from a
 program derived once per circuit: each row's target and control masks
@@ -105,7 +104,7 @@ Marginals, post-selection and grouping read a section's value for all keys
 at once from the layout's precomputed offsets.  ``state.amps`` is a
 read-only ``{key: amplitude}`` mapping with Python ``int`` keys and
 ``complex`` values, built on first use; ``SparseState(layout, mapping)``
-builds a state from such a mapping, whose keys must lie in the layout.
+builds a state from such a mapping, whose keys must be integers in the layout.
 
 Gate set (the kinds the circuits of :mod:`qamem.memory` and
 :mod:`qamem.retrieval` are built from); every gate has one target and may
@@ -175,6 +174,8 @@ class RegisterLayout:
         names = [name for name, _ in self.sections]
         if len(set(names)) != len(names):
             raise SimulatorError("duplicate section names")
+        if not all(isinstance(w, numbers.Integral) for _, w in self.sections):
+            raise SimulatorError("section widths must be integers")
         if any(w < 0 for _, w in self.sections):
             raise SimulatorError("section widths must be >= 0")
         spans, off = {}, 0
@@ -336,12 +337,7 @@ def _row_gate(code: int, tmask: int, cmask: int, cwant: int, value: float) -> Ga
     return Gate._checked_row(KINDS[code], (target,), controls, param, polarity)
 
 
-def _check_kinds(kind) -> None:
-    if (kind.view(np.uint8) >= len(KINDS)).any():
-        raise SimulatorError("unknown gate kind code")
-
-
-def _check_table(total, kind, tmask, cmask, cwant, param, given=None, gate=None):
+def _check_table(total, kind, tmask, cmask, cwant, param, given=None):
     """The one validity check of gate rows, O(rows) over the mask columns.
 
     Each row's target mask is a single bit and its control mask is clear
@@ -350,10 +346,10 @@ def _check_table(total, kind, tmask, cmask, cwant, param, given=None, gate=None)
     parameter of the wrong type arrives as NaN): CS, PHASE0 and ROTY have a
     finite real parameter, CS a nonzero integer one, and the other kinds
     have none.  With ``total`` set, every mask lies in qubits 0..total - 1;
-    the error names the first row past it as ``gate(r)`` gives it (by
-    default its :class:`Gate` view).
+    the error names the first row past it by its :class:`Gate` view.
     """
-    _check_kinds(kind)
+    if (kind.view(np.uint8) >= len(KINDS)).any():
+        raise SimulatorError("unknown gate kind code")
     if not ((tmask > 0) & ((tmask & (tmask - 1)) == 0)).all():
         raise SimulatorError("a gate needs exactly one target")
     if ((tmask & cmask) != 0).any():
@@ -378,17 +374,9 @@ def _check_table(total, kind, tmask, cmask, cwant, param, given=None, gate=None)
         outside = ((tmask | cmask) >> total) != 0
         if outside.any():
             r = int(outside.argmax())
-            if gate is None:
-                masks = (int(tmask[r]), int(cmask[r]), int(cwant[r]))
-                row = _row_gate(int(kind[r]), *masks, float(param[r]))
-            else:
-                row = gate(r)
+            masks = (int(tmask[r]), int(cmask[r]), int(cwant[r]))
+            row = _row_gate(int(kind[r]), *masks, float(param[r]))
             raise SimulatorError(f"gate {row.dump()} out of range for N={total}")
-
-
-def gate_matrix(gate: Gate):
-    """2x2 matrix of a single-target gate (rows/cols ordered |0>, |1>)."""
-    return _single_qubit_matrix(gate.kind, gate.param)
 
 
 def _single_qubit_matrix(kind: str, param):
@@ -407,44 +395,7 @@ def _single_qubit_matrix(kind: str, param):
         return ((c, -s), (s, c))
     if kind == "PHASE0":
         return ((cmath.exp(1j * param), 0.0), (0.0, 1.0))
-    if kind == "NOT":
-        return ((0.0, 1.0), (1.0, 0.0))
     raise SimulatorError(f"{kind} has no single-qubit matrix")
-
-
-def not_gate(target: int) -> Gate:
-    return Gate("NOT", (target,))
-
-
-def h_gate(target: int) -> Gate:
-    return Gate("H", (target,))
-
-
-def xor_gate(control: int, target: int) -> Gate:
-    return Gate("XOR", (target,), (control,))
-
-
-def toffoli_gate(c1: int, c2: int, target: int) -> Gate:
-    return Gate("TOFFOLI", (target,), (c1, c2))
-
-
-def nxor_gate(controls, target: int, polarity=None) -> Gate:
-    return Gate("NXOR", (target,), tuple(controls), polarity=polarity)
-
-
-def cs_gate(i: int, control: int, target: int, inverse: bool = False) -> Gate:
-    g = Gate("CS", (target,), (control,), param=i)
-    return g.inverse() if inverse else g
-
-
-def phase0_gate(theta: float, target: int, control: int | None = None) -> Gate:
-    controls = () if control is None else (control,)
-    return Gate("PHASE0", (target,), controls, param=theta)
-
-
-def roty_gate(angle: float, target: int, control: int | None = None) -> Gate:
-    controls = () if control is None else (control,)
-    return Gate("ROTY", (target,), controls, param=angle)
 
 
 class Circuit:
@@ -461,10 +412,10 @@ class Circuit:
 
     The masks have the layout's key dtype: ``int64`` up to 63 qubits,
     Python ints (an object array) past that.  :meth:`from_masks` takes the
-    columns as written, ``Circuit(gates, layout)`` reads them from
-    :class:`Gate` objects and :meth:`from_table` from qubit indices; each
-    runs the one row check, :func:`_check_table`, which also checks every
-    mask against the layout.  :attr:`gates` views the rows as gates.
+    columns as written and ``Circuit(gates, layout)`` reads them from
+    :class:`Gate` objects; both run the one row check, :func:`_check_table`,
+    which also checks every mask against the layout.  :attr:`gates` views
+    the rows as gates.
     """
 
     __slots__ = ("layout", "kind", "tmask", "cmask", "cwant", "param", "_gates", "_prog")
@@ -483,34 +434,6 @@ class Circuit:
         tmask, cmask, cwant = (np.asarray(m, dtype=layout.key_dtype) for m in (tmask, cmask, cwant))
         param = np.full(len(kind), math.nan) if param is None else np.asarray(param, dtype=np.float64)
         _check_table(layout.total, kind, tmask, cmask, cwant, param)
-        return cls._make(layout, kind, tmask, cmask, cwant, param)
-
-    @classmethod
-    def from_table(
-        cls, layout: RegisterLayout, kind, qubits, param=None, polarity=None
-    ) -> "Circuit":
-        """A circuit from qubit indices: ``qubits`` is (rows, width), the
-        target and then the controls of each row, padded with -1, and
-        ``polarity`` (rows, width) the value each control must hold (column
-        0 and the padding unused; all ones by default).  The indices become
-        masks, which go through the same check as a :class:`Gate`."""
-        kind = np.asarray(kind, dtype=np.int8)
-        qubits = np.asarray(qubits, dtype=np.int64).reshape(len(kind), -1)
-        param = np.full(len(kind), math.nan) if param is None else np.asarray(param, dtype=np.float64)
-        if polarity is None:
-            polarity = np.ones(qubits.shape, dtype=np.uint8)
-        polarity = np.asarray(polarity, dtype=np.uint8)
-        _check_kinds(kind)
-        tmask, cmask, cwant = _index_masks(layout, qubits, polarity)
-
-        def row(r: int) -> Gate:
-            """Row r as given, its controls in table order."""
-            target, *controls = [q for q in qubits[r].tolist() if q >= 0]
-            view = _row_gate(int(kind[r]), 1 << target, 0, 0, float(param[r]))
-            values = tuple(polarity[r, 1 : 1 + len(controls)].tolist())
-            return Gate._checked_row(view.kind, view.targets, tuple(controls), view.param, values)
-
-        _check_table(layout.total, kind, tmask, cmask, cwant, param, gate=row)
         return cls._make(layout, kind, tmask, cmask, cwant, param)
 
     @classmethod
@@ -562,14 +485,13 @@ class Circuit:
     def join(circuits) -> "Circuit":
         """The rows of one or more circuits on one layout, in order, with
         each column built in one concatenation."""
+        if not circuits:
+            raise SimulatorError("no circuits to join")
         layout = circuits[0].layout
         if any(c.layout != layout for c in circuits):
             raise SimulatorError("cannot concatenate circuits on different layouts")
         columns = zip(*(c._columns() for c in circuits))
         return Circuit._make(layout, *(np.concatenate(column) for column in columns))
-
-    def dump(self) -> str:
-        return "".join(g.dump() + "\n" for g in self.gates)
 
     def _program(self):
         """What the kernel reads, derived once: per-row lists of the kind
@@ -584,37 +506,6 @@ class Circuit:
         if self._prog is None:
             self._prog = _compile(self)
         return self._prog
-
-
-def _index_masks(layout: RegisterLayout, qubits, polarity):
-    """The target, control and wanted mask columns of index rows (see
-    :meth:`Circuit.from_table`).
-
-    This refuses what masks cannot hold: a negative index, a gap in a
-    row's indices, a row with no target and a qubit twice in a row.  The
-    masks take the layout's key dtype, or Python ints when a qubit lies
-    past the layout, for the range check to name it.
-    """
-    used = qubits >= 0
-    if (qubits < -1).any() or (used[:, 1:] > used[:, :-1]).any():
-        raise SimulatorError("negative qubit index")
-    if not used[:, 0].all():
-        raise SimulatorError("a gate needs a target")
-    if layout.key_dtype == object or qubits.max(initial=-1) >= layout.total:
-        bits = np.zeros(qubits.shape, dtype=object)
-        bits[used] = [1 << q for q in qubits[used].tolist()]
-    else:
-        bits = np.left_shift(used, qubits, dtype=np.int64)  # 0 on the padding
-    tmask = bits[:, 0].copy()
-    cmask, cwant = np.zeros_like(tmask), np.zeros_like(tmask)
-    repeated = np.zeros(len(tmask), dtype=bool)
-    for bit, value in zip(bits[:, 1:].T, polarity[:, 1:].T.astype(bool)):
-        repeated |= ((tmask | cmask) & bit) != 0
-        cmask |= bit
-        cwant |= np.where(value, bit, 0)
-    if repeated.any():
-        raise SimulatorError("overlapping target/control indices")
-    return tmask, cmask, cwant
 
 
 def _compile(circuit: Circuit):
@@ -717,6 +608,8 @@ class SparseState:
 
     def __init__(self, layout: RegisterLayout, amps: Mapping | None = None):
         amps = {} if amps is None else amps
+        if not all(isinstance(key, numbers.Integral) for key in amps):
+            raise SimulatorError("state keys must be integers")
         if any(key < 0 or key >> layout.total for key in amps):
             raise SimulatorError(f"state keys must lie in 0..2^{layout.total} - 1")
         self._set(
@@ -775,9 +668,9 @@ def basis_state(layout: RegisterLayout, bits) -> SparseState:
         raise SimulatorError(f"expected {layout.total} bits, got {len(bits)}")
     key = 0
     for j, b in enumerate(bits):
-        if b not in (0, 1):
+        if not isinstance(b, numbers.Integral) or b not in (0, 1):
             raise SimulatorError("bits must be 0/1")
-        key |= b << j
+        key |= int(b) << j
     return SparseState(layout, {key: 1.0 + 0.0j})
 
 
@@ -992,16 +885,6 @@ def apply_circuit(state: SparseState, circuit: Circuit) -> SparseState:
         raise SimulatorError("circuit layout does not match state layout")
     keys, amps = _run(state.key_array, state.amp_array, circuit._program())
     return SparseState.from_arrays(state.layout, keys, amps)
-
-
-def overlap(a: SparseState, b: SparseState) -> complex:
-    """Inner product <a|b>."""
-    if a.layout != b.layout:
-        raise SimulatorError("layout mismatch in overlap")
-    _, ia, ib = np.intersect1d(
-        a.key_array, b.key_array, assume_unique=True, return_indices=True
-    )
-    return complex(np.sum(a.amp_array[ia].conj() * b.amp_array[ib]))
 
 
 def section_marginal(state: SparseState, section: str) -> dict[int, float]:

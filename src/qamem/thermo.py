@@ -27,6 +27,7 @@ gallop-and-bisect search, so a good start costs two O(n) evaluations.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,6 +94,12 @@ def _check_b(b: float) -> None:
         raise ThermoError(f"b must be finite and > 0, with 2b finite; got {b}")
 
 
+def _check_integers(d, n) -> None:
+    """Reject a d or n that is not an integer: the levels are j = d..n."""
+    if not (isinstance(d, numbers.Integral) and isinstance(n, numbers.Integral)):
+        raise ThermoError(f"d and n must be integers, got d={d}, n={n}")
+
+
 class _Levels:
     """The energy levels E_j = -2 log cos(pi*j/2n), j = d..n-1, of one (d, n).
 
@@ -101,6 +108,7 @@ class _Levels:
     """
 
     def __init__(self, d: int, n: int):
+        _check_integers(d, n)
         if d < 0 or d > n:
             raise ThermoError(f"need 0 <= d <= n, got d={d}")
         if d == n:
@@ -222,6 +230,7 @@ def _continuum_log_avg(b: float, x0: float) -> float:
 
 def partition_avg(b: float, d: int, n: int, mode: str = "discrete") -> float:
     """Averaged partition function per pattern."""
+    _check_integers(d, n)
     if d < 0 or d > n or b < 0:
         raise ThermoError(f"invalid range: b={b}, d={d}, n={n}")
     if mode not in ("discrete", "continuum"):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from gates import overlap
 from qamem.memory import (
     MEMORY_AMPLITUDE_TOL,
     build_dual_state,
@@ -22,7 +23,6 @@ from qamem.simulator import (
     SparseState,
     apply_circuit,
     basis_state,
-    overlap,
 )
 
 

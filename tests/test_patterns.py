@@ -135,6 +135,10 @@ class TestMasked:
             Mask.of(-1)
         with pytest.raises(PatternError):
             Mask.of(5).validate(3)
+        for index in (1.5, 2.0, np.float64(1.0), "1"):
+            with pytest.raises(PatternError, match="mask indices must be integers"):
+                Mask.of(0, index)
+        assert Mask.of(np.int64(2)) == Mask.of(2)
 
 
 class TestCorrupt:

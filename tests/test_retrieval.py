@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from gates import zero_flip
 from qamem import retrieval
 from qamem.patterns import (
     Mask,
@@ -47,7 +48,6 @@ from qamem.simulator import (
     section_marginal,
 )
 from test_simulator import memory_gates, shifted_gate
-from zero_flip import zero_flip
 
 
 def P(s):

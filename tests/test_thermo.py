@@ -193,6 +193,11 @@ class TestPartition:
             for mode in ("discrete", "continuum"):
                 with pytest.raises(ThermoError, match="2b finite"):
                     partition_avg(b, 3, 10, mode=mode)
+        # d and n must be integers, at the b = 0 and d = n early returns too
+        for b, d, n in ((0.0, 1, 10.5), (1.0, 10.5, 10.5), (1.0, 0.5, 10)):
+            for mode in ("discrete", "continuum"):
+                with pytest.raises(ThermoError, match="d and n must be integers"):
+                    partition_avg(b, d, n, mode=mode)
 
 
 class TestPotentials:
@@ -262,6 +267,10 @@ class TestPotentials:
             potentials(1.0, 10, 10)
         with pytest.raises(ThermoError, match="need 0 <= d <= n, got d=11"):
             potentials(1.0, 11, 10)
+        for d, n in ((0.5, 10), (1, 10.5), (np.float64(2.0), 10)):
+            with pytest.raises(ThermoError, match="d and n must be integers"):
+                potentials(1.0, d, n)
+        assert potentials(1.0, np.int64(5), np.int64(10)) == potentials(1.0, 5, 10)
 
     def test_free_energy_overflow_refused(self):
         """Z_ratio tends to (n-d)/(n-d+1) as b -> 0, so F = -log Z / b
@@ -317,6 +326,9 @@ class TestScan:
                 scan_transition(d_over_n, 1000, [1.0])
         with pytest.raises(ThermoError, match="n must be >= 1"):
             scan_transition(0.1, 0, [1.0])
+        # 10 levels summed over n - d + 1 = 10.5 gave a Z_ratio of 0.4524
+        with pytest.raises(ThermoError, match="d and n must be integers"):
+            scan_transition(0.1, 10.5, [1.0])
 
     def test_csv_shape(self):
         scan = scan_transition(0.1, 1000, [0.5, 5.0, 50.0])
@@ -369,6 +381,8 @@ class TestTune:
             tune(0.5, 1.5, 100)
         with pytest.raises(ThermoError, match="n must be >= 1, got -5"):
             tune(0.1, 0.5, -5)
+        with pytest.raises(ThermoError, match="d and n must be integers"):
+            tune(0.1, 0.9, 100.5)
 
     def test_answer_above_two_to_the_23(self):
         # nu is the continuum's target at b = 9e6 for d = 0; the largest b a
