@@ -38,6 +38,9 @@ ROOT_XTOL = 4e-16
 #: the (0.2, 0.01) probe reaches the weak-retrieval branch at large coupling
 #: (overlap ~ 0.165 near Jt = 9) that the full-overlap probes overshoot
 PROBES = ((1.0, 0.01), (0.5, 0.1), (0.2, 0.01), (0.0, 0.1), (0.0, 0.0))
+#: each probe's solution label, converged and not
+_LABELS = tuple(f"m={m0:g},r={r0:g}" for m0, r0 in PROBES)
+_UNCONVERGED = tuple(label + " (not converged)" for label in _LABELS)
 #: _iterate finishes on Python floats once at most this many pairs are
 #: active.  A lockstep iteration costs about 40 us however few pairs it
 #: holds, a float pair-iteration 1 to 2 us, so the floats cost less below
@@ -47,6 +50,10 @@ SCALAR_PAIRS = 20
 #: iterate_finite and residual refuse a start whose exponent -2(Jt)^2 alpha r
 #: is above this, where exp(-8(Jt)^2 alpha r) = exp(708) still fits a float
 MAX_EXPONENT = 177.0
+#: most cells of one phase scan; a cell (its parameters, its five probes'
+#: solutions and labels, its CSV row) holds about 2 KB, so a scan at the
+#: limit peaks near 200 MB
+MAX_PHASE_CELLS = 10**5
 
 
 class MeanFieldError(ValueError):
@@ -331,33 +338,13 @@ def residual(params: MfParams, sol: OrderParameters) -> float:
 def solve_single(Jt: float, g_over_J: float = 0.0, M_ext: float = 0.0) -> list[float]:
     """Stable overlaps of the single-pattern equation m = sin(2Jt(m + (g/J)M)).
 
-    Roots are located by sign-change bracketing on [-1, 1], and every
-    bracket is bisected at once until it is at most ``ROOT_XTOL`` wide; a
-    root is stable when |2Jt cos(2Jt(m + (g/J)M))| < 1.
+    A root is stable when |2Jt cos(2Jt(m + (g/J)M))| < 1; the roots are
+    those of :func:`_roots`.
     """
     _check_coupling(Jt, g_over_J, M_ext)
     offset = g_over_J * M_ext
-
-    def f(m):
-        return np.sin(2.0 * Jt * (m + offset)) - m
-
-    xs = np.linspace(-1.0, 1.0, ROOT_GRID + 1)
-    vals = f(xs)
-    roots = list(xs[:-1][vals[:-1] == 0.0])
-    bracket = vals[:-1] * vals[1:] < 0
-    lo, hi = xs[:-1][bracket], xs[1:][bracket]
-    side = np.sign(vals[:-1][bracket])
-    while np.any(hi - lo > ROOT_XTOL):
-        mid = (lo + hi) / 2
-        sign = np.sign(f(mid)) * side
-        lo = np.where(sign >= 0, mid, lo)
-        hi = np.where(sign <= 0, mid, hi)
-    roots += list((lo + hi) / 2)
-    if vals[-1] == 0.0:
-        roots.append(1.0)
-
     stable: list[float] = []
-    for m in sorted(map(float, roots)):
+    for m in _roots(Jt, offset):
         if any(abs(m - s) < 1e-9 for s in stable):
             continue
         slope = 2.0 * Jt * math.cos(2.0 * Jt * (m + offset))
@@ -366,17 +353,48 @@ def solve_single(Jt: float, g_over_J: float = 0.0, M_ext: float = 0.0) -> list[f
     return stable
 
 
+def _roots(Jt: float, offset: float) -> list[float]:
+    """The roots of sin(2Jt(m + offset)) - m on [-1, 1], ascending.
+
+    They are located by sign-change bracketing on ``ROOT_GRID`` steps, and
+    the brackets are bisected on Python floats in rounds, each halving
+    every bracket, until all are at most ``ROOT_XTOL`` wide.  math.sin
+    rounds as np.sin does (``TestLibmAgreement`` in the tests checks it), so
+    the roots are those of a bisection of all brackets at once in arrays.
+    """
+    xs = np.linspace(-1.0, 1.0, ROOT_GRID + 1)
+    vals = np.sin(2.0 * Jt * (xs + offset)) - xs
+    roots = xs[:-1][vals[:-1] == 0.0].tolist()
+    bracket = vals[:-1] * vals[1:] < 0
+    lo, hi = xs[:-1][bracket].tolist(), xs[1:][bracket].tolist()
+    side = np.sign(vals[:-1][bracket]).tolist()  # f's sign at lo: +1 or -1
+    sin, two_jt = math.sin, 2.0 * Jt
+    while any(b - a > ROOT_XTOL for a, b in zip(lo, hi)):
+        for k, (a, b, s) in enumerate(zip(lo, hi, side)):
+            mid = (a + b) / 2
+            sign = (sin(two_jt * (mid + offset)) - mid) * s
+            if sign >= 0:
+                lo[k] = mid
+            if sign <= 0:
+                hi[k] = mid
+    roots += [(a + b) / 2 for a, b in zip(lo, hi)]
+    if vals[-1] == 0.0:
+        roots.append(1.0)
+    return sorted(roots)
+
+
 def _classify(params: MfParams, m, r, converged, stop: int) -> PhaseCell:
     """Phase of one cell from the iterates of its probes (see classify_phase)."""
     solutions: list[tuple[OrderParameters, str]] = []
     any_converged = False
     retrieval = False
     glassy = False
-    for (m0, r0), sol_m, sol_r, ok in zip(PROBES[:stop], m, r, converged):
-        label = f"m={m0:g},r={r0:g}"
+    for (m0, _), label, unconverged, sol_m, sol_r, ok in zip(
+        PROBES[:stop], _LABELS, _UNCONVERGED, m, r, converged
+    ):
         sol = OrderParameters(sol_m, sol_r)
         if not ok:
-            solutions.append((sol, label + " (not converged)"))
+            solutions.append((sol, unconverged))
             continue
         solutions.append((sol, label))
         any_converged = True
@@ -463,13 +481,19 @@ class PhaseDiagram:
 
 
 def scan_phase_diagram(alpha_grid, Jt_grid) -> PhaseDiagram:
-    """Classify every (alpha, Jt) cell of an ascending rectangular grid.
+    """Classify every (alpha, Jt) cell of an ascending rectangular grid of
+    at most :data:`MAX_PHASE_CELLS` cells.
 
     All (cell, probe) pairs iterate together; each cell gets what
     classify_phase would give it.
     """
     alpha_grid = tuple(float(a) for a in alpha_grid)
     jt_grid = tuple(float(j) for j in Jt_grid)
+    if len(alpha_grid) * len(jt_grid) > MAX_PHASE_CELLS:
+        raise MeanFieldError(
+            f"a {len(alpha_grid)} x {len(jt_grid)} grid has more than "
+            f"{MAX_PHASE_CELLS} cells"
+        )
     for grid, name in ((alpha_grid, "alpha"), (jt_grid, "Jt")):
         if not grid:
             raise MeanFieldError(f"empty {name} grid")

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .patterns import Pattern, PatternSet
+from .patterns import Pattern, PatternSet, patterns_from_keys
 from .simulator import (
     KIND,
     Circuit,
@@ -254,11 +254,8 @@ def store_sequential(
 def memory_register_amplitudes(state: SparseState) -> dict[Pattern, complex]:
     """Memory-register amplitudes of a storage state's utility = |00>
     component, keyed by pattern (equal keys summed)."""
-    n = state.layout.width("memory")
     values, amps = _stored_component(state)
-    return {
-        Pattern.from_key(v, n): amp for v, amp in zip(values.tolist(), amps.tolist())
-    }
+    return dict(zip(patterns_from_keys(values, state.layout.width("memory")), amps.tolist()))
 
 
 def _stored_component(state: SparseState):

@@ -15,7 +15,8 @@ Conventions used throughout the package:
 * classical +-1 spins map to bits as ``s = 2*bit - 1``.
 
 :class:`Pattern` applies them in ``as_key``, ``from_key``, ``to_spins``
-and ``from_spins``.  Other modules apply them on their own:
+and ``from_spins``, and :func:`patterns_from_keys` as ``from_key`` does.
+Other modules apply them on their own:
 :func:`qamem.simulator.basis_state`, :func:`qamem.simulator.postselect`
 (given a bit string) and :func:`qamem.retrieval.prepare_final_state` put
 bit j on qubit j, the circuit builders of :mod:`qamem.memory` and
@@ -105,10 +106,13 @@ class Pattern:
 
     @classmethod
     def from_key(cls, key: int, n: int) -> "Pattern":
-        """Inverse of :meth:`as_key` for an n-bit pattern."""
+        """Inverse of :meth:`as_key` for an n-bit pattern; the key must lie
+        in [0, 2^n)."""
         if n < 1:
             return cls(())  # refused: a pattern has length >= 1
         key = operator.index(key)
+        if key < 0 or key >> n:
+            raise PatternError(f"key {key} out of range for a {n}-bit pattern")
         return cls._of_bits(tuple((key >> j) & 1 for j in range(n)))
 
     def complement(self) -> "Pattern":
@@ -121,6 +125,20 @@ class Pattern:
     @classmethod
     def from_spins(cls, spins) -> "Pattern":
         return cls(tuple((int(s) + 1) // 2 for s in spins))
+
+
+def patterns_from_keys(keys, n: int) -> tuple[Pattern, ...]:
+    """The n-bit patterns of an array of keys in [0, 2^n), in order, as
+    :meth:`Pattern.from_key` gives them, read in one shift-and-mask pass
+    over the keys: as ``int64`` up to n = 62, as Python ints (an object
+    array) past it."""
+    if n < 1:
+        raise PatternError("pattern must have length >= 1")
+    keys = np.asarray(keys, dtype=np.int64 if n <= 62 else object)
+    if ((keys >> n) != 0).any():
+        raise PatternError(f"keys out of range for {n}-bit patterns")
+    bits = (keys[:, None] >> np.arange(n)) & 1
+    return tuple(map(Pattern._of_bits, map(tuple, bits.tolist())))
 
 
 class PatternSet:

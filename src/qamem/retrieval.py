@@ -40,7 +40,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .patterns import Mask, Pattern, PatternError, PatternSet
+from .patterns import Mask, Pattern, PatternError, PatternSet, patterns_from_keys
 from .memory import build_memory_circuit, memory_gate_count
 from .simulator import (
     KIND,
@@ -311,7 +311,7 @@ def simulate_distribution(
     from the prepared state by :func:`_postselected`."""
     state = prepare_final_state(pattern_set, input_pattern, b, mask, use_input_register)
     p_rec, values, probs = _postselected(state)
-    support = tuple(Pattern.from_key(v, pattern_set.n) for v in values.tolist())
+    support = patterns_from_keys(values, pattern_set.n)
     return Distribution(p_rec, pattern_set.p * p_rec, support, probs)
 
 

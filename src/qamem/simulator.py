@@ -17,8 +17,8 @@ both key types:
 * mixing gates (``H``, ``CS``, ``ROTY``) emit both target branches of the
   keys whose controls match, merge equal keys with one stable sort, and
   drop amplitudes below :data:`PRUNE_THRESHOLD`.  ``ROTY(0)`` is the
-  identity and leaves both arrays as they are; it stays in its circuit, so
-  gate counts stay honest.
+  identity: it stays in its circuit, so gate counts stay honest, and the
+  kernel's program leaves it out.
 
 A :class:`Circuit` is a gate table: one row per gate, held as five 1-D
 columns, a kind code, the target mask, the control mask, the wanted-control
@@ -34,17 +34,19 @@ O(rows) over the masks: one target bit, controls clear of it and inside the
 layout, wanted values inside the controls, and the parameter rules below.
 
 The kernel runs a circuit on the ``(key_array, amp_array)`` pair from a
-program derived once per circuit: each row's target and control masks
-(the columns as Python ints), its phase
-or 2x2 matrix, where each run of rows with one control condition ends,
-found by comparing adjacent rows, and the segments of permutation rows
-described below.  :func:`apply` runs a one-gate circuit and
-:func:`apply_circuit` a whole one, and only the final arrays become a
-:class:`SparseState`.  When a controlled mixing gate meets a state on which
-only some keys satisfy its controls, the kernel splits the keys once, runs
-that gate and every following gate with the same controls (the same
-``cmask`` and ``cwant``) on the active keys with no control test, and puts
-``idle + active`` back together once at the end of the run.  No gate
+program derived once per circuit from the rows that act, every row but a
+``ROTY(0)`` of either sign of zero: each row's target and control masks
+(the columns as Python ints), its phase or 2x2 matrix, where each run of
+rows with one control condition ends, found by comparing adjacent rows,
+and the segments of permutation rows described below.  Leaving an
+identity row out joins the runs or segments on either side of it, which
+gives the same keys in the same order.  :func:`apply` runs a one-gate
+circuit and :func:`apply_circuit` a whole one, and only the final arrays
+become a :class:`SparseState`.  When a controlled mixing gate meets a state
+on which only some keys satisfy its controls, the kernel splits the keys
+once, runs that gate and every following gate with the same controls (the
+same ``cmask`` and ``cwant``) on the active keys with no control test, and
+puts ``idle + active`` back together once at the end of the run.  No gate
 targets one of its own controls, so the active keys stay active through the
 run, and the idle keys end in front in their old order: the result is the
 one gate-by-gate application gives, key order and amplitude bits included.
@@ -470,6 +472,8 @@ class Circuit:
 
     def __getitem__(self, rows: slice) -> "Circuit":
         """The circuit of a slice of the rows."""
+        if not isinstance(rows, slice):
+            raise SimulatorError(f"a circuit takes a slice of its rows, not {type(rows).__name__}")
         return Circuit._make(self.layout, *(column[rows] for column in self._columns()))
 
     def inverse(self) -> "Circuit":
@@ -494,15 +498,17 @@ class Circuit:
         return Circuit._make(layout, *(np.concatenate(column) for column in columns))
 
     def _program(self):
-        """What the kernel reads, derived once: per-row lists of the kind
-        code, target mask, control mask, wanted control values, operand (the
-        phase of a PHASE0, the matrix of a mixing row, None for ROTY(0) and
-        the rest), run end (the end of the run of rows with this row's
-        control condition when the row starts one, else 0), the scalar form
-        of a mixing row's matrix (see :func:`_matrix_forms`) and the
-        segment of permutation rows that the row starts (its end and the
-        segment's target, control and wanted masks as key-dtype columns of
-        shape (k, 1), or None; see the module docstring)."""
+        """What the kernel reads, derived once from the rows other than
+        ROTY(0), the identity: per-row lists of the kind code, target mask,
+        control mask, wanted control values, operand (the phase of a
+        PHASE0, the matrix of a mixing row, None for a permutation), run
+        end (the end of the run of rows with this row's control condition
+        when the row starts one, else 0), the scalar form of a mixing row's
+        matrix (see :func:`_matrix_forms`) and the segment of permutation
+        rows that the row starts (its end and the segment's target, control
+        and wanted masks as key-dtype columns of shape (k, 1), or None; see
+        the module docstring).  Row r of the program is the r-th row that
+        acts, not row r of the table."""
         if self._prog is None:
             self._prog = _compile(self)
         return self._prog
@@ -510,31 +516,39 @@ class Circuit:
 
 def _compile(circuit: Circuit):
     kind, tmask, cmask, cwant, param = circuit._columns()
+    # ROTY(0), of either sign of zero, is the identity: the program leaves it
+    # out, which joins the runs and segments it stood between
+    keep = (kind != _ROTY) | (param != 0)
+    if np.count_nonzero(keep) < len(keep):
+        kind, tmask, cmask, cwant, param = (c[keep] for c in (kind, tmask, cmask, cwant, param))
     rows = len(kind)
 
-    # a run starts at a controlled mixing row other than the identity
-    # ROTY(0), and ends where the control condition first changes; _run's
-    # outer loop visits the rows of a condition up to its first run start
-    mixing = (kind >= _H) & ((kind != _ROTY) | (param != 0))
+    # a run starts at a controlled mixing row and ends where the control
+    # condition first changes; _run's outer loop visits the rows of a
+    # condition up to its first run start
+    mixing = kind >= _H
     starts = mixing & (cmask != 0)
-    run_end = np.zeros(rows, dtype=np.int64)
-    visited = np.ones(rows, dtype=bool)
     if starts.any():
         change = (cmask[1:] != cmask[:-1]) | (cwant[1:] != cwant[:-1])
         ends = np.append(np.flatnonzero(change) + 1, rows)
         condition = np.searchsorted(ends, np.arange(rows), side="right")
         run_end = np.where(starts, ends[condition], 0)
         visited = np.maximum.accumulate(np.where(starts, condition, -1)) < condition
+    else:
+        run_end = np.zeros(rows, dtype=np.int64)
+        visited = np.ones(rows, dtype=bool)
 
     # segments of visited permutation rows, each row's controls clear of
     # the targets of the rows before it in the segment, cut from the
-    # stretches of two or more such rows in a row
+    # stretches of two or more such rows in a row (the edges of the padded
+    # flags alternate between a stretch's start and its end)
     code, targets, conditions = kind.tolist(), tmask.tolist(), cmask.tolist()
-    flips = visited & (kind <= _NXOR)
-    bounds = [0, *(np.flatnonzero(flips[1:] != flips[:-1]) + 1).tolist(), rows]
+    flips = np.zeros(rows + 2, dtype=bool)
+    np.logical_and(visited, kind <= _NXOR, out=flips[1:-1])
+    edges = np.flatnonzero(flips[1:] != flips[:-1]).tolist()
     segment = [None] * rows
-    for begin, stop in zip(bounds, bounds[1:]):
-        if stop - begin < 2 or not flips[begin]:
+    for begin, stop in zip(edges[::2], edges[1::2]):
+        if stop - begin < 2:
             continue
         cuts, flipped = [begin], 0
         for r in range(begin, stop):
@@ -548,26 +562,35 @@ def _compile(circuit: Circuit):
                 span = slice(first, last)
                 segment[first] = (last, tmask[span, None], cmask[span, None], cwant[span, None])
 
-    # the phase of each PHASE0 row, and one matrix per distinct mixing row
-    # other than ROTY(0), the CS ones built in one pass over the CS rows
-    # (numpy's sqrt and division round as math's do)
+    # the phase of each PHASE0 row; the matrices and scalar forms (see
+    # _matrix_forms) of the CS rows, built column-wise in one pass over them
+    # (numpy's sqrt and division round as math's do); and one matrix per
+    # distinct H or ROTY row
     values = param.tolist()
     operand, scalar = [None] * rows, [None] * rows
     for r in np.flatnonzero(kind == _PHASE0).tolist():
         operand[r] = cmath.exp(1j * values[r])
-    forms = {}
     cs = kind == _CS
     if cs.any():
-        i = np.abs(param[cs])
-        s = np.copysign(1.0 / np.sqrt(i), param[cs])
+        strength = param[cs]
+        i = np.abs(strength)
+        size = 1.0 / np.sqrt(i)
+        s = np.copysign(size, strength)
         c = np.sqrt((i - 1) / i)
         matrices = np.empty((len(i), 2, 2))
         matrices[:, 0, 0] = matrices[:, 1, 1] = c
         matrices[:, 0, 1], matrices[:, 1, 0] = s, -s
         matrices.flags.writeable = False
-        for r, matrix, entries in zip(np.flatnonzero(cs).tolist(), matrices, matrices.tolist()):
-            forms[_CS, values[r]] = _matrix_forms(matrix, entries)
-    for r in np.flatnonzero(mixing).tolist():
+        # the columns (c, -s) and (s, c) as complex values, and the floor
+        # over the smallest nonzero entry, min(|s|, c) with a zero c (at
+        # i = 1) taken as 1, which is at least |s|
+        floor = sys.float_info.min / np.minimum(size, c + (c == 0))
+        cc, ss, ns = (x.astype(np.complex128).tolist() for x in (c, s, -s))
+        rows_cs = np.flatnonzero(cs).tolist()
+        for r, matrix, cr, sr, nr, f in zip(rows_cs, matrices, cc, ss, ns, floor.tolist()):
+            operand[r], scalar[r] = matrix, (((cr, nr), (sr, cr)), f)
+    forms = {}
+    for r in np.flatnonzero(mixing ^ cs).tolist():
         key = (code[r], values[r]) if code[r] != _H else _H
         form = forms.get(key)
         if form is None:
@@ -737,8 +760,6 @@ def _step(keys, amps, code: int, tmask: int, operand, cmask: int, cwant: int):
         # controls active and target |0>
         hit = (keys & (cmask | tmask)) == cwant
         return keys, np.where(hit, amps * operand, amps)
-    if operand is None:  # ROTY(0)
-        return keys, amps
     return _mix(keys, amps, tmask, operand)
 
 
@@ -762,8 +783,6 @@ def _scalars(prefix_keys, prefix_amps, key: int, amp: complex, program, i: int):
         c = code[r]
         if c == _PHASE0:
             break
-        if c >= _H and operand[r] is None:  # ROTY(0)
-            continue
         t = tmask[r]
         if r >= j:  # past the run: the row must miss every idle key
             cm, cw = cmask[r], cwant[r]

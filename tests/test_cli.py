@@ -106,6 +106,13 @@ class TestHelpers:
         assert code == EXIT_VALIDATION and out == ""
         assert "bad alpha grid 'lin:0:1:1000000000000'" in err
 
+    def test_too_many_phase_cells_exit_2(self, capsys):
+        """Two grids within MAX_GRID_COUNT whose cells exceed the scan's
+        limit exit 2 with a message, not with a MemoryError."""
+        code, out, err = run(capsys, "phase", "--alpha-grid", "lin:0.01:1:400", "--jt-grid", "lin:0.1:10:400")
+        assert code == EXIT_VALIDATION and out == ""
+        assert "400 x 400 grid has more than" in err
+
 
 class TestProcess:
     def test_in_process_sequence_matches_separate_calls(self, capsys, pattern_file):

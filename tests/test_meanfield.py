@@ -4,12 +4,17 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from qamem import meanfield
 from qamem.meanfield import (
     MAX_EXPONENT,
+    MAX_PHASE_CELLS,
     PROBES,
+    ROOT_GRID,
+    ROOT_XTOL,
     MeanFieldError,
     MfParams,
     OrderParameters,
@@ -109,7 +114,51 @@ class TestParams:
         assert all(-1.0 <= m <= 1.0 for m in solve_single(1.0, sys.float_info.max / 4, -1.0))
 
 
+def reference_roots(Jt, offset):
+    """solve_single's roots by bisecting every bracket at once on numpy
+    arrays until all are at most ROOT_XTOL wide, ascending."""
+
+    def f(m):
+        return np.sin(2.0 * Jt * (m + offset)) - m
+
+    xs = np.linspace(-1.0, 1.0, ROOT_GRID + 1)
+    vals = f(xs)
+    roots = list(xs[:-1][vals[:-1] == 0.0])
+    bracket = vals[:-1] * vals[1:] < 0
+    lo, hi = xs[:-1][bracket], xs[1:][bracket]
+    side = np.sign(vals[:-1][bracket])
+    while np.any(hi - lo > ROOT_XTOL):
+        mid = (lo + hi) / 2
+        sign = np.sign(f(mid)) * side
+        lo = np.where(sign >= 0, mid, lo)
+        hi = np.where(sign <= 0, mid, hi)
+    roots += list((lo + hi) / 2)
+    if vals[-1] == 0.0:
+        roots.append(1.0)
+    return sorted(map(float, roots))
+
+
 class TestSinglePattern:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        jt=st.floats(0.01, 40.0) | st.sampled_from((0.5, 0.51, math.pi / 4, 1.0, 9.0)),
+        g_over_j=st.just(0.0) | st.floats(-3.0, 3.0),
+        m_ext=st.floats(-1.0, 1.0),
+    )
+    def test_roots_match_array_bisection(self, jt, g_over_j, m_ext):
+        """Bisection on Python floats finds the array bisection's roots bit
+        for bit, and solve_single keeps the stable ones among them."""
+        offset = g_over_j * m_ext
+        want = reference_roots(jt, offset)
+        got = meanfield._roots(jt, offset)
+        assert [m.hex() for m in got] == [m.hex() for m in want]
+        stable = []
+        for m in want:
+            if not any(abs(m - s) < 1e-9 for s in stable):
+                if abs(2.0 * jt * math.cos(2.0 * jt * (m + offset))) < 1.0:
+                    stable.append(m)
+        assert [m.hex() for m in solve_single(jt, g_over_j, m_ext)] == [m.hex() for m in stable]
+
     def test_below_bifurcation_only_zero(self):
         assert solve_single(0.3) == [0.0]
         assert solve_single(0.49) == [0.0]
@@ -357,6 +406,22 @@ class TestDiagram:
             scan_phase_diagram((), (1.0,))
         with pytest.raises(MeanFieldError):
             scan_phase_diagram((0.2, 0.1), (1.0,))
+
+    def test_cell_count_refused_before_any_cell(self, monkeypatch):
+        """A grid of more than MAX_PHASE_CELLS cells is refused before a
+        cell is built; one at the limit is scanned."""
+        def no_cells(*args, **kwargs):
+            raise AssertionError("a cell was built")
+
+        alphas = np.linspace(0.01, 1.0, MAX_PHASE_CELLS // 2 + 1)
+        monkeypatch.setattr(meanfield, "MfParams", no_cells)
+        with pytest.raises(MeanFieldError, match=f"more than {MAX_PHASE_CELLS} cells"):
+            scan_phase_diagram(alphas, (0.5, 1.0))
+        monkeypatch.undo()
+        monkeypatch.setattr(meanfield, "MAX_PHASE_CELLS", 6)
+        assert len(scan_phase_diagram((0.05, 0.5), (0.3, 1.0, 9.0)).cells) == 6
+        with pytest.raises(MeanFieldError, match="more than 6 cells"):
+            scan_phase_diagram((0.05, 0.5, 2.0), (0.3, 1.0, 9.0))
 
 
 class TestLibmAgreement:

@@ -16,6 +16,7 @@ from qamem.patterns import (
     corrupt,
     hamming,
     hamming_masked,
+    patterns_from_keys,
     read_pattern_file,
 )
 
@@ -67,6 +68,27 @@ class TestPattern:
 
     def test_complement(self):
         assert P("0101").complement() == P("1010")
+
+    @pytest.mark.parametrize("key, n", [(-1, 3), (8, 3), (2**62, 62), (-1, 70), (2**70, 70)])
+    def test_out_of_range_key_refused(self, key, n):
+        """A key outside [0, 2^n) has no n-bit pattern: -1 and 8 are not the
+        3-bit patterns 111 and 000."""
+        with pytest.raises(PatternError, match="out of range"):
+            Pattern.from_key(key, n)
+        with pytest.raises(PatternError, match="out of range"):
+            patterns_from_keys(np.array([0, key], dtype=object if n > 62 else np.int64), n)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_patterns_from_keys_match_from_key(self, data):
+        """One shift-and-mask pass over a key array gives from_key's
+        patterns in order, on int64 keys and on object keys, past bit 62."""
+        n = data.draw(st.integers(1, 8) | st.integers(60, 70))
+        keys = data.draw(st.lists(st.integers(0, 2**n - 1), max_size=12))
+        wide = n > 62 or data.draw(st.booleans())
+        got = patterns_from_keys(np.array(keys, dtype=object if wide else np.int64), n)
+        assert got == tuple(Pattern.from_key(k, n) for k in keys)
+        assert all(type(b) is int for pat in got for b in pat.bits)
 
     def test_spin_mapping_roundtrip(self):
         pat = P("0110")

@@ -23,9 +23,16 @@ from gates import (
     zero_flip,
 )
 from qamem import simulator
-from qamem.memory import build_memory_circuit, sequential_circuit, sequential_layout
+from qamem.memory import build_memory_circuit, memory_gate_count, sequential_circuit, sequential_layout
 from qamem.patterns import Mask, Pattern, PatternSet
-from qamem.retrieval import preparation_circuit, retrieval_layout, retrieval_round_circuit
+from qamem.retrieval import (
+    amplify_preparation_gates,
+    complexity_estimate,
+    preparation_circuit,
+    retrieval_layout,
+    retrieval_round_circuit,
+    round_gate_count,
+)
 from qamem.simulator import (
     FUSED_CELLS,
     KIND,
@@ -275,6 +282,14 @@ class TestNxorTruthTable:
 
 
 class TestCircuit:
+    @pytest.mark.parametrize("rows", [3, np.int64(0), [0, 1], (slice(None),)])
+    def test_rows_only_by_slice(self, rows):
+        """A circuit takes a slice of its rows and refuses any other index."""
+        circuit = Circuit((not_gate(0), h_gate(1), not_gate(1), not_gate(0)), flat_layout(2))
+        assert circuit[1:3].gates == circuit.gates[1:3]
+        with pytest.raises(SimulatorError, match="slice"):
+            circuit[rows]
+
     def test_empty_identity(self):
         s = random_sparse(3, np.random.default_rng(1))
         out = apply_circuit(s, Circuit((), flat_layout(3)))
@@ -814,7 +829,8 @@ def builder_tables(draw):
 def assert_same_rows(table: Circuit, reference) -> None:
     """Row for row: kind, targets, controls, polarity and the parameter,
     its type and sign of zero included; and the kernel program of the
-    table has the masks of the reference gates, as Python ints."""
+    table has the masks of the reference gates other than ROTY(0), the
+    identity, as Python ints."""
     assert len(table) == len(reference)
     for got, want in zip(table.gates, reference):
         # a row's gate skips the check; the checked constructor accepts it
@@ -826,7 +842,9 @@ def assert_same_rows(table: Circuit, reference) -> None:
     code, tmask, cmask, cwant, operand, run_end, scalar, _ = table._program()
     fresh = Circuit(tuple(reference), table.layout)._program()
     assert (code, run_end) == (fresh[0], fresh[5])
-    for r, gate in enumerate(reference):
+    acting = [g for g in reference if not (g.kind == "ROTY" and g.param == 0)]
+    assert len(code) == len(acting)
+    for r, gate in enumerate(acting):
         masks = (tmask[r], cmask[r], cwant[r])
         assert all(type(m) is int for m in masks)
         assert masks == (
@@ -1189,6 +1207,83 @@ class TestRunKernel:
             Circuit.join(())
 
 
+@st.composite
+def with_identities(draw):
+    """(state, table, plain, cuts): a drawn circuit (``plain``) of runs,
+    scalar stretches or permutation segments, and ``table``, the same rows
+    with ROTY(0.0) and ROTY(-0.0) rows put anywhere among them, often on
+    the controls of the row they precede, so inside a run or between the
+    rows of a segment; ``cuts`` are the rows of ``table`` that hold them."""
+    state, plain = draw(st.one_of(
+        runs_of_gates().map(lambda case: case[:2]),
+        single_key_runs(),
+        scalar_stretches(),
+        permutation_segments(),
+    ))
+    n = plain.layout.total
+    gates = list(plain.gates)
+    cuts = []
+    for _ in range(draw(st.integers(1, 6))):
+        at = draw(st.integers(0, len(gates)))
+        if at < len(gates) and draw(st.booleans()):
+            controls, polarity = gates[at].controls, gates[at].polarity
+        else:
+            controls = tuple(draw(st.lists(st.integers(0, n - 1), max_size=min(3, n - 1), unique=True)))
+            polarity = draw_polarity(draw, len(controls))
+        target = draw(st.sampled_from([q for q in range(n) if q not in controls]))
+        angle = draw(st.sampled_from((0.0, -0.0)))
+        gates.insert(at, Gate("ROTY", (target,), controls, angle, polarity))
+        cuts = [c + (c >= at) for c in cuts] + [at]
+    return state, Circuit(tuple(gates), plain.layout), plain, sorted(cuts)
+
+
+class TestIdentityRows:
+    """ROTY(0) stays in its circuit and out of the kernel's program."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=with_identities())
+    def test_identity_rows_change_nothing(self, case):
+        """The table with identity rows gives the keys, key order and
+        amplitude bits of the table without them, and of the table run in
+        pieces cut at each identity row, where no run or segment reaches
+        across one."""
+        state, table, plain, cuts = case
+        got = apply_circuit(state, table)
+        pieces = state
+        for begin, stop in zip([0, *cuts], [*cuts, len(table)]):
+            pieces = apply_circuit(pieces, table[begin:stop])
+        for want in (apply_circuit(state, plain), pieces):
+            assert got.key_array.dtype == want.key_array.dtype == state.layout.key_dtype
+            assert got.key_array.tolist() == want.key_array.tolist()
+            assert got.amp_array.tobytes() == want.amp_array.tobytes()
+
+    @pytest.mark.parametrize("which", ["memory", "dual", "round", "preparation", "amplify"])
+    def test_builders_leave_identities_out_of_the_program(self, which):
+        """Every builder's ROTY(0) rows are in its table and its gate
+        counts, and none is in the program."""
+        ps = PatternSet(tuple(Pattern.from_string(s) for s in ("0110", "1100", "1011", "0001")))
+        x, (n, p, b) = Pattern.from_string("0100"), (4, 4, 2)
+        if which in ("memory", "dual"):
+            table, count = build_memory_circuit(ps, which == "dual"), memory_gate_count(p, n)
+        elif which == "round":
+            layout = retrieval_layout(n, b, use_input_register=False)
+            table, count = retrieval_round_circuit(x, layout, 1, None), round_gate_count(n, False)
+        elif which == "preparation":
+            table = preparation_circuit(ps, x, retrieval_layout(n, b), None)
+            count = complexity_estimate(p, n, b, 1)
+        else:
+            table = preparation_circuit(ps, x, retrieval_layout(n, b, use_input_register=False), None)
+            count = amplify_preparation_gates(p, n, b)
+        assert len(table) == len(table.gates) == count
+        identity = (table.kind == KIND["ROTY"]) & (table.param == 0)
+        assert np.count_nonzero(identity) > 0
+        code, _, _, _, operand, _, _, _ = table._program()
+        assert code == table.kind[~identity].tolist()
+        for c, matrix in zip(code, operand):
+            if c == KIND["ROTY"]:
+                assert not np.array_equal(matrix, np.eye(2))
+
+
 # arity of each permutation kind; NXOR takes any number of controls
 FLIP_QUBITS = {"NOT": 1, "XOR": 2, "TOFFOLI": 3, "NXOR": None}
 
@@ -1394,7 +1489,9 @@ def reference_masks(layout, qubits, polarity):
 
 def reference_program(layout, kind, qubits, param, polarity):
     """The kernel program derived from index columns (see
-    Circuit._program)."""
+    Circuit._program): the rows other than ROTY(0), the identity."""
+    keep = (kind != KIND["ROTY"]) | (param != 0)
+    kind, qubits, param, polarity = kind[keep], qubits[keep], param[keep], polarity[keep]
     rows = len(kind)
     tmask, cmask, cwant = reference_masks(layout, qubits, polarity)
     mixing = (kind >= KIND["H"]) & ((kind != KIND["ROTY"]) | (param != 0))
