@@ -47,8 +47,9 @@ def _write_output(text: str, out_path: str | None) -> None:
 MAX_GRID_COUNT = 10**6
 
 
-def parse_grid(spec: str, name: str) -> list[float]:
-    """Grid syntax: 'lin:LO:HI:COUNT', 'log:LO:HI:COUNT' or 'v1,v2,...'."""
+def _grid_form(spec: str, name: str):
+    """A grid spec, checked but not built: ("lin" or "log", LO, HI, COUNT)
+    or the list of its values."""
     try:
         if spec.startswith(("lin:", "log:")):
             kind, lo, hi, count = spec.split(":")
@@ -59,18 +60,9 @@ def parse_grid(spec: str, name: str) -> list[float]:
                 )
             if count < 2 or not hi > lo or not math.isfinite(hi - lo):
                 raise ValueError
-            if kind == "log":
-                if lo <= 0:
-                    raise ValueError
-                points = np.logspace(math.log10(lo), math.log10(hi), count)
-            else:
-                points = np.linspace(lo, hi, count)
-            if not (points[1:] > points[:-1]).all():
-                raise PatternError(
-                    f"bad {name} grid {spec!r}: {kind} grid has repeated points: "
-                    "LO and HI are too close for COUNT"
-                )
-            return list(points)
+            if kind == "log" and lo <= 0:
+                raise ValueError
+            return kind, lo, hi, count
         values = [float(v) for v in spec.split(",") if v]
         if not values or not all(map(math.isfinite, values)):
             raise ValueError
@@ -82,6 +74,31 @@ def parse_grid(spec: str, name: str) -> list[float]:
             f"bad {name} grid {spec!r}: use lin:LO:HI:COUNT, log:LO:HI:COUNT "
             "or a comma-separated list of finite numbers"
         ) from None
+
+
+def grid_size(spec: str, name: str) -> int:
+    """The number of points of a grid spec, checked as :func:`parse_grid`
+    checks it, without building them."""
+    form = _grid_form(spec, name)
+    return form[3] if isinstance(form, tuple) else len(form)
+
+
+def parse_grid(spec: str, name: str) -> list[float]:
+    """Grid syntax: 'lin:LO:HI:COUNT', 'log:LO:HI:COUNT' or 'v1,v2,...'."""
+    form = _grid_form(spec, name)
+    if isinstance(form, list):
+        return form
+    kind, lo, hi, count = form
+    if kind == "log":
+        points = np.logspace(math.log10(lo), math.log10(hi), count)
+    else:
+        points = np.linspace(lo, hi, count)
+    if not (points[1:] > points[:-1]).all():
+        raise PatternError(
+            f"bad {name} grid {spec!r}: {kind} grid has repeated points: "
+            "LO and HI are too close for COUNT"
+        )
+    return list(points)
 
 
 def _parse_input(bits: str, n: int) -> Pattern:
@@ -237,6 +254,8 @@ def cmd_tune(args) -> int:
 def cmd_phase(args) -> int:
     from . import meanfield
 
+    # refuse a scan of too many cells before either grid is built
+    meanfield.check_cell_count(grid_size(args.alpha_grid, "alpha"), grid_size(args.jt_grid, "Jt"))
     alpha_grid = parse_grid(args.alpha_grid, "alpha")
     jt_grid = parse_grid(args.jt_grid, "Jt")
     diagram = meanfield.scan_phase_diagram(alpha_grid, jt_grid)

@@ -480,6 +480,13 @@ class PhaseDiagram:
         )
 
 
+def check_cell_count(alphas: int, jts: int) -> None:
+    """Refuse a grid of ``alphas`` x ``jts`` cells above
+    :data:`MAX_PHASE_CELLS`."""
+    if alphas * jts > MAX_PHASE_CELLS:
+        raise MeanFieldError(f"a {alphas} x {jts} grid has more than {MAX_PHASE_CELLS} cells")
+
+
 def scan_phase_diagram(alpha_grid, Jt_grid) -> PhaseDiagram:
     """Classify every (alpha, Jt) cell of an ascending rectangular grid of
     at most :data:`MAX_PHASE_CELLS` cells.
@@ -489,11 +496,7 @@ def scan_phase_diagram(alpha_grid, Jt_grid) -> PhaseDiagram:
     """
     alpha_grid = tuple(float(a) for a in alpha_grid)
     jt_grid = tuple(float(j) for j in Jt_grid)
-    if len(alpha_grid) * len(jt_grid) > MAX_PHASE_CELLS:
-        raise MeanFieldError(
-            f"a {len(alpha_grid)} x {len(jt_grid)} grid has more than "
-            f"{MAX_PHASE_CELLS} cells"
-        )
+    check_cell_count(len(alpha_grid), len(jt_grid))
     for grid, name in ((alpha_grid, "alpha"), (jt_grid, "Jt")):
         if not grid:
             raise MeanFieldError(f"empty {name} grid")

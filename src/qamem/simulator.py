@@ -38,7 +38,8 @@ program derived once per circuit from the rows that act, every row but a
 ``ROTY(0)`` of either sign of zero: each row's target and control masks
 (the columns as Python ints), its phase or 2x2 matrix, where each run of
 rows with one control condition ends, found by comparing adjacent rows,
-and the segments of permutation rows described below.  Leaving an
+the segments of permutation rows and the stretches of quarter turns
+described below.  Leaving an
 identity row out joins the runs or segments on either side of it, which
 gives the same keys in the same order.  :func:`apply` runs a one-gate
 circuit and :func:`apply_circuit` a whole one, and only the final arrays
@@ -102,6 +103,25 @@ keep the amplitudes the array ones:
   ``abs()`` and ``np.abs`` may differ in the last bit, so a magnitude
   within a relative 1e-9 of the threshold is decided by ``np.abs``.
 
+A quarter turn, ``ROTY(+-pi/2)``, on one tail key is a signed flip.  Its
+matrix has the entries +-1 and cos(pi/2) = 6.1e-17 < 2**-53, so on an
+amplitude of size at most :data:`_QUARTER_TOP` = ``PRUNE_THRESHOLD *
+2**52`` the branch through cos(pi/2) is below ``PRUNE_THRESHOLD / 2`` and
+pruned, and the other is ``amp * e`` on the key with its target flipped,
+``e`` the +-1 entry of the key's column.  So from a quarter row on one key
+the path runs the whole stretch of quarter rows in a row with that row's
+control condition, whose size from each of them on the program holds, as
+``amp = amp * e; key ^= t`` per row, after one check on entry: the amplitude has no
+part below the underflow floor (the same for both signs), and ``abs(amp)``
+is at least the top of the prune window and at most ``_QUARTER_TOP``.  That
+check decides every row of the stretch as the row-by-row path would: a
+product with ``+-1 + 0j`` changes each part of the amplitude in sign alone,
+so every part keeps its size and ``abs(amp)`` its value.  The product is
+the row path's own complex product, so a zero part takes the sign the row
+path gives it.  The stretch's rows lie in the run the path is in, which
+shares their condition, or are uncontrolled and met with no idle keys, and
+none of them starts a run that could make one.
+
 Marginals, post-selection and grouping read a section's value for all keys
 at once from the layout's precomputed offsets.  ``state.amps`` is a
 read-only ``{key: amplitude}`` mapping with Python ``int`` keys and
@@ -134,6 +154,7 @@ import operator
 import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import islice
 from types import MappingProxyType
 
 import numpy as np
@@ -143,6 +164,9 @@ PRUNE_THRESHOLD = 1e-12
 POSTSELECT_FLOOR = 1e-15
 #: magnitudes that abs() puts here are pruned or kept as np.abs decides
 _PRUNE_WINDOW = (PRUNE_THRESHOLD * (1 - 1e-9), PRUNE_THRESHOLD * (1 + 1e-9))
+#: largest magnitude on which a stretch of quarter turns runs as signed
+#: flips: times cos(pi/2) < 2**-53 it stays below PRUNE_THRESHOLD / 2
+_QUARTER_TOP = PRUNE_THRESHOLD * 2.0**52
 
 #: widest layout whose keys fit an int64 without touching the sign bit
 INT64_KEY_QUBITS = 63
@@ -504,11 +528,13 @@ class Circuit:
         PHASE0, the matrix of a mixing row, None for a permutation), run
         end (the end of the run of rows with this row's control condition
         when the row starts one, else 0), the scalar form of a mixing row's
-        matrix (see :func:`_matrix_forms`) and the segment of permutation
+        matrix (see :func:`_matrix_forms`), the segment of permutation
         rows that the row starts (its end and the segment's target, control
         and wanted masks as key-dtype columns of shape (k, 1), or None; see
-        the module docstring).  Row r of the program is the r-th row that
-        acts, not row r of the table."""
+        the module docstring) and the stretch size of a quarter turn,
+        ROTY(+-pi/2): the number of quarter rows in a row, from this one on,
+        that share its control condition, else 0.  Row r of the program is
+        the r-th row that acts, not row r of the table."""
         if self._prog is None:
             self._prog = _compile(self)
         return self._prog
@@ -518,25 +544,38 @@ def _compile(circuit: Circuit):
     kind, tmask, cmask, cwant, param = circuit._columns()
     # ROTY(0), of either sign of zero, is the identity: the program leaves it
     # out, which joins the runs and segments it stood between
-    keep = (kind != _ROTY) | (param != 0)
-    if np.count_nonzero(keep) < len(keep):
+    keep = np.flatnonzero((kind != _ROTY) | (param != 0))
+    if len(keep) < len(kind):
         kind, tmask, cmask, cwant, param = (c[keep] for c in (kind, tmask, cmask, cwant, param))
     rows = len(kind)
 
     # a run starts at a controlled mixing row and ends where the control
     # condition first changes; _run's outer loop visits the rows of a
-    # condition up to its first run start
+    # condition up to its first run start.  A quarter turn, ROTY(+-pi/2)
+    # (H has no parameter and CS an integral one), lies in a stretch: the
+    # quarter rows in a row with its control condition.  closes[0] marks
+    # the last row of each condition, closes[1] each row after which no
+    # stretch goes on (the next row is no quarter turn or has another
+    # condition); a row's condition and stretch end after the first marked
+    # row from it on
     mixing = kind >= _H
     starts = mixing & (cmask != 0)
-    if starts.any():
-        change = (cmask[1:] != cmask[:-1]) | (cwant[1:] != cwant[:-1])
-        ends = np.append(np.flatnonzero(change) + 1, rows)
-        condition = np.searchsorted(ends, np.arange(rows), side="right")
-        run_end = np.where(starts, ends[condition], 0)
-        visited = np.maximum.accumulate(np.where(starts, condition, -1)) < condition
-    else:
-        run_end = np.zeros(rows, dtype=np.int64)
-        visited = np.ones(rows, dtype=bool)
+    quarter = mixing & (np.abs(param) == math.pi / 2)
+    quarters = np.flatnonzero(quarter).tolist()
+    closes = np.empty((1 + bool(quarters), rows), dtype=bool)
+    closes[:, -1:] = True
+    np.not_equal(cmask[1:], cmask[:-1], out=closes[0, :-1])
+    closes[0, :-1] |= cwant[1:] != cwant[:-1]
+    if quarters:
+        np.logical_not(quarter[1:], out=closes[1, :-1])
+        closes[1] |= closes[0]
+    after = np.arange(1, rows + 1)
+    ends = np.minimum.accumulate(np.where(closes, after, rows)[:, ::-1], axis=1)[:, ::-1]
+    run_end = np.where(starts, ends[0], 0)
+    visited = np.maximum.accumulate(np.where(starts, ends[0], -1)) < ends[0]
+    # a quarter row's stretch as the number of its rows from this one on:
+    # small ints, which Python holds once each
+    stretch = np.where(quarter, ends[1] + 1 - after, 0).tolist() if quarters else [0] * rows
 
     # segments of visited permutation rows, each row's controls clear of
     # the targets of the rows before it in the segment, cut from the
@@ -546,6 +585,7 @@ def _compile(circuit: Circuit):
     flips = np.zeros(rows + 2, dtype=bool)
     np.logical_and(visited, kind <= _NXOR, out=flips[1:-1])
     edges = np.flatnonzero(flips[1:] != flips[:-1]).tolist()
+    tcolumn, ccolumn, wcolumn = tmask[:, None], cmask[:, None], cwant[:, None]
     segment = [None] * rows
     for begin, stop in zip(edges[::2], edges[1::2]):
         if stop - begin < 2:
@@ -559,13 +599,12 @@ def _compile(circuit: Circuit):
         cuts.append(stop)
         for first, last in zip(cuts, cuts[1:]):
             if last - first > 1:
-                span = slice(first, last)
-                segment[first] = (last, tmask[span, None], cmask[span, None], cwant[span, None])
+                segment[first] = (last, tcolumn[first:last], ccolumn[first:last], wcolumn[first:last])
 
     # the phase of each PHASE0 row; the matrices and scalar forms (see
     # _matrix_forms) of the CS rows, built column-wise in one pass over them
-    # (numpy's sqrt and division round as math's do); and one matrix per
-    # distinct H or ROTY row
+    # (numpy's sqrt and division round as math's do); the two forms the
+    # quarter turns share; and one matrix per distinct other H or ROTY row
     values = param.tolist()
     operand, scalar = [None] * rows, [None] * rows
     for r in np.flatnonzero(kind == _PHASE0).tolist():
@@ -589,14 +628,20 @@ def _compile(circuit: Circuit):
         rows_cs = np.flatnonzero(cs).tolist()
         for r, matrix, cr, sr, nr, f in zip(rows_cs, matrices, cc, ss, ns, floor.tolist()):
             operand[r], scalar[r] = matrix, (((cr, nr), (sr, cr)), f)
+    if quarters:
+        turns = _mixing_forms(_ROTY, -math.pi / 2), _mixing_forms(_ROTY, math.pi / 2)
+        for r in quarters:
+            operand[r], scalar[r] = turns[values[r] > 0]
     forms = {}
-    for r in np.flatnonzero(mixing ^ cs).tolist():
+    for r in np.flatnonzero(mixing ^ cs ^ quarter).tolist():
         key = (code[r], values[r]) if code[r] != _H else _H
         form = forms.get(key)
         if form is None:
             form = forms[key] = _mixing_forms(code[r], values[r])
         operand[r], scalar[r] = form
-    return code, targets, conditions, cwant.tolist(), operand, run_end.tolist(), scalar, segment
+    return (
+        code, targets, conditions, cwant.tolist(), operand, run_end.tolist(), scalar, segment, stretch
+    )
 
 
 def _mixing_forms(code: int, param: float):
@@ -770,7 +815,7 @@ def _scalars(prefix_keys, prefix_amps, key: int, amp: complex, program, i: int):
     idle keys are ``prefix_keys``, the ones the run split off, and the tail
     keys that a later run's controls fail.  Returns the next row and the key
     and amplitude arrays."""
-    code, tmask, cmask, cwant, operand, run_end, scalar, segment = program
+    code, tmask, cmask, cwant, operand, run_end, scalar, segment, stretch = program
     keys, amps = [key], [amp]  # the tail
     idle_keys, idle_amps = [], []  # the idle list
     idle = len(prefix_keys) > 0
@@ -779,7 +824,8 @@ def _scalars(prefix_keys, prefix_amps, key: int, amp: complex, program, i: int):
     seen = {}
     low_size, high_size = _PRUNE_WINDOW
     j, end = run_end[i], len(code)
-    for r in range(i, end):
+    rows = iter(range(i, end))
+    for r in rows:
         c = code[r]
         if c == _PHASE0:
             break
@@ -826,6 +872,19 @@ def _scalars(prefix_keys, prefix_amps, key: int, amp: complex, program, i: int):
             mixed = _mix(np.array(keys, dtype=prefix_keys.dtype), np.array(amps), t, operand[r])
             keys, amps = mixed[0].tolist(), mixed[1].tolist()
             continue
+        size = stretch[r]
+        if size and high_size <= abs(amp) <= _QUARTER_TOP:
+            # the stretch's quarter turns from here as signed flips: the
+            # floor test above and this size test hold on each of them (see
+            # the module docstring)
+            for s in range(r, r + size):
+                t = tmask[s]
+                columns = scalar[s][0]
+                amp = amp * (columns[1][0] if key & t else columns[0][1])
+                key ^= t
+            keys, amps = [key], [amp]
+            next(islice(rows, size - 1, size - 1), None)  # on past the stretch
+            continue
         m0, m1 = columns[1] if key & t else columns[0]
         a0, a1 = amp * m0, amp * m1
         # _mix keeps np.abs(a) >= PRUNE_THRESHOLD; numpy decides near it
@@ -858,7 +917,7 @@ def _run(keys, amps, program):
     control split per run of rows, and the rows from a run that starts on
     one active key on Python scalars (see the module docstring and
     :meth:`Circuit._program`)."""
-    code, tmask, cmask, cwant, operand, run_end, scalar, segment = program
+    code, tmask, cmask, cwant, operand, run_end, scalar, segment, stretch = program
     i, end = 0, len(code)
     while i < end:
         j = run_end[i]

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qamem
-from qamem import retrieval, seeds
+from qamem import meanfield, retrieval, seeds
 from qamem.classical import MAX_CAPACITY_ELEMENTS
 from qamem.thermo import MAX_N
 from qamem.cli import (
@@ -112,6 +112,23 @@ class TestHelpers:
         code, out, err = run(capsys, "phase", "--alpha-grid", "lin:0.01:1:400", "--jt-grid", "lin:0.1:10:400")
         assert code == EXIT_VALIDATION and out == ""
         assert "400 x 400 grid has more than" in err
+
+    @pytest.mark.parametrize("alpha, jt, shape", [
+        ("lin:0.01:1:1000000", "lin:0.1:10:1000000", "1000000 x 1000000"),
+        ("log:0.01:1:1000000", "0.5,1,2", "1000000 x 3"),
+    ])
+    def test_too_many_phase_cells_refused_before_any_grid(self, capsys, alpha, jt, shape):
+        """A pair of grids of more than MAX_PHASE_CELLS cells exits 2 with
+        a message before either grid is built, in little memory."""
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "phase", "--alpha-grid", alpha, "--jt-grid", jt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_VALIDATION and out == ""
+        assert f"a {shape} grid has more than {meanfield.MAX_PHASE_CELLS} cells" in err
+        assert peak < 2**20
 
 
 class TestProcess:

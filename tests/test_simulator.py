@@ -1,4 +1,5 @@
 import cmath
+import functools
 import itertools
 import math
 from collections.abc import Mapping
@@ -49,6 +50,8 @@ from qamem.simulator import (
     measure_section,
     postselect,
     section_marginal,
+    _PRUNE_WINDOW,
+    _QUARTER_TOP,
     _matrix_forms,
     _mixing_forms,
     _step,
@@ -839,7 +842,7 @@ def assert_same_rows(table: Circuit, reference) -> None:
             want.kind, tuple(want.targets), tuple(want.controls), want.polarity
         )
         assert type(got.param) is type(want.param) and repr(got.param) == repr(want.param)
-    code, tmask, cmask, cwant, operand, run_end, scalar, _ = table._program()
+    code, tmask, cmask, cwant, operand, run_end, scalar, _, _ = table._program()
     fresh = Circuit(tuple(reference), table.layout)._program()
     assert (code, run_end) == (fresh[0], fresh[5])
     acting = [g for g in reference if not (g.kind == "ROTY" and g.param == 0)]
@@ -868,7 +871,7 @@ def reference_run(keys, amps, program):
     """The kernel loop on arrays alone: one control split per run of rows
     and every row through ``_step``, with no single-key path and no fused
     segments."""
-    code, tmask, cmask, cwant, operand, run_end, _, _ = program
+    code, tmask, cmask, cwant, operand, run_end, _, _, _ = program
     i = 0
     while i < len(code):
         j = run_end[i]
@@ -1277,11 +1280,122 @@ class TestIdentityRows:
         assert len(table) == len(table.gates) == count
         identity = (table.kind == KIND["ROTY"]) & (table.param == 0)
         assert np.count_nonzero(identity) > 0
-        code, _, _, _, operand, _, _, _ = table._program()
+        code, _, _, _, operand, _, _, _, _ = table._program()
         assert code == table.kind[~identity].tolist()
         for c, matrix in zip(code, operand):
             if c == KIND["ROTY"]:
                 assert not np.array_equal(matrix, np.eye(2))
+
+
+def around(size):
+    """Five sizes a few ulps apart, centred on ``size``."""
+    return [size * (1 + k * 2.0**-52) for k in range(-2, 3)]
+
+
+# sizes of the one key's amplitude at the bounds of the signed-flip check:
+# both edges of the prune window, and around _QUARTER_TOP and above it,
+# where from about 1.6e4 on a quarter turn keeps its branch through cos(pi/2)
+QUARTER_SIZES = (*around(_PRUNE_WINDOW[0]), *around(_PRUNE_WINDOW[1]), *around(_QUARTER_TOP), 2e4, 1e5)
+
+
+@st.composite
+def quarter_stretches(draw):
+    """(state, circuit): stretches of quarter turns, ROTY(+-pi/2) of mixed
+    signs on a few targets, so that one target is often turned twice, met
+    on one key: the first run's, on the flag qubit, with idle keys or none;
+    stretches on other conditions past that run, which idle keys may meet;
+    uncontrolled ones; and single rows of other kinds between them.  The
+    key's amplitude is plain, has signed-zero or tiny parts, or has a size
+    from QUARTER_SIZES.  Wide layouts have object keys and use qubits past
+    bit 63."""
+    wide = draw(st.booleans())
+    n = draw(st.integers(64, 70)) if wide else draw(st.integers(5, 8))
+    data = draw(st.lists(st.integers(0, n - 2), min_size=3, max_size=5, unique=True))
+    flag = n - 1
+    key_bits = st.lists(st.sampled_from(data), unique=True).map(lambda bits: sum(1 << q for q in bits))
+    active = draw(key_bits) | 1 << flag
+    idle = draw(st.lists(key_bits, max_size=4, unique=True)) if draw(st.booleans()) else []
+
+    def stretch(controls=(), polarity=()):
+        targets = [q for q in data if q not in controls]
+        return [
+            draw_gate(draw, "LOAD", draw(st.sampled_from(targets)), controls, polarity)
+            for _ in range(draw(st.integers(1, 6)))
+        ]
+
+    gates = stretch((flag,), (1,))
+    for _ in range(draw(st.integers(0, 4))):
+        piece = draw(st.sampled_from(("controlled", "controlled", "uncontrolled", "flag", "single")))
+        if piece == "controlled":
+            controls = tuple(draw(st.lists(st.sampled_from(data), min_size=1, max_size=2, unique=True)))
+            if draw(st.booleans()):
+                controls += (flag,)
+            gates += stretch(controls, draw_polarity(draw, len(controls)))
+        elif piece == "uncontrolled":
+            gates += stretch()
+        elif piece == "flag":  # a permutation row, then the flag's stretch again
+            gates.append(draw_gate(draw, "NOT", draw(st.sampled_from(data)), (flag,), (1,)))
+            gates += stretch((flag,), (1,))
+        else:
+            kind = draw(st.sampled_from(("NOT", "H", "ROTY", "ROTY0", "PHASE0")))
+            gates.append(draw_gate(draw, kind, draw(st.sampled_from(data))))
+    mode = draw(st.sampled_from(("plain", "parts", "size")))
+    if mode == "plain":
+        amp = complex(draw(GENERIC_ANGLES), draw(GENERIC_ANGLES))
+    elif mode == "parts":
+        parts = (draw(st.sampled_from(TINY_PARTS)), draw(ANGLES))
+        amp = complex(*(parts if draw(st.booleans()) else parts[::-1]))
+    else:
+        size, phase = draw(st.sampled_from(QUARTER_SIZES)), draw(GENERIC)
+        parts = draw(st.sampled_from((
+            (size, draw(st.sampled_from((0.0, -0.0)))),  # abs() is the size itself
+            (size * math.sqrt(1 - phase * phase), size * phase),
+        )))
+        signs = draw(st.sampled_from(((1, 1), (1, -1), (-1, 1), (-1, -1))))
+        amp = complex(*(sign * part for sign, part in zip(signs, parts)))
+    amps = {k: complex(draw(ANGLES), draw(ANGLES)) for k in idle}
+    amps[active] = amp
+    circuit = Circuit(tuple(gates), flat_layout(n))
+    return SparseState(circuit.layout, amps), circuit
+
+
+class TestQuarterStretches:
+    """A stretch of quarter turns on one key runs as signed flips."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=quarter_stretches())
+    def test_quarter_stretches_match_array_loop(self, case):
+        """The result is the array loop's, key order, dtype and amplitude
+        bits included, signed zeros among them."""
+        assert_matches_array_loop(*case)
+
+    def test_stretch_sizes(self):
+        """A stretch ends at a row that is no quarter turn or has another
+        condition; each quarter row holds the size of its stretch from it
+        on, and rows that are no quarter turn hold 0."""
+        turn = functools.partial(roty_gate, math.pi / 2)
+        back = functools.partial(roty_gate, -math.pi / 2)
+        gates = (
+            turn(0, 4), back(1, 4), turn(0, 4), xor_gate(4, 2),  # one stretch, then a flip
+            back(1, 4), Gate("ROTY", (0,), (4,), math.pi / 2, (0,)),  # another polarity
+            turn(1), back(2), roty_gate(0.0, 3), turn(1), h_gate(2), turn(3, 4),
+        )
+        stretch = Circuit(gates, flat_layout(5))._program()[8]
+        assert stretch == [3, 2, 1, 0, 1, 1, 3, 2, 1, 0, 1]
+
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_large_amplitudes_run_row_by_row(self, wide):
+        """Above _QUARTER_TOP a quarter turn's branch through cos(pi/2) may
+        be kept; such an amplitude takes the row-by-row path and ends as
+        the array loop's does: each turn keeps a branch of size 6e-12 beside
+        the idle key, and each later turn prunes its branch of that."""
+        offset = 64 if wide else 0
+        flag = offset + 3
+        gates = tuple(roty_gate(math.pi / 2, offset + q, control=flag) for q in range(3))
+        circuit = Circuit(gates, flat_layout(offset + 4))
+        state = SparseState(circuit.layout, {1 << flag: 1e5 + 0j, 1 << offset: 0.5})
+        assert_matches_array_loop(state, circuit)
+        assert len(apply_circuit(state, circuit).key_array) == 1 + 4
 
 
 # arity of each permutation kind; NXOR takes any number of controls
@@ -1544,7 +1658,17 @@ def reference_program(layout, kind, qubits, param, polarity):
         if form is None:
             form = forms[key] = _mixing_forms(code[r], values[r])
         operand[r], scalar[r] = form
-    return code, targets, conditions, cwant.tolist(), operand, run_end.tolist(), scalar, segment
+    # the size of each quarter turn's stretch from it on, row by row from
+    # the last: the next row ends it unless it is a quarter turn on the
+    # same condition
+    wants = cwant.tolist()
+    quarter = [c == KIND["ROTY"] and abs(v) == math.pi / 2 for c, v in zip(code, values)]
+    stretch = [0] * (rows + 1)
+    for r in reversed(range(rows)):
+        if quarter[r]:
+            joined = r + 1 < rows and quarter[r + 1] and (conditions[r + 1], wants[r + 1]) == (conditions[r], wants[r])
+            stretch[r] = 1 + stretch[r + 1] if joined else 1
+    return code, targets, conditions, wants, operand, run_end.tolist(), scalar, segment, stretch[:rows]
 
 
 def canonical(value):
