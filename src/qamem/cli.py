@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .emit import emit_json, format_float
+from .emit import Table, emit_json, format_float
 from .patterns import Mask, Pattern, PatternError, corrupt, read_pattern_file
 from .seeds import task_rng
 
@@ -125,11 +125,13 @@ def _parse_mask(spec: str | None, n: int) -> Mask | None:
 # ---------------------------------------------------------------- commands
 
 
-def _by_pattern(strings, values, fields) -> list[dict]:
-    """One ``{"pattern": s, **fields(v)}`` entry per aligned bit string s and
-    value v, sorted by the strings."""
-    order = sorted(range(len(strings)), key=strings.__getitem__)
-    return [{"pattern": strings[i], **fields(values[i])} for i in order]
+def _by_pattern(strings, **columns) -> Table:
+    """One ``{"pattern": s, name: v, ...}`` entry per bit string s and the
+    values v aligned with it in the named columns, sorted by the strings.
+
+    The strings are distinct, so sorting the row tuples compares strings
+    only."""
+    return Table(("pattern", *columns), sorted(zip(strings, *columns.values())))
 
 
 def cmd_store(args) -> int:
@@ -150,18 +152,16 @@ def cmd_store(args) -> int:
         amps = build.memory_amplitudes()
         doc["amplitudes"] = _by_pattern(
             [str(pat) for pat in amps],
-            list(amps.values()),
-            lambda amp: {"re": amp.real, "im": amp.imag},
+            re=[amp.real for amp in amps.values()],
+            im=[amp.imag for amp in amps.values()],
         )
     _write_output(emit_json(doc) + "\n", args.out)
     return EXIT_OK
 
 
-def _distribution_doc(dist) -> list[dict]:
+def _distribution_doc(dist) -> Table:
     """Entries of a closed-form law, whose support is the pattern set."""
-    return _by_pattern(
-        dist.support.strings, dist.prob_array.tolist(), lambda prob: {"prob": prob}
-    )
+    return _by_pattern(dist.support.strings, prob=dist.prob_array.tolist())
 
 
 def _report_doc(report, config, seed):

@@ -1,5 +1,7 @@
 """Text output: every float is printed with 17 significant digits, enough
-to round-trip a double, in both JSON and CSV."""
+to round-trip a double, in both JSON and CSV.  A :class:`Table` is a list
+of JSON objects given as one key order and one tuple of values per object;
+the JSON emitter writes the columns of one exact type with one format."""
 from __future__ import annotations
 
 import csv
@@ -25,6 +27,28 @@ _SCALARS = {
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): lambda obj: "null",
 }
+
+
+class Table:
+    """A list of JSON objects that share one key order: ``keys`` and one
+    tuple of values per object in ``rows``, in key order.
+
+    :func:`emit_json` writes it as it writes the list
+    ``[dict(zip(keys, row)) for row in rows]``.  The keys must be distinct
+    strings, as dict keys are, and every row should hold one value per key.
+    """
+
+    __slots__ = ("keys", "rows")
+
+    def __init__(self, keys, rows):
+        keys = tuple(keys)
+        if len(set(keys)) != len(keys):
+            raise ValueError(f"table keys must be distinct, got {keys!r}")
+        self.keys, self.rows = keys, rows
+
+
+#: the format slot of each exact column type a table writes with one format
+_SLOTS = {float: "%.17g", int: "%s", str: "%s"}
 
 
 def emit_json(obj) -> str:
@@ -76,6 +100,8 @@ def _emit(obj, newline: str, parts: list[str]) -> None:
                 _emit(v, inner, parts)
             lead = sep
         append(newline + "]")
+    elif isinstance(obj, Table):
+        _emit_table(obj, newline, parts)
     # subclasses of the scalar types, such as numpy floats, and other objects
     elif isinstance(obj, float):
         append(format_float(obj))
@@ -83,6 +109,33 @@ def _emit(obj, newline: str, parts: list[str]) -> None:
         append(str(obj))
     else:
         append(_string(obj))
+
+
+def _emit_table(table: Table, newline: str, parts: list[str]) -> None:
+    """Append the text of ``table`` to ``parts``.
+
+    When every column holds values of one exact type in ``_SLOTS``, the
+    text is one ``%`` format, over the values in row order with strings
+    escaped first, of a template that repeats one row's text per row.  Any
+    other table is written as the list of dicts it stands for.
+    """
+    keys, rows = table.keys, table.rows
+    width, inner = len(keys), newline + "  "
+    values = [None] * (width * len(rows))
+    fields = []
+    # zip stops at the shortest row, as dict(zip(keys, row)) does
+    for j, (key, column) in enumerate(zip(keys, zip(*rows))):
+        kind = type(column[0])
+        if kind not in _SLOTS or [*map(type, column)].count(kind) != len(column):
+            break
+        values[j::width] = map(encode_basestring, column) if kind is str else column
+        fields.append(inner + "  " + encode_basestring(key).replace("%", "%%") + ": " + _SLOTS[kind])
+    if not fields or len(fields) != width:  # no rows or keys, or a column of another type
+        _emit([dict(zip(keys, row)) for row in rows], newline, parts)
+        return
+    row = "{" + ",".join(fields) + inner + "}"
+    template = "[" + inner + (row + "," + inner) * (len(rows) - 1) + row + newline + "]"
+    parts.append(template % tuple(values))
 
 
 def csv_text(header, rows) -> str:

@@ -153,13 +153,19 @@ class _Levels:
         w[:ties] = 1.0
         return float(np.log1p(rest / ties) + np.log(float(ties)) + top), head
 
-    def point(self, b: float) -> ThermoPoint:
+    def free_energy(self, b: float) -> tuple[float, float, np.ndarray]:
+        """log Z and F = -log Z / b at b, and the weights' head as
+        :meth:`log_sum` leaves it; one exp pass and one sum."""
         _check_b(b)
         log_sum, head = self.log_sum(b)
         log_z = log_sum - math.log(self.count)
         F = -log_z / float(b)  # a Python float division overflows without a warning
         if not math.isfinite(F):  # b -> 0 sends F = -log Z / b to infinity
             raise ThermoError(f"b = {b} is too small: F = -log Z / b overflows")
+        return log_z, F, head
+
+    def point(self, b: float) -> ThermoPoint:
+        log_z, F, head = self.free_energy(b)
         head /= self.weights.sum()
         # energies are -2 log cos: the factor is exact, so no energy array
         U = -2.0 * float(np.dot(self.weights, self.log_cos))
@@ -379,8 +385,8 @@ def tune(epsilon: float, nu: float, n: int) -> TuneResult:
     that b for the continuum average, at O(1) per b, and starts the exact
     search over the discrete levels there (at MAX_TUNE_B if no b meets the
     continuum target); every b tested against the levels costs one O(n)
-    evaluation.  The answer does not depend on the start, and the result
-    is the discrete point evaluated at it.
+    evaluation of the free energy alone (no U or S).  The answer does not
+    depend on the start, and the result is the discrete D_eff at it.
     """
     if not 0.0 < epsilon < 1.0:
         raise ThermoError("epsilon must be in (0, 1)")
@@ -389,15 +395,15 @@ def tune(epsilon: float, nu: float, n: int) -> TuneResult:
     _check_n(n)
     d = round(epsilon * n)
     levels = _Levels(d, n)
-    points: dict[int, ThermoPoint] = {}
+    distances: dict[int, float] = {}
 
     def continuum_slack(b: int) -> float:
         F = -_continuum_log_avg(b, d / n) / b
         return _distance(F) - epsilon - (1.0 - nu)
 
     def slack(b: int) -> float:
-        points[b] = levels.point(b)
-        return points[b].D_eff - epsilon - (1.0 - nu)
+        distances[b] = _distance(levels.free_energy(b)[1])
+        return distances[b] - epsilon - (1.0 - nu)
 
     best = _first_b(slack, _first_b(continuum_slack, 1) or MAX_TUNE_B)
     if best is None:
@@ -405,8 +411,8 @@ def tune(epsilon: float, nu: float, n: int) -> TuneResult:
             f"accuracy target unattainable within b <= {MAX_TUNE_B}"
         )
 
-    point = points[best]
-    log_p_rec = 2.0 * best * math.log(math.cos(math.pi * point.D_eff / 2.0))
+    D = distances[best]
+    log_p_rec = 2.0 * best * math.log(math.cos(math.pi * D / 2.0))
     try:
         t_repeat = math.ceil(math.exp(-log_p_rec))
     except OverflowError:
@@ -416,5 +422,5 @@ def tune(epsilon: float, nu: float, n: int) -> TuneResult:
         b=best,
         T_repeat=t_repeat,
         T_amplified=t_amplified,
-        achieved_D=point.D_eff,
+        achieved_D=D,
     )

@@ -17,7 +17,9 @@ from qamem.memory import (
     store_sequential,
 )
 from qamem.patterns import Pattern, PatternSet
+from qamem.retrieval import retrieval_layout
 from qamem.simulator import (
+    KIND,
     RegisterLayout,
     SimulatorError,
     SparseState,
@@ -86,6 +88,19 @@ class TestCircuitLayout:
                     assert got.tolist() == [m << offset for m in want.tolist()]
                 for column in ("kind", "param"):
                     assert getattr(moved, column).tobytes() == getattr(base, column).tobytes()
+
+    @pytest.mark.parametrize("n", [61, 62, 63, 64, 100])
+    def test_nxor_keys_past_63_qubits(self, n):
+        """The NXOR rows want each pattern's key on the memory register (bit
+        j on memory qubit j), on either side of the int64 key limit."""
+        rng = np.random.default_rng(n)
+        ps = PatternSet(tuple(Pattern(tuple(row)) for row in rng.integers(0, 2, (9, n)).tolist()))
+        for layout in (memory_layout(n), retrieval_layout(n, 3)):
+            circuit = build_memory_circuit(ps, layout=layout)
+            want = [int(str(pat)[::-1], 2) << layout.offset("memory") for pat in ps.patterns]
+            nxor = circuit.kind == KIND["NXOR"]
+            assert circuit.cwant.dtype == layout.key_dtype
+            assert circuit.cwant[nxor].tolist() == want
 
     def test_any_register_order(self):
         """The rows read every qubit from the layout: utility first, with a

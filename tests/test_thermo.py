@@ -404,14 +404,45 @@ class TestTune:
     def test_continuum_start_needs_few_evaluations(self, monkeypatch, args, want):
         # every b tested against the discrete levels is one O(n) evaluation
         calls = []
-        point = thermo._Levels.point
+        log_sum = thermo._Levels.log_sum
         monkeypatch.setattr(
-            thermo._Levels, "point", lambda self, b: calls.append(b) or point(self, b)
+            thermo._Levels, "log_sum", lambda self, b: calls.append(b) or log_sum(self, b)
         )
         res = tune(*args)
         assert len(calls) <= 3, calls
         if want is not None:
             assert res == want
+
+    @pytest.mark.parametrize("n", [10, 1000, 100_000])
+    @pytest.mark.parametrize("nu", [0.0, 0.5, 0.8, 0.914, 0.99, 1.0])
+    @pytest.mark.parametrize("epsilon", [0.01, 0.05, 0.3])
+    def test_result_is_the_potentials_at_b(self, epsilon, nu, n):
+        """tune's b is the first whose potentials meet the target, and its
+        D is their D_eff, bit for bit; it refuses the targets no b meets."""
+        d = round(epsilon * n)
+
+        def slack(b):
+            return potentials(b, d, n).D_eff - epsilon - (1.0 - nu)
+
+        if slack(MAX_TUNE_B) > 0:
+            with pytest.raises(
+                thermo.UnattainableTargetError,
+                match=rf"^accuracy target unattainable within b <= {MAX_TUNE_B}$",
+            ):
+                tune(epsilon, nu, n)
+            return
+        res = tune(epsilon, nu, n)
+        assert res.achieved_D == potentials(res.b, d, n).D_eff
+        assert slack(res.b) <= 0
+        assert res.b == 1 or slack(res.b - 1) > 0
+
+    def test_refusals(self):
+        with pytest.raises(thermo.UnattainableTargetError, match=r"^accuracy target unattainable within b <= 10000000$"):
+            tune(0.1, 1.0, 1000)
+        with pytest.raises(ThermoError, match=r"^T_repeat = 1/p_rec exceeds the float range at b = \d+$"):
+            tune(0.055443360214999654, 1.0, 1411)
+        with pytest.raises(thermo.UndefinedPotentialsError, match="^Z vanishes at d = n$"):
+            tune(0.999, 0.5, 100)
 
     @settings(max_examples=150, deadline=None)
     @given(
