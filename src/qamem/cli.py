@@ -203,9 +203,10 @@ def cmd_distribution(args) -> int:
     pattern_set = read_pattern_file(args.patterns)
     input_pattern = _parse_input(args.input, pattern_set.n)
     mask = _parse_mask(args.mask, pattern_set.n)
-    dist = retrieval.analytic_distribution(
-        pattern_set, input_pattern, args.b, mask
-    )
+    try:
+        dist = retrieval.analytic_distribution(pattern_set, input_pattern, args.b, mask)
+    except retrieval.WeightUnderflowError as exc:
+        return _numeric_failure(exc)
     doc = {
         "input": str(input_pattern),
         "b": args.b,

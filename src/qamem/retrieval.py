@@ -59,6 +59,12 @@ class RetrievalError(ValueError):
     pass
 
 
+class WeightUnderflowError(RetrievalError):
+    """The closed form's weights cos^{2b}(pi*d/2n) underflow: Z is below
+    the smallest normal float although a pattern lies at a distance below
+    n, so the exact law is not the zeros the floats would give."""
+
+
 #: most attempts one retrieval may make: each is a draw of about 1 us, so a
 #: query that is never recognized ends within about a second
 MAX_ATTEMPTS = 10**6
@@ -70,11 +76,11 @@ class RetrievalConfig:
     T: int = 1
     mode: str = "repeat_measure"  # or "amplitude_amplify"
     mask: Mask | None = None
-    use_input_register: bool = True
 
     def __post_init__(self):
         if self.b < 1 or self.T < 1:
             raise RetrievalError("b and T must be >= 1")
+        _check_exponent(self.b)
         if self.T > MAX_ATTEMPTS:
             raise RetrievalError(f"T must be <= MAX_ATTEMPTS = {MAX_ATTEMPTS}, got {self.T}")
         if self.mode not in ("repeat_measure", "amplitude_amplify"):
@@ -142,7 +148,10 @@ def analytic_distribution(
     picks its weight cos^{2b}(pi*d/2n) from a table of the n + 1 possible
     values, with the d = n weight set to exactly 0 when b > 0.  Z sums the
     weights left to right in stored order as Python floats, so every
-    number equals that of a per-pattern loop bit for bit.
+    number equals that of a per-pattern loop bit for bit.  A Z below the
+    smallest normal float with some distance below n is refused with
+    :class:`WeightUnderflowError`; a Z of 0 with every distance n is the
+    exact law and is returned.
     """
     _check_exponent(b)
     n, p = pattern_set.n, pattern_set.p
@@ -164,6 +173,11 @@ def analytic_distribution(
     )
     weights = table[distances]
     Z = sum(weights.tolist())
+    if b > 0 and Z < sys.float_info.min and (distances < n).any():
+        raise WeightUnderflowError(
+            f"b = {b} is too large for the closed form: its weights underflow to "
+            f"Z = {Z:g}, although a pattern lies at distance {distances.min()} < n = {n}"
+        )
     probs = weights / Z if Z > 0 else np.zeros(p)
     return Distribution(p_rec=Z / p, Z=Z, support=pattern_set, prob_array=probs)
 
@@ -355,9 +369,9 @@ class _Query:
     """The memo entry of one pattern set: its most recent query and what
     every draw of that query reads.
 
-    ``key`` is (input, b, mask, input register); neither ``T`` nor the mode
-    enters it.  ``table`` is the repeat-mode table and ``amplified`` the
-    amplify-mode one, rotated from it on first use.  ``outputs`` maps each
+    ``key`` is (input, b, mask); neither ``T`` nor the mode enters it.
+    ``table`` is the repeat-mode table and ``amplified`` the amplify-mode
+    one, rotated from it on first use.  ``outputs`` maps each
     memory value drawn so far to its output :class:`Pattern`, built on the
     first draw of that value.  The closed form is held without its support,
     which is the set itself, and the :class:`Distribution` the reports
@@ -382,19 +396,20 @@ def _prepared(
     """The closed form, sampling table and output patterns of one query.
 
     Each live pattern set keeps the :class:`_Query` of its most recent
-    (input, b, mask, input register), so Monte-Carlo loops over one query
+    (input, b, mask), so Monte-Carlo loops over one query
     prepare the state once, and a repeat call costs a dictionary lookup:
     it reuses the :class:`Distribution` of the query's reports while one
     of them is alive, and the amplified table once amplify mode has read
     it.  The output patterns are filled in by :func:`retrieve`.
     """
-    key = (input_pattern, config.b, config.mask, config.use_input_register)
+    key = (input_pattern, config.b, config.mask)
     query = _LAST_TABLE.get(pattern_set)
     if query is None or query.key != key:
-        analytic = analytic_distribution(
-            pattern_set, input_pattern, config.b, config.mask
-        )
-        query = _Query(key, analytic, _sampling_table(prepare_final_state(pattern_set, *key)))
+        # a state past MAX_PREPARED_KEYS is refused before the closed form
+        # could refuse an underflowed law, which needs a larger b
+        table = _sampling_table(prepare_final_state(pattern_set, *key))
+        analytic = analytic_distribution(pattern_set, input_pattern, config.b, config.mask)
+        query = _Query(key, analytic, table)
         _LAST_TABLE[pattern_set] = query
     else:
         analytic = query.shared()
@@ -451,8 +466,9 @@ def retrieve(
     state is prepared once (see :func:`_prepared`) and each attempt draws a
     fresh control measurement from it: one draw per attempt, then one draw
     for the memory register of a recognized attempt.  Both modes prepare
-    and memoise the same state; ``amplitude_amplify`` mode takes its recognition
-    probability from the rotation law instead of running the iterations.
+    and memoise the same state, the input in its register;
+    ``amplitude_amplify`` mode takes its recognition probability from the
+    rotation law instead of running the iterations.
     Every report of one query shares the arrays of its closed form,
     read-only, and the reports alive at once share one
     :class:`Distribution`; each distinct output pattern is built once per

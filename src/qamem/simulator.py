@@ -36,10 +36,13 @@ layout, wanted values inside the controls, and the parameter rules below.
 The kernel runs a circuit on the ``(key_array, amp_array)`` pair from a
 program derived once per circuit from the rows that act, every row but a
 ``ROTY(0)`` of either sign of zero: each row's target and control masks
-(the columns as Python ints), its phase or 2x2 matrix, where each run of
-rows with one control condition ends, found by comparing adjacent rows,
-the segments of permutation rows and the stretches of quarter turns
-described below.  Leaving an
+(the columns as Python ints), its one operand, where each run of rows with
+one control condition ends, found by comparing adjacent rows, the segments
+of permutation rows and the stretches of quarter turns described below.  A
+``PHASE0`` row's operand is its phase ``e^{i theta}``; a mixing row's is
+the form of its matrix: the two columns as pairs of Python ``complex``
+values and the underflow floor described below, which the scalar path
+multiplies by and from which the array step builds its 2x2 array.  Leaving an
 identity row out joins the runs or segments on either side of it, which
 gives the same keys in the same order.  :func:`apply` runs a one-gate
 circuit and :func:`apply_circuit` a whole one, and only the final arrays
@@ -91,9 +94,9 @@ key leaves its branches in the order ``[low, low | t]``, and three rules
 keep the amplitudes the array ones:
 
 * a mixing row multiplies by its matrix entries as Python ``complex`` values
-  with a zero imaginary part, the operands numpy's loop sees.  Python and
-  numpy then round every part alike unless a product underflows to zero,
-  where a fused multiply-add may keep another sign; so a row whose
+  with a zero imaginary part, the operands the array step hands numpy's
+  loop.  Python and numpy then round every part alike unless a product
+  underflows to zero, where a fused multiply-add may keep another sign; so a row whose
   amplitude has a nonzero part small enough for that (below
   ``float_info.min`` over the row's smallest nonzero entry) runs as the
   array step on one-element arrays;
@@ -405,23 +408,24 @@ def _check_table(total, kind, tmask, cmask, cwant, param, given=None):
             raise SimulatorError(f"gate {row.dump()} out of range for N={total}")
 
 
-def _single_qubit_matrix(kind: str, param):
-    if kind == "H":
+def _mixing_form(code: int, angle: float | None = None):
+    """The form of an H or nonzero ROTY(angle) row's matrix that the kernel
+    multiplies by: its two columns as pairs of Python complex values, and
+    the floor below which a nonzero amplitude part may make a product
+    underflow to zero (see the module docstring)."""
+    if code == _H:
         s = 1.0 / math.sqrt(2.0)
-        return ((s, s), (s, -s))
-    if kind == "CS":
-        i = abs(param)
-        c = math.sqrt((i - 1) / i)
-        s = 1.0 / math.sqrt(i)
-        if param < 0:
-            s = -s
-        return ((c, s), (-s, c))
-    if kind == "ROTY":
-        c, s = math.cos(param), math.sin(param)
-        return ((c, -s), (s, c))
-    if kind == "PHASE0":
-        return ((cmath.exp(1j * param), 0.0), (0.0, 1.0))
-    raise SimulatorError(f"{kind} has no single-qubit matrix")
+        columns = ((s, s), (s, -s))  # [[s, s], [s, -s]]
+    else:
+        c, s = math.cos(angle), math.sin(angle)
+        columns = ((c, s), (-s, c))  # [[c, -s], [s, c]]
+    smallest = min(abs(m) for column in columns for m in column if m)
+    return tuple((complex(m0), complex(m1)) for m0, m1 in columns), sys.float_info.min / smallest
+
+
+#: the form of every H row, and of the quarter turns ROTY(-pi/2), ROTY(pi/2)
+_H_FORM = _mixing_form(_H)
+_QUARTER_FORMS = (_mixing_form(_ROTY, -math.pi / 2), _mixing_form(_ROTY, math.pi / 2))
 
 
 class Circuit:
@@ -525,10 +529,10 @@ class Circuit:
         """What the kernel reads, derived once from the rows other than
         ROTY(0), the identity: per-row lists of the kind code, target mask,
         control mask, wanted control values, operand (the phase of a
-        PHASE0, the matrix of a mixing row, None for a permutation), run
-        end (the end of the run of rows with this row's control condition
-        when the row starts one, else 0), the scalar form of a mixing row's
-        matrix (see :func:`_matrix_forms`), the segment of permutation
+        PHASE0, the form of a mixing row's matrix, see
+        :func:`_mixing_form`, None for a permutation), run end (the end of
+        the run of rows with this row's control condition when the row
+        starts one, else 0), the segment of permutation
         rows that the row starts (its end and the segment's target, control
         and wanted masks as key-dtype columns of shape (k, 1), or None; see
         the module docstring) and the stretch size of a quarter turn,
@@ -601,12 +605,13 @@ def _compile(circuit: Circuit):
             if last - first > 1:
                 segment[first] = (last, tcolumn[first:last], ccolumn[first:last], wcolumn[first:last])
 
-    # the phase of each PHASE0 row; the matrices and scalar forms (see
-    # _matrix_forms) of the CS rows, built column-wise in one pass over them
-    # (numpy's sqrt and division round as math's do); the two forms the
-    # quarter turns share; and one matrix per distinct other H or ROTY row
+    # the operands: the phase e^{i theta} of each PHASE0 row; the forms of
+    # the CS rows' matrices [[c, s], [-s, c]], built column-wise in one pass
+    # over them (numpy's sqrt and division round as math's do); and the
+    # forms of the H and ROTY rows (see _mixing_form), one per distinct
+    # angle of a ROTY other than a quarter turn
     values = param.tolist()
-    operand, scalar = [None] * rows, [None] * rows
+    operand = [None] * rows
     for r in np.flatnonzero(kind == _PHASE0).tolist():
         operand[r] = cmath.exp(1j * values[r])
     cs = kind == _CS
@@ -616,53 +621,25 @@ def _compile(circuit: Circuit):
         size = 1.0 / np.sqrt(i)
         s = np.copysign(size, strength)
         c = np.sqrt((i - 1) / i)
-        matrices = np.empty((len(i), 2, 2))
-        matrices[:, 0, 0] = matrices[:, 1, 1] = c
-        matrices[:, 0, 1], matrices[:, 1, 0] = s, -s
-        matrices.flags.writeable = False
         # the columns (c, -s) and (s, c) as complex values, and the floor
         # over the smallest nonzero entry, min(|s|, c) with a zero c (at
         # i = 1) taken as 1, which is at least |s|
         floor = sys.float_info.min / np.minimum(size, c + (c == 0))
         cc, ss, ns = (x.astype(np.complex128).tolist() for x in (c, s, -s))
-        rows_cs = np.flatnonzero(cs).tolist()
-        for r, matrix, cr, sr, nr, f in zip(rows_cs, matrices, cc, ss, ns, floor.tolist()):
-            operand[r], scalar[r] = matrix, (((cr, nr), (sr, cr)), f)
-    if quarters:
-        turns = _mixing_forms(_ROTY, -math.pi / 2), _mixing_forms(_ROTY, math.pi / 2)
-        for r in quarters:
-            operand[r], scalar[r] = turns[values[r] > 0]
+        for r, cr, sr, nr, f in zip(np.flatnonzero(cs).tolist(), cc, ss, ns, floor.tolist()):
+            operand[r] = ((cr, nr), (sr, cr)), f
+    for r in quarters:
+        operand[r] = _QUARTER_FORMS[values[r] > 0]
     forms = {}
     for r in np.flatnonzero(mixing ^ cs ^ quarter).tolist():
-        key = (code[r], values[r]) if code[r] != _H else _H
-        form = forms.get(key)
+        if code[r] == _H:
+            operand[r] = _H_FORM
+            continue
+        form = forms.get(values[r])
         if form is None:
-            form = forms[key] = _mixing_forms(code[r], values[r])
-        operand[r], scalar[r] = form
-    return (
-        code, targets, conditions, cwant.tolist(), operand, run_end.tolist(), scalar, segment, stretch
-    )
-
-
-def _mixing_forms(code: int, param: float):
-    """The forms (see :func:`_matrix_forms`) of an H or nonzero ROTY row's
-    matrix."""
-    entries = _single_qubit_matrix(KINDS[code], param)
-    matrix = np.array(entries)
-    matrix.flags.writeable = False
-    return _matrix_forms(matrix, entries)
-
-
-def _matrix_forms(matrix, entries):
-    """A mixing row's matrix, read-only, and its form for the scalar path,
-    from ``entries``, the same matrix as nested Python floats: the two
-    columns as pairs of Python complex values, and the floor below which a
-    nonzero amplitude part may make a product underflow to zero (see the
-    module docstring)."""
-    (m00, m01), (m10, m11) = entries
-    columns = ((complex(m00), complex(m10)), (complex(m01), complex(m11)))
-    smallest = min(abs(m) for m in (m00, m01, m10, m11) if m)
-    return matrix, (columns, sys.float_info.min / smallest)
+            form = forms[values[r]] = _mixing_form(_ROTY, values[r])
+        operand[r] = form
+    return code, targets, conditions, cwant.tolist(), operand, run_end.tolist(), segment, stretch
 
 
 class SparseState:
@@ -769,13 +746,14 @@ def group_sum(labels, weights):
     return labels, weights
 
 
-def _mix(keys, amps, t: int, matrix):
+def _mix(keys, amps, t: int, columns):
     """H, CS or a nonzero ROTY with target mask ``t`` on keys whose controls
-    all hold: both branches of the target, equal keys merged, small
-    amplitudes pruned."""
+    all hold, multiplying by its matrix's ``columns`` (see
+    :func:`_mixing_form`): both branches of the target, equal keys merged,
+    small amplitudes pruned."""
     column = ((keys & t) != 0).view(np.uint8)
     low = keys & ~t
-    branches = amps * matrix[:, column]
+    branches = amps * np.array(columns).T[:, column]
     # both keys of a pair present: their branches land on the same keys,
     # which are summed as group_sum sums them; distinct keys keep their order
     if len(low) > 1:
@@ -805,7 +783,7 @@ def _step(keys, amps, code: int, tmask: int, operand, cmask: int, cwant: int):
         # controls active and target |0>
         hit = (keys & (cmask | tmask)) == cwant
         return keys, np.where(hit, amps * operand, amps)
-    return _mix(keys, amps, tmask, operand)
+    return _mix(keys, amps, tmask, operand[0])
 
 
 def _scalars(prefix_keys, prefix_amps, key: int, amp: complex, program, i: int):
@@ -815,7 +793,7 @@ def _scalars(prefix_keys, prefix_amps, key: int, amp: complex, program, i: int):
     idle keys are ``prefix_keys``, the ones the run split off, and the tail
     keys that a later run's controls fail.  Returns the next row and the key
     and amplitude arrays."""
-    code, tmask, cmask, cwant, operand, run_end, scalar, segment, stretch = program
+    code, tmask, cmask, cwant, operand, run_end, segment, stretch = program
     keys, amps = [key], [amp]  # the tail
     idle_keys, idle_amps = [], []  # the idle list
     idle = len(prefix_keys) > 0
@@ -866,10 +844,10 @@ def _scalars(prefix_keys, prefix_amps, key: int, amp: complex, program, i: int):
                 break  # a mixing row on two keys
             continue
         key, amp = keys[0], amps[0]
-        columns, floor = scalar[r]
+        columns, floor = operand[r]
         if 0.0 < abs(amp.real) < floor or 0.0 < abs(amp.imag) < floor:
             # a product could underflow to zero: the array step on one key
-            mixed = _mix(np.array(keys, dtype=prefix_keys.dtype), np.array(amps), t, operand[r])
+            mixed = _mix(np.array(keys, dtype=prefix_keys.dtype), np.array(amps), t, columns)
             keys, amps = mixed[0].tolist(), mixed[1].tolist()
             continue
         size = stretch[r]
@@ -879,7 +857,7 @@ def _scalars(prefix_keys, prefix_amps, key: int, amp: complex, program, i: int):
             # the module docstring)
             for s in range(r, r + size):
                 t = tmask[s]
-                columns = scalar[s][0]
+                columns = operand[s][0]
                 amp = amp * (columns[1][0] if key & t else columns[0][1])
                 key ^= t
             keys, amps = [key], [amp]
@@ -917,7 +895,7 @@ def _run(keys, amps, program):
     control split per run of rows, and the rows from a run that starts on
     one active key on Python scalars (see the module docstring and
     :meth:`Circuit._program`)."""
-    code, tmask, cmask, cwant, operand, run_end, scalar, segment, stretch = program
+    code, tmask, cmask, cwant, operand, run_end, segment, stretch = program
     i, end = 0, len(code)
     while i < end:
         j = run_end[i]

@@ -3,7 +3,8 @@ import math
 
 import numpy as np
 
-from qamem.simulator import Gate, SimulatorError, SparseState, _single_qubit_matrix
+from dense_reference import _single_qubit_matrix
+from qamem.simulator import Gate, SimulatorError, SparseState
 
 
 def not_gate(target: int) -> Gate:
@@ -50,8 +51,9 @@ def zero_flip(qubits) -> Gate:
 
 
 def gate_matrix(gate: Gate):
-    """2x2 matrix of a mixing or PHASE0 gate (rows/cols ordered |0>, |1>)."""
-    return _single_qubit_matrix(gate.kind, gate.param)
+    """2x2 complex matrix of a mixing or PHASE0 gate (rows/cols ordered
+    |0>, |1>), the dense oracle's."""
+    return _single_qubit_matrix(gate)
 
 
 def overlap(a: SparseState, b: SparseState) -> complex:

@@ -280,6 +280,22 @@ class TestDistribution:
         assert code == EXIT_VALIDATION and out == ""
         assert err == "qamem: b too large: the exponent 2b exceeds the float range\n"
 
+    def test_underflowed_law_exits_3(self, capsys, tmp_path):
+        """Two patterns at distance 1 share the exact law, 1/2 each, but at
+        b = 10^5 every weight underflows: exit 3 and nothing on stdout."""
+        f = tmp_path / "p.txt"
+        f.write_text("0000\n0011\n1100\n")
+        argv = ["distribution", "--patterns", str(f), "--input", "0001", "--b", "100000"]
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_NUMERIC and out == ""
+        assert err == (
+            "qamem: numeric failure: b = 100000 is too large for the closed form: its "
+            "weights underflow to Z = 0, although a pattern lies at distance 1 < n = 4\n"
+        )
+        code, out, _ = run(capsys, *argv[:-1], "1000")  # Z = 3.4e-69
+        assert code == EXIT_OK
+        assert json.loads(out)["distribution"][0]["prob"] == 0.5
+
     def test_large_b_in_float_range_runs(self, capsys, pattern_file):
         code, out, _ = run(
             capsys, "distribution", "--patterns", pattern_file, "--input", "000",

@@ -370,6 +370,27 @@ class TestBitMatrixClosedForm:
         largest = int(sys.float_info.max) // 2
         assert analytic_distribution(ps, P("0011"), largest).p_rec == 0.5
 
+    def test_underflowed_law_refused(self):
+        """Two patterns lie at distance 1 from the input and share the exact
+        law, 1/2 each; past b = 4420 their weights underflow, to subnormals
+        at b = 4600 and to 0 at b = 10^5, and the closed form is refused
+        rather than given as zeros.  retrieve refuses such a b first by the
+        size of the state it would prepare."""
+        ps, x = S("0000", "0011", "1100"), P("0001")
+        assert analytic_distribution(ps, x, 1000).Z == 3.4019023054898955e-69
+        for b in (4600, 10**5):
+            with pytest.raises(retrieval.WeightUnderflowError) as info:
+                analytic_distribution(ps, x, b)
+            assert str(info.value).startswith(f"b = {b} is too large for the closed form")
+            assert "distance 1 < n = 4" in str(info.value)
+            with pytest.raises(RetrievalError, match=f"b = {b} rounds on 3 patterns"):
+                retrieve(ps, x, RetrievalConfig(b=b), np.random.default_rng(0))
+        # the masked distances are 0, 0 and 2: Z = 2 stays in range
+        assert analytic_distribution(ps, x, 10**5, Mask.of(0, 1)).Z == 2.0
+        # the one pattern at distance n: Z = 0 is the exact law
+        dist = analytic_distribution(S("0110"), P("1001"), 10**5)
+        assert (dist.p_rec, dist.Z, dist.prob_array.tolist()) == (0.0, 0.0, [0.0])
+
     def test_law_is_shared_and_read_only(self):
         """Every report of one query carries the same memoised law."""
         ps, x = S("0110", "1011", "0001"), P("0111")
@@ -569,6 +590,8 @@ class TestRetrieve:
             RetrievalConfig(b=0)
         with pytest.raises(RetrievalError):
             RetrievalConfig(mode="nope")
+        with pytest.raises(RetrievalError, match="exponent 2b exceeds the float range"):
+            RetrievalConfig(b=10**400)
 
 
 def per_call_retrieve(ps, inp, config, rng):
@@ -578,7 +601,7 @@ def per_call_retrieve(ps, inp, config, rng):
         j = optimal_iterations(p_rec)
         state = amplitude_amplify(ps, inp, config.b, j, config.mask).state
     else:
-        state = prepare_final_state(ps, inp, config.b, config.mask, config.use_input_register)
+        state = prepare_final_state(ps, inp, config.b, config.mask)
     p_zero = section_marginal(state, "control").get(0, 0.0)
     for attempt in range(1, config.T + 1):
         if rng.random() < p_zero:
@@ -633,18 +656,17 @@ class TestPreparedSampling:
             (RetrievalConfig(b=3), inp),
             (RetrievalConfig(b=3), P("0110")),
             (RetrievalConfig(b=3, mask=Mask.of(0, 1)), P("0110")),
-            (RetrievalConfig(b=3, mask=Mask.of(0, 1), use_input_register=False), P("0110")),
         ]:
             retrieve(ps, x, config, rng)
             retrieve(ps, x, config, rng)
-        assert len(calls) == 5
+        assert len(calls) == 4
         # the mode does not enter the state: amplify mode rotates p_zero of
         # the same table; p_rec = 0.064 here, amplified 3 times
         repeat = sampling_table(ps, P("0000"), RetrievalConfig(b=3))
         amplified = sampling_table(
             ps, P("0000"), RetrievalConfig(b=3, mode="amplitude_amplify")
         )
-        assert len(calls) == 6
+        assert len(calls) == 5
         assert amplified.p_zero > repeat.p_zero
 
     @pytest.mark.parametrize("mode", ["repeat_measure", "amplitude_amplify"])
@@ -724,11 +746,8 @@ class TestPreparedSampling:
                 size = int(rng.integers(1, ps.n + 1))
                 mask = Mask(frozenset(int(j) for j in rng.choice(ps.n, size=size, replace=False)))
             b = int(rng.integers(1, 5))
-            use_input_register = bool(rng.integers(2))
-            sim = simulate_distribution(ps, inp, b, mask, use_input_register)
-            table = sampling_table(
-                ps, inp, RetrievalConfig(b=b, mask=mask, use_input_register=use_input_register)
-            )
+            sim = simulate_distribution(ps, inp, b, mask)
+            table = sampling_table(ps, inp, RetrievalConfig(b=b, mask=mask))
             if sim.p_rec < POSTSELECT_FLOOR:
                 assert (table.p_zero, table.values, table.cdf) == (0.0, (), ())
                 empty += 1
@@ -750,16 +769,11 @@ class TestPreparedSampling:
             if rng.integers(2):
                 mask = Mask(frozenset(int(j) for j in rng.choice(ps.n, size=ps.n - 1, replace=False)))
             b = int(rng.integers(1, 4))
-            use_input_register = bool(rng.integers(2))
             p_rec = analytic_distribution(ps, inp, b, mask).p_rec
             if p_rec == 0:
                 continue
-            repeat = sampling_table(
-                ps, inp, RetrievalConfig(b=b, mask=mask, use_input_register=use_input_register)
-            )
-            amplified = sampling_table(ps, inp, RetrievalConfig(
-                b=b, mode="amplitude_amplify", mask=mask, use_input_register=use_input_register
-            ))
+            repeat = sampling_table(ps, inp, RetrievalConfig(b=b, mask=mask))
+            amplified = sampling_table(ps, inp, RetrievalConfig(b=b, mode="amplitude_amplify", mask=mask))
             assert (amplified.values, amplified.cdf) == (repeat.values, repeat.cdf)
             theta = math.asin(math.sqrt(min(repeat.p_zero, 1.0)))
             j = optimal_iterations(p_rec)
@@ -811,7 +825,7 @@ class TestWideLayouts:
         for pat in ps:
             assert abs(sim.probs[pat] - ana.probs[pat]) < 1e-12
 
-        config = RetrievalConfig(b=b, T=4, use_input_register=use_input_register)
+        config = RetrievalConfig(b=b, T=4)
         table = sampling_table(ps, inp, config)
         assert abs(table.p_zero - ana.p_rec) < 1e-12
         probs = np.diff((0.0,) + table.cdf)

@@ -1,8 +1,9 @@
-import cmath
 import functools
 import itertools
 import math
+import sys
 from collections.abc import Mapping
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -52,8 +53,6 @@ from qamem.simulator import (
     section_marginal,
     _PRUNE_WINDOW,
     _QUARTER_TOP,
-    _matrix_forms,
-    _mixing_forms,
     _step,
 )
 
@@ -842,7 +841,7 @@ def assert_same_rows(table: Circuit, reference) -> None:
             want.kind, tuple(want.targets), tuple(want.controls), want.polarity
         )
         assert type(got.param) is type(want.param) and repr(got.param) == repr(want.param)
-    code, tmask, cmask, cwant, operand, run_end, scalar, _, _ = table._program()
+    code, tmask, cmask, cwant, operand, run_end, _, _ = table._program()
     fresh = Circuit(tuple(reference), table.layout)._program()
     assert (code, run_end) == (fresh[0], fresh[5])
     acting = [g for g in reference if not (g.kind == "ROTY" and g.param == 0)]
@@ -855,23 +854,29 @@ def assert_same_rows(table: Circuit, reference) -> None:
             sum(1 << c for c in gate.controls),
             sum(v << c for c, v in zip(gate.controls, gate.polarity)),
         )
-        if isinstance(operand[r], np.ndarray):
-            assert not operand[r].flags.writeable
-            assert operand[r].tobytes() == np.array(gate_matrix(gate)).tobytes()
-            columns = scalar[r][0]
-            assert all(type(m) is complex for column in columns for m in column)
-            assert np.array(columns).T.tobytes() == operand[r].astype(np.complex128).tobytes()
+        if gate.kind in ("PHASE0", "H", "CS", "ROTY"):
+            assert canonical(operand[r]) == canonical(oracle_operand(gate))
         else:
-            assert scalar[r] is None
-            assert repr(operand[r]) == repr(fresh[4][r])
-            assert operand[r] is None or gate.kind == "PHASE0"
+            assert operand[r] is None
+
+
+def oracle_operand(gate):
+    """The program operand of a PHASE0 or mixing gate, read from the dense
+    oracle's matrix: the phase of a PHASE0, else the matrix's columns as
+    Python complex values and the underflow floor over its smallest
+    nonzero entry (see the simulator's module docstring)."""
+    matrix = gate_matrix(gate)
+    if gate.kind == "PHASE0":
+        return complex(matrix[0, 0])
+    columns = tuple(map(tuple, matrix.T.tolist()))
+    return columns, sys.float_info.min / min(abs(m) for m in matrix.ravel().tolist() if m)
 
 
 def reference_run(keys, amps, program):
     """The kernel loop on arrays alone: one control split per run of rows
     and every row through ``_step``, with no single-key path and no fused
     segments."""
-    code, tmask, cmask, cwant, operand, run_end, _, _, _ = program
+    code, tmask, cmask, cwant, operand, run_end, _, _ = program
     i = 0
     while i < len(code):
         j = run_end[i]
@@ -1194,9 +1199,9 @@ class TestRunKernel:
         assert_same_rows(*transformed(data.draw, table, reference))
 
     def test_cs_matrices_are_gate_matrices(self):
-        """A table's CS matrices, built in one numpy pass over its CS rows,
-        have the bits of gate_matrix; (i - 1) / i and 1 - 1/i round apart at
-        i = 7, 19, 27, 171, 219 and 567."""
+        """A table's CS forms, built in one numpy pass over its CS rows,
+        have the bits of the dense oracle's matrices; (i - 1) / i and
+        1 - 1/i round apart at i = 7, 19, 27, 171, 219 and 567."""
         gates = [cs_gate(i, 0, 1, inverse=i % 3 == 0) for i in range(1, 600)]
         assert_same_rows(Circuit(tuple(gates), flat_layout(2)), gates)
 
@@ -1280,11 +1285,11 @@ class TestIdentityRows:
         assert len(table) == len(table.gates) == count
         identity = (table.kind == KIND["ROTY"]) & (table.param == 0)
         assert np.count_nonzero(identity) > 0
-        code, _, _, _, operand, _, _, _, _ = table._program()
+        code, _, _, _, operand, _, _, _ = table._program()
         assert code == table.kind[~identity].tolist()
-        for c, matrix in zip(code, operand):
+        for c, form in zip(code, operand):
             if c == KIND["ROTY"]:
-                assert not np.array_equal(matrix, np.eye(2))
+                assert not np.array_equal(np.array(form[0]).T, np.eye(2))
 
 
 def around(size):
@@ -1380,7 +1385,7 @@ class TestQuarterStretches:
             back(1, 4), Gate("ROTY", (0,), (4,), math.pi / 2, (0,)),  # another polarity
             turn(1), back(2), roty_gate(0.0, 3), turn(1), h_gate(2), turn(3, 4),
         )
-        stretch = Circuit(gates, flat_layout(5))._program()[8]
+        stretch = Circuit(gates, flat_layout(5))._program()[7]
         assert stretch == [3, 2, 1, 0, 1, 1, 3, 2, 1, 0, 1]
 
     @pytest.mark.parametrize("wide", [False, True])
@@ -1481,7 +1486,7 @@ class TestFusedSegments:
             toffoli_gate(1, 2, 4), not_gate(0),  # qubit 1 was targeted: a new one
             h_gate(2), xor_gate(0, 4),  # a mixing row, then a single row
         )
-        segment = Circuit(gates, flat_layout(5))._program()[7]
+        segment = Circuit(gates, flat_layout(5))._program()[6]
         assert [(r, s[0]) for r, s in enumerate(segment) if s is not None] == [(0, 3), (3, 5)]
         _, t, c, w = segment[0]
         assert t.shape == c.shape == w.shape == (3, 1)
@@ -1501,14 +1506,14 @@ class TestFusedSegments:
         )
         program = Circuit(gates, flat_layout(4))._program()
         assert program[5][4] == 6
-        assert [(r, s[0]) for r, s in enumerate(program[7]) if s is not None] == [(0, 4), (6, 8)]
+        assert [(r, s[0]) for r, s in enumerate(program[6]) if s is not None] == [(0, 4), (6, 8)]
 
     def test_sequential_loader_fuses_all_but_nxor_and_cs(self):
         """Every row of the sequential loader but the first NXOR and the CS
         of each pattern runs in a fused segment."""
         ps = PatternSet(tuple(Pattern.from_string(s) for s in ("0110", "1100", "1011", "0001")))
         circuit, _ = sequential_circuit(ps)
-        segment = circuit._program()[7]
+        segment = circuit._program()[6]
         assert sum(s[0] - r for r, s in enumerate(segment) if s is not None) == len(circuit) - 2 * ps.p
 
     @pytest.mark.parametrize("count, fused", [(FUSED_CELLS // 3, True), (FUSED_CELLS // 3 + 1, False)])
@@ -1637,27 +1642,9 @@ def reference_program(layout, kind, qubits, param, polarity):
                 span = slice(first, last)
                 segment[first] = (last, tmask[span, None], cmask[span, None], cwant[span, None])
     values = param.tolist()
-    operand, scalar = [None] * rows, [None] * rows
-    for r in np.flatnonzero(kind == KIND["PHASE0"]).tolist():
-        operand[r] = cmath.exp(1j * values[r])
-    forms = {}
-    cs = kind == KIND["CS"]
-    if cs.any():
-        i = np.abs(param[cs])
-        s = np.copysign(1.0 / np.sqrt(i), param[cs])
-        c = np.sqrt((i - 1) / i)
-        matrices = np.empty((len(i), 2, 2))
-        matrices[:, 0, 0] = matrices[:, 1, 1] = c
-        matrices[:, 0, 1], matrices[:, 1, 0] = s, -s
-        matrices.flags.writeable = False
-        for r, matrix, entries in zip(np.flatnonzero(cs).tolist(), matrices, matrices.tolist()):
-            forms[KIND["CS"], values[r]] = _matrix_forms(matrix, entries)
-    for r in np.flatnonzero(mixing).tolist():
-        key = (code[r], values[r]) if code[r] != KIND["H"] else KIND["H"]
-        form = forms.get(key)
-        if form is None:
-            form = forms[key] = _mixing_forms(code[r], values[r])
-        operand[r], scalar[r] = form
+    operand = [None] * rows
+    for r in np.flatnonzero(mixing | (kind == KIND["PHASE0"])).tolist():
+        operand[r] = oracle_operand(SimpleNamespace(kind=KINDS[code[r]], param=values[r]))
     # the size of each quarter turn's stretch from it on, row by row from
     # the last: the next row ends it unless it is a quarter turn on the
     # same condition
@@ -1668,7 +1655,7 @@ def reference_program(layout, kind, qubits, param, polarity):
         if quarter[r]:
             joined = r + 1 < rows and quarter[r + 1] and (conditions[r + 1], wants[r + 1]) == (conditions[r], wants[r])
             stretch[r] = 1 + stretch[r + 1] if joined else 1
-    return code, targets, conditions, wants, operand, run_end.tolist(), scalar, segment, stretch[:rows]
+    return code, targets, conditions, wants, operand, run_end.tolist(), segment, stretch[:rows]
 
 
 def canonical(value):
