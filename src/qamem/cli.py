@@ -5,9 +5,11 @@ Every command that uses randomness takes an explicit 64-bit --seed and is
 byte-deterministic: per-task seeds are derived with a splitmix64 mix (see
 :mod:`.seeds`), so the output is identical across runs.  ``phase`` and
 ``classical`` accept ``--workers`` and ignore it: both run in one thread.
-Output goes through :mod:`.emit`, which prints floats with 17 significant
-digits in both JSON and CSV.  Each command imports the modules it runs when
-it runs, so a command loads none that it does not use.
+Output goes through :mod:`.emit`: a JSON document is one flat dict of
+scalars and columnar tables (the per-pattern entries, sorted by pattern),
+and floats are printed with 17 significant digits in both JSON and CSV.
+Each command imports the modules it runs when it runs, so a command loads
+none that it does not use.
 Exit codes: 0 success, 2 validation error, 3 numeric failure.
 """
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from operator import itemgetter
 
 import numpy as np
 
@@ -127,11 +130,12 @@ def _parse_mask(spec: str | None, n: int) -> Mask | None:
 
 def _by_pattern(strings, **columns) -> Table:
     """One ``{"pattern": s, name: v, ...}`` entry per bit string s and the
-    values v aligned with it in the named columns, sorted by the strings.
-
-    The strings are distinct, so sorting the row tuples compares strings
-    only."""
-    return Table(("pattern", *columns), sorted(zip(strings, *columns.values())))
+    values v aligned with it in the named columns, sorted by the strings:
+    an index is sorted by the strings once and gathers every column."""
+    order = sorted(range(len(strings)), key=strings.__getitem__)
+    # itemgetter of one index returns the bare value, not a 1-tuple
+    gather = itemgetter(*order) if len(order) > 1 else tuple
+    return Table(("pattern", *columns), map(gather, (strings, *columns.values())))
 
 
 def cmd_store(args) -> int:

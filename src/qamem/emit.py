@@ -1,7 +1,7 @@
 """Text output: every float is printed with 17 significant digits, enough
-to round-trip a double, in both JSON and CSV.  A :class:`Table` is a list
-of JSON objects given as one key order and one tuple of values per object;
-the JSON emitter writes the columns of one exact type with one format."""
+to round-trip a double, in both JSON and CSV.  A JSON document is a flat
+dict of scalars of the exact types in ``_SCALARS`` and of :class:`Table`
+lists of objects, given column by column with one exact type per column."""
 from __future__ import annotations
 
 import csv
@@ -13,13 +13,7 @@ def format_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def _string(obj) -> str:
-    """JSON string of ``str(obj)``: quotes, backslashes and control
-    characters escaped, as ``json.dumps(..., ensure_ascii=False)`` does."""
-    return encode_basestring(str(obj))
-
-
-#: text of each scalar type, looked up by exact type
+#: text of each scalar field, looked up by exact type
 _SCALARS = {
     float: format_float,
     int: str,
@@ -28,114 +22,70 @@ _SCALARS = {
     type(None): lambda obj: "null",
 }
 
-
-class Table:
-    """A list of JSON objects that share one key order: ``keys`` and one
-    tuple of values per object in ``rows``, in key order.
-
-    :func:`emit_json` writes it as it writes the list
-    ``[dict(zip(keys, row)) for row in rows]``.  The keys must be distinct
-    strings, as dict keys are, and every row should hold one value per key.
-    """
-
-    __slots__ = ("keys", "rows")
-
-    def __init__(self, keys, rows):
-        keys = tuple(keys)
-        if len(set(keys)) != len(keys):
-            raise ValueError(f"table keys must be distinct, got {keys!r}")
-        self.keys, self.rows = keys, rows
-
-
-#: the format slot of each exact column type a table writes with one format
+#: the format slot of each exact column type
 _SLOTS = {float: "%.17g", int: "%s", str: "%s"}
 
 
-def emit_json(obj) -> str:
-    """Minimal JSON emitter printing floats with 17 significant digits.
+class Table:
+    """A list of JSON objects, object i being ``{key: column[i] for key,
+    column in zip(keys, columns)}``: distinct string ``keys`` and one
+    sequence of values per key, all of one length, in ``columns``."""
 
-    The text is appended piece by piece to one list, joined once at the
-    end.  Scalars of the exact types in ``_SCALARS`` take one table lookup,
-    also as the items of a container, which recurse only into containers.
-    Dict keys must be ``str``; they and string values are escaped as
-    ``json.dumps`` escapes them.
-    """
-    text = _SCALARS.get(type(obj))
-    if text is not None:
-        return text(obj)
-    parts: list[str] = []
-    _emit(obj, "\n", parts)
+    __slots__ = ("keys", "columns")
+
+    def __init__(self, keys, columns):
+        keys, columns = tuple(keys), tuple(columns)
+        if len(set(keys)) != len(keys):
+            raise ValueError(f"table keys must be distinct, got {keys!r}")
+        if len(columns) != len(keys):
+            raise ValueError(f"table has {len(keys)} keys but {len(columns)} columns")
+        self.keys, self.columns = keys, columns
+
+
+def emit_json(doc: dict) -> str:
+    """The JSON text of ``doc``, a flat dict of ``str`` keys whose values
+    are scalars of the exact types in ``_SCALARS`` or tables; any
+    other document, value or column raises ``TypeError``.  Keys and strings
+    are escaped as ``json.dumps`` escapes them, and the pieces of text are
+    joined once."""
+    if type(doc) is not dict:
+        raise TypeError(f"a JSON document is a dict, not {type(doc).__name__}")
+    if not doc:
+        return "{}"
+    parts, lead = [], "{\n  "
+    for key, value in doc.items():
+        if (text := _SCALARS.get(type(value))) is not None:
+            parts.append(f"{lead}{encode_basestring(key)}: {text(value)}")
+        elif type(value) is Table:
+            parts.append(f"{lead}{encode_basestring(key)}: ")
+            parts.append(_table_text(value))
+        else:
+            raise TypeError(f"field {key!r} is a {type(value).__name__}, not a scalar or a Table")
+        lead = ",\n  "
+    parts.append("\n}")
     return "".join(parts)
 
 
-def _emit(obj, newline: str, parts: list[str]) -> None:
-    """Append the text of ``obj``, of no exact type in ``_SCALARS``, to
-    ``parts``; ``newline`` starts a line at the indent of ``obj`` itself."""
-    get, append, encode = _SCALARS.get, parts.append, encode_basestring
-    if isinstance(obj, dict):
-        if not obj:
-            append("{}")
-            return
-        inner = newline + "  "
-        lead, sep = "{" + inner, "," + inner
-        for key, v in obj.items():
-            if (t := get(type(v))) is not None:
-                append(f"{lead}{encode(key)}: {t(v)}")
-            else:
-                append(f"{lead}{encode(key)}: ")
-                _emit(v, inner, parts)
-            lead = sep
-        append(newline + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            append("[]")
-            return
-        inner = newline + "  "
-        lead, sep = "[" + inner, "," + inner
-        for v in obj:
-            if (t := get(type(v))) is not None:
-                append(lead + t(v))
-            else:
-                append(lead)
-                _emit(v, inner, parts)
-            lead = sep
-        append(newline + "]")
-    elif isinstance(obj, Table):
-        _emit_table(obj, newline, parts)
-    # subclasses of the scalar types, such as numpy floats, and other objects
-    elif isinstance(obj, float):
-        append(format_float(obj))
-    elif isinstance(obj, int):
-        append(str(obj))
-    else:
-        append(_string(obj))
-
-
-def _emit_table(table: Table, newline: str, parts: list[str]) -> None:
-    """Append the text of ``table`` to ``parts``.
-
-    When every column holds values of one exact type in ``_SLOTS``, the
-    text is one ``%`` format, over the values in row order with strings
-    escaped first, of a template that repeats one row's text per row.  Any
-    other table is written as the list of dicts it stands for.
-    """
-    keys, rows = table.keys, table.rows
-    width, inner = len(keys), newline + "  "
-    values = [None] * (width * len(rows))
-    fields = []
-    # zip stops at the shortest row, as dict(zip(keys, row)) does
-    for j, (key, column) in enumerate(zip(keys, zip(*rows))):
+def _table_text(table: Table) -> str:
+    """The text of ``table`` as a field value: one ``%`` format, over the
+    values in row order with strings escaped first, of a template that
+    repeats one row's text per row; ``[]`` when it has no rows."""
+    keys, columns = table.keys, table.columns
+    size = len(columns[0]) if columns else 0
+    if not size:
+        return "[]"
+    width, fields = len(keys), []
+    values = [None] * (width * size)
+    for j, (key, column) in enumerate(zip(keys, columns)):
+        if len(column) != size:
+            raise ValueError(f"column {key!r} has {len(column)} values, not {size}")
         kind = type(column[0])
-        if kind not in _SLOTS or [*map(type, column)].count(kind) != len(column):
-            break
+        if kind not in _SLOTS or [*map(type, column)].count(kind) != size:
+            raise TypeError(f"column {key!r} is not all float, all int or all str")
         values[j::width] = map(encode_basestring, column) if kind is str else column
-        fields.append(inner + "  " + encode_basestring(key).replace("%", "%%") + ": " + _SLOTS[kind])
-    if not fields or len(fields) != width:  # no rows or keys, or a column of another type
-        _emit([dict(zip(keys, row)) for row in rows], newline, parts)
-        return
-    row = "{" + ",".join(fields) + inner + "}"
-    template = "[" + inner + (row + "," + inner) * (len(rows) - 1) + row + newline + "]"
-    parts.append(template % tuple(values))
+        fields.append("\n      " + encode_basestring(key).replace("%", "%%") + ": " + _SLOTS[kind])
+    row = "{" + ",".join(fields) + "\n    }"
+    return ("[\n    " + (row + ",\n    ") * (size - 1) + row + "\n  ]") % tuple(values)
 
 
 def csv_text(header, rows) -> str:

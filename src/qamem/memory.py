@@ -229,26 +229,12 @@ def sequential_circuit(pattern_set: PatternSet) -> tuple[Circuit, list[int]]:
     return circuit, np.cumsum(keep.reshape(p, rows).sum(axis=1)).tolist()
 
 
-def store_sequential(
-    pattern_set: PatternSet, record_intermediate: bool = False
-):
-    """Run the sequential storage algorithm, returning the final state.
-
-    With ``record_intermediate`` also returns the per-pattern snapshots
-    taken after each full loading round (before the pattern register is
-    rewritten), for checking the stored/processing split amplitudes.
-    """
+def store_sequential(pattern_set: PatternSet) -> SparseState:
+    """Run the sequential storage algorithm, returning the final state."""
     n = pattern_set.n
-    circuit, ends = sequential_circuit(pattern_set)
+    circuit, _ = sequential_circuit(pattern_set)
     state = basis_state(circuit.layout, list(pattern_set[0].bits) + [0, 1] + [0] * n)
-    if not record_intermediate:
-        return apply_circuit(state, circuit)
-    snapshots, start = [], 0
-    for end in ends:
-        state = apply_circuit(state, circuit[start:end])
-        snapshots.append(state)
-        start = end
-    return state, snapshots
+    return apply_circuit(state, circuit)
 
 
 def memory_register_amplitudes(state: SparseState) -> dict[Pattern, complex]:

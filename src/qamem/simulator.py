@@ -689,10 +689,6 @@ class SparseState:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amp_array))
 
-    def section_value(self, key: int, name: str) -> int:
-        off, w = self.layout._span(name)
-        return (key >> off) & ((1 << w) - 1)
-
     def section_values(self, name: str):
         """Array of one section's value for every key."""
         off, w = self.layout._span(name)

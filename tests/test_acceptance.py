@@ -75,11 +75,8 @@ def storage_ok(pattern_set) -> bool:
         else:
             state = store_sequential(pattern_set)
             amps = memory_register_amplitudes(state)
-        utility_mass = sum(
-            abs(a) ** 2
-            for key, a in state.amps.items()
-            if state.section_value(key, "utility") == 0
-        )
+        utility_zero = state.section_values("utility") == 0
+        utility_mass = sum(abs(a) ** 2 for a in state.amp_array[utility_zero].tolist())
         if abs(utility_mass - 1.0) > 1e-10:
             return False
         for pat in stored:

@@ -24,6 +24,7 @@ from qamem.cli import (
     EXIT_OK,
     EXIT_VALIDATION,
     MAX_GRID_COUNT,
+    Table,
     emit_json,
     format_float,
     main,
@@ -61,8 +62,11 @@ class TestHelpers:
         assert format_float(0.5) == "0.5"
 
     def test_emit_json_roundtrips(self):
-        doc = {"a": 1, "b": [0.25, None, True], "s": 'he said "hi"'}
-        assert json.loads(emit_json(doc)) == doc
+        doc = {"a": 1, "b": None, "c": True, "s": 'he said "hi"'}
+        table = Table(("x", "y"), ([0.25, 0.5], ["u", 'he said "hi"']))
+        assert json.loads(emit_json(doc | {"t": table})) == doc | {
+            "t": [{"x": 0.25, "y": "u"}, {"x": 0.5, "y": 'he said "hi"'}]
+        }
 
     def test_derive_seed_validation(self):
         with pytest.raises(ValueError, match="master seed must fit in 64 bits"):

@@ -16,6 +16,8 @@ from qamem.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 P4 = str(GOLDEN / "patterns4.txt")
 P6 = str(GOLDEN / "patterns6.txt")
+# one pattern: each per-pattern table has one row
+P1 = str(GOLDEN / "patterns1.txt")
 # 300 patterns of 24 bits drawn around 12 shared prefixes, so that many
 # entries tie on their leading bits and the sort order is exercised
 P24 = str(GOLDEN / "patterns24.txt")
@@ -30,9 +32,14 @@ CASES = {
     "store_dry_run": ("store", "--patterns", P6, "--dry-run"),
     "store": ("store", "--patterns", P6),
     "store_p4": ("store", "--patterns", P4),
+    "store_p1": ("store", "--patterns", P1),
     "retrieve_repeat": (
         "retrieve", "--patterns", P4, "--input", "0011", "--b", "2",
         "--T", "5", "--seed", "99",
+    ),
+    "retrieve_p1": (
+        "retrieve", "--patterns", P1, "--input", "0100", "--b", "2", "--T", "3",
+        "--seed", "7",
     ),
     "retrieve_repeat_corrupt": (
         "retrieve", "--patterns", P4, "--input", "0011", "--corrupt", "1",
@@ -53,6 +60,7 @@ CASES = {
     "distribution": (
         "distribution", "--patterns", P6, "--input", "011110", "--b", "3",
     ),
+    "distribution_p1": ("distribution", "--patterns", P1, "--input", "0100", "--b", "2"),
     "distribution_masked": (
         "distribution", "--patterns", P4, "--input", "0011", "--mask", "1,3",
         "--b", "2",

@@ -14,6 +14,7 @@ from qamem.memory import (
     memory_gate_count,
     memory_layout,
     memory_register_amplitudes,
+    sequential_circuit,
     store_sequential,
 )
 from qamem.patterns import Pattern, PatternSet
@@ -135,11 +136,8 @@ class TestMemoryOperator:
     def test_utility_register_clean(self):
         for ps in all_sets(2, 3):
             state = build_memory_operator(ps).final_state
-            mass = sum(
-                abs(a) ** 2
-                for key, a in state.amps.items()
-                if state.section_value(key, "utility") == 0
-            )
+            stored = state.section_values("utility") == 0
+            mass = sum(abs(a) ** 2 for a in state.amp_array[stored].tolist())
             assert mass == pytest.approx(1.0, abs=1e-10)
 
     def test_random_sets(self):
@@ -271,20 +269,17 @@ class TestSequentialRoute:
         ps = PatternSet(
             tuple(Pattern.from_string(s) for s in ("000", "011", "110"))
         )
-        _, snapshots = store_sequential(ps, record_intermediate=True)
+        # one snapshot per loading round, at the block ends, as store_sequential starts
+        circuit, ends = sequential_circuit(ps)
+        snap = basis_state(circuit.layout, list(ps[0].bits) + [0, 1] + [0] * ps.n)
         p = ps.p
-        for i, snap in enumerate(snapshots, start=1):
-            processing = sum(
-                abs(a) ** 2
-                for key, a in snap.amps.items()
-                if snap.section_value(key, "utility") == 2  # u2 set
-            )
+        for i, (start, end) in enumerate(zip([0, *ends], ends), start=1):
+            snap = apply_circuit(snap, circuit[start:end])
+            utility = snap.section_values("utility").tolist()
+            amps = snap.amp_array.tolist()
+            processing = sum(abs(a) ** 2 for a, u in zip(amps, utility) if u == 2)  # u2 set
             assert processing == pytest.approx((p - i) / p, abs=1e-10)
-            stored = [
-                a
-                for key, a in snap.amps.items()
-                if snap.section_value(key, "utility") == 0
-            ]
+            stored = [a for a, u in zip(amps, utility) if u == 0]
             assert len(stored) == i
             for amp in stored:
                 assert abs(amp - 1 / math.sqrt(p)) < 1e-10
@@ -313,14 +308,16 @@ class TestDualState:
         dual = build_dual_state(ps)
         n = ps.n
         expected = 1 / math.sqrt(ps.p)
+        entries = list(zip(
+            dual.amp_array.tolist(),
+            dual.section_values("utility").tolist(),
+            dual.section_values("memory").tolist(),
+        ))
         for i, pat in enumerate(ps, start=1):
             sign = 1.0 if i % 2 == 1 else -1.0
             amp = None
-            for key, a in dual.amps.items():
-                if (
-                    dual.section_value(key, "utility") == 0
-                    and dual.section_value(key, "memory") == pat.as_key()
-                ):
+            for a, utility, memory in entries:
+                if utility == 0 and memory == pat.as_key():
                     amp = a
             assert amp is not None
             assert abs(amp - sign * expected) < 1e-10

@@ -172,8 +172,7 @@ class TestRoundCircuit:
     def test_exact_input_never_excites_control(self):
         ps = S("1011")
         state = prepare_final_state(ps, P("1011"), 1)
-        for key in state.amps:
-            assert state.section_value(key, "control") == 0
+        assert (state.section_values("control") == 0).all()
 
     def test_control_index_range(self):
         layout = retrieval_layout(3, 1)
