@@ -20,17 +20,21 @@ Both retrieval modes draw from the state the b rounds prepare: amplify
 mode only raises its recognition probability to the rotation law
 sin^2((2j+1)theta) of j Grover iterations, which keep the memory law.
 :func:`amplitude_amplify` runs those iterations on the state itself: the
-preparation runs once, and each iteration is a reflection about the
-prepared state, a few array operations on its amplitudes.  The gate
-counts (:func:`amplify_iteration_gates`, :func:`complexity_estimate`)
-are those of the algorithm's circuit, which runs the preparation and its
-inverse in every iteration, not the work the simulator does.
+preparation runs once, the input in its register as retrieval prepares
+it (rotations only where that register alone would push the keys past
+``int64``), and each iteration is a reflection about the prepared state,
+a few array operations on its amplitudes.  The gate counts
+(:func:`amplify_iteration_gates`, :func:`complexity_estimate`) are those
+of the algorithm's circuit, which codes the input as rotations and runs
+the preparation and its inverse in every iteration, not the work the
+simulator does.
 """
 from __future__ import annotations
 
 import bisect
 import itertools
 import math
+import numbers
 import sys
 import weakref
 from collections.abc import Mapping, Sequence
@@ -43,6 +47,7 @@ import numpy as np
 from .patterns import Mask, Pattern, PatternError, PatternSet, patterns_from_keys
 from .memory import build_memory_circuit, memory_gate_count
 from .simulator import (
+    INT64_KEY_QUBITS,
     KIND,
     POSTSELECT_FLOOR,
     Circuit,
@@ -78,6 +83,8 @@ class RetrievalConfig:
     mask: Mask | None = None
 
     def __post_init__(self):
+        _count("b", self.b)
+        _count("T", self.T)
         if self.b < 1 or self.T < 1:
             raise RetrievalError("b and T must be >= 1")
         _check_exponent(self.b)
@@ -125,6 +132,14 @@ class RetrievalReport:
     @property
     def analytic_dist(self) -> Mapping[Pattern, float]:
         return self.analytic.probs
+
+
+def _count(name: str, value) -> int:
+    """A count as a Python int; one that is not an integer is refused.
+    numpy integers and bools are integers and count as their values."""
+    if not isinstance(value, numbers.Integral):
+        raise RetrievalError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _check_exponent(b: int) -> None:
@@ -298,6 +313,7 @@ def prepare_final_state(
     """Memory preparation followed by all b >= 1 retrieval rounds; refused
     before any gate runs when it could hold more than
     :data:`MAX_PREPARED_KEYS` keys."""
+    b = _count("b", b)
     if b < 1:
         raise RetrievalError("b must be >= 1")
     if pattern_set.p > MAX_PREPARED_KEYS >> b:  # p * 2^b > limit, without 2^b
@@ -499,6 +515,15 @@ def optimal_iterations(p_rec: float) -> int:
     return max(0, math.floor(math.pi / (4 * theta)))
 
 
+def _uses_input_register(n: int, b: int) -> bool:
+    """Whether :func:`amplitude_amplify` prepares with the input in its
+    register: whenever that layout's 2n + 2 + b qubits fit an ``int64``
+    key, or neither layout's do.  Where the register alone would make the
+    keys Python ints (2n + 2 + b > 63 >= n + 2 + b), it codes the input as
+    rotations: ``int64`` keys save more than the register's dressing."""
+    return 2 * n + 2 + b <= INT64_KEY_QUBITS or n + 2 + b > INT64_KEY_QUBITS
+
+
 def amplitude_amplify(
     pattern_set: PatternSet,
     input_pattern: Pattern,
@@ -508,21 +533,31 @@ def amplitude_amplify(
 ) -> AmplificationRun:
     """Grover-style amplification of the all-zeros control subspace.
 
-    Uses the input-as-operator variant; the success probability after j
-    iterations is sin^2((2j+1) theta) with sin^2(theta) the single-shot
-    recognition probability under ``mask``.
+    The success probability after j iterations is sin^2((2j+1) theta)
+    with sin^2(theta) the single-shot recognition probability under
+    ``mask``.
 
-    The preparation A runs once, giving |psi> = A|0...0>.  Since the
-    reflection about |0...0> is S0 = I - 2|0...0><0...0|, the iteration
+    The preparation A runs once, giving |psi> = A|s>.  It is the
+    preparation :func:`retrieve` runs, the input held in a register of its
+    own and |s> = |x; 0...0>, wherever the keys allow it (see
+    ``_uses_input_register``): each round then dresses the memory with one
+    XOR/NOT pass each way, where the input coded as rotations (and
+    |s> = |0...0>) takes a quarter-turn mix per zero bit of x, each on
+    paired keys.  Both layouts give the same memory, utility and control
+    amplitudes; the register adds the constant input section to every key.
+
+    Since the reflection about |s> is S0 = I - 2|s><s|, the iteration
     Q = -A S0 A^-1 S equals -(I - 2|psi><psi|) S, with S the sign flip of
     the all-zeros control subspace; each iteration is therefore
     phi <- 2<psi|S phi> psi - S phi on psi's amplitude array.  The result
     lives on psi's keys (none is pruned) and agrees with the gate-level
     circuit to 1e-12 in every amplitude.
     """
+    b, iterations = _count("b", b), _count("iterations", iterations)
     if iterations < 0:
         raise RetrievalError("iterations must be >= 0")
-    psi = prepare_final_state(pattern_set, input_pattern, b, mask, use_input_register=False)
+    register = _uses_input_register(pattern_set.n, b)
+    psi = prepare_final_state(pattern_set, input_pattern, b, mask, register)
     good = psi.section_values("control") == 0
     amps = psi.amp_array
     for _ in range(iterations):
@@ -538,8 +573,11 @@ def round_gate_count(n: int, use_input_register: bool = True) -> int:
 
 
 def amplify_preparation_gates(p: int, n: int, b: int) -> int:
-    """Gates in the preparation that :func:`amplitude_amplify` runs: the
-    memory circuit, then b rounds with the input coded as rotations."""
+    """Gates in the preparation of the algorithm's amplification circuit:
+    the memory circuit, then b rounds with the input coded as rotations
+    (4n + 2 each).  This counts that circuit, not what the simulator runs:
+    :func:`amplitude_amplify` prepares with the input in its register
+    wherever the keys allow it (6n + 2 rows per round)."""
     return memory_gate_count(p, n) + b * round_gate_count(n, use_input_register=False)
 
 

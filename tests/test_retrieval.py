@@ -3,6 +3,7 @@ import itertools
 import math
 import sys
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -40,6 +41,7 @@ from qamem.retrieval import (
 from qamem.simulator import (
     POSTSELECT_FLOOR,
     Circuit,
+    Gate,
     SparseState,
     apply_circuit,
     basis_state,
@@ -71,15 +73,39 @@ def random_input(rng, n):
     return Pattern(tuple(int(b) for b in rng.integers(0, 2, size=n)))
 
 
-def grover_circuit(pattern_set, x, b, mask=None):
+def start_bits(layout, x):
+    """The basis state a preparation starts from: the input in its register,
+    if the layout has one, and every other qubit 0."""
+    bits = [0] * layout.total
+    if layout.width("input"):
+        start = layout.offset("input")
+        bits[start : start + x.n] = x.bits
+    return bits
+
+
+def basis_flip(layout, bits):
+    """Sign flip of the basis state ``bits`` as one ``PHASE0(pi)`` row: the
+    first memory qubit, which holds 0, is the target, and every other qubit
+    a control that must hold its bit."""
+    target = layout.qubits("memory")[0]
+    controls = tuple(q for q in range(layout.total) if q != target)
+    return Gate("PHASE0", (target,), controls, math.pi, tuple(bits[q] for q in controls))
+
+
+def grover_circuit(pattern_set, x, b, mask=None, use_input_register=None):
     """The amplify preparation A and one Grover iteration as gates: the
     reflection S of the all-zeros control subspace, A^-1, the reflection
-    S0 about |0...0>, then A; each reflection is one ``PHASE0(pi)`` row.
-    The iteration Q = -A S0 A^-1 S is this circuit followed by a sign flip."""
-    layout = retrieval_layout(pattern_set.n, b, use_input_register=False)
+    S0 about the start state |s>, then A; each reflection is one
+    ``PHASE0(pi)`` row.  The iteration Q = -A S0 A^-1 S is this circuit
+    followed by a sign flip.  The layout is the one
+    :func:`amplitude_amplify` picks unless ``use_input_register`` is given;
+    with rotations |s> is |0...0>, with the register |x; 0...0>."""
+    if use_input_register is None:
+        use_input_register = retrieval._uses_input_register(pattern_set.n, b)
+    layout = retrieval_layout(pattern_set.n, b, use_input_register)
     prep = preparation_circuit(pattern_set, x, layout, mask)
     flips = Circuit(
-        (zero_flip(layout.qubits("control")), zero_flip(range(layout.total))), layout
+        (zero_flip(layout.qubits("control")), basis_flip(layout, start_bits(layout, x))), layout
     )
     return prep, flips[:1] + prep.inverse() + flips[1:] + prep
 
@@ -88,7 +114,7 @@ def gate_level_amplify(pattern_set, x, b, iterations, mask=None):
     """The state after ``iterations`` Grover iterations, run gate by gate."""
     prep, grover = grover_circuit(pattern_set, x, b, mask)
     layout = prep.layout
-    state = apply_circuit(basis_state(layout, [0] * layout.total), prep)
+    state = apply_circuit(basis_state(layout, start_bits(layout, x)), prep)
     for _ in range(iterations):
         state = apply_circuit(state, grover)
         state = SparseState.from_arrays(layout, state.key_array, -state.amp_array)
@@ -505,6 +531,25 @@ class TestRetrieve:
         with pytest.raises(AssertionError, match="a gate ran"):
             simulate_distribution(ps, inp, b - 1)
 
+    @pytest.mark.parametrize("name, call", [
+        ("b", lambda v: RetrievalConfig(b=v)),
+        ("T", lambda v: RetrievalConfig(T=v)),
+        ("b", lambda v: prepare_final_state(S("001", "011"), P("000"), v).amps),
+        ("b", lambda v: simulate_distribution(S("001", "011"), P("000"), v).probs),
+        ("b", lambda v: amplitude_amplify(S("001", "011"), P("000"), v, 1).state.amps),
+        ("iterations", lambda v: amplitude_amplify(S("001", "011"), P("000"), 2, v).state.amps),
+    ])
+    def test_count_must_be_an_integer(self, name, call):
+        """A b, T or iteration count that is not an integer is refused by
+        name; numpy integers and bools, which are integers, count as their
+        values."""
+        for bad in (1.5, 2.0, np.float64(1.0), "2", None):
+            with pytest.raises(RetrievalError) as refused:
+                call(bad)
+            assert str(refused.value) == f"{name} must be an integer, got {bad!r}"
+        assert call(np.int64(2)) == call(2)
+        assert call(True) == call(1)
+
     @pytest.mark.parametrize("b", [0, -1])
     def test_preparation_needs_a_round(self, b):
         """The gate-level entry points refuse b < 1 by the preparation's
@@ -844,7 +889,7 @@ class TestAmplification:
         for _ in range(5):
             ps = random_set(rng, max_n=5, max_p=4)
             b = int(rng.integers(1, 4))
-            prep, grover = grover_circuit(ps, random_input(rng, ps.n), b)
+            prep, grover = grover_circuit(ps, random_input(rng, ps.n), b, use_input_register=False)
             assert len(prep) == amplify_preparation_gates(ps.p, ps.n, b)
             assert amplify_iteration_gates(ps.p, ps.n, b) == len(grover) == 2 * len(prep) + 2
 
@@ -933,11 +978,75 @@ class TestAmplification:
         if masked:
             mask = Mask(frozenset(data.draw(st.sets(st.integers(0, n - 1), min_size=1))))
         run = amplitude_amplify(ps, inp, b, j, mask)
-        want = gate_level_amplify(ps, inp, b, j, mask).amps
-        got = run.state.amps
+        want = gate_level_amplify(ps, inp, b, j, mask)
+        assert want.layout == run.state.layout
+        got, want = run.state.amps, want.amps
         assert max(abs(got.get(k, 0) - want.get(k, 0)) for k in set(got) | set(want)) <= 1e-12
-        prepared = prepare_final_state(ps, inp, b, mask, use_input_register=False)
+        register = retrieval._uses_input_register(n, b)
+        prepared = prepare_final_state(ps, inp, b, mask, register)
         assert run.state.key_array.tolist() == prepared.key_array.tolist()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(2, 6),
+        b=st.integers(1, 4),
+        j=st.integers(0, 3),
+        masked=st.booleans(),
+    )
+    def test_layouts_agree(self, data, n, b, j, masked):
+        """The input in its register and the input as rotations give the
+        same success probability and the same memory, utility and control
+        amplitudes to 1e-12; the register only adds the constant input."""
+        keys = data.draw(
+            st.lists(st.integers(0, 2**n - 1), min_size=1, max_size=min(12, 2**n), unique=True)
+        )
+        ps = PatternSet(tuple(Pattern.from_key(k, n) for k in keys))
+        inp = Pattern.from_key(data.draw(st.integers(0, 2**n - 1)), n)
+        mask = None
+        if masked:
+            mask = Mask(frozenset(data.draw(st.sets(st.integers(0, n - 1), min_size=1))))
+        runs = {}
+        for register in (True, False):
+            with mock.patch.object(retrieval, "_uses_input_register", lambda n, b: register):
+                runs[register] = amplitude_amplify(ps, inp, b, j, mask)
+        assert runs[True].state.layout.width("input") == n
+        assert runs[False].state.layout.width("input") == 0
+        assert set(runs[True].state.section_values("input").tolist()) == {inp.as_key()}
+        assert abs(runs[True].success_probability - runs[False].success_probability) <= 1e-12
+
+        def amplitudes(state):
+            sections = (state.section_values(s).tolist() for s in ("memory", "utility", "control"))
+            return dict(zip(zip(*sections), state.amp_array.tolist()))
+
+        got, want = amplitudes(runs[True].state), amplitudes(runs[False].state)
+        assert len(got) == len(runs[True].state.key_array)
+        assert max(abs(got.get(k, 0) - want.get(k, 0)) for k in set(got) | set(want)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "n, b, input_width, width",
+        [
+            (7, 4, 7, 20),  # the register fits an int64 key
+            (30, 1, 30, 63),  # the register just fits
+            (30, 2, 0, 34),  # only the register would need object keys
+            (30, 4, 0, 36),
+            (61, 1, 61, 125),  # neither layout fits: the register
+            (64, 2, 64, 132),
+        ],
+    )
+    def test_width_rule(self, n, b, input_width, width):
+        """The input goes in its register unless that register alone would
+        push the keys past int64."""
+        rng = np.random.default_rng(n + b)
+        ps = PatternSet(tuple(Pattern(tuple(int(v) for v in row)) for row in rng.integers(0, 2, (3, n))))
+        run = amplitude_amplify(ps, ps[0], b, 1)
+        layout = run.state.layout
+        assert (layout.width("input"), layout.total) == (input_width, width)
+        assert layout.key_dtype == np.dtype(np.int64 if width <= 63 else object)
+        assert run.state.key_array.dtype == layout.key_dtype
+        p_rec = analytic_distribution(ps, ps[0], b).p_rec
+        theta = math.asin(math.sqrt(p_rec))
+        assert run.success_probability == pytest.approx(math.sin(3 * theta) ** 2, abs=1e-12)
 
     def test_prepares_once_for_any_iterations(self, monkeypatch):
         ps, inp = S("0110", "1011", "0001"), P("0111")
@@ -995,7 +1104,7 @@ class TestComplexity:
             b, T = int(rng.integers(1, 4)), int(rng.integers(0, 4))
             prep = preparation_circuit(ps, inp, retrieval_layout(ps.n, b))
             assert complexity_estimate(ps.p, ps.n, b, T) == T * len(prep)
-            prep, grover = grover_circuit(ps, inp, b)
+            prep, grover = grover_circuit(ps, inp, b, use_input_register=False)
             got = complexity_estimate(ps.p, ps.n, b, T, mode="amplitude_amplify")
             assert got == len(prep) + T * len(grover)
 

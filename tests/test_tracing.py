@@ -5,7 +5,8 @@ traced function that is renamed or moved is only reported as "not found"
 and its metrics read 0; a ``from ... import`` binding that no longer
 refers to a traced function makes a traced run raise.  These tests load
 the tracer by path and check both lists against the package, and that a
-retrieve still reaches the layers the traced `queries` run must record.
+retrieve and an amplitude_amplify still reach the layers the traced
+`queries` and `circuit` runs must record.
 """
 import importlib
 import importlib.util
@@ -73,6 +74,24 @@ def test_small_retrieve_reaches_memory_and_simulator(tracing):
             ps, Pattern.from_string("10111"), retrieval.RetrievalConfig(b=2, T=3),
             np.random.default_rng(0),
         )
+    finally:
+        tracer.uninstall()
+    counts = tracer.span_counts()
+    assert counts.get("memory", 0) >= 1 and counts.get("simulator", 0) >= 1, counts
+
+
+def test_small_amplify_reaches_memory_and_simulator(tracing):
+    """The traced `circuit` run fails in the same way when no step opens a
+    `memory` or a `simulator` span: one small amplitude_amplify, as its
+    amp steps run, must reach a traced function of each layer."""
+    from qamem import retrieval
+    from qamem.patterns import Pattern, PatternSet
+
+    ps = PatternSet(tuple(Pattern.from_string(s) for s in ("10110", "01101", "11000")))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        retrieval.amplitude_amplify(ps, Pattern.from_string("10111"), 2, 1)
     finally:
         tracer.uninstall()
     counts = tracer.span_counts()
