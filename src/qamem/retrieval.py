@@ -21,9 +21,8 @@ mode only raises its recognition probability to the rotation law
 sin^2((2j+1)theta) of j Grover iterations, which keep the memory law.
 :func:`amplitude_amplify` runs those iterations on the state itself: the
 preparation runs once, the input in its register as retrieval prepares
-it (rotations only where that register alone would push the keys past
-``int64``), and each iteration is a reflection about the prepared state,
-a few array operations on its amplitudes.  The gate counts
+it, and each iteration is a reflection about the prepared state, a few
+array operations on its amplitudes.  The gate counts
 (:func:`amplify_iteration_gates`, :func:`complexity_estimate`) are those
 of the algorithm's circuit, which codes the input as rotations and runs
 the preparation and its inverse in every iteration, not the work the
@@ -47,7 +46,6 @@ import numpy as np
 from .patterns import Mask, Pattern, PatternError, PatternSet, patterns_from_keys
 from .memory import build_memory_circuit, memory_gate_count
 from .simulator import (
-    INT64_KEY_QUBITS,
     KIND,
     POSTSELECT_FLOOR,
     Circuit,
@@ -83,8 +81,8 @@ class RetrievalConfig:
     mask: Mask | None = None
 
     def __post_init__(self):
-        _count("b", self.b)
-        _count("T", self.T)
+        object.__setattr__(self, "b", _count("b", self.b))
+        object.__setattr__(self, "T", _count("T", self.T))
         if self.b < 1 or self.T < 1:
             raise RetrievalError("b and T must be >= 1")
         _check_exponent(self.b)
@@ -515,15 +513,6 @@ def optimal_iterations(p_rec: float) -> int:
     return max(0, math.floor(math.pi / (4 * theta)))
 
 
-def _uses_input_register(n: int, b: int) -> bool:
-    """Whether :func:`amplitude_amplify` prepares with the input in its
-    register: whenever that layout's 2n + 2 + b qubits fit an ``int64``
-    key, or neither layout's do.  Where the register alone would make the
-    keys Python ints (2n + 2 + b > 63 >= n + 2 + b), it codes the input as
-    rotations: ``int64`` keys save more than the register's dressing."""
-    return 2 * n + 2 + b <= INT64_KEY_QUBITS or n + 2 + b > INT64_KEY_QUBITS
-
-
 def amplitude_amplify(
     pattern_set: PatternSet,
     input_pattern: Pattern,
@@ -539,12 +528,12 @@ def amplitude_amplify(
 
     The preparation A runs once, giving |psi> = A|s>.  It is the
     preparation :func:`retrieve` runs, the input held in a register of its
-    own and |s> = |x; 0...0>, wherever the keys allow it (see
-    ``_uses_input_register``): each round then dresses the memory with one
+    own and |s> = |x; 0...0>: each round dresses the memory with one
     XOR/NOT pass each way, where the input coded as rotations (and
     |s> = |0...0>) takes a quarter-turn mix per zero bit of x, each on
     paired keys.  Both layouts give the same memory, utility and control
-    amplitudes; the register adds the constant input section to every key.
+    amplitudes; the register adds the constant input section to every key,
+    and past 63 qubits (2n + 2 + b) the keys are Python ints.
 
     Since the reflection about |s> is S0 = I - 2|s><s|, the iteration
     Q = -A S0 A^-1 S equals -(I - 2|psi><psi|) S, with S the sign flip of
@@ -556,8 +545,7 @@ def amplitude_amplify(
     b, iterations = _count("b", b), _count("iterations", iterations)
     if iterations < 0:
         raise RetrievalError("iterations must be >= 0")
-    register = _uses_input_register(pattern_set.n, b)
-    psi = prepare_final_state(pattern_set, input_pattern, b, mask, register)
+    psi = prepare_final_state(pattern_set, input_pattern, b, mask)
     good = psi.section_values("control") == 0
     amps = psi.amp_array
     for _ in range(iterations):
@@ -577,7 +565,7 @@ def amplify_preparation_gates(p: int, n: int, b: int) -> int:
     the memory circuit, then b rounds with the input coded as rotations
     (4n + 2 each).  This counts that circuit, not what the simulator runs:
     :func:`amplitude_amplify` prepares with the input in its register
-    wherever the keys allow it (6n + 2 rows per round)."""
+    (6n + 2 rows per round)."""
     return memory_gate_count(p, n) + b * round_gate_count(n, use_input_register=False)
 
 

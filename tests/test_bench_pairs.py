@@ -1,10 +1,10 @@
 """``tools/bench_pairs.py`` against a stub runner: the pair order, the
-summary's statistics and the parent checkout, without starting a benchmark."""
+summary's statistics and the document it writes, without starting a
+benchmark."""
 import importlib.util
 import json
 import shutil
 import statistics
-import subprocess
 from pathlib import Path
 
 import pytest
@@ -125,34 +125,6 @@ def test_main_with_parent_dir_writes_the_document(bench, tmp_path):
     assert len(document["runs"]) == 4
 
 
-def test_main_checks_out_the_parent_as_a_worktree(bench, tmp_path):
-    git = shutil.which("git")
-    if git is None:
-        pytest.skip("git is not installed")
-    repo = checkout(tmp_path / "repo")
-
-    def run(*args):
-        return subprocess.run([git, "-C", str(repo), *args], check=True, capture_output=True, text=True)
-
-    run("init", "-q")
-    run("-c", "user.name=t", "-c", "user.email=t@t", "commit", "-q", "--allow-empty", "-m", "empty")
-    run("add", "BENCHMARK.json")
-    run("-c", "user.name=t", "-c", "user.email=t@t", "commit", "-q", "-m", "benchmark")
-    seen = []
-
-    def runner(path, workload, seed, seconds):
-        seen.append((path, (path / "BENCHMARK.json").exists()))
-        return {"wall": 0.0, "exit": 0, "result": result(0.03), "step_medians": {}}
-
-    assert bench.main(["--pairs", "1", "--workloads", "circuit", "--parent", "HEAD~1",
-                       "--change-dir", str(repo)], runner) == 0
-    (parent, parent_has_file), (change, change_has_file) = seen
-    assert change == repo.resolve() and change_has_file
-    assert parent != change and not parent_has_file  # the empty first commit
-    assert not parent.exists()
-    assert len(run("worktree", "list").stdout.splitlines()) == 1
-
-
 def test_seed_count_must_match_pairs(bench):
     with pytest.raises(SystemExit):
-        bench.parse_args(["--pairs", "2", "--seeds", "1"])
+        bench.parse_args(["--pairs", "2", "--seeds", "1", "--parent-dir", "p"])

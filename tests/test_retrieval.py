@@ -3,7 +3,6 @@ import itertools
 import math
 import sys
 import weakref
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -92,16 +91,14 @@ def basis_flip(layout, bits):
     return Gate("PHASE0", (target,), controls, math.pi, tuple(bits[q] for q in controls))
 
 
-def grover_circuit(pattern_set, x, b, mask=None, use_input_register=None):
+def grover_circuit(pattern_set, x, b, mask=None, use_input_register=True):
     """The amplify preparation A and one Grover iteration as gates: the
     reflection S of the all-zeros control subspace, A^-1, the reflection
     S0 about the start state |s>, then A; each reflection is one
     ``PHASE0(pi)`` row.  The iteration Q = -A S0 A^-1 S is this circuit
-    followed by a sign flip.  The layout is the one
-    :func:`amplitude_amplify` picks unless ``use_input_register`` is given;
-    with rotations |s> is |0...0>, with the register |x; 0...0>."""
-    if use_input_register is None:
-        use_input_register = retrieval._uses_input_register(pattern_set.n, b)
+    followed by a sign flip.  With the input in its register, as
+    :func:`amplitude_amplify` prepares, |s> is |x; 0...0>; with the input
+    as rotations, |0...0>."""
     layout = retrieval_layout(pattern_set.n, b, use_input_register)
     prep = preparation_circuit(pattern_set, x, layout, mask)
     flips = Circuit(
@@ -110,9 +107,9 @@ def grover_circuit(pattern_set, x, b, mask=None, use_input_register=None):
     return prep, flips[:1] + prep.inverse() + flips[1:] + prep
 
 
-def gate_level_amplify(pattern_set, x, b, iterations, mask=None):
+def gate_level_amplify(pattern_set, x, b, iterations, mask=None, use_input_register=True):
     """The state after ``iterations`` Grover iterations, run gate by gate."""
-    prep, grover = grover_circuit(pattern_set, x, b, mask)
+    prep, grover = grover_circuit(pattern_set, x, b, mask, use_input_register)
     layout = prep.layout
     state = apply_circuit(basis_state(layout, start_bits(layout, x)), prep)
     for _ in range(iterations):
@@ -550,6 +547,11 @@ class TestRetrieve:
         assert call(np.int64(2)) == call(2)
         assert call(True) == call(1)
 
+    def test_config_keeps_counts_as_int(self):
+        config = RetrievalConfig(b=np.int64(2), T=True)
+        assert (type(config.b), type(config.T)) == (int, int)
+        assert (config.b, config.T) == (2, 1)
+
     @pytest.mark.parametrize("b", [0, -1])
     def test_preparation_needs_a_round(self, b):
         """The gate-level entry points refuse b < 1 by the preparation's
@@ -982,8 +984,7 @@ class TestAmplification:
         assert want.layout == run.state.layout
         got, want = run.state.amps, want.amps
         assert max(abs(got.get(k, 0) - want.get(k, 0)) for k in set(got) | set(want)) <= 1e-12
-        register = retrieval._uses_input_register(n, b)
-        prepared = prepare_final_state(ps, inp, b, mask, register)
+        prepared = prepare_final_state(ps, inp, b, mask)
         assert run.state.key_array.tolist() == prepared.key_array.tolist()
 
     @settings(max_examples=100, deadline=None)
@@ -995,9 +996,10 @@ class TestAmplification:
         masked=st.booleans(),
     )
     def test_layouts_agree(self, data, n, b, j, masked):
-        """The input in its register and the input as rotations give the
-        same success probability and the same memory, utility and control
-        amplitudes to 1e-12; the register only adds the constant input."""
+        """amplitude_amplify, the input in its register, and the gate-level
+        circuit with the input as rotations give the same success
+        probability and the same memory, utility and control amplitudes to
+        1e-12; the register only adds the constant input."""
         keys = data.draw(
             st.lists(st.integers(0, 2**n - 1), min_size=1, max_size=min(12, 2**n), unique=True)
         )
@@ -1006,42 +1008,38 @@ class TestAmplification:
         mask = None
         if masked:
             mask = Mask(frozenset(data.draw(st.sets(st.integers(0, n - 1), min_size=1))))
-        runs = {}
-        for register in (True, False):
-            with mock.patch.object(retrieval, "_uses_input_register", lambda n, b: register):
-                runs[register] = amplitude_amplify(ps, inp, b, j, mask)
-        assert runs[True].state.layout.width("input") == n
-        assert runs[False].state.layout.width("input") == 0
-        assert set(runs[True].state.section_values("input").tolist()) == {inp.as_key()}
-        assert abs(runs[True].success_probability - runs[False].success_probability) <= 1e-12
+        run = amplitude_amplify(ps, inp, b, j, mask)
+        rotations = gate_level_amplify(ps, inp, b, j, mask, use_input_register=False)
+        assert rotations.layout.width("input") == 0
+        assert set(run.state.section_values("input").tolist()) == {inp.as_key()}
+        success = section_marginal(rotations, "control").get(0, 0.0)
+        assert abs(run.success_probability - success) <= 1e-12
 
         def amplitudes(state):
             sections = (state.section_values(s).tolist() for s in ("memory", "utility", "control"))
             return dict(zip(zip(*sections), state.amp_array.tolist()))
 
-        got, want = amplitudes(runs[True].state), amplitudes(runs[False].state)
-        assert len(got) == len(runs[True].state.key_array)
+        got, want = amplitudes(run.state), amplitudes(rotations)
+        assert len(got) == len(run.state.key_array)
         assert max(abs(got.get(k, 0) - want.get(k, 0)) for k in set(got) | set(want)) <= 1e-12
 
     @pytest.mark.parametrize(
-        "n, b, input_width, width",
+        "n, b, width",
         [
-            (7, 4, 7, 20),  # the register fits an int64 key
-            (30, 1, 30, 63),  # the register just fits
-            (30, 2, 0, 34),  # only the register would need object keys
-            (30, 4, 0, 36),
-            (61, 1, 61, 125),  # neither layout fits: the register
-            (64, 2, 64, 132),
+            (7, 4, 20),
+            (30, 1, 63),  # the widest int64 key
+            (30, 4, 66),  # object keys
+            (64, 2, 132),
         ],
     )
-    def test_width_rule(self, n, b, input_width, width):
-        """The input goes in its register unless that register alone would
-        push the keys past int64."""
+    def test_input_register_at_every_width(self, n, b, width):
+        """The input goes in its register whatever its width, with object
+        keys past 63 qubits, and the rotation law holds."""
         rng = np.random.default_rng(n + b)
         ps = PatternSet(tuple(Pattern(tuple(int(v) for v in row)) for row in rng.integers(0, 2, (3, n))))
         run = amplitude_amplify(ps, ps[0], b, 1)
         layout = run.state.layout
-        assert (layout.width("input"), layout.total) == (input_width, width)
+        assert (layout.width("input"), layout.total) == (n, width)
         assert layout.key_dtype == np.dtype(np.int64 if width <= 63 else object)
         assert run.state.key_array.dtype == layout.key_dtype
         p_rec = analytic_distribution(ps, ps[0], b).p_rec

@@ -1,15 +1,15 @@
 """Paired benchmark runs of two checkouts: a parent and a change.
 
-    python3 tools/bench_pairs.py --pairs 10 --seconds 25 [--parent REV | --parent-dir DIR]
+    python3 tools/bench_pairs.py --pairs 10 --seconds 25 --parent-dir DIR
         [--change-dir DIR] [--workloads circuit queries analytics] [--seeds S ...]
         [--out FILE]
 
 Each pair runs ``perfbench/run.py --trace 0`` once on each side, one run
 after the other, on one seed; even pairs run the parent first and odd pairs
 the change.  Pair i of a workload uses the i-th of ``--seeds``, by default
-i + 1.  The parent is the checkout ``--parent-dir``, or else a
-``git worktree`` of ``--parent`` (default ``HEAD``) made for the batch and
-removed after it; the change is ``--change-dir``, by default this checkout.
+i + 1.  The parent is the checkout ``--parent-dir`` (for example a
+``git archive`` of the parent commit unpacked in a directory of its own);
+the change is ``--change-dir``, by default this checkout.
 Only run one batch at a time on an otherwise idle machine.
 
 The JSON document printed (or written to ``--out``) holds a ``summary`` in
@@ -30,7 +30,6 @@ import platform
 import statistics
 import subprocess
 import sys
-import tempfile
 import time
 from pathlib import Path
 
@@ -142,8 +141,7 @@ def parse_args(argv):
     ap.add_argument("--seconds", type=float, default=25)
     ap.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     ap.add_argument("--seeds", type=int, nargs="+", help="the pairs' seeds, one per pair")
-    ap.add_argument("--parent", default="HEAD", help="revision checked out as the parent")
-    ap.add_argument("--parent-dir", type=Path, help="an existing checkout of the parent")
+    ap.add_argument("--parent-dir", type=Path, required=True, help="a checkout of the parent")
     ap.add_argument("--change-dir", type=Path, default=ROOT)
     ap.add_argument("--out", type=Path)
     args = ap.parse_args(argv)
@@ -159,18 +157,8 @@ def parse_args(argv):
 def main(argv=None, runner=perfbench_run) -> int:
     args = parse_args(argv)
     change = args.change_dir.resolve()
-    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as scratch:
-        parent = args.parent_dir
-        if parent is None:
-            parent = Path(scratch) / "parent"
-            git = ["git", "-C", str(change), "worktree"]
-            subprocess.run([*git, "add", "--detach", str(parent), args.parent], check=True, capture_output=True)
-        try:
-            runs, summary = batch({"parent": parent.resolve(), "change": change}, args.workloads,
-                                  args.seeds, args.seconds, end_to_end(change), runner)
-        finally:
-            if args.parent_dir is None:
-                subprocess.run([*git, "remove", "--force", str(parent)], check=True, capture_output=True)
+    sides = {"parent": args.parent_dir.resolve(), "change": change}
+    runs, summary = batch(sides, args.workloads, args.seeds, args.seconds, end_to_end(change), runner)
     document = {
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0",
         "protocol": "pairs run one after another, alternating which side runs first "
