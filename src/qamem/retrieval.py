@@ -16,8 +16,9 @@ controlled inverse-square, never as a direct matrix exponential, so the
 gate counts per round are honest: 6n+2 with an input register, 4n+2 with
 the input coded as rotations.
 
-Both retrieval modes draw from the state the b rounds prepare: amplify
-mode only raises its recognition probability to the rotation law
+Both retrieval modes draw an output from the support of the law
+:func:`simulate_distribution` reads off the prepared state: amplify mode
+only raises the recognition probability to the rotation law
 sin^2((2j+1)theta) of j Grover iterations, which keep the memory law.
 :func:`amplitude_amplify` runs those iterations on the state itself: the
 preparation runs once, the input in its register as retrieval prepares
@@ -97,8 +98,10 @@ class Distribution:
     """Recognition probability and the law of the post-selected output.
 
     Output ``support[k]`` has probability ``prob_array[k]``, which is made
-    read-only; for the closed form the support is the pattern set itself,
-    in stored order.
+    read-only.  For the closed form the support is the pattern set itself,
+    in stored order; for :func:`simulate_distribution` it is the
+    post-selected memory values in ascending order, as patterns, the order
+    in which :func:`retrieve`'s seeded draws walk it.
     """
 
     p_rec: float
@@ -356,74 +359,49 @@ def _postselected(state: SparseState):
     return p_rec, values, sums
 
 
-@dataclass(frozen=True)
-class SamplingTable:
-    """What every retrieval attempt on one prepared state draws from.
-
-    ``p_zero`` is the probability of the all-zeros control outcome, after
-    the optimal Grover iterations in amplify mode.
-    ``values`` are the memory-register values of the state post-selected on
-    that outcome, in ascending order, and ``cdf`` their cumulative
-    probabilities, as :func:`_postselected` gives them.
-    One table serves every draw of a query; :func:`retrieve` turns a drawn
-    value into its :class:`Pattern` once per query (see :class:`_Query`).
-    """
-
-    p_zero: float
-    values: tuple[int, ...]
-    cdf: tuple[float, ...]
-
-    def sample_memory(self, rng) -> int:
-        """Memory value of one measurement of the post-selected state."""
-        i = bisect.bisect_right(self.cdf, rng.random())
-        return self.values[min(i, len(self.values) - 1)]
-
-
 class _Query:
     """The memo entry of one pattern set: its most recent query and what
     every draw of that query reads.
 
     ``key`` is (input, b, mask); neither ``T`` nor the mode enters it.
-    ``table`` is the repeat-mode table and ``amplified`` the amplify-mode
-    one, rotated from it on first use.  ``outputs`` maps each
-    memory value drawn so far to its output :class:`Pattern`, built on the
-    first draw of that value.  The closed form is held without its support,
-    which is the set itself, and the :class:`Distribution` the reports
-    share only through a weak reference: a value that referred to the set
-    would keep its key in :data:`_LAST_TABLE` alive.
+    ``simulated`` is the law of the prepared state as
+    :func:`simulate_distribution` gives it, and ``cdf`` the cumulative sums
+    of its ``prob_array``, which :func:`retrieve` bisects to pick an output
+    from ``simulated.support``.  The closed form is held without its
+    support, which is the set itself, and the :class:`Distribution` the
+    reports share only through a weak reference: a value that referred to
+    the set would keep its key in :data:`_LAST_TABLE` alive.
     """
 
-    __slots__ = ("key", "law", "table", "amplified", "outputs", "shared")
+    __slots__ = ("key", "law", "simulated", "cdf", "shared")
 
-    def __init__(self, key, analytic: Distribution, table: SamplingTable):
+    def __init__(self, key, analytic: Distribution, simulated: Distribution):
         self.key = key
         self.law = (analytic.p_rec, analytic.Z, analytic.prob_array)
-        self.table = table
-        self.amplified = None
-        self.outputs = {}
+        self.simulated = simulated
+        self.cdf = tuple(itertools.accumulate(simulated.prob_array.tolist()))
         self.shared = weakref.ref(analytic)
 
 
 def _prepared(
     pattern_set: PatternSet, input_pattern: Pattern, config: RetrievalConfig
-) -> tuple[Distribution, SamplingTable, dict[int, Pattern]]:
-    """The closed form, sampling table and output patterns of one query.
+) -> tuple[Distribution, _Query]:
+    """The closed form and the memo entry of one query.
 
     Each live pattern set keeps the :class:`_Query` of its most recent
     (input, b, mask), so Monte-Carlo loops over one query
     prepare the state once, and a repeat call costs a dictionary lookup:
     it reuses the :class:`Distribution` of the query's reports while one
-    of them is alive, and the amplified table once amplify mode has read
-    it.  The output patterns are filled in by :func:`retrieve`.
+    of them is alive.
     """
     key = (input_pattern, config.b, config.mask)
     query = _LAST_TABLE.get(pattern_set)
     if query is None or query.key != key:
         # a state past MAX_PREPARED_KEYS is refused before the closed form
         # could refuse an underflowed law, which needs a larger b
-        table = _sampling_table(prepare_final_state(pattern_set, *key))
+        simulated = simulate_distribution(pattern_set, *key)
         analytic = analytic_distribution(pattern_set, input_pattern, config.b, config.mask)
-        query = _Query(key, analytic, table)
+        query = _Query(key, analytic, simulated)
         _LAST_TABLE[pattern_set] = query
     else:
         analytic = query.shared()
@@ -431,12 +409,7 @@ def _prepared(
             p_rec, Z, prob_array = query.law
             analytic = Distribution(p_rec, Z, pattern_set, prob_array)
             query.shared = weakref.ref(analytic)
-    table = query.table
-    if config.mode == "amplitude_amplify":
-        if query.amplified is None:
-            query.amplified = _amplified(table, analytic.p_rec)
-        table = query.amplified
-    return analytic, table, query.outputs
+    return analytic, query
 
 
 #: pattern set -> :class:`_Query` of its most recent query; entries die
@@ -444,28 +417,25 @@ def _prepared(
 _LAST_TABLE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _sampling_table(state: SparseState) -> SamplingTable:
-    """The repeat-mode table of a prepared state."""
-    p_rec, values, probs = _postselected(state)
-    if p_rec < POSTSELECT_FLOOR:  # as postselect would: never recognized
-        return SamplingTable(0.0, (), ())
-    return SamplingTable(
-        p_rec, tuple(values.tolist()), tuple(itertools.accumulate(probs.tolist()))
-    )
+def _recognition(p_zero: float, p_rec: float, mode: str) -> float:
+    """The probability that one attempt is recognized.
 
-
-def _amplified(table: SamplingTable, p_rec: float) -> SamplingTable:
-    """The repeat-mode table after the optimal Grover iterations: they
-    rotate p_zero and keep the memory law."""
-    iterations = optimal_iterations(p_rec)
-    if not table.values:
-        raise RetrievalError(
-            f"cannot amplify p_rec = {p_rec:.3g}: the recognized branch is "
-            f"below the {POSTSELECT_FLOOR:g} post-selection floor"
-        )
-    theta = math.asin(math.sqrt(min(table.p_zero, 1.0)))
-    p_zero = math.sin((2 * iterations + 1) * theta) ** 2
-    return SamplingTable(p_zero, table.values, table.cdf)
+    ``p_zero`` is the prepared state's probability of the all-zeros
+    control outcome, read as 0 below the post-selection floor, as
+    postselect would.  Amplify mode raises it by the rotation law of the
+    optimal Grover iterations for the closed form's ``p_rec``; they keep
+    the memory law.
+    """
+    if mode == "amplitude_amplify":
+        iterations = optimal_iterations(p_rec)
+        if p_zero < POSTSELECT_FLOOR:
+            raise RetrievalError(
+                f"cannot amplify p_rec = {p_rec:.3g}: the recognized branch is "
+                f"below the {POSTSELECT_FLOOR:g} post-selection floor"
+            )
+        theta = math.asin(math.sqrt(min(p_zero, 1.0)))
+        return math.sin((2 * iterations + 1) * theta) ** 2
+    return p_zero if p_zero >= POSTSELECT_FLOOR else 0.0
 
 
 def retrieve(
@@ -479,23 +449,24 @@ def retrieve(
     Every attempt re-runs the same deterministic preparation, so the final
     state is prepared once (see :func:`_prepared`) and each attempt draws a
     fresh control measurement from it: one draw per attempt, then one draw
-    for the memory register of a recognized attempt.  Both modes prepare
-    and memoise the same state, the input in its register;
-    ``amplitude_amplify`` mode takes its recognition probability from the
-    rotation law instead of running the iterations.
+    for the memory register of a recognized attempt, which bisects the
+    cumulative law of :func:`simulate_distribution` and returns that
+    support's pattern.  Both modes prepare and memoise the same state, the
+    input in its register; ``amplitude_amplify`` mode takes its
+    recognition probability from the rotation law instead of running the
+    iterations (see :func:`_recognition`).
     Every report of one query shares the arrays of its closed form,
     read-only, and the reports alive at once share one
-    :class:`Distribution`; each distinct output pattern is built once per
-    query, so a repeat call draws in O(1) Python work.
+    :class:`Distribution`; a repeat call builds no pattern and draws in
+    O(1) Python work.
     """
-    analytic, table, outputs = _prepared(pattern_set, input_pattern, config)
+    analytic, query = _prepared(pattern_set, input_pattern, config)
+    simulated, cdf = query.simulated, query.cdf
+    p_zero = _recognition(simulated.p_rec, analytic.p_rec, config.mode)
     for attempt in range(1, config.T + 1):
-        if rng.random() < table.p_zero:
-            value = table.sample_memory(rng)
-            output = outputs.get(value)
-            if output is None:
-                output = outputs[value] = Pattern.from_key(value, pattern_set.n)
-            return RetrievalReport(True, attempt, output, analytic)
+        if rng.random() < p_zero:
+            i = bisect.bisect_right(cdf, rng.random())
+            return RetrievalReport(True, attempt, simulated.support[min(i, len(cdf) - 1)], analytic)
     return RetrievalReport(False, config.T, None, analytic)
 
 

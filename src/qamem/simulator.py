@@ -34,15 +34,16 @@ O(rows) over the masks: one target bit, controls clear of it and inside the
 layout, wanted values inside the controls, and the parameter rules below.
 
 The kernel runs a circuit on the ``(key_array, amp_array)`` pair from a
-program derived once per circuit from the rows that act, every row but a
-``ROTY(0)`` of either sign of zero: each row's target and control masks
-(the columns as Python ints), its one operand, where each run of rows with
-one control condition ends, found by comparing adjacent rows, the segments
-of permutation rows and the stretches of quarter turns described below.  A
-``PHASE0`` row's operand is its phase ``e^{i theta}``; a mixing row's is
-the form of its matrix: the two columns as pairs of Python ``complex``
-values and the underflow floor described below, which the scalar path
-multiplies by and from which the array step builds its 2x2 array.  Leaving an
+program derived, each time the circuit is applied, from the rows that
+act, every row but a ``ROTY(0)`` of either sign of zero: each row's target
+and control masks (the columns as Python ints), its one operand, where
+each run of rows with one control condition ends, found by comparing
+adjacent rows, the segments of permutation rows and the stretches of
+quarter turns described below.  A ``PHASE0`` row's operand is its phase
+``e^{i theta}``; a mixing row's is the form of its matrix: the two
+columns as pairs of Python ``complex`` values and the underflow floor
+described below, which the scalar path multiplies by and from which the
+array step builds its 2x2 array.  Leaving an
 identity row out joins the runs or segments on either side of it, which
 gives the same keys in the same order.  :func:`apply` runs a one-gate
 circuit and :func:`apply_circuit` a whole one, and only the final arrays
@@ -448,7 +449,7 @@ class Circuit:
     the rows as gates.
     """
 
-    __slots__ = ("layout", "kind", "tmask", "cmask", "cwant", "param", "_gates", "_prog")
+    __slots__ = ("layout", "kind", "tmask", "cmask", "cwant", "param", "_gates")
 
     def __init__(self, gates, layout: RegisterLayout):
         columns = _gate_columns(gates, layout)
@@ -483,7 +484,6 @@ class Circuit:
         self.cwant = cwant
         self.param = param
         self._gates = None
-        self._prog = None
 
     def _columns(self):
         return self.kind, self.tmask, self.cmask, self.cwant, self.param
@@ -526,7 +526,7 @@ class Circuit:
         return Circuit._make(layout, *(np.concatenate(column) for column in columns))
 
     def _program(self):
-        """What the kernel reads, derived once from the rows other than
+        """What the kernel reads, derived from the rows other than
         ROTY(0), the identity: per-row lists of the kind code, target mask,
         control mask, wanted control values, operand (the phase of a
         PHASE0, the form of a mixing row's matrix, see
@@ -539,9 +539,7 @@ class Circuit:
         ROTY(+-pi/2): the number of quarter rows in a row, from this one on,
         that share its control condition, else 0.  Row r of the program is
         the r-th row that acts, not row r of the table."""
-        if self._prog is None:
-            self._prog = _compile(self)
-        return self._prog
+        return _compile(self)
 
 
 def _compile(circuit: Circuit):

@@ -318,9 +318,11 @@ class TestMasked:
             )
 
 
-def sampling_table(pattern_set, x, config):
-    """The memoised sampling table that retrieve draws from."""
-    return retrieval._prepared(pattern_set, x, config)[1]
+def memo_law(pattern_set, x, config):
+    """The memo entry that retrieve draws from, and the probability that
+    one attempt of the config's mode is recognized."""
+    analytic, query = retrieval._prepared(pattern_set, x, config)
+    return query, retrieval._recognition(query.simulated.p_rec, analytic.p_rec, config.mode)
 
 
 def loop_distribution(pattern_set, x, b, mask=None):
@@ -624,7 +626,8 @@ class TestRetrieve:
         is pruned, so no attempt is recognized and amplify mode refuses."""
         ps, x = S("01"), P("10")
         config = RetrievalConfig(b=1, T=3)
-        assert sampling_table(ps, x, config) == retrieval.SamplingTable(0.0, (), ())
+        query, p_zero = memo_law(ps, x, config)
+        assert (p_zero, query.simulated.p_rec, query.simulated.support, query.cdf) == (0.0, 0.0, (), ())
         report = retrieve(ps, x, config, np.random.default_rng(0))
         assert (report.recognized, report.attempts, report.output) == (False, 3, None)
         amplify = RetrievalConfig(b=1, T=3, mode="amplitude_amplify")
@@ -707,36 +710,44 @@ class TestPreparedSampling:
             retrieve(ps, x, config, rng)
         assert len(calls) == 4
         # the mode does not enter the state: amplify mode rotates p_zero of
-        # the same table; p_rec = 0.064 here, amplified 3 times
-        repeat = sampling_table(ps, P("0000"), RetrievalConfig(b=3))
-        amplified = sampling_table(
+        # the same memo entry; p_rec = 0.064 here, amplified 3 times
+        repeat, p_repeat = memo_law(ps, P("0000"), RetrievalConfig(b=3))
+        amplified, p_amplified = memo_law(
             ps, P("0000"), RetrievalConfig(b=3, mode="amplitude_amplify")
         )
         assert len(calls) == 5
-        assert amplified.p_zero > repeat.p_zero
+        assert amplified is repeat
+        assert p_amplified > p_repeat
 
     @pytest.mark.parametrize("mode", ["repeat_measure", "amplitude_amplify"])
     def test_output_pattern_built_once_per_value(self, monkeypatch, mode):
-        """A memo hit builds no Pattern: 200 draws of one query build each
-        distinct output once, and a value drawn again returns the same
-        object."""
+        """No draw builds a Pattern: the outputs of 200 draws of one query
+        are the simulated support's patterns, built in one pass when the
+        state is prepared, so a value drawn again returns the same object."""
         ps, x = S("00110", "01011", "11000", "10101"), P("00111")
-        calls = []
-        real = Pattern.from_key
+        calls, built = [], []
+        real, real_batch = Pattern.from_key, retrieval.patterns_from_keys
 
         def counted(key, n):
             calls.append(key)
             return real(key, n)
 
+        def counted_batch(keys, n):
+            built.append(len(keys))
+            return real_batch(keys, n)
+
         monkeypatch.setattr(Pattern, "from_key", staticmethod(counted))
+        monkeypatch.setattr(retrieval, "patterns_from_keys", counted_batch)
+        retrieval._LAST_TABLE.pop(ps, None)  # a memo hit would prepare nothing
         rng = np.random.default_rng(9)
         config = RetrievalConfig(b=1, T=3, mode=mode)
         reports = [retrieve(ps, x, config, rng) for _ in range(200)]
         outputs = [r.output for r in reports if r.recognized]
         assert len(set(outputs)) >= 3
-        assert sorted(calls) == sorted({o.as_key() for o in outputs})
-        by_value = {}
-        assert all(by_value.setdefault(o, o) is o for o in outputs)
+        assert calls == []
+        support = retrieval._LAST_TABLE[ps].simulated.support
+        assert built == [len(support)]
+        assert all(any(o is pat for pat in support) for o in outputs)
 
     def test_held_reports_share_one_distribution(self):
         """Reports alive at once share one analytic object; the memo holds
@@ -779,9 +790,9 @@ class TestPreparedSampling:
         assert [(r.recognized, r.attempts, r.output) for r in got] == want
 
     def test_repeat_table_reads_simulated_distribution(self):
-        """The repeat-mode table and simulate_distribution read the
-        prepared state in one pass: p_zero is p_rec, the values are the
-        support's keys, and the cdf accumulates prob_array, bit for bit."""
+        """The memo entry holds simulate_distribution's law of the prepared
+        state, its support in ascending memory value: p_zero is p_rec and
+        the cdf accumulates prob_array, bit for bit."""
         rng = np.random.default_rng(71)
         empty = 0
         for _ in range(120):
@@ -793,14 +804,18 @@ class TestPreparedSampling:
                 mask = Mask(frozenset(int(j) for j in rng.choice(ps.n, size=size, replace=False)))
             b = int(rng.integers(1, 5))
             sim = simulate_distribution(ps, inp, b, mask)
-            table = sampling_table(ps, inp, RetrievalConfig(b=b, mask=mask))
+            query, p_zero = memo_law(ps, inp, RetrievalConfig(b=b, mask=mask))
+            held = query.simulated
             if sim.p_rec < POSTSELECT_FLOOR:
-                assert (table.p_zero, table.values, table.cdf) == (0.0, (), ())
+                assert p_zero == 0.0
                 empty += 1
                 continue
-            assert table.p_zero == sim.p_rec
-            assert table.values == tuple(pat.as_key() for pat in sim.support)
-            assert table.cdf == tuple(itertools.accumulate(sim.prob_array.tolist()))
+            assert p_zero == held.p_rec == sim.p_rec
+            assert held.support == sim.support
+            keys = [pat.as_key() for pat in held.support]
+            assert keys == sorted(set(keys))
+            assert held.prob_array.tolist() == sim.prob_array.tolist()
+            assert query.cdf == tuple(itertools.accumulate(sim.prob_array.tolist()))
         assert empty < 60
 
     def test_amplify_table_is_repeat_table_rotated(self):
@@ -818,12 +833,12 @@ class TestPreparedSampling:
             p_rec = analytic_distribution(ps, inp, b, mask).p_rec
             if p_rec == 0:
                 continue
-            repeat = sampling_table(ps, inp, RetrievalConfig(b=b, mask=mask))
-            amplified = sampling_table(ps, inp, RetrievalConfig(b=b, mode="amplitude_amplify", mask=mask))
-            assert (amplified.values, amplified.cdf) == (repeat.values, repeat.cdf)
-            theta = math.asin(math.sqrt(min(repeat.p_zero, 1.0)))
+            repeat, p_repeat = memo_law(ps, inp, RetrievalConfig(b=b, mask=mask))
+            amplified, p_amplified = memo_law(ps, inp, RetrievalConfig(b=b, mode="amplitude_amplify", mask=mask))
+            assert amplified is repeat
+            theta = math.asin(math.sqrt(min(p_repeat, 1.0)))
             j = optimal_iterations(p_rec)
-            assert amplified.p_zero == math.sin((2 * j + 1) * theta) ** 2
+            assert p_amplified == math.sin((2 * j + 1) * theta) ** 2
             checked += 1
         assert checked >= 40
 
@@ -872,12 +887,12 @@ class TestWideLayouts:
             assert abs(sim.probs[pat] - ana.probs[pat]) < 1e-12
 
         config = RetrievalConfig(b=b, T=4)
-        table = sampling_table(ps, inp, config)
-        assert abs(table.p_zero - ana.p_rec) < 1e-12
-        probs = np.diff((0.0,) + table.cdf)
-        want = [ana.probs[Pattern.from_key(v, n)] for v in table.values]
+        query, p_zero = memo_law(ps, inp, config)
+        assert abs(p_zero - ana.p_rec) < 1e-12
+        probs = np.diff((0.0,) + query.cdf)
+        want = [ana.probs[pat] for pat in query.simulated.support]
         assert np.max(np.abs(probs - want)) < 1e-12
-        assert sorted(table.values) == sorted(pat.as_key() for pat in ps)
+        assert sorted(pat.as_key() for pat in query.simulated.support) == sorted(pat.as_key() for pat in ps)
         rng = np.random.default_rng(width)
         for _ in range(20):
             report = retrieve(ps, inp, config, rng)
@@ -954,10 +969,11 @@ class TestAmplification:
 
         # retrieve's amplify mode samples from the optimally amplified state
         config = RetrievalConfig(b=b, mode="amplitude_amplify", mask=mask)
-        table = sampling_table(ps, inp, config)
+        query, p_zero = memo_law(ps, inp, config)
         best = math.sin((2 * optimal_iterations(ana.p_rec) + 1) * theta) ** 2
-        assert table.p_zero == pytest.approx(best, abs=1e-9)
-        check_memory(dict(zip(table.values, np.diff((0.0,) + table.cdf))))
+        assert p_zero == pytest.approx(best, abs=1e-9)
+        keys = [pat.as_key() for pat in query.simulated.support]
+        check_memory(dict(zip(keys, np.diff((0.0,) + query.cdf))))
 
     @settings(max_examples=150, deadline=None)
     @given(
